@@ -113,10 +113,13 @@ def as_probability_vector(p, *, validate: bool = True) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise ValidationError("probability vector must be 1-D and nonempty")
     if validate:
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        if abs(float(v.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {v.sum()!r}, expected 1")
+        # One reduction each; NaN propagates through min and max and fails
+        # both comparisons, so non-finite entries are rejected here too.
+        lo, hi, total = np.minimum.reduce(v), np.maximum.reduce(v), np.add.reduce(v)
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise ValidationError("probabilities must be finite and lie in [0, 1]")
+        if abs(float(total) - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"probabilities sum to {float(total)!r}, expected 1")
     return v
 
 

@@ -59,6 +59,13 @@ def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _assigned_sq_distances(X: np.ndarray, C: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to its assigned centroid, from exact
+    differences: the expanded form above is fine for the argmin but leaves
+    ~1e-16 residues where a point coincides with its centroid."""
+    return ((X - C[assign]) ** 2).sum(axis=1)
+
+
 def _plus_plus_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     n = X.shape[0]
     first = int(rng.integers(seed, rng.STREAM_KMEANS, 0, 1, n)[0])
@@ -102,12 +109,11 @@ def kmeans(embeddings: EmbeddingSet | np.ndarray, k: int, seed: int = 0,
     reseeds = 0
     it = 0
     for it in range(1, max_iter + 1):
-        d2 = _sq_distances(X, C)
-        assign = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), assign].sum()))
+        assign = np.argmin(_sq_distances(X, C), axis=1)
+        own = _assigned_sq_distances(X, C, assign)
+        history.append(float(own.sum()))
         newC = C.copy()
         reseeded = False
-        own = d2[np.arange(n), assign]
         taken: set[int] = set()
         for j in range(k):
             members = assign == j
@@ -124,9 +130,8 @@ def kmeans(embeddings: EmbeddingSet | np.ndarray, k: int, seed: int = 0,
         C = newC
         if move < tol and not reseeded:
             break
-    d2 = _sq_distances(X, C)
-    assign = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assign].sum())
+    assign = np.argmin(_sq_distances(X, C), axis=1)
+    inertia = float(_assigned_sq_distances(X, C, assign).sum())
     return KmeansResult(assignment=assign, centroids=C, inertia=inertia,
                         n_iter=it, inertia_history=tuple(history), reseeds=reseeds)
 

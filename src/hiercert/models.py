@@ -170,11 +170,11 @@ class LookupClassifier:
     n_labels: int
 
     def __post_init__(self):
-        for sid, row in self.table.items():
-            row = np.asarray(row, dtype=np.float64)
+        table = {sid: np.asarray(row, dtype=np.float64) for sid, row in self.table.items()}
+        for sid, row in table.items():
             if row.shape != (self.n_labels,):
                 raise ValidationError(f"logits row for {sid!r} has wrong length")
-            self.table[sid] = row
+        object.__setattr__(self, "table", table)
 
     def logits_for_id(self, sample_id) -> np.ndarray:
         if sample_id not in self.table:

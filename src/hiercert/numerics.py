@@ -1,12 +1,14 @@
 """Standard-normal CDF and quantile.
 
-The quantile is a rational initial guess polished by one Halley step
-against the erfc-based CDF, which is free of the cancellation that makes
-0.5*(1 + erf(x/sqrt(2))) useless in the lower tail. The combination is
-accurate to well below 1e-9 absolute error across [1e-12, 1 - 1e-12] and
-satisfies normal_quantile(1 - q) == -normal_quantile(q) to quantile
-precision: arguments above 1/2 are reduced through 1 - q, which IEEE
-arithmetic evaluates exactly there.
+Both are thin wrappers over scipy.special. The CDF goes through the
+complementary error function, which is free of the cancellation that makes
+0.5*(1 + erf(x/sqrt(2))) useless in the lower tail. The quantile is
+`scipy.special.ndtri` (Cephes), accurate to a few ulp across (0, 1): it
+evaluates the upper tail through 1 - q, so normal_quantile(1 - q) and
+-normal_quantile(q) agree to the precision with which 1 - q represents the
+complement. `normal_quantile` adds the (0, 1) domain check; the noise path,
+whose uniforms lie strictly inside (0, 1) by construction, calls ndtri
+directly.
 """
 
 from __future__ import annotations
@@ -19,20 +21,6 @@ from scipy import special
 from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Rational approximation coefficients (Acklam's minimax fit, |rel err| ~ 1.15e-9
-# before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
 
 
 def normal_cdf(x):
@@ -43,65 +31,15 @@ def normal_cdf(x):
     return 0.5 * special.erfc(-z / _SQRT2)
 
 
-def _quantile_half(q: np.ndarray) -> np.ndarray:
-    """Quantile for q in (0, 0.5]; result is <= 0."""
-    x = np.empty_like(q)
-
-    tail = q < _P_LOW
-    if np.any(tail):
-        t = np.sqrt(-2.0 * np.log(q[tail]))
-        num = ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
-        den = (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        x[tail] = num / den
-
-    mid = ~tail
-    if np.any(mid):
-        r = q[mid] - 0.5
-        s = r * r
-        num = ((((_A[0] * s + _A[1]) * s + _A[2]) * s + _A[3]) * s + _A[4]) * s + _A[5]
-        den = ((((_B[0] * s + _B[1]) * s + _B[2]) * s + _B[3]) * s + _B[4]) * s + 1.0
-        x[mid] = r * num / den
-
-    # One Halley step. For x <= 0 the CDF 0.5*erfc(-x/sqrt(2)) is computed at
-    # full relative precision, so the step lands within a few ulp of the root.
-    err = 0.5 * special.erfc(-x / _SQRT2) - q
-    u = err * _SQRT_2PI * np.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
-def _quantile_scalar(q: float) -> float:
-    """Scalar fast path; identical algorithm on plain floats."""
-    if q > 0.5:
-        return -_quantile_scalar(1.0 - q)
-    if q < _P_LOW:
-        t = math.sqrt(-2.0 * math.log(q))
-        num = ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
-        den = (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        x = num / den
-    else:
-        r = q - 0.5
-        s = r * r
-        num = ((((_A[0] * s + _A[1]) * s + _A[2]) * s + _A[3]) * s + _A[4]) * s + _A[5]
-        den = ((((_B[0] * s + _B[1]) * s + _B[2]) * s + _B[3]) * s + _B[4]) * s + 1.0
-        x = r * num / den
-    err = 0.5 * math.erfc(-x / _SQRT2) - q
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
 def normal_quantile(q):
     """Inverse standard-normal CDF for scalars or ndarrays in (0, 1)."""
     if np.isscalar(q):
         qf = float(q)
         if not 0.0 < qf < 1.0:
             raise ValidationError("normal_quantile requires 0 < q < 1")
-        return _quantile_scalar(qf)
+        return float(special.ndtri(qf))
 
     qa = np.asarray(q, dtype=np.float64)
-    if qa.size and (np.any(qa <= 0.0) or np.any(qa >= 1.0)):
+    if qa.size and not (qa.min() > 0.0 and qa.max() < 1.0):
         raise ValidationError("normal_quantile requires 0 < q < 1")
-    flat = np.atleast_1d(qa).ravel()
-    upper = flat > 0.5
-    reduced = np.where(upper, 1.0 - flat, flat)
-    half = _quantile_half(reduced)
-    return np.where(upper, -half, half).reshape(np.shape(qa))
+    return special.ndtri(qa)

@@ -10,10 +10,8 @@ parallel, and serial generation agree bit for bit.
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
-from . import numerics
-
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -30,59 +28,70 @@ STREAM_KMEANS = 6       # k-means++ seeding
 STREAM_SUBSETS = 7      # subset sampling in sweeps
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
+def _mix(x):
+    """Split-mix finalizer; updates a uint64 array in place and returns it."""
     # uint64 wraparound is the point here; silence the overflow warnings.
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _M1 & _MASK
-        x = (x ^ (x >> np.uint64(27))) * _M2 & _MASK
-        return x ^ (x >> np.uint64(31))
+        x ^= x >> np.uint64(30)
+        x *= _M1
+        x ^= x >> np.uint64(27)
+        x *= _M2
+        x ^= x >> np.uint64(31)
+    return x
 
 
 def mix64(x):
     """Public 64-bit mix finalizer for ints or uint64 arrays."""
     if isinstance(x, (int, np.integer)):
         return int(_mix(np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)))
-    return _mix(np.asarray(x, dtype=np.uint64))
+    return _mix(np.array(x, dtype=np.uint64))
 
 
 def stream_seed(seed: int, stream: int) -> int:
     """Derive the base state of one named substream of a master seed."""
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        t = np.uint64(stream & 0xFFFFFFFFFFFFFFFF) * _STREAM_SALT & _MASK
+        t = np.uint64(stream & 0xFFFFFFFFFFFFFFFF) * _STREAM_SALT
     return int(_mix(s ^ _mix(t)))
 
 
 def raw64(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """uint64 words at counters start .. start+count-1 of a substream."""
-    base = np.uint64(stream_seed(seed, stream))
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix(base + counters * _GAMMA & _MASK)
+        x *= _GAMMA
+        x += np.uint64(stream_seed(seed, stream))
+    return _mix(x)
 
 
 def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Uniform floats in the open interval (0, 1)."""
     bits = raw64(seed, stream, start, count)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
-_NORMAL_CHUNK = 1 << 20
+# 64k draws, 512 KB per array: a chunk's bits and uniforms stay in cache
+# between being written and being read by ndtri.
+_NORMAL_CHUNK = 1 << 16
 
 
 def normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """Standard-normal draws via the quantile transform of `uniforms`.
 
-    Generated in fixed-size chunks to keep the transform's temporaries
-    cache-sized; counter-mode generation makes the chunking invisible.
+    Generated in fixed-size chunks into one output array; counter-mode
+    generation makes the chunking invisible. The uniforms lie strictly
+    inside (0, 1), so ndtri is called without the domain check of
+    `numerics.normal_quantile`.
     """
-    if count <= _NORMAL_CHUNK:
-        return numerics.normal_quantile(uniforms(seed, stream, start, count))
     out = np.empty(count)
     for off in range(0, count, _NORMAL_CHUNK):
         block = min(_NORMAL_CHUNK, count - off)
-        out[off:off + block] = numerics.normal_quantile(
-            uniforms(seed, stream, start + off, block))
+        special.ndtri(uniforms(seed, stream, start + off, block),
+                      out=out[off:off + block])
     return out
 
 

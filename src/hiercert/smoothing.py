@@ -106,8 +106,9 @@ def sample_under_noise(classifier, x, sigma: float, n: int, seed: int,
     counts = np.zeros(m, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        noise = rng.normals(seed, stream, start * d, (stop - start) * d)
-        batch = x[None, :] + sigma * noise.reshape(stop - start, d)
+        batch = rng.normals(seed, stream, start * d, (stop - start) * d).reshape(stop - start, d)
+        batch *= sigma
+        batch += x
         labels = predict_labels(classifier, batch)
         counts += np.bincount(labels, minlength=m)
     return NoiseSampleCounts(counts=counts, total=n)

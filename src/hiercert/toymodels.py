@@ -136,6 +136,12 @@ class GaussCell:
     adversarial_acc: float
 
 
+def _cell_accuracy(X, y, k: int) -> float:
+    """Accuracy of the k = 0 averaging classifier or the k-feature meta-feature."""
+    pred = averaging_predict(X) if k == 0 else meta_feature(X, k)
+    return float(np.mean(pred == y))
+
+
 def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
                      p: float, n_samples: int, seed: int) -> list[GaussCell]:
     """Natural and adversarial accuracy over an (eta, k) grid.
@@ -144,22 +150,23 @@ def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
     meta-feature over the k protected features. The attack flips every
     unprotected informative feature.
     """
+    for k in k_list:
+        if k > d:
+            raise ValidationError(f"k={k} inadmissible for d={d}")
     rows = []
     for ei, eta in enumerate(eta_list):
         params = GaussModelParams(d=d, p=p, eta=float(eta))
         X, y = sample_gauss_model(params, n_samples, seed=rng.mix64(seed + ei))
         for k in k_list:
-            if k > d:
-                raise ValidationError(f"k={k} inadmissible for d={d}")
-            X_adv = linf_flip_attack(X, y, float(eta), k_protected=int(k))
-            if k == 0:
-                nat = float(np.mean(averaging_predict(X) == y))
-                adv = float(np.mean(averaging_predict(X_adv) == y))
-            else:
-                nat = float(np.mean(meta_feature(X, int(k)) == y))
-                adv = float(np.mean(meta_feature(X_adv, int(k)) == y))
+            nat = _cell_accuracy(X, y, int(k))
+            # The attacked copy is freed when the call returns, so at most one
+            # is alive at a time.
+            adv = _cell_accuracy(linf_flip_attack(X, y, float(eta), k_protected=int(k)),
+                                 y, int(k))
             rows.append(GaussCell(eta=float(eta), k=int(k),
                                   natural_acc=nat, adversarial_acc=adv))
+        # Free this sample before the next one is drawn.
+        del X, y
     return rows
 
 

@@ -76,6 +76,18 @@ class TestHingeGap:
         with pytest.raises(ValidationError):
             hinge_gap([0.5, 0.6], 0, {0, 1})  # not a probability vector
 
+    def test_non_finite_entries_rejected(self):
+        # nan compares false with everything, so range checks of the form
+        # `p < 0` or `|sum - 1| > tol` let it through
+        for bad in ([math.nan, 0.5, 0.5], [0.5, math.nan, 0.5],
+                    [math.inf, 0.5, 0.5], [-math.inf, 0.5, 1.5]):
+            with pytest.raises(ValidationError):
+                hinge_gap(bad, 1, {0, 1, 2})
+            with pytest.raises(ValidationError):
+                argmax_label(bad)
+            with pytest.raises(ValidationError):
+                renormalize(bad, {0, 1})
+
     def test_anti_monotone_in_competitor_set(self):
         # 10^4 random (alpha, c, L1 subset of L2) triples, exact comparison
         m = 8

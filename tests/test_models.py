@@ -48,6 +48,14 @@ class TestPredictProba:
         with pytest.raises(ValidationError):
             predict_proba(model, "missing")
 
+    def test_lookup_leaves_callers_table_unchanged(self):
+        rows = [0.0, 1.0]
+        table = {"a": rows}
+        model = LookupClassifier(table=table, n_labels=2)
+        assert list(table) == ["a"] and table["a"] is rows and rows == [0.0, 1.0]
+        assert isinstance(model.table["a"], np.ndarray)
+        assert model.table is not table
+
 
 class TestGradientCheck:
     def test_linear_random_init(self):

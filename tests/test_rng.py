@@ -57,3 +57,56 @@ def test_mix64_scalar_matches_array():
     arr = rng.mix64(xs)
     for i, x in enumerate(xs):
         assert rng.mix64(int(x)) == int(arr[i])
+
+
+_M64 = (1 << 64) - 1
+
+
+def _mix_ref(x: int) -> int:
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _M64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def _raw64_ref(seed: int, stream: int, start: int, count: int) -> list[int]:
+    """Split-mix on Python ints masked to 64 bits, independent of numpy."""
+    salted = (stream & _M64) * 0xD6E8FEB86659FD93 & _M64
+    base = _mix_ref((seed & _M64) ^ _mix_ref(salted))
+    return [_mix_ref((base + (start + i + 1) * 0x9E3779B97F4A7C15) & _M64)
+            for i in range(count)]
+
+
+_REF_CASES = [(0, 0, 0), (123, 7, 10), (2**63 + 5, 2**40, 2**40 + 3),
+              (2**64 - 1, 1, 2**62), (42, 3, 2**64 - 200)]
+
+
+def test_raw64_matches_pure_python_splitmix():
+    for seed, stream, start in _REF_CASES:
+        got = rng.raw64(seed, stream, start, 100)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == _raw64_ref(seed, stream, start, 100)
+
+
+def test_uniforms_match_pure_python_splitmix():
+    for seed, stream, start in _REF_CASES:
+        ref = [((w >> 11) + 0.5) * 2.0 ** -53 for w in _raw64_ref(seed, stream, start, 100)]
+        assert rng.uniforms(seed, stream, start, 100).tolist() == ref
+
+
+def test_mix64_leaves_its_argument_unchanged():
+    xs = np.arange(10, dtype=np.uint64)
+    rng.mix64(xs)
+    assert np.array_equal(xs, np.arange(10, dtype=np.uint64))
+
+
+def test_normals_chunking_is_invisible():
+    count = 3 * 65536 + 7
+    start = 1_000_003
+    whole = rng.normals(17, 1, start, count)
+    cuts = [0, 1, 65535, 65537, 2 * 65536 + 9, count]
+    parts = np.concatenate([rng.normals(17, 1, start + a, b - a)
+                            for a, b in zip(cuts, cuts[1:])])
+    assert np.array_equal(whole, parts)
+    assert rng.normals(17, 1, start, 0).shape == (0,)

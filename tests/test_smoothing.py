@@ -113,6 +113,25 @@ class TestSampleUnderNoise:
         c = sample_under_noise(model, x, 0.5, 5000, seed=7)
         assert np.array_equal(a.counts, c.counts)
 
+    @pytest.mark.parametrize("chunk", [None, 1, 613])
+    def test_perturbed_inputs_are_x_plus_sigma_noise_bit_for_bit(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+        seen = []
+
+        class Recorder(ConstantClassifier):
+            def logits(self, X):
+                seen.append(X.copy())
+                return super().logits(X)
+
+        x = np.array([0.3, -1.25, 7.0])
+        x_before = x.copy()
+        n = 1500 if chunk != 1 else 40
+        sample_under_noise(Recorder(0, 2), x, 0.37, n, seed=9, stream=rng.STREAM_SELECT)
+        noise = rng.normals(9, rng.STREAM_SELECT, 0, n * 3).reshape(n, 3)
+        assert np.array_equal(np.concatenate(seen), x[None, :] + 0.37 * noise)
+        assert np.array_equal(x, x_before)
+
 
 class TestExactSmoothedLinear:
     def test_decision_boundary(self):
