@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -520,6 +521,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except Exception as exc:  # numeric/unexpected failures
         print(f"error[runtime] {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Not one of the package's own errors: the traceback shows where it arose.
+        print(traceback.format_exc(), end="", file=sys.stderr)
         return 2
 
 

@@ -54,6 +54,10 @@ class KmeansResult:
     reseeds: int
 
 
+# Distance entries per block of rows in the silhouette (8 MB of float64).
+_SEPARATION_BLOCK = 1 << 20
+
+
 def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     d2 = (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2.0 * X @ C.T
     return np.maximum(d2, 0.0)
@@ -188,27 +192,33 @@ def cluster_separation_check(assignment, embeddings: EmbeddingSet | np.ndarray,
     X = embeddings.vectors if isinstance(embeddings, EmbeddingSet) else \
         np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     assign = np.asarray(assignment, dtype=np.int64)
-    ids = np.unique(assign)
+    ids, cluster, sizes = np.unique(assign, return_inverse=True, return_counts=True)
     if ids.size < 2:
         raise UndefinedSeparationError("separation needs at least 2 clusters")
 
-    dist = np.sqrt(_sq_distances(X, X))
-    n = X.shape[0]
-    scores = np.zeros(n)
-    sizes = {int(c): int((assign == c).sum()) for c in ids}
-    n_singletons = sum(1 for v in sizes.values() if v == 1)
+    n_singletons = int((sizes == 1).sum())
     if n_singletons:
         warnings.warn(f"{n_singletons} singleton cluster(s); scoring their points 0")
-    for i in range(n):
-        own = int(assign[i])
-        if sizes[own] == 1:
-            scores[i] = 0.0
-            continue
-        same = assign == own
-        a = dist[i, same].sum() / (sizes[own] - 1)
-        b = min(dist[i, assign == c].mean() for c in ids if c != own)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    # Columns sorted by cluster, so each cluster's distances form one
+    # contiguous run that reduceat sums; a block of rows holds O(block * n).
+    Xs = X[np.argsort(cluster, kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    n = X.shape[0]
+    scores = np.zeros(n)
+    step = max(1, _SEPARATION_BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        sums = np.add.reduceat(np.sqrt(_sq_distances(X[rows], Xs)), starts, axis=1)
+        own = cluster[rows]
+        local = np.arange(own.size)
+        own_size = sizes[own]
+        a = sums[local, own] / np.maximum(own_size - 1, 1)
+        means = sums / sizes
+        means[local, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scored = (own_size > 1) & (denom != 0.0)
+        scores[rows] = np.where(scored, (b - a) / np.where(scored, denom, 1.0), 0.0)
     sil = float(scores.mean())
     return SeparationReport(silhouette=sil, passed=sil >= threshold,
                             n_singletons=n_singletons)
@@ -220,6 +230,10 @@ def partition_from_confusion(counts, k: int) -> LabelPartition:
     Starting from singletons, repeatedly merge the pair of groups with the
     largest total cross-confusion until k groups remain; ties go to the
     lexicographically first pair of groups (by smallest member label).
+
+    The cross-confusion of every pair of groups is kept in one group x group
+    matrix, whose rows and columns are added together on a merge: O(m^2) work
+    per merge. Integer counts keep every mass exact.
     """
     A = np.asarray(counts, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -234,18 +248,17 @@ def partition_from_confusion(counts, k: int) -> LabelPartition:
     if S.sum() == 0.0 and k < m:
         raise DegeneratePartitionError("no off-diagonal confusion mass to cluster on")
 
+    # Groups stay ordered by smallest member: merging b into a < b keeps a's.
     groups: list[list[int]] = [[i] for i in range(m)]
+    pairs = np.triu(np.ones((m, m), dtype=bool), 1)
     while len(groups) > k:
-        best = None
-        best_mass = -1.0
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                mass = float(S[np.ix_(groups[a], groups[b])].sum())
-                if mass > best_mass:
-                    best_mass = mass
-                    best = (a, b)
-        a, b = best
+        g = len(groups)
+        # First maximum in row-major order over the pairs a < b.
+        a, b = divmod(int(np.argmax(np.where(pairs[:g, :g], S, -1.0))), g)
         groups[a] = sorted(groups[a] + groups[b])
         del groups[b]
-        groups.sort(key=lambda g: g[0])
+        S[a] += S[b]
+        S[:, a] += S[:, b]
+        S[a, a] = 0.0
+        S = np.delete(np.delete(S, b, axis=0), b, axis=1)
     return LabelPartition(tuple(tuple(g) for g in groups), n_labels=m)

@@ -22,7 +22,13 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import CertifiedPrediction, LabelPartition, as_probability_vector, normalize_subset
+from .core import (
+    PROB_SUM_TOL,
+    CertifiedPrediction,
+    LabelPartition,
+    as_probability_vector,
+    normalize_subset,
+)
 from .errors import RoutingMismatchError, ValidationError
 from .models import MaskedModel, PgdParams, pgd_attack, train
 from .smoothing import margin_radius
@@ -490,6 +496,44 @@ class ClassReport:
     hierarchy_ca: tuple[float, ...]
 
 
+def _class_index(partition: LabelPartition) -> np.ndarray:
+    """Class index of every label."""
+    class_of = np.empty(partition.n_labels, dtype=np.int64)
+    for ci, c in enumerate(partition.classes):
+        class_of[list(c)] = ci
+    return class_of
+
+
+def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.ndarray:
+    """Radius of `leaf_certificate_renormalized` for every row, routed to the
+    class of the row's argmax.
+
+    The rows are validated as probability vectors once, as a matrix; the
+    runner-up within the routed class comes from one masked max. A class of
+    one label gives +inf.
+    """
+    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    n, m = P.shape
+    if partition.n_labels != m:
+        raise ValidationError("partition does not match probability width")
+    if P.size:
+        # NaN fails both comparisons, as in `as_probability_vector`.
+        if not (P.min() >= 0.0 and P.max() <= 1.0):
+            raise ValidationError("probabilities must be finite and lie in [0, 1]")
+        if (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL).any():
+            raise ValidationError(f"probability rows must sum to 1 within {PROB_SUM_TOL}")
+    rows = np.arange(n)
+    g = np.argmax(P, axis=1)
+    class_of = _class_index(partition)
+    within = np.where(class_of[None, :] == class_of[g][:, None], P, -np.inf)
+    within[rows, g] = -np.inf
+    runner = within.max(axis=1)
+    paired = runner > -np.inf
+    radii = np.full(n, np.inf)
+    radii[paired] = margin_radius(sigma, P[rows, g][paired], runner[paired])
+    return radii
+
+
 def renormalization_report(probs, labels, partition: LabelPartition, sigma: float,
                            thresholds: Sequence[float]) -> list[ClassReport]:
     """Per-class certified radius and accuracy, baseline vs renormalized leaf.
@@ -511,15 +555,8 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
     p_second = P[np.arange(n), order[:, -2]] if m > 1 else np.zeros(n)
     base_radius = margin_radius(sigma, p_top, p_second)
 
-    class_of = np.empty(m, dtype=np.int64)
-    for ci, c in enumerate(partition.classes):
-        class_of[list(c)] = ci
-
-    hier_radius = np.empty(n)
-    for i in range(n):
-        subset = partition.classes[class_of[g[i]]]
-        cert = leaf_certificate_renormalized(P[i], subset, sigma)
-        hier_radius[i] = cert.radius
+    class_of = _class_index(partition)
+    hier_radius = renormalized_radii(P, partition, sigma)
     correct = g == y
     routed = class_of[g] == class_of[y]
 

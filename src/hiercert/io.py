@@ -8,6 +8,7 @@ and headers; schema problems raise ValidationError so the CLI can exit 1.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -71,21 +72,59 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def _read_wide_csv(path, prefix: str):
-    """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files."""
-    header, body = _read_csv(path)
-    if header[:2] != ["sample_id", "label"]:
-        raise ValidationError(f"{path}: header must start with sample_id,label")
-    width = len(header) - 2
-    expected = [f"{prefix}{i}" for i in range(width)]
-    if header[2:] != expected:
-        raise ValidationError(f"{path}: value columns must be {prefix}0..{prefix}{width - 1}")
-    ids = [row[0] for row in body]
-    labels = np.array([int(row[1]) for row in body], dtype=np.int64)
-    values = np.array([[parse_float(v) for v in row[2:]] for row in body],
-                      dtype=np.float64) if body else np.empty((0, width))
-    if values.size and values.shape[1] != width:
+    """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files.
+
+    One pass over the lines takes the ids and labels and checks every row's
+    field count; numpy's C parser then reads the value columns from the same
+    open file. Only rows holding a quote go through the csv module, so ids
+    that csv.writer quoted (commas, quotes, newlines) still parse.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"file not found: {path}")
+    with path.open(newline="") as fh:
+        header_lines = 0
+        header: list[str] = []
+        for line in fh:
+            header_lines += 1
+            if line.strip("\r\n"):
+                header = next(csv.reader([line]))
+                break
+        if not header:
+            raise ValidationError(f"empty csv: {path}")
+        if header[:2] != ["sample_id", "label"]:
+            raise ValidationError(f"{path}: header must start with sample_id,label")
+        width = len(header) - 2
+        expected = [f"{prefix}{i}" for i in range(width)]
+        if header[2:] != expected:
+            raise ValidationError(f"{path}: value columns must be {prefix}0..{prefix}{width - 1}")
+
+        ids: list[str] = []
+        labels: list[int] = []
+        for line in fh:
+            if '"' in line:
+                # A quoted field may span lines; the reader pulls them from fh.
+                row = next(csv.reader(itertools.chain([line], fh)))
+                n_fields = len(row)
+            elif not line.strip("\r\n"):
+                continue
+            else:
+                n_fields = line.count(",") + 1
+                row = line.split(",", 2)
+            if n_fields != width + 2:
+                raise ValidationError(f"{path}: ragged rows (row {len(ids) + 1} has "
+                                      f"{n_fields} fields, the header {width + 2})")
+            ids.append(row[0])
+            labels.append(int(row[1]))
+        if not ids:
+            return ids, np.empty(0, dtype=np.int64), np.empty((0, width))
+        fh.seek(0)
+        values = np.loadtxt(fh, delimiter=",", skiprows=header_lines,
+                            usecols=range(2, width + 2), comments=None,
+                            quotechar='"', ndmin=2)
+    if values.shape != (len(ids), width):
         raise ValidationError(f"{path}: ragged rows")
-    return ids, labels, values
+    return ids, np.array(labels, dtype=np.int64), values
 
 
 def write_features(path, ids: Sequence, labels, values: np.ndarray) -> None:

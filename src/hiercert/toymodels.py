@@ -55,18 +55,34 @@ class GaussModelParams:
             raise ValidationError("k must lie in 0..d")
 
 
+# About 64k values per block of rows, so that drawing or attacking a sample
+# one block at a time never holds a second n x (d + 1) copy.
+_BLOCK_VALUES = 1 << 16
+
+
+def _row_blocks(n: int, width: int):
+    step = max(1, _BLOCK_VALUES // width)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
 def sample_gauss_model(params: GaussModelParams, n_samples: int,
                        seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X, y): y uniform in {-1,+1}; column 0 equals y with probability p;
-    columns 1..d are N(eta*y, 1), one deterministic substream per quantity."""
+    columns 1..d are N(eta*y, 1), one deterministic substream per quantity.
+
+    Feature (i, j) is draw i*d + j of its substream, so filling X block by
+    block gives the same bits as one draw of all n*d values."""
     n, d = n_samples, params.d
     y = np.where(rng.uniforms(seed, _STREAM_LABEL, 0, n) < 0.5, -1.0, 1.0)
     flip = np.where(rng.uniforms(seed, _STREAM_ROBUST, 0, n) < params.p, 1.0, -1.0)
-    feats = rng.normals(seed, _STREAM_FEAT, 0, n * d).reshape(n, d)
-    feats += params.eta * y[:, None]
     X = np.empty((n, d + 1))
     X[:, 0] = y * flip
-    X[:, 1:] = feats
+    for rows in _row_blocks(n, d):
+        feats = rng.normals(seed, _STREAM_FEAT, rows.start * d,
+                            (rows.stop - rows.start) * d).reshape(-1, d)
+        feats += params.eta * y[rows, None]
+        X[rows, 1:] = feats
     return X, y
 
 
@@ -136,10 +152,19 @@ class GaussCell:
     adversarial_acc: float
 
 
-def _cell_accuracy(X, y, k: int) -> float:
-    """Accuracy of the k = 0 averaging classifier or the k-feature meta-feature."""
-    pred = averaging_predict(X) if k == 0 else meta_feature(X, k)
-    return float(np.mean(pred == y))
+def _cell_predict(X, k: int) -> np.ndarray:
+    """The k = 0 averaging classifier or the k-feature meta-feature."""
+    return averaging_predict(X) if k == 0 else meta_feature(X, k)
+
+
+def _attacked_accuracy(X, y, eta: float, k_protected: int, predict) -> float:
+    """Accuracy of predict on linf_flip_attack(X), attacked one block of rows
+    at a time."""
+    correct = 0
+    for rows in _row_blocks(*X.shape):
+        X_adv = linf_flip_attack(X[rows], y[rows], eta, k_protected)
+        correct += int(np.count_nonzero(predict(X_adv) == y[rows]))
+    return correct / X.shape[0]
 
 
 def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
@@ -158,12 +183,11 @@ def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
         params = GaussModelParams(d=d, p=p, eta=float(eta))
         X, y = sample_gauss_model(params, n_samples, seed=rng.mix64(seed + ei))
         for k in k_list:
-            nat = _cell_accuracy(X, y, int(k))
-            # The attacked copy is freed when the call returns, so at most one
-            # is alive at a time.
-            adv = _cell_accuracy(linf_flip_attack(X, y, float(eta), k_protected=int(k)),
-                                 y, int(k))
-            rows.append(GaussCell(eta=float(eta), k=int(k),
+            k = int(k)
+            nat = float(np.mean(_cell_predict(X, k) == y))
+            adv = _attacked_accuracy(X, y, float(eta), k,
+                                     lambda V: _cell_predict(V, k))
+            rows.append(GaussCell(eta=float(eta), k=k,
                                   natural_acc=nat, adversarial_acc=adv))
         # Free this sample before the next one is drawn.
         del X, y
@@ -209,10 +233,10 @@ def tradeoff_experiment(p: float, gamma: float, eta: float, d: int,
     params = GaussModelParams(d=d, p=p, eta=eta)
     X, y = sample_gauss_model(params, n_samples, seed)
     c = tuned_feature_weight(p, gamma, eta, d)
-    X_adv = linf_flip_attack(X, y, eta, k_protected=0)
     return TradeoffResult(
         natural_acc=float(np.mean(weighted_predict(X, c) == y)),
-        adversarial_acc=float(np.mean(weighted_predict(X_adv, c) == y)),
+        adversarial_acc=_attacked_accuracy(X, y, eta, 0,
+                                           lambda V: weighted_predict(V, c)),
         bound=adversarial_accuracy_bound(p, gamma),
     )
 

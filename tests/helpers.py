@@ -3,12 +3,16 @@
 Oracles here are deliberately independent of the library's own numerics:
 the quantile oracle bisects the erfc-based CDF, the binomial bound oracle
 bisects an exact log-space tail sum, and separability is certified by a
-linear-programming feasibility check.
+linear-programming feasibility check. The CSV, silhouette and confusion
+agglomeration oracles are the straightforward per-cell, per-point and
+per-pair loops that the library's kernels replace.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -105,3 +109,68 @@ def random_subset_containing(seed: int, stream: int, idx: int, m: int,
     subset = set(int(v) for v in order[:size])
     subset.add(int(anchor))
     return tuple(sorted(subset))
+
+
+def read_wide_csv_oracle(path, prefix: str):
+    """sample_id,label,<prefix>0.. reader: the csv module and float() per cell."""
+    with Path(path).open(newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header, body = rows[0], rows[1:]
+    assert header == ["sample_id", "label"] + [f"{prefix}{i}" for i in range(len(header) - 2)]
+    ids = [row[0] for row in body]
+    labels = np.array([int(row[1]) for row in body], dtype=np.int64)
+    values = np.array([[float(v) for v in row[2:]] for row in body],
+                      dtype=np.float64) if body else np.empty((0, len(header) - 2))
+    return ids, labels, values
+
+
+def silhouette_oracle(assignment, X) -> float:
+    """Mean silhouette from the full n x n distance matrix, one point at a time.
+
+    Same conventions as `cluster_separation_check`: singleton clusters and
+    a zero denominator score 0."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    assign = np.asarray(assignment, dtype=np.int64)
+    ids = np.unique(assign)
+    sq = (X * X).sum(1)
+    dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * X @ X.T, 0.0))
+    n = X.shape[0]
+    scores = np.zeros(n)
+    sizes = {int(c): int((assign == c).sum()) for c in ids}
+    for i in range(n):
+        own = int(assign[i])
+        if sizes[own] == 1:
+            continue
+        a = dist[i, assign == own].sum() / (sizes[own] - 1)
+        b = min(dist[i, assign == c].mean() for c in ids if c != own)
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def confusion_levels_oracle(counts) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Greedy agglomeration of symmetrized confusion mass, rescanning every
+    pair of groups with an np.ix_ sum on each merge.
+
+    Returns the groups at every group count k from m down to 1: the merges
+    that reach k groups are the first m - k merges of the full run."""
+    S = np.asarray(counts, dtype=np.float64)
+    S = S + S.T
+    np.fill_diagonal(S, 0.0)
+    groups: list[list[int]] = [[i] for i in range(S.shape[0])]
+    levels = {len(groups): tuple(tuple(g) for g in groups)}
+    while len(groups) > 1:
+        best = None
+        best_mass = -1.0
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                mass = float(S[np.ix_(groups[a], groups[b])].sum())
+                if mass > best_mass:
+                    best_mass = mass
+                    best = (a, b)
+        a, b = best
+        groups[a] = sorted(groups[a] + groups[b])
+        del groups[b]
+        groups.sort(key=lambda g: g[0])
+        levels[len(groups)] = tuple(tuple(g) for g in groups)
+    return levels

@@ -6,6 +6,7 @@ import pytest
 
 from hiercert import cli, io, rng
 from hiercert.core import LabelPartition
+from hiercert.errors import CapabilityError
 from hiercert.hierarchy import build_renormalize_hierarchy
 from hiercert.models import LinearSoftmax, train
 
@@ -109,7 +110,8 @@ class TestValidation:
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"seed": 1, "bogus": True})
         assert cli.main(["toy-prf", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "bogus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bogus" in err and err.count("\n") == 1
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["toy-prf", "--config", str(tmp_path / "nope.json"),
@@ -129,6 +131,21 @@ class TestValidation:
             "attack": {"mode": "worst_case", "epsilon": 0.1, "step": 0.05, "iters": 3},
         })
         assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("exc, traceback", [(RuntimeError("kaboom"), True),
+                                                (CapabilityError("kaboom"), False)])
+    def test_only_unexpected_errors_print_a_traceback(self, tmp_path, monkeypatch,
+                                                      capsys, exc, traceback):
+        def boom(config, base, meta):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "toy-prf", boom)
+        cfg = write_config(tmp_path, "c.json", {"seed": 1})
+        assert cli.main(["toy-prf", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[runtime] {type(exc).__name__}: kaboom\n")
+        assert ("Traceback (most recent call last)" in err and "in boom" in err) == traceback
+        assert err.count("\n") > 1 if traceback else err.count("\n") == 1
 
 
 class TestSweepCommand:

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hiercert import rng
+from hiercert import discovery, rng
 from hiercert.core import LabelPartition
 from hiercert.discovery import (
     EmbeddingSet,
@@ -16,7 +18,7 @@ from hiercert.errors import (
     ValidationError,
 )
 
-from helpers import make_blobs
+from helpers import confusion_levels_oracle, make_blobs, silhouette_oracle
 
 
 class TestKmeans:
@@ -131,6 +133,39 @@ class TestSeparation:
         with pytest.raises(UndefinedSeparationError):
             cluster_separation_check(np.zeros(4, dtype=int), X)
 
+    @pytest.mark.parametrize("block", [2, 7, None])
+    def test_matches_per_point_oracle(self, monkeypatch, block):
+        # Singleton clusters, coincident points inside and across clusters,
+        # and blocks of 2 rows, of rows that do not divide n, and the default.
+        # A one-row block goes through BLAS's matrix-vector product, which
+        # rounds x.y differently; between coincident points the square root
+        # turns that rounding into distances near 1e-8 that differ between the
+        # two products, so one-row blocks agree only to about 1e-10.
+        for t in range(6):
+            n, d, k = 40 + 17 * t, 2 + t, 2 + t
+            X = rng.normals(63, 706, t * 4096, n * d).reshape(n, d) * (1 + t)
+            assignment = rng.integers(63, 707, t * 4096, n, k)
+            X[5:9] = X[4]
+            X[n - 3:] = X[0]
+            assignment[n - 2] = k      # singleton at a point shared with others
+            assignment[n - 1] = k + 1  # second singleton, same point
+            if block is not None:
+                monkeypatch.setattr(discovery, "_SEPARATION_BLOCK", block * n)
+            with pytest.warns(UserWarning, match="2 singleton"):
+                report = cluster_separation_check(assignment, X)
+            assert report.n_singletons == 2
+            assert report.silhouette == pytest.approx(silhouette_oracle(assignment, X),
+                                                      rel=1e-12)
+
+    def test_zero_denominator_scores_zero(self):
+        # Both clusters sit on one point: a = b = 0 for every point.
+        X = np.ones((6, 3))
+        assignment = np.array([0, 0, 0, 1, 1, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = cluster_separation_check(assignment, X)
+        assert report.silhouette == 0.0 == silhouette_oracle(assignment, X)
+
 
 class TestConfusionPartition:
     def test_block_diagonal_recovered(self):
@@ -151,6 +186,19 @@ class TestConfusionPartition:
     def test_zero_off_diagonal_degenerate(self):
         with pytest.raises(DegeneratePartitionError):
             partition_from_confusion(np.diag([5, 5, 5]), 2)
+
+    def test_matches_pairwise_rescan_oracle(self):
+        # Entries in 0..3 plant many tied masses; every k of every m is checked
+        # against the groups the old rescan-every-pair loop gives.
+        for m in range(2, 41):
+            cm = rng.integers(64, 708, m * m, m * m, 4).reshape(m, m)
+            if m % 5 == 0:
+                cm[m // 2] = 0     # a label nobody confuses with anything
+            if m % 7 == 0:
+                cm = np.ones((m, m), dtype=np.int64)  # every pair tied
+            levels = confusion_levels_oracle(cm)
+            for k in range(1, m + 1):
+                assert partition_from_confusion(cm, k).classes == levels[k], (m, k)
 
     def test_permutation_equivariance(self):
         u = rng.uniforms(62, 705, 0, 36).reshape(6, 6)

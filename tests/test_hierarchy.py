@@ -20,6 +20,7 @@ from hiercert.hierarchy import (
     leaf_certificate_renormalized,
     refine_partition,
     renormalization_report,
+    renormalized_radii,
     retrain_leaf,
     subset_radius_sweep,
 )
@@ -335,3 +336,25 @@ class TestRenormalizationReport:
         r = renormalization_report(P, labels, part, 0.5, thresholds=[0.25])[0]
         assert r.hierarchy_cr_mean == pytest.approx(r.baseline_cr_mean, abs=1e-12)
         assert r.hierarchy_ca == pytest.approx(r.baseline_ca)
+
+
+class TestRenormalizedRadii:
+    def test_equal_to_per_row_leaf_certificates_bit_for_bit(self):
+        P = synth_prob_dataset(43, 600, 12)
+        P[:5] = 0.0
+        P[:5, 4] = 1.0                  # exact top probability: +inf radius
+        P[5:10] = 1.0 / 12              # ties everywhere
+        part = LabelPartition(((0, 3, 7), (1,), (2, 5, 6, 8, 9, 11), (4,), (10,)))
+        got = renormalized_radii(P, part, 0.75)
+        want = np.array([leaf_certificate_renormalized(
+            row, part.classes[part.class_of(int(np.argmax(row)))], 0.75).radius for row in P])
+        assert np.array_equal(got, want)
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+    @pytest.mark.parametrize("row", [[0.5, 0.6, -0.1], [0.5, 0.5, 0.1],
+                                     [0.5, math.nan, 0.5], [1.5, -0.25, -0.25]])
+    def test_rows_validated_as_probability_vectors(self, row):
+        P = synth_prob_dataset(44, 5, 3)
+        P[2] = row
+        with pytest.raises(ValidationError):
+            renormalized_radii(P, LabelPartition(((0, 1), (2,))), 0.5)

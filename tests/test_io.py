@@ -9,6 +9,8 @@ from hiercert.errors import ValidationError
 from hiercert.hierarchy import build_renormalize_hierarchy, infer_batch
 from hiercert.models import LinearSoftmax, LookupClassifier, SmallMlp
 
+from helpers import read_wide_csv_oracle
+
 
 def random_floats(seed, n):
     u = rng.uniforms(seed, 900, 0, n)
@@ -59,6 +61,68 @@ class TestWideCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             io.read_features(tmp_path / "none.csv")
+
+    def test_matches_per_cell_oracle_bit_for_bit(self, tmp_path):
+        # Random bit patterns cover every exponent, NaN payloads and both
+        # infinities; subnormals, signed zeros and the extremes are planted.
+        values = rng.raw64(5, 904, 0, 10_000).view(np.float64).copy()
+        planted = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -0.0, 0.0,
+                   math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1.0 / 3.0]
+        values[::997][:len(planted)] = planted
+        values = values.reshape(100, 100)
+        ids = [f"s{i}" for i in range(100)]
+        ids[3], ids[4], ids[5], ids[6] = "a,b", 'say "hi"', "two\nlines", ""
+        labels = rng.integers(6, 905, 0, 100, 1000) - 500
+        path = tmp_path / "l.csv"
+        io.write_logits(path, ids, labels, values)
+        got_ids, got_labels, got = io.read_logits(path)
+        want_ids, want_labels, want = read_wide_csv_oracle(path, "l")
+        assert got_ids == want_ids == ids
+        assert np.array_equal(got_labels, want_labels)
+        assert got.dtype == np.float64 and got.shape == (100, 100)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        finite = np.isfinite(values)
+        assert np.array_equal(got[finite].view(np.uint64), values[finite].view(np.uint64))
+
+    @pytest.mark.parametrize("text", [
+        'sample_id,label,l0,l1\n"a,b",0,1.5,2\nc,1,3,4\n',
+        'sample_id,label,l0,l1\n\na,0,1.5,2\n\r\nc,1,3,4\n\n',
+        '\nsample_id,label,l0,l1\na,0,1.5,2\nc,1,3,4',
+        'sample_id,label,l0,l1\n',
+        'sample_id,label\na,1\nb,2\n',
+        '"sample_id","label","l0"\n"a#1","-3","2.5"\n',
+    ], ids=["quoted-comma", "blank-lines", "no-final-newline", "header-only",
+            "no-values", "all-quoted"])
+    def test_edge_cases_match_oracle(self, tmp_path, text):
+        path = tmp_path / "l.csv"
+        path.write_bytes(text.encode())
+        got_ids, got_labels, got = io.read_logits(path)
+        want_ids, want_labels, want = read_wide_csv_oracle(path, "l")
+        assert got_ids == want_ids
+        assert np.array_equal(got_labels, want_labels)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text, error", [
+        ("", ValidationError),
+        ("\n\n", ValidationError),
+        ("sample_id,label,l0,l1\na,0,1.5\nc,1,3\n", ValidationError),
+        ("sample_id,label,l0,l1\na,0,1.5,2\nc,1,3\n", ValidationError),
+        ("sample_id,label,l0,l1\na,0,1.5,2,7\n", ValidationError),
+        ('sample_id,label,l0\n"a,b",0\n', ValidationError),
+        ("sample_id,label,l0\na\n", ValidationError),
+        ("sample_id,label,l0,l1\na,0,1,2\n   \n", ValidationError),
+        ("sample_id,label,l1\na,0,1\n", ValidationError),
+        ("sample_id,label,l0\na,0.5,1\n", ValueError),
+        ("sample_id,label,l0\na,0,x\n", ValueError),
+        ("sample_id,label,l0\na,0,\n", ValueError),
+    ], ids=["empty", "blank", "all-rows-short", "one-row-short", "row-long",
+            "quoted-row-short", "id-only", "whitespace-row", "bad-header",
+            "non-integer-label", "non-numeric-value", "empty-value"])
+    def test_malformed_files_rejected(self, tmp_path, text, error):
+        path = tmp_path / "l.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(error):
+            io.read_logits(path)
 
 
 class TestConfusion:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import hiercert
 from hiercert import rng, smoothing
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
@@ -82,6 +88,25 @@ class TestClopperPearson:
             clopper_pearson_lower(-1, 4, 0.05)
         with pytest.raises(ValidationError):
             clopper_pearson_lower(1, 0, 0.05)
+
+    def test_equals_scipy_stats_beta_quantile_bit_for_bit(self):
+        cases = 0
+        for n in (2, 3, 7, 50, 500, 1000, 4321, 100_000):
+            for k in sorted({1, 2, n // 3, n // 2, n - 2, n - 1} - {0, n}):
+                for a in (1e-6, 1e-4, 0.001, 0.01, 0.025, 0.05, 0.3):
+                    assert clopper_pearson_lower(k, n, a) == float(
+                        stats.beta.ppf(a, k, n - k + 1)), (k, n, a)
+                    cases += 1
+        assert cases > 250
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats takes most of a cold `import hiercert.cli`.
+        src = str(Path(hiercert.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = "import sys, hiercert.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
 
 class TestSampleUnderNoise:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hiercert import rng
+from hiercert import rng, toymodels
 from hiercert.errors import ValidationError
 from hiercert.numerics import normal_cdf
 from hiercert.toymodels import (
     GaussModelParams,
+    averaging_predict,
     PrfModelParams,
     adversarial_accuracy_bound,
     gauss_experiment,
@@ -168,6 +169,47 @@ class TestGaussExperiment:
             expected = meta_feature_accuracy(c.eta, c.k)
             se = math.sqrt(expected * (1 - expected) / n)
             assert c.adversarial_acc == pytest.approx(expected, abs=max(3 * se, 1e-3))
+
+
+class TestBlockedSampleAndAttack:
+    """Row blocks must give exactly what one whole-array pass gives."""
+
+    @staticmethod
+    def full_sample(params, n, seed):
+        y = np.where(rng.uniforms(seed, toymodels._STREAM_LABEL, 0, n) < 0.5, -1.0, 1.0)
+        flip = np.where(rng.uniforms(seed, toymodels._STREAM_ROBUST, 0, n) < params.p,
+                        1.0, -1.0)
+        feats = rng.normals(seed, toymodels._STREAM_FEAT, 0, n * params.d).reshape(n, params.d)
+        feats += params.eta * y[:, None]
+        return np.hstack([(y * flip)[:, None], feats]), y
+
+    @pytest.mark.parametrize("block_values", [1, 29, 1 << 16])
+    def test_matches_full_array_path(self, monkeypatch, block_values):
+        monkeypatch.setattr(toymodels, "_BLOCK_VALUES", block_values)
+        d, n, p, seed = 9, 301, 0.8, 17
+        params = GaussModelParams(d=d, p=p, eta=0.3)
+        X, y = sample_gauss_model(params, n, seed)
+        X_full, y_full = self.full_sample(params, n, seed)
+        assert np.array_equal(X, X_full) and np.array_equal(y, y_full)
+
+        etas, ks = [0.1, 0.4], [0, 1, 4, 9]
+        cells = gauss_experiment(etas, ks, d, p, n, seed)
+        want = []
+        for ei, eta in enumerate(etas):
+            Xe, ye = self.full_sample(GaussModelParams(d=d, p=p, eta=eta), n,
+                                      rng.mix64(seed + ei))
+            for k in ks:
+                def predict(V):
+                    return averaging_predict(V) if k == 0 else meta_feature(V, k)
+                want.append((float(np.mean(predict(Xe) == ye)), float(np.mean(
+                    predict(linf_flip_attack(Xe, ye, eta, k)) == ye))))
+        assert [(c.natural_acc, c.adversarial_acc) for c in cells] == want
+
+        res = tradeoff_experiment(p, 0.1, 0.3, d, n, seed)
+        c = tuned_feature_weight(p, 0.1, 0.3, d)
+        assert res.natural_acc == float(np.mean(weighted_predict(X_full, c) == y_full))
+        assert res.adversarial_acc == float(np.mean(
+            weighted_predict(linf_flip_attack(X_full, y_full, 0.3, 0), c) == y_full))
 
 
 class TestTunedClassifier:
