@@ -3,8 +3,9 @@
 Every command reads one JSON config (strictly validated, unknown keys
 rejected), runs deterministically from the config's seed, and writes
 report tables as CSV plus a sidecar .meta.json carrying the seed, the
-config hash, and wall time. Identical configs produce byte-identical
-CSVs; wall time lives only in the sidecar.
+config hash, wall time and the library versions (certificate tables add
+their input, noise-draw and abstention counts). Identical configs produce
+byte-identical CSVs; wall time lives only in the sidecar.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/numeric error.
 """
@@ -22,8 +23,9 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
-from . import io, rng
+from . import __version__, io, rng
 from .core import LabelPartition
 from .discovery import cluster_separation_check, derive_partition, kmeans, partition_from_confusion
 from .errors import ConfigError, HiercertError, ValidationError
@@ -34,7 +36,9 @@ from .hierarchy import (
     subset_radius_sweep,
 )
 from .models import LookupClassifier, PgdParams, softmax
-from .smoothing import SmoothingConfig, certify
+# `certify`, the one-input form, stays importable from here next to the
+# batched form the certify command uses.
+from .smoothing import SmoothingConfig, certify, certify_batch  # noqa: F401
 from .toymodels import (
     PrfModelParams,
     adversarial_accuracy_bound,
@@ -104,8 +108,16 @@ def _sigma_list(v) -> list[float]:
     return [float(s) for s in (v if isinstance(v, list) else [v])]
 
 
-def _per_sample_seed(seed: int, block: int, index: int) -> int:
-    return rng.mix64(rng.stream_seed(seed, 0x5EED_0000 + block) + index)
+def _per_sample_seeds(seed: int, block: int, count: int) -> np.ndarray:
+    """uint64 seeds of inputs 0..count-1 of one block: the mix of the block's
+    stream seed plus the input index, wrapping past 2^64."""
+    base = np.uint64(rng.stream_seed(seed, 0x5EED_0000 + block))
+    return rng.mix64(base + np.arange(count, dtype=np.uint64))
+
+
+def _resolve(base: Path, rel) -> Path:
+    """A config path relative to the config's directory; absolute paths stay."""
+    return base / rel
 
 
 def _load_prob_source(config: dict, base: Path):
@@ -114,7 +126,7 @@ def _load_prob_source(config: dict, base: Path):
         raise ConfigError("probs", "must be {'logits': path} or {'probs': path}",
                           hint="point at a logits or probability csv")
     kind, rel = next(iter(src.items()))
-    path = base / rel if not Path(rel).is_absolute() else Path(rel)
+    path = _resolve(base, rel)
     if kind == "logits":
         ids, labels, values = io.read_logits(path)
         return ids, labels, softmax(values) if values.size else values
@@ -129,8 +141,7 @@ def _load_prob_source(config: dict, base: Path):
 def _partition_from_config(config: dict, base: Path, n_labels: int) -> LabelPartition:
     part = config["partition"]
     if isinstance(part, str):
-        return io.read_partition(base / part if not Path(part).is_absolute() else part,
-                                 n_labels=n_labels)
+        return io.read_partition(_resolve(base, part), n_labels=n_labels)
     if isinstance(part, list):
         return LabelPartition(tuple(tuple(c) for c in part), n_labels=n_labels)
     raise ConfigError("partition", "must be a list of label lists or a json path",
@@ -164,8 +175,7 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     if isinstance(model, LookupClassifier):
         raise ConfigError("model", "lookup classifiers cannot be noised",
                           hint="certification needs a model evaluable on perturbed inputs")
-    rel = config["dataset"]["features"]
-    ids, labels, X = io.read_features(base / rel if not Path(rel).is_absolute() else rel)
+    ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
     sigmas = _sigma_list(config.get("sigma", DEFAULT_SIGMAS))
     thresholds = [float(t) for t in config.get("radius_thresholds", DEFAULT_THRESHOLDS)]
     n0 = int(config.get("n0", 100))
@@ -178,19 +188,20 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
         print("warning: empty dataset, emitting empty tables", file=sys.stderr)
     for si, sigma in enumerate(sigmas):
         cfg = SmoothingConfig(sigma=sigma, n0=n0, n=n, alpha_conf=alpha)
-        rows = []
-        for i in range(len(ids)):
-            cert = certify(model, X[i], cfg, seed=_per_sample_seed(seed, si, i))
-            rows.append([ids[i], int(labels[i]), cert.label, cert.radius,
-                         cert.abstained, cert.p_a_lower])
+        batch = certify_batch(model, X, cfg, _per_sample_seeds(seed, si, len(ids)))
+        abstained = batch.abstained
+        radius_col = [None if a else r for a, r in zip(abstained.tolist(), batch.radii.tolist())]
+        rows = [list(row) for row in zip(ids, labels.tolist(), batch.labels.tolist(), radius_col,
+                                         abstained.tolist(), batch.p_a_lower.tolist())]
         name = f"certificates_sigma{format_sigma(sigma)}"
-        tables.append(ReportTable(name=name, metadata=dict(meta),
-                                  columns=["sample_id", "label", "pred", "radius",
-                                           "abstain", "p_a_lower"],
-                                  rows=rows))
-        preds = np.array([r[2] for r in rows], dtype=np.int64) if rows else np.empty(0, np.int64)
-        radii = np.array([(-1.0 if r[3] is None else r[3]) for r in rows]) if rows else np.empty(0)
-        correct = preds == labels if rows else np.empty(0, bool)
+        tables.append(ReportTable(name=name, columns=["sample_id", "label", "pred", "radius",
+                                                      "abstain", "p_a_lower"],
+                                  rows=rows,
+                                  metadata=dict(meta, inputs=len(ids),
+                                                noise_draws=len(ids) * (n0 + n) * X.shape[1],
+                                                abstained=int(abstained.sum()))))
+        radii = np.where(abstained, -1.0, batch.radii)
+        correct = batch.labels == labels
         for t in thresholds:
             ca = float(np.mean(correct & (radii >= t))) if rows else 0.0
             summary_rows.append([sigma, t, ca])
@@ -257,10 +268,8 @@ def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def _attack_table(config: dict, base: Path, meta: dict, seed: int) -> ReportTable:
-    rel = config["hierarchy"]
-    h = io.load_hierarchy(base / rel if not Path(rel).is_absolute() else rel)
-    rel = config["dataset"]["features"]
-    ids, labels, X = io.read_features(base / rel if not Path(rel).is_absolute() else rel)
+    h = io.load_hierarchy(_resolve(base, config["hierarchy"]))
+    ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
     attack_cfg = config["attack"]
     allowed = {"mode", "budget_target", "epsilon", "step", "iters", "restarts"}
     for key in attack_cfg:
@@ -314,8 +323,7 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     meta = dict(meta)
 
     if "embeddings" in config:
-        rel = config["embeddings"]
-        ids, labels, vectors = io.read_features(base / rel if not Path(rel).is_absolute() else rel)
+        ids, labels, vectors = io.read_features(_resolve(base, config["embeddings"]))
         result = kmeans(vectors, k, seed=seed,
                         max_iter=int(config.get("max_iter", 100)),
                         tol=float(config.get("tol", 1e-8)))
@@ -331,8 +339,7 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                                      "silhouette", "separation_pass", "classes"],
                             rows=rows)
     else:
-        rel = config["confusion"]
-        counts = io.read_confusion(base / rel if not Path(rel).is_absolute() else rel)
+        counts = io.read_confusion(_resolve(base, config["confusion"]))
         partition = partition_from_confusion(counts, k)
         rows = [[k, "", "", "", "", "", json.dumps([list(c) for c in partition.classes])]]
         table = ReportTable(name="discovered_partition", metadata=meta,
@@ -472,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--out", default="out", help="output directory")
         cp.add_argument("--seed", type=int, default=None, help="override config seed")
         cp.add_argument("--threads", type=int, default=0,
-                        help="worker hint; 0 = auto (results are independent of it)")
+                        help="recorded in .meta.json; currently has no effect")
     return parser
 
 
@@ -484,6 +491,9 @@ def run(command: str, config: dict, out: Path, base: Path,
         "seed": int(config.get("seed", 0)),
         "config_hash": config_hash(config),
         "threads": threads,
+        "versions": {"hiercert": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "python": "%d.%d.%d" % sys.version_info[:3]},
     }
     tables = _COMMANDS[command](config, base, meta)
     wall = time.perf_counter() - started

@@ -29,7 +29,7 @@ from .core import (
     as_probability_vector,
     normalize_subset,
 )
-from .errors import RoutingMismatchError, ValidationError
+from .errors import CapabilityError, RoutingMismatchError, ValidationError
 from .models import MaskedModel, PgdParams, pgd_attack, train
 from .smoothing import margin_radius
 
@@ -413,6 +413,14 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     node is attacked, every other classifier sees the clean input; the
     target 'worst' tries each node and reports the most damaging one.
     """
+    for nid, node in h.nodes():
+        model = node.classifier
+        while isinstance(model, MaskedModel):
+            model = model.base
+        if model is not None and not hasattr(model, "input_grad_from_dlogits"):
+            raise CapabilityError(
+                f"node {nid!r}: a {type(model).__name__} cannot be run or attacked on input "
+                "features; attacks need built-in linear or mlp classifiers at every node")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     natural = float(np.mean(infer_batch(h, X) == y))

@@ -239,13 +239,6 @@ def predict_proba(model, x) -> np.ndarray:
     return softmax(model.logits(v[None, :]))[0]
 
 
-def loss_and_input_grad(model, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    if not hasattr(model, "input_grad_from_dlogits"):
-        raise CapabilityError(f"{type(model).__name__} does not expose input gradients")
-    logits = model.logits(X)
-    return cross_entropy(logits, y), model.input_grad_from_dlogits(X, _dlogits(logits, y))
-
-
 def train(model, X: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float,
           noise_sigma: float | None = None, seed: int = 0):
     """Full-batch gradient descent on cross-entropy; returns the trained model.

@@ -47,12 +47,19 @@ def mix64(x):
     return _mix(np.array(x, dtype=np.uint64))
 
 
-def stream_seed(seed: int, stream: int) -> int:
-    """Derive the base state of one named substream of a master seed."""
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+def stream_seed(seed, stream: int):
+    """Derive the base state of one named substream of a master seed.
+
+    An int seed gives an int; an array of uint64 seeds gives the uint64
+    array of their states, element for element the same values.
+    """
     with np.errstate(over="ignore"):
-        t = np.uint64(stream & 0xFFFFFFFFFFFFFFFF) * _STREAM_SALT
-    return int(_mix(s ^ _mix(t)))
+        salt = _mix(np.uint64(stream & 0xFFFFFFFFFFFFFFFF) * _STREAM_SALT)
+    if isinstance(seed, (int, np.integer)):
+        return int(_mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ salt))
+    s = np.array(seed, dtype=np.uint64)
+    s ^= salt
+    return _mix(s)
 
 
 def raw64(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -64,9 +71,10 @@ def raw64(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return _mix(x)
 
 
-def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Uniform floats in the open interval (0, 1)."""
-    bits = raw64(seed, stream, start, count)
+def _unit_interval(bits: np.ndarray) -> np.ndarray:
+    """Mixed words to floats in (0, 1): the top 53 bits plus half an ulp.
+
+    Shifts `bits` in place."""
     bits >>= np.uint64(11)
     u = bits.astype(np.float64)
     u += 0.5
@@ -74,25 +82,39 @@ def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return u
 
 
+def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Uniform floats in the open interval (0, 1)."""
+    return _unit_interval(raw64(seed, stream, start, count))
+
+
 # 64k draws, 512 KB per array: a chunk's bits and uniforms stay in cache
 # between being written and being read by ndtri.
 _NORMAL_CHUNK = 1 << 16
 
 
-def normals(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def normals(seed, stream: int, start: int, count: int) -> np.ndarray:
     """Standard-normal draws via the quantile transform of `uniforms`.
 
-    Generated in fixed-size chunks into one output array; counter-mode
-    generation makes the chunking invisible. The uniforms lie strictly
-    inside (0, 1), so ndtri is called without the domain check of
-    `numerics.normal_quantile`.
+    `seed` is an int, or a 1-D array of uint64 seeds: then row r of the
+    (len(seed), count) result equals normals(int(seed[r]), ...) bit for
+    bit. Generated in pieces of at most 64k draws (whole rows when a row
+    is shorter) into one output array; counter-mode generation makes the
+    pieces invisible. The uniforms lie strictly inside (0, 1), so ndtri is
+    called without the domain check of `numerics.normal_quantile`.
     """
-    out = np.empty(count)
+    single = isinstance(seed, (int, np.integer))
+    bases = np.array(stream_seed(seed, stream), dtype=np.uint64).reshape(-1, 1)
+    out = np.empty((bases.shape[0], count))
+    rows = max(1, _NORMAL_CHUNK // max(count, 1))
     for off in range(0, count, _NORMAL_CHUNK):
         block = min(_NORMAL_CHUNK, count - off)
-        special.ndtri(uniforms(seed, stream, start + off, block),
-                      out=out[off:off + block])
-    return out
+        steps = np.arange(start + off + 1, start + off + block + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            steps *= _GAMMA
+        for r in range(0, bases.shape[0], rows):
+            bits = _mix(steps + bases[r:r + rows])
+            special.ndtri(_unit_interval(bits), out=out[r:r + rows, off:off + block])
+    return out[0] if single else out
 
 
 def integers(seed: int, stream: int, start: int, count: int, bound: int) -> np.ndarray:

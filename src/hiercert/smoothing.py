@@ -16,6 +16,19 @@ hierarchy module.
 Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs, chunk sizes, and thread
 counts.
+
+One kernel, `vote_counts`, does the Monte-Carlo work for a whole batch of
+inputs, each with its own seed. It fills units of about `_CHUNK`
+perturbed rows: when n < _CHUNK a unit holds floor(_CHUNK / n) inputs with
+all their samples, otherwise a unit is a range of one input's samples.
+Each unit's noise comes from one `rng.normals` call over the unit's seeds,
+then gets one `logits` call, one argmax, and one `bincount` over
+(input, label) pairs. `certify_batch` runs the selection and estimation
+passes through it, bounds all top-label counts with one
+`clopper_pearson_lower_batch` call and takes all radii from one
+`margin_radius` call. `sample_under_noise`, `clopper_pearson_lower` and
+`certify` are its one-input wrappers, and agree with the batched calls bit
+for bit.
 """
 
 from __future__ import annotations
@@ -68,29 +81,73 @@ class NoiseSampleCounts:
         if counts.sum() != self.total:
             raise ValidationError("counts must sum to total")
 
-    def top_label(self) -> int:
-        return int(np.argmax(self.counts))
+
+def clopper_pearson_lower_batch(successes, total: int, alpha_conf: float) -> np.ndarray:
+    """One-sided exact binomial lower confidence bounds, one per success count.
+
+    All counts share `total`. k == 0 gives 0 and k == total gives
+    alpha ** (1 / total); every other count is the alpha quantile of
+    Beta(k, n - k + 1), as scipy.stats.beta.ppf gives it (tests pin the two
+    together) but without importing scipy.stats.
+    """
+    k = np.asarray(successes, dtype=np.int64)
+    if total < 1:
+        raise ValidationError(f"invalid counts: total {total} < 1")
+    bad = (k < 0) | (k > total)
+    if bad.any():
+        raise ValidationError(f"invalid counts: {k[bad].flat[0]}/{total}")
+    if not 0.0 < alpha_conf < 1.0:
+        raise ValidationError("alpha_conf must lie in (0, 1)")
+    inner = (k > 0) & (k < total)
+    out = np.where(k == 0, 0.0, float(alpha_conf ** (1.0 / total)))
+    out[inner] = special.betaincinv(k[inner], total - k[inner] + 1, alpha_conf)
+    return out
 
 
 def clopper_pearson_lower(successes: int, total: int, alpha_conf: float) -> float:
     """One-sided exact binomial lower confidence bound on a proportion."""
-    if total < 1 or not 0 <= successes <= total:
-        raise ValidationError(f"invalid counts: {successes}/{total}")
-    if not 0.0 < alpha_conf < 1.0:
-        raise ValidationError("alpha_conf must lie in (0, 1)")
-    if successes == 0:
-        return 0.0
-    if successes == total:
-        return float(alpha_conf ** (1.0 / total))
-    # The alpha quantile of Beta(k, n - k + 1), as scipy.stats.beta.ppf gives
-    # it (tests pin the two together) but without importing scipy.stats.
-    return float(special.betaincinv(successes, total - successes + 1, alpha_conf))
+    return float(clopper_pearson_lower_batch([successes], total, alpha_conf)[0])
 
 
 def predict_labels(classifier, x_batch: np.ndarray) -> np.ndarray:
     """Argmax labels for a batch, ties broken by lowest index."""
     logits = np.asarray(classifier.logits(x_batch), dtype=np.float64)
     return np.argmax(logits, axis=1)
+
+
+def vote_counts(classifier, X, sigma: float, n: int, seeds,
+                stream: int = rng.STREAM_NOISE) -> np.ndarray:
+    """(B, m) vote counts of the base classifier, n draws per input row of X.
+
+    Row i counts the labels of X[i] + N(0, sigma^2 I) under seed seeds[i]:
+    the noise for sample s, dimension j sits at counter s*d + j of that
+    seed's substream, so the counts do not depend on how inputs and samples
+    are grouped into units.
+    """
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    B, d = X.shape
+    if seeds.shape != (B,):
+        raise ValidationError(f"need one seed per input: {seeds.shape} seeds for {B} inputs")
+    m = classifier.n_labels
+    counts = np.zeros((B, m), dtype=np.int64)
+    per_unit = max(1, _CHUNK // n)
+    for b0 in range(0, B, per_unit):
+        b1 = min(b0 + per_unit, B)
+        k = b1 - b0
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            s = stop - start
+            batch = rng.normals(seeds[b0:b1], stream, start * d, s * d).reshape(k, s, d)
+            batch *= sigma
+            batch += X[b0:b1, None, :]
+            votes = predict_labels(classifier, batch.reshape(k * s, d))
+            if k > 1:
+                votes += np.repeat(np.arange(0, k * m, m), s)
+            counts[b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
+    return counts
 
 
 def sample_under_noise(classifier, x, sigma: float, n: int, seed: int,
@@ -100,20 +157,9 @@ def sample_under_noise(classifier, x, sigma: float, n: int, seed: int,
     The noise for sample i, dimension j sits at counter i*d + j of the given
     substream, making the result independent of chunking.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    m = classifier.n_labels
-    counts = np.zeros(m, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        batch = rng.normals(seed, stream, start * d, (stop - start) * d).reshape(stop - start, d)
-        batch *= sigma
-        batch += x
-        labels = predict_labels(classifier, batch)
-        counts += np.bincount(labels, minlength=m)
-    return NoiseSampleCounts(counts=counts, total=n)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    counts = vote_counts(classifier, x, sigma, n, [seed & 0xFFFFFFFFFFFFFFFF], stream)
+    return NoiseSampleCounts(counts=counts[0], total=n)
 
 
 def one_sided_radius(sigma: float, p_a_lower: float) -> float:
@@ -152,6 +198,55 @@ def margin_radius(sigma: float, p_top, p_runner):
     return np.where(degenerate, math.inf, 0.5 * sigma * np.maximum(gap, 0.0))
 
 
+@dataclass(frozen=True)
+class CertifiedBatch:
+    """Certificates of a batch of inputs as arrays, one entry per input.
+
+    `labels` holds ABSTAIN where the certifier abstained, and `radii` NaN.
+    """
+
+    labels: np.ndarray
+    radii: np.ndarray
+    p_a_lower: np.ndarray
+    sigma: float
+    n_samples: int
+
+    @property
+    def abstained(self) -> np.ndarray:
+        return self.labels == ABSTAIN
+
+    def prediction(self, i: int) -> CertifiedPrediction:
+        label = int(self.labels[i])
+        return CertifiedPrediction(
+            label=label, radius=None if label == ABSTAIN else float(self.radii[i]),
+            p_a_lower=float(self.p_a_lower[i]), sigma=self.sigma, n_samples=self.n_samples)
+
+
+def certify_batch(classifier, X, config: SmoothingConfig, seeds,
+                  p_b_upper=None) -> CertifiedBatch:
+    """Certify every row of X, input i under seed seeds[i].
+
+    Selects each top label with n0 samples, then bounds its probability
+    with n samples. An input abstains when its lower bound does not exceed
+    1/2. When p_b_upper (a scalar or one value per input) is given, the
+    two-sided radius is reported instead of the one-sided default.
+    """
+    selection = vote_counts(classifier, X, config.sigma, config.n0, seeds,
+                            stream=rng.STREAM_SELECT)
+    top = np.argmax(selection, axis=1)
+    estimation = vote_counts(classifier, X, config.sigma, config.n, seeds,
+                             stream=rng.STREAM_NOISE)
+    p_lower = clopper_pearson_lower_batch(
+        estimation[np.arange(top.size), top], config.n, config.alpha_conf)
+    certified = p_lower > 0.5
+    p_runner = 1.0 - p_lower if p_b_upper is None else np.broadcast_to(
+        np.asarray(p_b_upper, dtype=np.float64), p_lower.shape)
+    radii = np.full(p_lower.shape, np.nan)
+    radii[certified] = margin_radius(config.sigma, p_lower[certified], p_runner[certified])
+    return CertifiedBatch(labels=np.where(certified, top, ABSTAIN), radii=radii,
+                          p_a_lower=p_lower, sigma=config.sigma, n_samples=config.n)
+
+
 def certify(classifier, x, config: SmoothingConfig, seed: int,
             p_b_upper: float | None = None) -> CertifiedPrediction:
     """Select the top label with n0 samples, then certify it with n samples.
@@ -160,22 +255,9 @@ def certify(classifier, x, config: SmoothingConfig, seed: int,
     p_b_upper is given, the two-sided radius is reported instead of the
     one-sided default.
     """
-    selection = sample_under_noise(classifier, x, config.sigma, config.n0, seed,
-                                   stream=rng.STREAM_SELECT)
-    top = selection.top_label()
-    estimation = sample_under_noise(classifier, x, config.sigma, config.n, seed,
-                                    stream=rng.STREAM_NOISE)
-    p_lower = clopper_pearson_lower(int(estimation.counts[top]), config.n,
-                                    config.alpha_conf)
-    if p_lower <= 0.5:
-        return CertifiedPrediction(label=ABSTAIN, radius=None, p_a_lower=p_lower,
-                                   sigma=config.sigma, n_samples=config.n)
-    if p_b_upper is None:
-        radius = one_sided_radius(config.sigma, p_lower)
-    else:
-        radius = two_sided_radius(config.sigma, p_lower, p_b_upper)
-    return CertifiedPrediction(label=top, radius=radius, p_a_lower=p_lower,
-                               sigma=config.sigma, n_samples=config.n)
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return certify_batch(classifier, x, config, [seed & 0xFFFFFFFFFFFFFFFF],
+                         p_b_upper).prediction(0)
 
 
 def exact_smoothed_linear(w, b: float, x, sigma: float) -> float:

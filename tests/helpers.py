@@ -5,7 +5,10 @@ the quantile oracle bisects the erfc-based CDF, the binomial bound oracle
 bisects an exact log-space tail sum, and separability is certified by a
 linear-programming feasibility check. The CSV, silhouette and confusion
 agglomeration oracles are the straightforward per-cell, per-point and
-per-pair loops that the library's kernels replace.
+per-pair loops that the library's kernels replace, and the certification
+oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
+`smoothing.certify_batch` batch, with noise taken as the normal quantile of
+`rng.uniforms` and the bound from `scipy.stats.beta.ppf`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy import special, stats
 from scipy.optimize import linprog
 
 from hiercert import rng
+from hiercert.core import ABSTAIN
 
 
 def quantile_oracle(q: float) -> float:
@@ -174,3 +179,41 @@ def confusion_levels_oracle(counts) -> dict[int, tuple[tuple[int, ...], ...]]:
         groups.sort(key=lambda g: g[0])
         levels[len(groups)] = tuple(tuple(g) for g in groups)
     return levels
+
+
+def vote_counts_oracle(classifier, x, sigma: float, n: int, seed: int, stream: int,
+                       chunk: int = 20_000) -> np.ndarray:
+    """Per-input vote counts over n draws of x + sigma * noise, chunk by chunk.
+
+    Sample i, dimension j takes the normal quantile of the uniform at counter
+    i*d + j of the seed's substream."""
+    x = np.asarray(x, dtype=np.float64)
+    d, m = x.size, classifier.n_labels
+    counts = np.zeros(m, dtype=np.int64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        noise = special.ndtri(rng.uniforms(seed, stream, start * d, (stop - start) * d))
+        batch = noise.reshape(stop - start, d)
+        batch *= sigma
+        batch += x
+        counts += np.bincount(np.argmax(classifier.logits(batch), axis=1), minlength=m)
+    return counts
+
+
+def certify_oracle(classifier, x, sigma: float, n0: int, n: int, alpha: float,
+                   seed: int, p_b_upper: float | None = None):
+    """(label, radius or None, p_a_lower) of CERTIFY for one input."""
+    top = int(np.argmax(vote_counts_oracle(classifier, x, sigma, n0, seed, rng.STREAM_SELECT)))
+    k = int(vote_counts_oracle(classifier, x, sigma, n, seed, rng.STREAM_NOISE)[top])
+    if k == 0:
+        p = 0.0
+    elif k == n:
+        p = float(alpha ** (1.0 / n))
+    else:
+        p = float(stats.beta.ppf(alpha, k, n - k + 1))
+    if p <= 0.5:
+        return ABSTAIN, None, p
+    runner = 1.0 - p if p_b_upper is None else p_b_upper
+    if runner <= 0.0:
+        return top, math.inf, p
+    return top, 0.5 * sigma * max(float(special.ndtri(p)) - float(special.ndtri(runner)), 0.0), p

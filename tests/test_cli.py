@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import hiercert
 from hiercert import cli, io, rng
 from hiercert.core import LabelPartition
 from hiercert.errors import CapabilityError
 from hiercert.hierarchy import build_renormalize_hierarchy
 from hiercert.models import LinearSoftmax, train
 
-from helpers import make_blobs, synth_prob_dataset
+from helpers import certify_oracle, make_blobs, synth_prob_dataset
 
 
 def write_config(tmp_path, name, payload):
@@ -96,6 +97,77 @@ class TestCertifyCommand:
         assert meta_a["seed"] == 3 and meta_b["seed"] == 99
         assert meta_a["config_hash"] != meta_b["config_hash"]
 
+    @pytest.mark.parametrize("seed", [3, 2**63 + 11])
+    def test_csv_bytes_equal_per_input_oracle(self, tmp_path, seed):
+        ids = [f"s{i}" for i in range(41)]
+        X = 0.6 * rng.normals(seed, 952, 0, 41 * 3).reshape(41, 3)
+        model = LinearSoftmax.init(4, 3, seed=8, scale=2.0)
+        labels = np.argmax(model.logits(X), axis=1)
+        labels[::5] = 0
+        io.write_features(tmp_path / "data.csv", ids, labels, X)
+        io.save_model(tmp_path / "m.json", model)
+        sigmas, thresholds, n0, n, alpha = [0.25, 0.5], [0.1, 0.3], 40, 300, 0.01
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": seed, "sigma": sigmas, "n0": n0, "n": n, "alpha_conf": alpha,
+            "model": {"type": "linear", "path": "m.json"},
+            "dataset": {"features": "data.csv"}, "radius_thresholds": thresholds,
+        })
+        assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = []
+        for si, sigma in enumerate(sigmas):
+            base = rng.stream_seed(seed, 0x5EED_0000 + si)
+            rows = []
+            for i, sid in enumerate(ids):
+                label, radius, p = certify_oracle(model, X[i], sigma, n0, n, alpha,
+                                                  rng.mix64(base + i))
+                rows.append([sid, int(labels[i]), label, radius, radius is None, p])
+            name = f"certificates_sigma{cli.format_sigma(sigma)}.csv"
+            io.write_csv(tmp_path / "want.csv", ["sample_id", "label", "pred", "radius",
+                                                 "abstain", "p_a_lower"], rows)
+            got = (tmp_path / "out" / name).read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            assert any(r[4] for r in rows) and not all(r[4] for r in rows)
+            for t in thresholds:
+                hits = [r[2] == r[1] and r[3] is not None and r[3] >= t for r in rows]
+                summary.append([sigma, t, float(np.mean(hits))])
+        io.write_csv(tmp_path / "want.csv", ["sigma", "radius_threshold",
+                                             "certified_accuracy"], summary)
+        assert ((tmp_path / "out" / "certified_accuracy.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_per_sample_seeds_wrap_past_two_to_the_64(self, monkeypatch):
+        base = 2**64 - 5
+        monkeypatch.setattr(cli.rng, "stream_seed", lambda seed, stream: base)
+        got = cli._per_sample_seeds(1, 0, 12)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [rng.mix64(base + i) for i in range(12)]
+
+    def test_meta_records_versions_and_certify_work(self, tmp_path):
+        X = rng.normals(4, 953, 0, 8).reshape(4, 2)
+        io.write_features(tmp_path / "data.csv", [f"s{i}" for i in range(4)],
+                          np.array([0, 1, 1, 0]), X)
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": 2, "sigma": [0.5, 1.0], "n0": 30, "n": 200,
+            "model": {"type": "linear", "W": [[0.0, 0.0], [2.0, 1.0]], "b": [0.0, 0.0]},
+            "dataset": {"features": "data.csv"},
+        })
+        assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        for sigma in ("0p5", "1"):
+            meta = json.loads((tmp_path / "out" / f"certificates_sigma{sigma}.meta.json")
+                              .read_text())
+            rows = io.read_certificates(tmp_path / "out" / f"certificates_sigma{sigma}.csv")
+            assert meta["inputs"] == 4 and meta["noise_draws"] == 4 * (30 + 200) * 2
+            assert meta["abstained"] == sum(r["abstain"] for r in rows)
+        summary = json.loads((tmp_path / "out" / "certified_accuracy.meta.json").read_text())
+        assert "inputs" not in summary
+        cfg = write_config(tmp_path, "p.json", {"seed": 1, "n_trials": 100})
+        assert cli.main(["toy-prf", "--config", cfg, "--out", str(tmp_path / "prf")]) == 0
+        prf = json.loads((tmp_path / "prf" / "prf_scenarios.meta.json").read_text())
+        for meta in (summary, prf):
+            assert set(meta["versions"]) == {"hiercert", "numpy", "scipy", "python"}
+            assert meta["versions"]["numpy"] == np.__version__
+            assert meta["versions"]["hiercert"] == hiercert.__version__
+
     def test_lookup_model_rejected(self, tmp_path):
         io.write_logits(tmp_path / "l.csv", ["a"], np.array([0]), np.array([[1.0, 0.0]]))
         io.write_features(tmp_path / "data.csv", ["a"], np.array([0]), np.array([[0.0, 0.0]]))
@@ -117,7 +189,7 @@ class TestValidation:
         assert cli.main(["toy-prf", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 1
 
-    def test_runtime_error_exits_two(self, tmp_path):
+    def test_runtime_error_exits_two(self, tmp_path, capsys):
         # attacking a lookup classifier is a capability error, not validation
         spec = {"n_labels": 2,
                 "root": {"kind": "leaf", "labels": [0, 1], "strategy": "renormalize",
@@ -131,6 +203,9 @@ class TestValidation:
             "attack": {"mode": "worst_case", "epsilon": 0.1, "step": 0.05, "iters": 3},
         })
         assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[runtime] CapabilityError: node 'root': a LookupClassifier")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("exc, traceback", [(RuntimeError("kaboom"), True),
                                                 (CapabilityError("kaboom"), False)])

@@ -110,3 +110,23 @@ def test_normals_chunking_is_invisible():
                             for a, b in zip(cuts, cuts[1:])])
     assert np.array_equal(whole, parts)
     assert rng.normals(17, 1, start, 0).shape == (0,)
+
+
+def test_stream_seed_of_an_array_matches_the_int_form():
+    seeds = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    for stream in (0, 1, 2**40):
+        got = rng.stream_seed(seeds, stream)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [rng.stream_seed(int(s), stream) for s in seeds]
+    assert np.array_equal(seeds, np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64))
+
+
+def test_normals_of_a_seed_array_are_rows_of_the_int_form():
+    seeds = np.array([2**64 - 1, 0, 7, 2**63 + 1, 99], dtype=np.uint64)
+    # rows shorter than a piece share pieces; longer rows are cut into pieces
+    for start, count in ((0, 1000), (123, 13_107), (5, 65_536 + 9), (17, 0)):
+        got = rng.normals(seeds, 1, start, count)
+        assert got.shape == (5, count)
+        for r, s in enumerate(seeds):
+            assert np.array_equal(got[r], rng.normals(int(s), 1, start, count))
+    assert rng.normals(np.empty(0, np.uint64), 1, 0, 10).shape == (0, 10)

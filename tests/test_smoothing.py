@@ -12,18 +12,21 @@ import hiercert
 from hiercert import rng, smoothing
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
-from hiercert.models import LinearSoftmax
+from hiercert.models import LinearSoftmax, SmallMlp
 from hiercert.smoothing import (
     SmoothingConfig,
     certify,
+    certify_batch,
     clopper_pearson_lower,
+    clopper_pearson_lower_batch,
     exact_smoothed_linear,
     one_sided_radius,
     sample_under_noise,
     two_sided_radius,
+    vote_counts,
 )
 
-from helpers import cp_lower_oracle, quantile_oracle
+from helpers import certify_oracle, cp_lower_oracle, quantile_oracle, vote_counts_oracle
 
 
 def binary_linear(w, b=0.0):
@@ -42,6 +45,35 @@ class ConstantClassifier:
         out = np.zeros((X.shape[0], self.n_labels))
         out[:, self.label] = 1.0
         return out
+
+
+class TiedClassifier(ConstantClassifier):
+    """Constant logits tied between two labels: every vote goes to the lower."""
+
+    def logits(self, X):
+        out = np.zeros((X.shape[0], self.n_labels))
+        out[:, [1, 3]] = 2.0
+        return out
+
+
+MODELS = {
+    "linear": lambda: LinearSoftmax.init(5, 3, seed=21, scale=1.5),
+    "mlp": lambda: SmallMlp.init(4, 3, 8, seed=22, scale=1.0),
+    "tied": lambda: TiedClassifier(0, 4),
+}
+
+
+def batch_inputs(count: int) -> np.ndarray:
+    return 0.5 * rng.normals(31, 960, 0, count * 3).reshape(count, 3)
+
+
+def wrapping_seeds(count: int) -> np.ndarray:
+    """Per-input seeds as the CLI derives them, from a base whose + index
+    wraps past 2^64, plus the extreme seeds 2^64 - 1 and 0."""
+    base = np.uint64(2**64 - 2)
+    seeds = rng.mix64(base + np.arange(count, dtype=np.uint64))
+    seeds[: min(count, 2)] = [2**64 - 1, 0][: min(count, 2)]
+    return seeds
 
 
 class TestSmoothingConfig:
@@ -88,6 +120,27 @@ class TestClopperPearson:
             clopper_pearson_lower(-1, 4, 0.05)
         with pytest.raises(ValidationError):
             clopper_pearson_lower(1, 0, 0.05)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.001, 0.05])
+    def test_batch_equals_scalar_and_oracle_at_every_count(self, n, alpha):
+        k = np.arange(n + 1) if n <= 50 else np.array([0, 1, 2, 333, 500, 998, 999, 1000])
+        got = clopper_pearson_lower_batch(k, n, alpha)
+        assert got.dtype == np.float64 and got.shape == k.shape
+        assert got.tolist() == [clopper_pearson_lower(int(v), n, alpha) for v in k]
+        assert got[0] == 0.0 and got[-1] == alpha ** (1.0 / n)
+        inner = (k > 0) & (k < n)
+        assert got[inner].tolist() == [float(stats.beta.ppf(alpha, v, n - v + 1))
+                                       for v in k[inner]]
+
+    def test_batch_validation(self):
+        assert clopper_pearson_lower_batch(np.empty(0, np.int64), 5, 0.05).shape == (0,)
+        for k, n, a in (([0, 5], 4, 0.05), ([3, -1], 4, 0.05), ([1], 0, 0.05),
+                        ([1], 4, 0.0), ([1], 4, 1.0)):
+            with pytest.raises(ValidationError):
+                clopper_pearson_lower_batch(np.array(k), n, a)
+        with pytest.raises(ValidationError):
+            clopper_pearson_lower(1, 4, 1.5)
 
     def test_equals_scipy_stats_beta_quantile_bit_for_bit(self):
         cases = 0
@@ -156,6 +209,95 @@ class TestSampleUnderNoise:
         noise = rng.normals(9, rng.STREAM_SELECT, 0, n * 3).reshape(n, 3)
         assert np.array_equal(np.concatenate(seen), x[None, :] + 0.37 * noise)
         assert np.array_equal(x, x_before)
+
+
+class TestVoteCountKernel:
+    # (monkeypatched _CHUNK or None for the default, n): n below, equal to and
+    # above the chunk
+    CASES = [(None, 500), (None, 20_000), (None, 20_001), (613, 100), (613, 613),
+             (613, 1500), (1, 1), (1, 3)]
+
+    @pytest.mark.parametrize("chunk, n", CASES)
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("B", [1, 2, 37])
+    def test_rows_equal_per_input_oracle(self, monkeypatch, chunk, n, model_name, B):
+        if chunk is not None:
+            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+        if B == 37 and n > 20_000 and model_name != "mlp":
+            n = 20_000  # one wide case per n keeps the suite fast
+        model = MODELS[model_name]()
+        X, seeds = batch_inputs(B), wrapping_seeds(B)
+        got = vote_counts(model, X, 0.4, n, seeds, stream=rng.STREAM_SELECT)
+        assert got.shape == (B, model.n_labels) and got.dtype == np.int64
+        for i in range(B):
+            want = vote_counts_oracle(model, X[i], 0.4, n, int(seeds[i]), rng.STREAM_SELECT)
+            assert np.array_equal(got[i], want), i
+            one = sample_under_noise(model, X[i], 0.4, n, int(seeds[i]), stream=rng.STREAM_SELECT)
+            assert np.array_equal(one.counts, want), i
+
+    @pytest.mark.parametrize("chunk", [None, 1, 613])
+    def test_one_logits_call_per_unit(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+        sizes = []
+
+        class Recorder(ConstantClassifier):
+            def logits(self, X):
+                sizes.append(X.shape[0])
+                return super().logits(X)
+
+        n = 300 if chunk != 1 else 2
+        vote_counts(Recorder(0, 3), np.zeros((37, 2)), 0.5, n, np.arange(37))
+        per_unit = max(1, smoothing._CHUNK // n)
+        units = [min(per_unit, 37 - b) * n for b in range(0, 37, per_unit)]
+        if n > smoothing._CHUNK:
+            units = [min(smoothing._CHUNK, n - s) for _ in range(37)
+                     for s in range(0, n, smoothing._CHUNK)]
+        assert sizes == units
+
+    def test_empty_batch_and_validation(self):
+        model = MODELS["linear"]()
+        assert vote_counts(model, np.empty((0, 3)), 0.5, 100, []).shape == (0, 5)
+        with pytest.raises(ValidationError):
+            vote_counts(model, batch_inputs(3), 0.5, 100, [1, 2])
+        with pytest.raises(ValidationError):
+            vote_counts(model, batch_inputs(3), 0.5, 0, [1, 2, 3])
+
+
+class TestCertifyBatch:
+    @pytest.mark.parametrize("chunk, n", [(None, 400), (613, 613), (613, 2000)])
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("B", [1, 2, 37])
+    def test_equals_per_input_oracle(self, monkeypatch, chunk, n, model_name, B):
+        if chunk is not None:
+            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+        model = MODELS[model_name]()
+        X, seeds = batch_inputs(B), wrapping_seeds(B)
+        cfg = SmoothingConfig(sigma=0.5, n0=50, n=n, alpha_conf=0.01)
+        got = certify_batch(model, X, cfg, seeds)
+        for i in range(B):
+            label, radius, p = certify_oracle(model, X[i], 0.5, 50, n, 0.01, int(seeds[i]))
+            assert int(got.labels[i]) == label and got.p_a_lower[i] == p
+            assert np.isnan(got.radii[i]) if radius is None else got.radii[i] == radius
+            assert certify(model, X[i], cfg, int(seeds[i])) == got.prediction(i)
+        assert np.array_equal(got.abstained, got.labels == ABSTAIN)
+
+    def test_abstentions_and_two_sided_runner_up(self):
+        # inputs on the linear rule's boundary abstain, the others certify
+        model = binary_linear([1.0, 0.0])
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, -1.0]])
+        seeds = np.array([5, 6, 7, 8], dtype=np.uint64)
+        cfg = SmoothingConfig(sigma=0.5, n0=50, n=2000, alpha_conf=0.001)
+        for p_b in (None, 0.01, np.array([0.2, 0.0, 0.3, 0.1])):
+            got = certify_batch(model, X, cfg, seeds, p_b_upper=p_b)
+            assert got.abstained.tolist() == [True, False, True, False]
+            for i in range(4):
+                runner = p_b if p_b is None or np.isscalar(p_b) else float(p_b[i])
+                label, radius, p = certify_oracle(model, X[i], 0.5, 50, 2000, 0.001,
+                                                  int(seeds[i]), p_b_upper=runner)
+                pred = got.prediction(i)
+                assert (pred.label, pred.radius, pred.p_a_lower) == (label, radius, p)
+        assert got.radii[1] == math.inf
 
 
 class TestExactSmoothedLinear:
