@@ -106,14 +106,19 @@ def normals(seed, stream: int, start: int, count: int) -> np.ndarray:
     bases = np.array(stream_seed(seed, stream), dtype=np.uint64).reshape(-1, 1)
     out = np.empty((bases.shape[0], count))
     rows = max(1, _NORMAL_CHUNK // max(count, 1))
-    for off in range(0, count, _NORMAL_CHUNK):
-        block = min(_NORMAL_CHUNK, count - off)
-        steps = np.arange(start + off + 1, start + off + block + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            steps *= _GAMMA
-        for r in range(0, bases.shape[0], rows):
-            bits = _mix(steps + bases[r:r + rows])
-            special.ndtri(_unit_interval(bits), out=out[r:r + rows, off:off + block])
+    for r in range(0, bases.shape[0], rows):
+        for off in range(0, count, _NORMAL_CHUNK):
+            block = min(_NORMAL_CHUNK, count - off)
+            bits = np.arange(start + off + 1, start + off + block + 1, dtype=np.uint64)
+            with np.errstate(over="ignore"):
+                bits *= _GAMMA
+            # One row adds its base in place, so a 64k piece holds no extra
+            # array; rows shorter than a piece share its counter steps.
+            if rows == 1:
+                bits += bases[r]
+            else:
+                bits = bits + bases[r:r + rows]
+            special.ndtri(_unit_interval(_mix(bits)), out=out[r:r + rows, off:off + block])
     return out[0] if single else out
 
 

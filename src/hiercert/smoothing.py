@@ -144,8 +144,7 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
             batch *= sigma
             batch += X[b0:b1, None, :]
             votes = predict_labels(classifier, batch.reshape(k * s, d))
-            if k > 1:
-                votes += np.repeat(np.arange(0, k * m, m), s)
+            votes += np.repeat(np.arange(0, k * m, m), s)
             counts[b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
     return counts
 

@@ -181,17 +181,18 @@ def confusion_levels_oracle(counts) -> dict[int, tuple[tuple[int, ...], ...]]:
     return levels
 
 
-def vote_counts_oracle(classifier, x, sigma: float, n: int, seed: int, stream: int,
-                       chunk: int = 20_000) -> np.ndarray:
-    """Per-input vote counts over n draws of x + sigma * noise, chunk by chunk.
+def vote_counts_oracle(classifier, x, sigma: float, n: int, seed: int,
+                       stream: int) -> np.ndarray:
+    """Per-input vote counts over n draws of x + sigma * noise, 20k samples at
+    a time.
 
     Sample i, dimension j takes the normal quantile of the uniform at counter
     i*d + j of the seed's substream."""
     x = np.asarray(x, dtype=np.float64)
     d, m = x.size, classifier.n_labels
     counts = np.zeros(m, dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, 20_000):
+        stop = min(start + 20_000, n)
         noise = special.ndtri(rng.uniforms(seed, stream, start * d, (stop - start) * d))
         batch = noise.reshape(stop - start, d)
         batch *= sigma
