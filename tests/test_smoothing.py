@@ -72,7 +72,7 @@ def wrapping_seeds(count: int) -> np.ndarray:
     wraps past 2^64, plus the extreme seeds 2^64 - 1 and 0."""
     base = np.uint64(2**64 - 2)
     seeds = rng.mix64(base + np.arange(count, dtype=np.uint64))
-    seeds[: min(count, 2)] = [2**64 - 1, 0][: min(count, 2)]
+    seeds[:2] = [2**64 - 1, 0][:count]
     return seeds
 
 
@@ -223,8 +223,6 @@ class TestVoteCountKernel:
     def test_rows_equal_per_input_oracle(self, monkeypatch, chunk, n, model_name, B):
         if chunk is not None:
             monkeypatch.setattr(smoothing, "_CHUNK", chunk)
-        if B == 37 and n > 20_000 and model_name != "mlp":
-            n = 20_000  # one wide case per n keeps the suite fast
         model = MODELS[model_name]()
         X, seeds = batch_inputs(B), wrapping_seeds(B)
         got = vote_counts(model, X, 0.4, n, seeds, stream=rng.STREAM_SELECT)
@@ -235,8 +233,12 @@ class TestVoteCountKernel:
             one = sample_under_noise(model, X[i], 0.4, n, int(seeds[i]), stream=rng.STREAM_SELECT)
             assert np.array_equal(one.counts, want), i
 
-    @pytest.mark.parametrize("chunk", [None, 1, 613])
-    def test_one_logits_call_per_unit(self, monkeypatch, chunk):
+    # 37 inputs: whole inputs share a unit while n < _CHUNK, otherwise a unit
+    # is at most _CHUNK samples of one input
+    @pytest.mark.parametrize("chunk, n, units", [(None, 300, [37 * 300]),
+                                                 (613, 300, [600] * 18 + [300]),
+                                                 (1, 2, [1] * 74)])
+    def test_one_logits_call_per_unit(self, monkeypatch, chunk, n, units):
         if chunk is not None:
             monkeypatch.setattr(smoothing, "_CHUNK", chunk)
         sizes = []
@@ -246,13 +248,7 @@ class TestVoteCountKernel:
                 sizes.append(X.shape[0])
                 return super().logits(X)
 
-        n = 300 if chunk != 1 else 2
         vote_counts(Recorder(0, 3), np.zeros((37, 2)), 0.5, n, np.arange(37))
-        per_unit = max(1, smoothing._CHUNK // n)
-        units = [min(per_unit, 37 - b) * n for b in range(0, 37, per_unit)]
-        if n > smoothing._CHUNK:
-            units = [min(smoothing._CHUNK, n - s) for _ in range(37)
-                     for s in range(0, n, smoothing._CHUNK)]
         assert sizes == units
 
     def test_empty_batch_and_validation(self):
