@@ -194,9 +194,7 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
         rows = [list(row) for row in zip(ids, labels.tolist(), batch.labels.tolist(), radius_col,
                                          abstained.tolist(), batch.p_a_lower.tolist())]
         name = f"certificates_sigma{format_sigma(sigma)}"
-        tables.append(ReportTable(name=name, columns=["sample_id", "label", "pred", "radius",
-                                                      "abstain", "p_a_lower"],
-                                  rows=rows,
+        tables.append(ReportTable(name=name, columns=list(io.CERTIFICATE_COLUMNS), rows=rows,
                                   metadata=dict(meta, inputs=len(ids),
                                                 noise_draws=len(ids) * (n0 + n) * X.shape[1],
                                                 abstained=int(abstained.sum()))))
@@ -320,7 +318,6 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                           hint="embedding clustering and confusion clustering are alternatives")
     seed = int(config.get("seed", 0))
     k = int(config["k"])
-    meta = dict(meta)
 
     if "embeddings" in config:
         ids, labels, vectors = io.read_features(_resolve(base, config["embeddings"]))
@@ -330,24 +327,20 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
         sep = cluster_separation_check(result.assignment, vectors) if k >= 2 else None
         partition = derive_partition(result.assignment, labels, k,
                                      n_labels=config.get("n_labels"))
-        rows = [[k, result.inertia, result.n_iter, result.reseeds,
-                 "" if sep is None else sep.silhouette,
-                 "" if sep is None else sep.passed,
-                 json.dumps([list(c) for c in partition.classes])]]
-        table = ReportTable(name="discovered_partition", metadata=meta,
-                            columns=["k", "inertia", "n_iter", "reseeds",
-                                     "silhouette", "separation_pass", "classes"],
-                            rows=rows)
+        row = [k, result.inertia, result.n_iter, result.reseeds,
+               "" if sep is None else sep.silhouette,
+               "" if sep is None else sep.passed]
     else:
         counts = io.read_confusion(_resolve(base, config["confusion"]))
         partition = partition_from_confusion(counts, k)
-        rows = [[k, "", "", "", "", "", json.dumps([list(c) for c in partition.classes])]]
-        table = ReportTable(name="discovered_partition", metadata=meta,
-                            columns=["k", "inertia", "n_iter", "reseeds",
-                                     "silhouette", "separation_pass", "classes"],
-                            rows=rows)
-    table.metadata["partition_file"] = config.get("out_partition", "partition.json")
-    return [table]
+        row = [k, "", "", "", "", ""]
+    row.append(json.dumps([list(c) for c in partition.classes]))
+    return [ReportTable(name="discovered_partition",
+                        metadata=dict(meta, partition_file=config.get("out_partition",
+                                                                      "partition.json")),
+                        columns=["k", "inertia", "n_iter", "reseeds",
+                                 "silhouette", "separation_pass", "classes"],
+                        rows=[row])]
 
 
 def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
@@ -478,19 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", required=True, help="JSON config path")
         cp.add_argument("--out", default="out", help="output directory")
         cp.add_argument("--seed", type=int, default=None, help="override config seed")
-        cp.add_argument("--threads", type=int, default=0,
-                        help="recorded in .meta.json; currently has no effect")
     return parser
 
 
-def run(command: str, config: dict, out: Path, base: Path,
-        threads: int = 0) -> list[ReportTable]:
+def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
     started = time.perf_counter()
     meta = {
         "command": command,
         "seed": int(config.get("seed", 0)),
         "config_hash": config_hash(config),
-        "threads": threads,
         "versions": {"hiercert": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": "%d.%d.%d" % sys.version_info[:3]},
@@ -518,10 +507,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("<root>", "config must be a JSON object", hint="{...}")
         if args.seed is not None:
             config["seed"] = int(args.seed)
-        if args.threads < 0:
-            raise ConfigError("threads", "must be >= 0", hint="0 means auto")
-        run(args.command, config, Path(args.out), Path(args.config).resolve().parent,
-            threads=args.threads)
+        run(args.command, config, Path(args.out), Path(args.config).resolve().parent)
         return 0
     except ValidationError as exc:
         print(f"error[validation] {exc}", file=sys.stderr)

@@ -185,6 +185,25 @@ def infer(h: Hierarchy, x) -> int:
     return int(infer_batch(h, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
+def _within_radii(P: np.ndarray, g: np.ndarray, allowed, sigma: float) -> np.ndarray:
+    """Two-sided radius of each row's top label g against its runner-up among
+    the `allowed` labels (a boolean mask broadcast against P).
+
+    The labels outside `allowed` and the row's own top label are masked to
+    -inf and one max per row gives the runner-up; a row with no competitor
+    left gets +inf. Every matrix path (the sweep, the renormalized leaves and
+    the flat baseline) takes its runner-up from here.
+    """
+    rows = np.arange(P.shape[0])
+    within = np.where(allowed, P, -np.inf)
+    within[rows, g] = -np.inf
+    runner = within.max(axis=1)
+    paired = runner > -np.inf
+    radii = np.full(P.shape[0], np.inf)
+    radii[paired] = margin_radius(sigma, P[rows, g][paired], runner[paired])
+    return radii
+
+
 def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],
                                   sigma: float) -> CertifiedPrediction:
     """Two-sided certificate of the top label within a subset.
@@ -280,7 +299,6 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
             )
 
     g = np.argmax(P, axis=1)
-    p_top = P[np.arange(n), g]
     out: dict[int, SizeStats] = {}
     for s in sizes:
         if mode == "all":
@@ -290,19 +308,12 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
         finite: list[np.ndarray] = []
         n_inf = 0
         for subset in subsets:
-            cols = np.fromiter(subset, dtype=np.int64)
-            member = np.isin(g, cols)
+            allowed = np.zeros(m, dtype=bool)
+            allowed[list(subset)] = True
+            member = allowed[g]
             if not member.any():
                 continue
-            if s == 1:
-                n_inf += int(member.sum())
-                continue
-            sub = P[np.ix_(member, cols)]
-            if s == 2:
-                runner = sub.min(axis=1)
-            else:
-                runner = np.partition(sub, -2, axis=1)[:, -2]
-            radii = margin_radius(sigma, p_top[member], runner)
+            radii = _within_radii(P[member], g[member], allowed, sigma)
             inf_mask = np.isinf(radii)
             n_inf += int(inf_mask.sum())
             finite.append(radii[~inf_mask])
@@ -517,11 +528,11 @@ def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.nda
     class of the row's argmax.
 
     The rows are validated as probability vectors once, as a matrix; the
-    runner-up within the routed class comes from one masked max. A class of
+    runner-up within the routed class comes from `_within_radii`. A class of
     one label gives +inf.
     """
     P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    n, m = P.shape
+    m = P.shape[1]
     if partition.n_labels != m:
         raise ValidationError("partition does not match probability width")
     if P.size:
@@ -530,16 +541,9 @@ def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.nda
             raise ValidationError("probabilities must be finite and lie in [0, 1]")
         if (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL).any():
             raise ValidationError(f"probability rows must sum to 1 within {PROB_SUM_TOL}")
-    rows = np.arange(n)
     g = np.argmax(P, axis=1)
     class_of = _class_index(partition)
-    within = np.where(class_of[None, :] == class_of[g][:, None], P, -np.inf)
-    within[rows, g] = -np.inf
-    runner = within.max(axis=1)
-    paired = runner > -np.inf
-    radii = np.full(n, np.inf)
-    radii[paired] = margin_radius(sigma, P[rows, g][paired], runner[paired])
-    return radii
+    return _within_radii(P, g, class_of[None, :] == class_of[g][:, None], sigma)
 
 
 def renormalization_report(probs, labels, partition: LabelPartition, sigma: float,
@@ -553,18 +557,11 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
     """
     P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     y = np.asarray(labels, dtype=np.int64)
-    n, m = P.shape
-    if partition.n_labels != m:
-        raise ValidationError("partition does not match probability width")
-
+    hier_radius = renormalized_radii(P, partition, sigma)
     g = np.argmax(P, axis=1)
-    order = np.argsort(P, axis=1)
-    p_top = P[np.arange(n), g]
-    p_second = P[np.arange(n), order[:, -2]] if m > 1 else np.zeros(n)
-    base_radius = margin_radius(sigma, p_top, p_second)
+    base_radius = _within_radii(P, g, True, sigma)
 
     class_of = _class_index(partition)
-    hier_radius = renormalized_radii(P, partition, sigma)
     correct = g == y
     routed = class_of[g] == class_of[y]
 

@@ -22,6 +22,10 @@ from .hierarchy import Hierarchy, Intermediate, Leaf, RENORMALIZE
 from .models import LinearSoftmax, LookupClassifier, MaskedModel, SmallMlp
 
 
+#: Columns of a certificates table; an abstained row has an empty radius.
+CERTIFICATE_COLUMNS = ("sample_id", "label", "pred", "radius", "abstain", "p_a_lower")
+
+
 def format_float(x: float) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -127,12 +131,17 @@ def _read_wide_csv(path, prefix: str):
     return ids, np.array(labels, dtype=np.int64), values
 
 
-def write_features(path, ids: Sequence, labels, values: np.ndarray) -> None:
+def _write_wide(path, prefix: str, ids: Sequence, labels, values: np.ndarray) -> None:
+    """Common writer for sample_id,label,<prefix>0..<prefix>{w-1} files."""
     values = np.atleast_2d(np.asarray(values))
-    header = ["sample_id", "label"] + [f"e{i}" for i in range(values.shape[1])]
+    header = ["sample_id", "label"] + [f"{prefix}{i}" for i in range(values.shape[1])]
     rows = [[sid, int(lab)] + [float(v) for v in row]
             for sid, lab, row in zip(ids, labels, values)]
     write_csv(path, header, rows)
+
+
+def write_features(path, ids: Sequence, labels, values: np.ndarray) -> None:
+    _write_wide(path, "e", ids, labels, values)
 
 
 def read_features(path):
@@ -140,11 +149,7 @@ def read_features(path):
 
 
 def write_logits(path, ids: Sequence, labels, logits: np.ndarray) -> None:
-    logits = np.atleast_2d(np.asarray(logits))
-    header = ["sample_id", "label"] + [f"l{i}" for i in range(logits.shape[1])]
-    rows = [[sid, int(lab)] + [float(v) for v in row]
-            for sid, lab, row in zip(ids, labels, logits)]
-    write_csv(path, header, rows)
+    _write_wide(path, "l", ids, labels, logits)
 
 
 def read_logits(path):
@@ -152,11 +157,7 @@ def read_logits(path):
 
 
 def write_probs(path, ids: Sequence, labels, probs: np.ndarray) -> None:
-    probs = np.atleast_2d(np.asarray(probs))
-    header = ["sample_id", "label"] + [f"p{i}" for i in range(probs.shape[1])]
-    rows = [[sid, int(lab)] + [float(v) for v in row]
-            for sid, lab, row in zip(ids, labels, probs)]
-    write_csv(path, header, rows)
+    _write_wide(path, "p", ids, labels, probs)
 
 
 def read_probs(path):
@@ -188,21 +189,11 @@ def read_confusion(path) -> np.ndarray:
     return mat
 
 
-def write_certificates(path, rows: Iterable[dict]) -> None:
-    header = ["sample_id", "label", "pred", "radius", "abstain", "p_a_lower"]
-    out = []
-    for r in rows:
-        out.append([r["sample_id"], int(r["label"]), int(r["pred"]),
-                    None if r["radius"] is None else float(r["radius"]),
-                    bool(r["abstain"]), float(r["p_a_lower"])])
-    write_csv(path, header, out)
-
-
 def read_certificates(path) -> list[dict]:
+    """Rows of a certificates table as the certify command writes them."""
     header, body = _read_csv(path)
-    expected = ["sample_id", "label", "pred", "radius", "abstain", "p_a_lower"]
-    if header != expected:
-        raise ValidationError(f"{path}: header must be {','.join(expected)}")
+    if tuple(header) != CERTIFICATE_COLUMNS:
+        raise ValidationError(f"{path}: header must be {','.join(CERTIFICATE_COLUMNS)}")
     out = []
     for row in body:
         out.append({

@@ -14,8 +14,7 @@ runner-up bound exists, e.g. the renormalized leaf certificates in the
 hierarchy module.
 
 Noise is generated counter-mode per (sample index, dimension), so counts
-and certificates are bit-identical across runs, chunk sizes, and thread
-counts.
+and certificates are bit-identical across runs and chunk sizes.
 
 One kernel, `vote_counts`, does the Monte-Carlo work for a whole batch of
 inputs, each with its own seed. It fills units of about `_CHUNK`
@@ -159,16 +158,6 @@ def sample_under_noise(classifier, x, sigma: float, n: int, seed: int,
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     counts = vote_counts(classifier, x, sigma, n, [seed & 0xFFFFFFFFFFFFFFFF], stream)
     return NoiseSampleCounts(counts=counts[0], total=n)
-
-
-def one_sided_radius(sigma: float, p_a_lower: float) -> float:
-    """Certified radius from a top-class lower bound alone."""
-    return margin_radius(sigma, p_a_lower, 1.0 - p_a_lower)
-
-
-def two_sided_radius(sigma: float, p_a_lower: float, p_b_upper: float) -> float:
-    """Certified radius from explicit top and runner-up probability bounds."""
-    return margin_radius(sigma, p_a_lower, p_b_upper)
 
 
 def margin_radius(sigma: float, p_top, p_runner):

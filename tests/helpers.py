@@ -5,7 +5,9 @@ the quantile oracle bisects the erfc-based CDF, the binomial bound oracle
 bisects an exact log-space tail sum, and separability is certified by a
 linear-programming feasibility check. The CSV, silhouette and confusion
 agglomeration oracles are the straightforward per-cell, per-point and
-per-pair loops that the library's kernels replace, and the certification
+per-pair loops that the library's kernels replace, the sweep and baseline
+radius oracles are the per-subset gather and the full row sort that the
+within-class runner-up kernel replaces, and the certification
 oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
 `smoothing.certify_batch` batch, with noise taken as the normal quantile of
 `rng.uniforms` and the bound from `scipy.stats.beta.ppf`.
@@ -14,6 +16,7 @@ oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -23,6 +26,8 @@ from scipy.optimize import linprog
 
 from hiercert import rng
 from hiercert.core import ABSTAIN
+from hiercert.hierarchy import SizeStats, _sample_subsets
+from hiercert.smoothing import margin_radius
 
 
 def quantile_oracle(q: float) -> float:
@@ -179,6 +184,64 @@ def confusion_levels_oracle(counts) -> dict[int, tuple[tuple[int, ...], ...]]:
         groups.sort(key=lambda g: g[0])
         levels[len(groups)] = tuple(tuple(g) for g in groups)
     return levels
+
+
+def sweep_oracle(P, sigma: float, sizes, mode: str = "all", sample_count: int = 500,
+                 seed: int = 0) -> dict:
+    """`subset_radius_sweep` statistics from one gather per subset: np.isin
+    for the rows whose argmax lies in the subset, an np.ix_ gather of the
+    subset's columns and np.partition for the runner-up, with singleton and
+    pair subsets special-cased."""
+    P = np.atleast_2d(np.asarray(P, dtype=np.float64))
+    n, m = P.shape
+    g = np.argmax(P, axis=1)
+    p_top = P[np.arange(n), g]
+    out = {}
+    for s in sizes:
+        if mode == "all":
+            subsets = [tuple(c) for c in itertools.combinations(range(m), s)]
+        else:
+            subsets = _sample_subsets(m, s, sample_count, seed + s)
+        finite = []
+        n_inf = 0
+        for subset in subsets:
+            cols = np.fromiter(subset, dtype=np.int64)
+            member = np.isin(g, cols)
+            if not member.any():
+                continue
+            if s == 1:
+                n_inf += int(member.sum())
+                continue
+            sub = P[np.ix_(member, cols)]
+            if s == 2:
+                runner = sub.min(axis=1)
+            else:
+                runner = np.partition(sub, -2, axis=1)[:, -2]
+            radii = margin_radius(sigma, p_top[member], runner)
+            inf_mask = np.isinf(radii)
+            n_inf += int(inf_mask.sum())
+            finite.append(radii[~inf_mask])
+        values = np.concatenate(finite) if finite else np.empty(0)
+        if values.size:
+            q25, med, q75 = np.percentile(values, [25, 50, 75])
+            out[s] = SizeStats(size=s, n_finite=values.size, n_infinite=n_inf,
+                               mean=float(values.mean()), std=float(values.std()),
+                               q25=float(q25), median=float(med), q75=float(q75))
+        else:
+            out[s] = SizeStats(size=s, n_finite=0, n_infinite=n_inf, mean=math.nan,
+                               std=math.nan, q25=math.nan, median=math.nan, q75=math.nan)
+    return out
+
+
+def baseline_radii_oracle(P, sigma: float) -> np.ndarray:
+    """Flat-classifier radius of every row: top against the second entry of a
+    full row sort; a one-label row has runner-up probability 0."""
+    P = np.atleast_2d(np.asarray(P, dtype=np.float64))
+    n, m = P.shape
+    order = np.argsort(P, axis=1)
+    p_top = P[np.arange(n), np.argmax(P, axis=1)]
+    p_second = P[np.arange(n), order[:, -2]] if m > 1 else np.zeros(n)
+    return margin_radius(sigma, p_top, p_second)
 
 
 def vote_counts_oracle(classifier, x, sigma: float, n: int, seed: int,

@@ -164,6 +164,7 @@ class TestCertifyCommand:
         assert cli.main(["toy-prf", "--config", cfg, "--out", str(tmp_path / "prf")]) == 0
         prf = json.loads((tmp_path / "prf" / "prf_scenarios.meta.json").read_text())
         for meta in (summary, prf):
+            assert "threads" not in meta
             assert set(meta["versions"]) == {"hiercert", "numpy", "scipy", "python"}
             assert meta["versions"]["numpy"] == np.__version__
             assert meta["versions"]["hiercert"] == hiercert.__version__

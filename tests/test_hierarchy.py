@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,11 +24,18 @@ from hiercert.hierarchy import (
     renormalized_radii,
     retrain_leaf,
     subset_radius_sweep,
+    _within_radii,
 )
 from hiercert.models import LinearSoftmax, MaskedModel, PgdParams, softmax, train
 from hiercert.smoothing import margin_radius
 
-from helpers import make_blobs, quantile_oracle, synth_prob_dataset
+from helpers import (
+    baseline_radii_oracle,
+    make_blobs,
+    quantile_oracle,
+    sweep_oracle,
+    synth_prob_dataset,
+)
 
 
 def linear(W, b=None):
@@ -180,6 +188,41 @@ class TestSweep:
         a = subset_radius_sweep(P, 0.5, [4], mode="sampled", sample_count=50, seed=3)
         b = subset_radius_sweep(P, 0.5, [4], mode="sampled", sample_count=50, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("case", ["random", "planted", "argmax_in_two_labels"])
+    @pytest.mark.parametrize("mode", ["all", "sampled"])
+    def test_matches_per_subset_oracle(self, case, mode):
+        m = 6 if mode == "all" else 12
+        if case == "random":
+            P = synth_prob_dataset(26, 150, m)
+        elif case == "planted":
+            # Rows with an exact 1.0, all-equal entries, a tied top pair, and
+            # zeros beside a tied top pair.
+            P = synth_prob_dataset(27, 150, m)
+            P[:4] = 0.0
+            P[:4, 2] = 1.0
+            P[4:8] = 1.0 / m
+            P[8:12] = 0.4 / (m - 2)
+            P[8:12, [1, 3]] = 0.3
+            P[12:16] = 0.0
+            P[12:16, 0] = P[12:16, 4] = 0.5
+        else:
+            # Every argmax is label 0 or 1: most subsets hold no row at all.
+            P = synth_prob_dataset(28, 150, m)
+            P[:, 0] += 1.0
+            P[::2, [0, 1]] = P[::2, [1, 0]]
+            P /= P.sum(axis=1, keepdims=True)
+        sizes = list(range(1, m + 1))
+        got = subset_radius_sweep(P, 0.5, sizes, mode=mode, sample_count=40, seed=5)
+        want = sweep_oracle(P, 0.5, sizes, mode=mode, sample_count=40, seed=5)
+        assert list(got) == sizes
+        for s in sizes:
+            assert np.array_equal(dataclasses.astuple(got[s]), dataclasses.astuple(want[s]),
+                                  equal_nan=True), s
+        if case == "planted":
+            assert got[m].n_infinite == 4   # the exact 1.0 rows
+        if case == "argmax_in_two_labels":
+            assert got[1].n_infinite == 150 and got[1].n_finite == 0
 
 
 class TestOrderingCommutativity:
@@ -336,6 +379,34 @@ class TestRenormalizationReport:
         r = renormalization_report(P, labels, part, 0.5, thresholds=[0.25])[0]
         assert r.hierarchy_cr_mean == pytest.approx(r.baseline_cr_mean, abs=1e-12)
         assert r.hierarchy_ca == pytest.approx(r.baseline_ca)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_baseline_matches_argsort_oracle(self, m):
+        if m == 1:
+            P = np.ones((60, 1))
+            part = LabelPartition(((0,),))
+        else:
+            P = synth_prob_dataset(45, 300, m)
+            P[:3] = 0.0
+            P[:3, m - 1] = 1.0          # exact top probability: +inf radius
+            P[3:6] = 1.0 / m            # ties everywhere
+            part = LabelPartition(((0, 2, 4), (1, 3), (5, 6)) if m == 7 else ((0,), (1,)))
+        want = baseline_radii_oracle(P, 0.5)
+        assert np.array_equal(_within_radii(P, np.argmax(P, axis=1), True, 0.5), want)
+
+        y = np.argmax(P, axis=1)
+        y[::4] = (y[::4] + 1) % m
+        thresholds = [0.0, 0.25, 1.0]
+        ok_all = np.argmax(P, axis=1) == y
+        for r in renormalization_report(P, y, part, 0.5, thresholds):
+            sel = np.flatnonzero(np.isin(y, r.labels))
+            ok = ok_all[sel]
+            finite = want[sel][ok]
+            finite = finite[np.isfinite(finite)]
+            stats = [float(finite.mean()), float(finite.std())] if finite.size else [math.nan] * 2
+            ca = [float(np.mean(ok & (want[sel] >= t))) for t in thresholds]
+            assert np.array_equal([r.baseline_cr_mean, r.baseline_cr_std, *r.baseline_ca],
+                                  stats + ca, equal_nan=True)
 
 
 class TestRenormalizedRadii:

@@ -147,7 +147,8 @@ class TestCertificates:
             {"sample_id": "c", "label": 2, "pred": 2, "radius": math.inf,
              "abstain": False, "p_a_lower": 1.0},
         ]
-        io.write_certificates(tmp_path / "cert.csv", rows)
+        io.write_csv(tmp_path / "cert.csv", io.CERTIFICATE_COLUMNS,
+                     [[r[c] for c in io.CERTIFICATE_COLUMNS] for r in rows])
         got = io.read_certificates(tmp_path / "cert.csv")
         assert got == rows
 

@@ -20,9 +20,8 @@ from hiercert.smoothing import (
     clopper_pearson_lower,
     clopper_pearson_lower_batch,
     exact_smoothed_linear,
-    one_sided_radius,
+    margin_radius,
     sample_under_noise,
-    two_sided_radius,
     vote_counts,
 )
 
@@ -323,18 +322,19 @@ class TestExactSmoothedLinear:
 
 class TestRadii:
     def test_two_sided_example(self):
-        assert two_sided_radius(0.5, 0.8, 0.2) == pytest.approx(0.4208, abs=1e-3)
+        assert margin_radius(0.5, 0.8, 0.2) == pytest.approx(0.4208, abs=1e-3)
         expected = 0.25 * (quantile_oracle(0.8) - quantile_oracle(0.2))
-        assert two_sided_radius(0.5, 0.8, 0.2) == pytest.approx(expected, abs=1e-9)
+        assert margin_radius(0.5, 0.8, 0.2) == pytest.approx(expected, abs=1e-9)
 
     def test_one_sided_equals_two_sided_with_complement(self):
+        # One-sided: R = sigma * Phi^-1(p_a_lower), the margin against 1 - p_a_lower.
         for p in np.linspace(0.5 + 1e-6, 1 - 1e-9, 5000):
-            diff = abs(two_sided_radius(1.0, p, 1.0 - p) - one_sided_radius(1.0, p))
+            diff = abs(margin_radius(1.0, p, 1.0 - p) - smoothing.phi_inv(p))
             assert diff <= 1e-12
 
     def test_linear_in_sigma(self):
-        z = one_sided_radius(1.0, 0.8)
-        assert one_sided_radius(0.25, 0.8) * 4 == pytest.approx(z, abs=0.0)
+        z = margin_radius(1.0, 0.8, 1.0 - 0.8)
+        assert margin_radius(0.25, 0.8, 1.0 - 0.8) * 4 == pytest.approx(z, abs=0.0)
 
     def test_monotone_in_p(self):
         ps = np.linspace(0.5 + 1e-9, 1 - 1e-9, 10_000)
