@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__, io, rng
-from .core import LabelPartition
+from .core import LabelPartition, as_probability_matrix
 from .discovery import cluster_separation_check, derive_partition, kmeans, partition_from_confusion
 from .errors import ConfigError, HiercertError, ValidationError
 from .hierarchy import (
@@ -131,11 +131,10 @@ def _load_prob_source(config: dict, base: Path):
         ids, labels, values = io.read_logits(path)
         return ids, labels, softmax(values) if values.size else values
     ids, labels, values = io.read_probs(path)
-    if values.size:
-        sums = values.sum(axis=1)
-        if np.any(values < 0) or np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValidationError(f"{path}: rows must be probability vectors")
-    return ids, labels, values
+    try:
+        return ids, labels, as_probability_matrix(values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _partition_from_config(config: dict, base: Path, n_labels: int) -> LabelPartition:

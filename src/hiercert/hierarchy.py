@@ -23,9 +23,9 @@ import numpy as np
 
 from . import rng
 from .core import (
-    PROB_SUM_TOL,
     CertifiedPrediction,
     LabelPartition,
+    as_probability_matrix,
     as_probability_vector,
     normalize_subset,
 )
@@ -283,8 +283,9 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
     two-sided within-subset radius is computed. Singleton subsets yield
     +inf radii, which are counted separately and excluded from the
     statistics. Shrinking the subset size can only grow the mean radius.
+    The rows must be probability vectors (`as_probability_matrix`).
     """
-    P = np.atleast_2d(np.asarray(probs_dataset, dtype=np.float64))
+    P = as_probability_matrix(probs_dataset)
     n, m = P.shape
     if mode not in ("all", "sampled"):
         raise ValidationError(f"unknown sweep mode {mode!r}")
@@ -432,43 +433,53 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
             raise CapabilityError(
                 f"node {nid!r}: a {type(model).__name__} cannot be run or attacked on input "
                 "features; attacks need built-in linear or mlp classifiers at every node")
+    node_ids = [nid for nid, _ in h.nodes()]
+    if scenario.mode == BUDGETED and scenario.budget_target not in node_ids + ["worst"]:
+        raise ValidationError(f"no node named {scenario.budget_target!r}; "
+                              f"known ids: {node_ids}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     natural = float(np.mean(infer_batch(h, X) == y))
 
-    # Group samples by true label so each shares a root-to-leaf path.
-    paths = {label: _path_for_label(h, int(label)) for label in np.unique(y)}
-
-    def correctness(attacked_id: Optional[str]) -> np.ndarray:
-        """attacked_id None: attack every path node (worst case)."""
-        ok = np.ones(X.shape[0], dtype=bool)
-        for label, path in paths.items():
-            idx = np.flatnonzero(y == label)
-            for nid, node, target in path:
-                targets = np.full(idx.size, target, dtype=np.int64)
-                if attacked_id is None or nid == attacked_id:
-                    good = _node_correct_under_attack(node, X[idx], targets,
+    # Group samples by true label so each shares a root-to-leaf path; every
+    # (group, node) pair is attacked at most once and checked clean at most
+    # once, and one pgd_attack call per pair keeps its restart offsets.
+    groups = []
+    for label in np.unique(y):
+        idx = np.flatnonzero(y == label)
+        path = [(nid, node, np.full(idx.size, target, dtype=np.int64))
+                for nid, node, target in _path_for_label(h, int(label))]
+        groups.append((idx, path))
+    if scenario.mode == WORST_CASE or scenario.budget_target == "worst":
+        attacked_ids = set(node_ids)
+    else:
+        attacked_ids = {scenario.budget_target}
+    attacked = {(gi, nid): _node_correct_under_attack(node, X[idx], targets,
                                                       scenario.attack, seed)
-                else:
-                    good = _node_correct_clean(node, X[idx], targets)
-                ok[idx] &= good
-        return ok
+                for gi, (idx, path) in enumerate(groups)
+                for nid, node, targets in path if nid in attacked_ids}
 
     if scenario.mode == WORST_CASE:
-        return AdversarialReport(natural_acc=natural,
-                                 adv_acc=float(np.mean(correctness(None))))
+        ok = np.ones(X.shape[0], dtype=bool)
+        for (gi, _), good in attacked.items():
+            ok[groups[gi][0]] &= good
+        return AdversarialReport(natural_acc=natural, adv_acc=float(np.mean(ok)))
 
-    node_ids = [nid for nid, _ in h.nodes()]
+    clean = {(gi, nid): _node_correct_clean(node, X[idx], targets)
+             for gi, (idx, path) in enumerate(groups) for nid, node, targets in path}
+
+    def budget_accuracy(target_id: str) -> float:
+        ok = np.ones(X.shape[0], dtype=bool)
+        for (gi, nid), good in clean.items():
+            ok[groups[gi][0]] &= attacked[gi, nid] if nid == target_id else good
+        return float(np.mean(ok))
+
     if scenario.budget_target == "worst":
-        per_node = {nid: float(np.mean(correctness(nid))) for nid in node_ids}
-        worst = min(per_node.values())
-        return AdversarialReport(natural_acc=natural, budget_acc=worst,
+        per_node = {nid: budget_accuracy(nid) for nid in node_ids}
+        return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
                                  per_node=per_node)
-    if scenario.budget_target not in node_ids:
-        raise ValidationError(f"no node named {scenario.budget_target!r}; "
-                              f"known ids: {node_ids}")
-    acc = float(np.mean(correctness(scenario.budget_target)))
-    return AdversarialReport(natural_acc=natural, budget_acc=acc)
+    return AdversarialReport(natural_acc=natural,
+                             budget_acc=budget_accuracy(scenario.budget_target))
 
 
 def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500,
@@ -527,20 +538,13 @@ def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.nda
     """Radius of `leaf_certificate_renormalized` for every row, routed to the
     class of the row's argmax.
 
-    The rows are validated as probability vectors once, as a matrix; the
+    The rows are validated once, by `as_probability_matrix`; the
     runner-up within the routed class comes from `_within_radii`. A class of
     one label gives +inf.
     """
-    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    m = P.shape[1]
-    if partition.n_labels != m:
+    P = as_probability_matrix(probs)
+    if partition.n_labels != P.shape[1]:
         raise ValidationError("partition does not match probability width")
-    if P.size:
-        # NaN fails both comparisons, as in `as_probability_vector`.
-        if not (P.min() >= 0.0 and P.max() <= 1.0):
-            raise ValidationError("probabilities must be finite and lie in [0, 1]")
-        if (np.abs(P.sum(axis=1) - 1.0) > PROB_SUM_TOL).any():
-            raise ValidationError(f"probability rows must sum to 1 within {PROB_SUM_TOL}")
     g = np.argmax(P, axis=1)
     class_of = _class_index(partition)
     return _within_radii(P, g, class_of[None, :] == class_of[g][:, None], sigma)

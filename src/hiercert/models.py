@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,28 +22,50 @@ from . import rng
 from .errors import CapabilityError, TrainingDivergenceError, ValidationError
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Max over the last axis, equal bit for bit to `z.max(axis=-1)`.
+
+    numpy reduces a contiguous row at a time, at a fixed cost per row that
+    dominates short rows (with numpy 2.4 on a 2-vCPU Xeon, 343 us against
+    37 us for this form on 4000 x 8). Reducing a transposed copy down its
+    first axis is one elementwise maximum per column over all rows; max is
+    exact, so only the cost changes.
+    """
+    flat = z.reshape(-1, z.shape[-1])
+    return np.ascontiguousarray(flat.T).max(axis=0).reshape(z.shape[:-1])
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by max subtraction."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - _row_max(z)[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _row_losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy of each row of logits z at its integer label y."""
+    zmax = _row_max(z)
+    e = z - zmax[:, None]
+    np.exp(e, out=e)
+    lse = zmax + np.log(e.sum(axis=1))
+    lse -= z[np.arange(z.shape[0]), y]
+    return lse
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy of integer labels y under the given logits."""
     z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    return float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+    return float(np.mean(_row_losses(z, np.asarray(y, dtype=np.int64))))
 
 
 def _dlogits(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of mean cross-entropy with respect to the logits."""
     g = softmax(logits)
     g[np.arange(g.shape[0]), np.asarray(y, dtype=np.int64)] -= 1.0
-    return g / g.shape[0]
+    g /= g.shape[0]
+    return g
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -80,11 +102,26 @@ class LinearSoftmax:
         w = rng.normals(seed, rng.STREAM_INIT, 0, n_labels * dim) * scale
         return LinearSoftmax(W=w.reshape(n_labels, dim), b=np.zeros(n_labels))
 
+    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, None]:
+        """Logits, and the (empty) cache `_backward` takes."""
+        out = np.asarray(X, dtype=np.float64) @ self.W.T
+        out += self.b
+        return out, None
+
+    def _backward(self, cache: None, G: np.ndarray) -> np.ndarray:
+        """Input gradient from the logit gradients G."""
+        return G @ self.W
+
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.W.T + self.b
+        return self._forward(X)[0]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return G @ self.W
+        return self._backward(None, G)
+
+    def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
+        """Logits of the (n, d) batch X and the input gradient of their mean
+        cross-entropy at labels y, from one forward and one backward pass."""
+        return _fused_step(self, None, X, y, None)
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W, self.b)
@@ -135,15 +172,33 @@ class SmallMlp:
         return SmallMlp(W1=w1, b1=np.zeros(hidden), W2=w2, b2=np.zeros(n_labels))
 
     def _pre_activation(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.W1.T + self.b1
+        Z = np.asarray(X, dtype=np.float64) @ self.W1.T
+        Z += self.b1
+        return Z
+
+    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Logits, and the pre-activation Z that `_backward` takes."""
+        Z = self._pre_activation(X)
+        out = np.maximum(Z, 0.0) @ self.W2.T
+        out += self.b2
+        return out, Z
+
+    def _backward(self, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Input gradient from the logit gradients G at pre-activation Z."""
+        dH = G @ self.W2
+        dH *= Z > 0.0
+        return dH @ self.W1
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return np.maximum(self._pre_activation(X), 0.0) @ self.W2.T + self.b2
+        return self._forward(X)[0]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        Z = self._pre_activation(X)
-        dH = (G @ self.W2) * (Z > 0.0)
-        return dH @ self.W1
+        return self._backward(self._pre_activation(X), G)
+
+    def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
+        """Logits of the (n, d) batch X and the input gradient of their mean
+        cross-entropy at labels y, from one forward and one backward pass."""
+        return _fused_step(self, None, X, y, None)
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
@@ -211,6 +266,42 @@ class MaskedModel:
         full = np.zeros((G.shape[0], self.base.n_labels))
         full[:, list(self.subset)] = G
         return self.base.input_grad_from_dlogits(X, full)
+
+    def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
+        """Local logits and the input gradient of their mean cross-entropy at
+        local labels y, from one pass of the base model each way."""
+        base, cols = _unmask(self)
+        return _fused_step(base, cols, X, y, np.zeros((np.shape(X)[0], base.n_labels)))
+
+
+def _unmask(model) -> tuple[object, Optional[np.ndarray]]:
+    """The model under a chain of MaskedModels, and the columns of its
+    logits that the chain selects (None for an unmasked model)."""
+    cols = None
+    while isinstance(model, MaskedModel):
+        subset = np.asarray(model.subset, dtype=np.int64)
+        cols = subset if cols is None else subset[cols]
+        model = model.base
+    return model, cols
+
+
+def _fused_step(base, cols: Optional[np.ndarray], X: np.ndarray, y: np.ndarray,
+                pad: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Logits over `cols` of a built-in model and the input gradient of their
+    mean cross-entropy at labels y, from one forward and one backward pass.
+
+    The forward pass stays full width and the columns are selected after it;
+    the logit gradient is written into `pad`, a zeroed (rows x base labels)
+    buffer whose other columns stay zero, before the backward pass. Both
+    keep the matmuls of the unmasked model, so the bits match the two-pass
+    `logits` then `input_grad_from_dlogits` of a MaskedModel.
+    """
+    logits, cache = base._forward(X)
+    if cols is None:
+        return logits, base._backward(cache, _dlogits(logits, y))
+    logits = logits[:, cols]
+    pad[:, cols] = _dlogits(logits, y)
+    return logits, base._backward(cache, pad)
 
 
 @dataclass(frozen=True)
@@ -304,14 +395,21 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
     leaves the epsilon ball around the input. Restarts beyond the first begin
     at a deterministic random offset inside the ball; the restart with the
     highest final loss wins per sample.
+
+    Each step takes its logits and input gradient from one forward and one
+    backward pass of the model under any MaskedModel chain (`_fused_step`),
+    and updates the iterate in place; the result equals the two-pass form
+    (`logits`, then `input_grad_from_dlogits`, then `np.clip`) bit for bit.
     """
     single = np.asarray(x).ndim == 1
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if not hasattr(model, "input_grad_from_dlogits"):
-        raise CapabilityError(f"{type(model).__name__} cannot be attacked: no gradients")
+    base, cols = _unmask(model)
+    if not hasattr(base, "_backward"):
+        raise CapabilityError(f"{type(base).__name__} cannot be attacked: no gradients")
     n, d = X.shape
     lo, hi = X - params.epsilon, X + params.epsilon
+    pad = None if cols is None else np.zeros((n, base.n_labels))
 
     best = X.copy()
     best_loss = np.full(n, -math.inf)
@@ -319,20 +417,29 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
         if r == 0:
             cur = X.copy()
         else:
-            u = rng.uniforms(seed, rng.STREAM_PGD, (r - 1) * n * d, n * d)
-            cur = np.clip(X + params.epsilon * (2.0 * u.reshape(n, d) - 1.0), lo, hi)
+            cur = rng.uniforms(seed, rng.STREAM_PGD, (r - 1) * n * d, n * d).reshape(n, d)
+            cur *= 2.0
+            cur -= 1.0
+            cur *= params.epsilon
+            cur += X
+            _project(cur, lo, hi)
         for _ in range(params.iters):
-            logits = model.logits(cur)
-            grad = model.input_grad_from_dlogits(cur, _dlogits(logits, y))
-            cur = np.clip(cur + params.step * np.sign(grad), lo, hi)
-        logits = model.logits(cur)
-        zmax = logits.max(axis=1)
-        losses = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1)) \
-            - logits[np.arange(n), y]
+            grad = _fused_step(base, cols, cur, y, pad)[1]
+            np.sign(grad, out=grad)
+            grad *= params.step
+            cur += grad
+            _project(cur, lo, hi)
+        losses = _row_losses(model.logits(cur), y)
         better = losses > best_loss
         best[better] = cur[better]
         best_loss[better] = losses[better]
     return best[0] if single else best
+
+
+def _project(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Clip cur into [lo, hi] in place; equals np.clip whenever lo <= hi."""
+    np.minimum(cur, hi, out=cur)
+    np.maximum(cur, lo, out=cur)
 
 
 def gradient_check(model, x, y: int, step: float = 1e-5) -> float:

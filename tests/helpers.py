@@ -10,7 +10,10 @@ radius oracles are the per-subset gather and the full row sort that the
 within-class runner-up kernel replaces, and the certification
 oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
 `smoothing.certify_batch` batch, with noise taken as the normal quantile of
-`rng.uniforms` and the bound from `scipy.stats.beta.ppf`.
+`rng.uniforms` and the bound from `scipy.stats.beta.ppf`. The attack
+oracles are the two-pass PGD step (`logits`, then `input_grad_from_dlogits`,
+then `np.clip`) that the fused step replaces, softmax and cross-entropy
+from numpy's row max, and the per-target-node adversarial evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from scipy.optimize import linprog
 
 from hiercert import rng
 from hiercert.core import ABSTAIN
-from hiercert.hierarchy import SizeStats, _sample_subsets
+from hiercert.hierarchy import (
+    WORST_CASE,
+    AdversarialReport,
+    Leaf,
+    SizeStats,
+    _path_for_label,
+    _sample_subsets,
+    infer_batch,
+)
 from hiercert.smoothing import margin_radius
 
 
@@ -281,3 +292,89 @@ def certify_oracle(classifier, x, sigma: float, n0: int, n: int, alpha: float,
     if runner <= 0.0:
         return top, math.inf, p
     return top, 0.5 * sigma * max(float(special.ndtri(p)) - float(special.ndtri(runner)), 0.0), p
+
+
+def softmax_oracle(logits) -> np.ndarray:
+    """Row-wise softmax with numpy's row max and fresh arrays at every step."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy_oracle(logits, y) -> float:
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    zmax = z.max(axis=1)
+    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+
+
+def pgd_attack_oracle(model, x, y, params, seed: int = 0) -> np.ndarray:
+    """PGD with two passes per step: `logits`, then `input_grad_from_dlogits`
+    (which evaluates the first layer again), then `np.clip` into the ball."""
+    single = np.asarray(x).ndim == 1
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    n, d = X.shape
+    lo, hi = X - params.epsilon, X + params.epsilon
+    best = X.copy()
+    best_loss = np.full(n, -math.inf)
+    for r in range(params.restarts):
+        if r == 0:
+            cur = X.copy()
+        else:
+            u = rng.uniforms(seed, rng.STREAM_PGD, (r - 1) * n * d, n * d)
+            cur = np.clip(X + params.epsilon * (2.0 * u.reshape(n, d) - 1.0), lo, hi)
+        for _ in range(params.iters):
+            logits = model.logits(cur)
+            G = softmax_oracle(logits)
+            G[np.arange(n), y] -= 1.0
+            grad = model.input_grad_from_dlogits(cur, G / n)
+            cur = np.clip(cur + params.step * np.sign(grad), lo, hi)
+        logits = model.logits(cur)
+        zmax = logits.max(axis=1)
+        losses = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1)) \
+            - logits[np.arange(n), y]
+        better = losses > best_loss
+        best[better] = cur[better]
+        best_loss[better] = losses[better]
+    return best[0] if single else best
+
+
+def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
+    """`evaluate_adversarial` as one pass over every label group's path per
+    attacked node: clean correctness is recomputed for every target node,
+    and attacks run through `pgd_attack_oracle`."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    natural = float(np.mean(infer_batch(h, X) == y))
+    paths = {label: _path_for_label(h, int(label)) for label in np.unique(y)}
+
+    def node_ok(node, Xs, targets, attacked):
+        if isinstance(node, Leaf) and len(node.label_subset) == 1:
+            return np.ones(Xs.shape[0], dtype=bool)
+        model = node.classifier
+        if attacked:
+            Xs = pgd_attack_oracle(model, Xs, targets, scenario.attack, seed=seed)
+        return np.argmax(model.logits(Xs), axis=1) == targets
+
+    def correctness(attacked_id):
+        ok = np.ones(X.shape[0], dtype=bool)
+        for label, path in paths.items():
+            idx = np.flatnonzero(y == label)
+            for nid, node, target in path:
+                targets = np.full(idx.size, target, dtype=np.int64)
+                ok[idx] &= node_ok(node, X[idx], targets,
+                                   attacked_id is None or nid == attacked_id)
+        return ok
+
+    if scenario.mode == WORST_CASE:
+        return AdversarialReport(natural_acc=natural,
+                                 adv_acc=float(np.mean(correctness(None))))
+    if scenario.budget_target == "worst":
+        per_node = {nid: float(np.mean(correctness(nid))) for nid, _ in h.nodes()}
+        return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
+                                 per_node=per_node)
+    return AdversarialReport(natural_acc=natural,
+                             budget_acc=float(np.mean(correctness(scenario.budget_target))))

@@ -239,6 +239,20 @@ class TestSweepCommand:
         assert means == sorted(means, reverse=True)
 
 
+    @pytest.mark.parametrize("bad, message", [(1e-7, "row 1 sums to"),
+                                              (math.nan, "row 1: entries must be finite")])
+    def test_probability_file_rows_checked_at_the_tolerance(self, tmp_path, capsys,
+                                                           bad, message):
+        P = np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.2, 0.3, 0.5]])
+        P[1, 2] = bad
+        io.write_probs(tmp_path / "p.csv", ["a", "b", "c"], np.array([0, 1, 2]), P)
+        cfg = write_config(tmp_path, "c.json", {
+            "sigma": 0.5, "probs": {"probs": "p.csv"}, "sizes": [2], "mode": "all"})
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "p.csv: probability " + message in err and err.count("\n") == 1
+
+
 class TestDiscoverCommand:
     def test_embedding_clustering_recovers_split(self, tmp_path):
         # labels 0,1 cluster on the left, 2,3 on the right

@@ -9,6 +9,8 @@ from hiercert.core import (
     CertifiedPrediction,
     LabelPartition,
     LabelSpace,
+    as_probability_matrix,
+    as_probability_vector,
     argmax_label,
     hinge_gap,
     renormalize,
@@ -151,3 +153,57 @@ class TestArgmaxLabel:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValidationError):
             argmax_label([0.5, 0.5], set())
+
+
+class TestProbabilityVector:
+    @pytest.mark.parametrize("m", [3, 32, 33, 100])
+    def test_short_and_long_vectors_decide_alike(self, m):
+        good = np.zeros(m)
+        good[:2] = 0.5
+        assert as_probability_vector(good) is not None
+        for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5):
+            v = good.copy()
+            v[m // 2] = bad
+            with pytest.raises(ValidationError, match="finite and lie in"):
+                as_probability_vector(v)
+        for shift, ok in ((0.5e-9, True), (2e-9, False)):
+            v = good.copy()
+            v[-1] = shift
+            if ok:
+                as_probability_vector(v)
+            else:
+                with pytest.raises(ValidationError, match="sum to"):
+                    as_probability_vector(v)
+
+
+class TestProbabilityMatrix:
+    def test_valid_rows_pass_through(self):
+        P = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+        assert np.array_equal(as_probability_matrix(P), P)
+        assert as_probability_matrix(P.tolist()).dtype == np.float64
+        assert as_probability_matrix([0.5, 0.5]).shape == (1, 2)
+        assert as_probability_matrix(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.5, 0.6, -0.1], "row 2: entries must be finite"),
+        ([0.5, math.nan, 0.5], "row 2: entries must be finite"),
+        ([math.inf, 0.0, 0.0], "row 2: entries must be finite"),
+        ([0.5, 0.5, 0.2], "row 2 sums to 1.2"),
+        ([0.5, 0.5, 2e-9], "row 2 sums to"),
+    ])
+    def test_names_the_first_bad_row(self, row, message):
+        P = np.full((5, 3), 0.25)
+        P[:, 0] = 0.5
+        P[2] = P[4] = row
+        with pytest.raises(ValidationError, match=message):
+            as_probability_matrix(P)
+
+    def test_tolerance_matches_the_vector_check(self):
+        P = np.array([[0.5, 0.5 + 0.5e-9], [0.5, 0.5]])
+        as_probability_matrix(P)
+        as_probability_vector(P[0])
+        P[0, 1] = 0.5 + 2e-9
+        with pytest.raises(ValidationError):
+            as_probability_matrix(P)
+        with pytest.raises(ValidationError):
+            as_probability_vector(P[0])

@@ -26,11 +26,12 @@ from hiercert.hierarchy import (
     subset_radius_sweep,
     _within_radii,
 )
-from hiercert.models import LinearSoftmax, MaskedModel, PgdParams, softmax, train
+from hiercert.models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, softmax, train
 from hiercert.smoothing import margin_radius
 
 from helpers import (
     baseline_radii_oracle,
+    evaluate_adversarial_oracle,
     make_blobs,
     quantile_oracle,
     sweep_oracle,
@@ -225,6 +226,12 @@ class TestSweep:
             assert got[1].n_infinite == 150 and got[1].n_finite == 0
 
 
+    def test_rows_validated_as_probability_vectors(self):
+        P = [[0.6, 0.3, 0.1], [0.2, 0.1, 0.9], [0.5, 0.25, 0.25]]
+        with pytest.raises(ValidationError, match="row 1 sums to"):
+            subset_radius_sweep(P, 0.5, [3])
+
+
 class TestOrderingCommutativity:
     def test_refinement_is_order_independent(self):
         p_shape = LabelPartition(((0, 1, 2), (3, 4, 5)))
@@ -314,6 +321,23 @@ class TestAdversarial:
         single = evaluate_adversarial(
             h, X, y, AttackScenario(mode="budgeted", attack=params, budget_target="root.0"))
         assert single.budget_acc == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("mode,target", [("worst_case", None), ("budgeted", "root"),
+                                             ("budgeted", "root.0"), ("budgeted", "root.2"),
+                                             ("budgeted", "worst")])
+    def test_matches_per_target_oracle(self, mode, target):
+        base = SmallMlp.init(6, 4, 8, seed=51)
+        part = LabelPartition(((0, 1, 2), (3, 4), (5,)))
+        h = build_renormalize_hierarchy(part, SmallMlp.init(3, 4, 8, seed=52), base)
+        X = rng.normals(53, 330, 0, 900 * 4).reshape(900, 4)
+        y = infer_batch(h, X)
+        y[::7] = (y[::7] + 1) % 6
+        scenario = AttackScenario(mode=mode, budget_target=target,
+                                  attack=PgdParams(epsilon=0.3, step=0.1, iters=5, restarts=2))
+        got = evaluate_adversarial(h, X, y, scenario, seed=3)
+        assert got == evaluate_adversarial_oracle(h, X, y, scenario, seed=3)
+        attacked = got.adv_acc if mode == "worst_case" else got.budget_acc
+        assert 0.0 < attacked < got.natural_acc < 1.0 or target == "root.2"
 
     def test_budgeted_needs_valid_target(self):
         h, X, y = toy_three_label_hierarchy()

@@ -9,6 +9,7 @@ from hiercert.models import (
     MaskedModel,
     PgdParams,
     SmallMlp,
+    _row_max,
     accuracy,
     cross_entropy,
     gradient_check,
@@ -19,7 +20,13 @@ from hiercert.models import (
     train,
 )
 
-from helpers import linearly_separable, make_blobs
+from helpers import (
+    cross_entropy_oracle,
+    linearly_separable,
+    make_blobs,
+    pgd_attack_oracle,
+    softmax_oracle,
+)
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -242,3 +249,146 @@ class TestMaskedModel:
             xm[j] -= step
             num = (loss(xp) - loss(xm)) / (2 * step)
             assert analytic[j] == pytest.approx(num, abs=1e-6)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+LOGIT_CASES = {
+    "random": rng.normals(3, 310, 0, 4000 * 8).reshape(4000, 8) * 5.0,
+    "wide": rng.normals(3, 311, 0, 3 * 1000).reshape(3, 1000),
+    "ties": [[1.0, 1.0, 0.5], [2.0, -1.0, 2.0], [0.25, 0.5, 0.5]],
+    "all_equal": np.full((3, 4), 7.25),
+    "signed_zero": [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]],
+    "large": [[1e300, -1e300, 0.0], [709.0, 710.0, -745.0], [-1e308, -1e308, -1e308]],
+    "infinite": [[-np.inf, 0.0, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, 0.0, 1.0]],
+    "nan": [[np.nan, 0.0, 1.0], [0.0, 1.0, 2.0], [3.0, np.nan, np.nan]],
+}
+
+
+class TestSoftmaxBits:
+    """softmax and cross_entropy equal numpy's row-max formulas bit for bit."""
+
+    @pytest.mark.parametrize("case", LOGIT_CASES)
+    def test_softmax(self, case):
+        z = np.asarray(LOGIT_CASES[case], dtype=np.float64)
+        before = z.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(softmax(z), softmax_oracle(z))
+            for row in z:
+                assert same_bits(softmax(row), softmax_oracle(row))
+        assert same_bits(z, before)
+
+    @pytest.mark.parametrize("case", LOGIT_CASES)
+    def test_cross_entropy(self, case):
+        z = np.asarray(LOGIT_CASES[case], dtype=np.float64)
+        for label in (0, z.shape[1] - 1):
+            y = np.full(z.shape[0], label)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert same_bits(cross_entropy(z, y), cross_entropy_oracle(z, y))
+                for i in range(min(z.shape[0], 5)):
+                    assert same_bits(cross_entropy(z[i:i + 1], y[:1]),
+                                     cross_entropy_oracle(z[i:i + 1], y[:1]))
+
+    def test_nan_propagates_to_its_row_only(self):
+        out = softmax(np.asarray(LOGIT_CASES["nan"]))
+        assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1]).all()
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (5, 1), (0, 3), (2, 3, 4), (7, 2)])
+    def test_row_max_equals_numpy_max(self, shape):
+        z = rng.normals(5, 312, 0, int(np.prod(shape))).reshape(shape)
+        assert same_bits(_row_max(z), z.max(axis=-1))
+
+
+def _attack_models():
+    linear = LinearSoftmax.init(5, 6, seed=30)
+    mlp = SmallMlp.init(5, 6, 9, seed=31)
+    return {
+        "linear": linear,
+        "mlp": mlp,
+        "masked_linear": MaskedModel(linear, (0, 3)),
+        "masked_one": MaskedModel(mlp, (3,)),
+        "masked_two": MaskedModel(mlp, (1, 4)),
+        "masked_all": MaskedModel(mlp, (0, 1, 2, 3, 4)),
+        "masked_nested": MaskedModel(MaskedModel(mlp, (0, 2, 3, 4)), (3, 1, 2)),
+    }
+
+
+ATTACK_MODELS = _attack_models()
+
+
+def _attack_batch(model, n: int, seed: int):
+    d = model.input_dim
+    X = rng.normals(seed, 320, 0, n * d).reshape(n, d)
+    y = rng.integers(seed, 321, 0, n, model.n_labels)
+    return X, y
+
+
+class TestFusedPgd:
+    """pgd_attack's one-pass step equals the two-pass loop bit for bit."""
+
+    @pytest.mark.parametrize("restarts", [1, 4])
+    @pytest.mark.parametrize("n", [1, 1200])
+    @pytest.mark.parametrize("name", ATTACK_MODELS)
+    def test_matches_two_pass_oracle(self, name, n, restarts):
+        model = ATTACK_MODELS[name]
+        X, y = _attack_batch(model, n, seed=n + restarts)
+        params = PgdParams(epsilon=0.5, step=0.15, iters=6, restarts=restarts)
+        got = pgd_attack(model, X, y, params, seed=17)
+        assert same_bits(got, pgd_attack_oracle(model, X, y, params, seed=17))
+        assert not same_bits(got, X) or name == "masked_one"
+
+    @pytest.mark.parametrize("name", ATTACK_MODELS)
+    def test_zero_epsilon_matches_oracle(self, name):
+        model = ATTACK_MODELS[name]
+        X, y = _attack_batch(model, 40, seed=3)
+        params = PgdParams(epsilon=0.0, step=0.1, iters=3, restarts=2)
+        got = pgd_attack(model, X, y, params, seed=4)
+        assert same_bits(got, pgd_attack_oracle(model, X, y, params, seed=4))
+        assert same_bits(got, X)
+
+    def test_single_input_matches_oracle(self):
+        model = ATTACK_MODELS["masked_two"]
+        X, y = _attack_batch(model, 1, seed=8)
+        params = PgdParams(epsilon=0.3, step=0.1, iters=5, restarts=3)
+        got = pgd_attack(model, X[0], int(y[0]), params, seed=2)
+        assert got.shape == X[0].shape
+        assert same_bits(got, pgd_attack_oracle(model, X[0], int(y[0]), params, seed=2))
+
+    @pytest.mark.parametrize("name", ATTACK_MODELS)
+    def test_logits_and_input_grad_equal_two_passes(self, name):
+        model = ATTACK_MODELS[name]
+        X, y = _attack_batch(model, 300, seed=6)
+        logits, grad = model.logits_and_input_grad(X, y)
+        G = softmax_oracle(model.logits(X))
+        G[np.arange(len(y)), y] -= 1.0
+        assert same_bits(logits, model.logits(X))
+        assert same_bits(grad, model.input_grad_from_dlogits(X, G / len(y)))
+
+    def test_one_first_layer_evaluation_per_step(self):
+        evaluations = []
+
+        class CountingMlp(SmallMlp):
+            def _pre_activation(self, X):
+                evaluations.append(len(X))
+                return super()._pre_activation(X)
+
+        model = CountingMlp(*SmallMlp.init(4, 3, 5, seed=40).params())
+        params = PgdParams(epsilon=0.2, step=0.05, iters=7, restarts=3)
+        for attacked in (model, MaskedModel(model, (0, 2))):
+            X, y = _attack_batch(attacked, 50, seed=9)
+            evaluations.clear()
+            pgd_attack(attacked, X, y, params, seed=1)
+            # one per step, plus one for each restart's final loss
+            assert evaluations == [50] * (params.restarts * (params.iters + 1))
+            evaluations.clear()
+            pgd_attack_oracle(attacked, X, y, params, seed=1)
+            assert len(evaluations) == params.restarts * (2 * params.iters + 1)
+
+    def test_masked_lookup_rejected(self):
+        lookup = LookupClassifier(table={"a": np.zeros(3)}, n_labels=3)
+        with pytest.raises(CapabilityError, match="LookupClassifier"):
+            pgd_attack(MaskedModel(lookup, (0, 1)), np.zeros((1, 2)), [0],
+                       PgdParams(epsilon=0.1, step=0.05), seed=0)
