@@ -177,23 +177,32 @@ class SmallMlp:
         return Z
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits, and the pre-activation Z that `_backward` takes."""
-        Z = self._pre_activation(X)
-        out = np.maximum(Z, 0.0) @ self.W2.T
-        out += self.b2
-        return out, Z
+        """Logits, and the hidden activation H that `_backward` takes.
 
-    def _backward(self, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Input gradient from the logit gradients G at pre-activation Z."""
+        The ReLU runs in place on the pre-activation, so a batch holds one
+        hidden-width array instead of two.
+        """
+        H = self._pre_activation(X)
+        np.maximum(H, 0.0, out=H)
+        out = H @ self.W2.T
+        out += self.b2
+        return out, H
+
+    def _backward(self, H: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Input gradient from the logit gradients G at hidden activation H.
+
+        H > 0 exactly where the pre-activation is > 0 (NaN included), so the
+        ReLU mask is the one the pre-activation gives.
+        """
         dH = G @ self.W2
-        dH *= Z > 0.0
+        dH *= H > 0.0
         return dH @ self.W1
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self._forward(X)[0]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return self._backward(self._pre_activation(X), G)
+        return self._backward(self._forward(X)[1], G)
 
     def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
         """Logits of the (n, d) batch X and the input gradient of their mean
