@@ -107,13 +107,6 @@ class CertifiedPrediction:
         return self.label == ABSTAIN
 
 
-#: Vectors up to this length are range-checked with Python's min and max
-#: over a list: three numpy reductions cost ~1.5 us each however short the
-#: vector, while the list path costs about as much as one of them at 8
-#: entries and loses to numpy beyond ~50 entries.
-_SHORT_VECTOR = 32
-
-
 def as_probability_vector(p, *, validate: bool = True) -> np.ndarray:
     """Coerce to a 1-D float64 array and optionally check simplex invariants."""
     v = np.asarray(p, dtype=np.float64)
@@ -121,11 +114,10 @@ def as_probability_vector(p, *, validate: bool = True) -> np.ndarray:
         raise ValidationError("probability vector must be 1-D and nonempty")
     if validate:
         total = float(np.add.reduce(v))
-        if v.size <= _SHORT_VECTOR:
-            values = v.tolist()
-            lo, hi = min(values), max(values)
-        else:
-            lo, hi = np.minimum.reduce(v), np.maximum.reduce(v)
+        # Python's min and max over a list: on the short vectors of the
+        # callers, two numpy reductions cost more than the list conversion.
+        values = v.tolist()
+        lo, hi = min(values), max(values)
         # A NaN entry makes the total NaN, which fails `total == total`;
         # +-inf entries fail the range test.
         if not (lo >= 0.0 and hi <= 1.0 and total == total):

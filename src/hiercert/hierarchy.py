@@ -465,13 +465,17 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
             ok[groups[gi][0]] &= good
         return AdversarialReport(natural_acc=natural, adv_acc=float(np.mean(ok)))
 
+    # A single budgeted target never needs its own clean correctness.
+    every_target = scenario.budget_target == "worst"
     clean = {(gi, nid): _node_correct_clean(node, X[idx], targets)
-             for gi, (idx, path) in enumerate(groups) for nid, node, targets in path}
+             for gi, (idx, path) in enumerate(groups) for nid, node, targets in path
+             if every_target or nid not in attacked_ids}
 
     def budget_accuracy(target_id: str) -> float:
         ok = np.ones(X.shape[0], dtype=bool)
-        for (gi, nid), good in clean.items():
-            ok[groups[gi][0]] &= attacked[gi, nid] if nid == target_id else good
+        for gi, (idx, path) in enumerate(groups):
+            for nid, _, _ in path:
+                ok[idx] &= attacked[gi, nid] if nid == target_id else clean[gi, nid]
         return float(np.mean(ok))
 
     if scenario.budget_target == "worst":

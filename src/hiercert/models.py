@@ -118,11 +118,6 @@ class LinearSoftmax:
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
         return self._backward(None, G)
 
-    def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
-        """Logits of the (n, d) batch X and the input gradient of their mean
-        cross-entropy at labels y, from one forward and one backward pass."""
-        return _fused_step(self, None, X, y, None)
-
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W, self.b)
 
@@ -192,7 +187,7 @@ class SmallMlp:
         """Input gradient from the logit gradients G at hidden activation H.
 
         H > 0 exactly where the pre-activation is > 0 (NaN included), so the
-        ReLU mask is the one the pre-activation gives.
+        pre-activation may be passed as H: the ReLU mask is the same.
         """
         dH = G @ self.W2
         dH *= H > 0.0
@@ -202,12 +197,7 @@ class SmallMlp:
         return self._forward(X)[0]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return self._backward(self._forward(X)[1], G)
-
-    def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
-        """Logits of the (n, d) batch X and the input gradient of their mean
-        cross-entropy at labels y, from one forward and one backward pass."""
-        return _fused_step(self, None, X, y, None)
+        return self._backward(self._pre_activation(X), G)
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
@@ -275,12 +265,6 @@ class MaskedModel:
         full = np.zeros((G.shape[0], self.base.n_labels))
         full[:, list(self.subset)] = G
         return self.base.input_grad_from_dlogits(X, full)
-
-    def logits_and_input_grad(self, X: np.ndarray, y: np.ndarray):
-        """Local logits and the input gradient of their mean cross-entropy at
-        local labels y, from one pass of the base model each way."""
-        base, cols = _unmask(self)
-        return _fused_step(base, cols, X, y, np.zeros((np.shape(X)[0], base.n_labels)))
 
 
 def _unmask(model) -> tuple[object, Optional[np.ndarray]]:

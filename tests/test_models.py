@@ -357,16 +357,6 @@ class TestFusedPgd:
         assert got.shape == X[0].shape
         assert same_bits(got, pgd_attack_oracle(model, X[0], int(y[0]), params, seed=2))
 
-    @pytest.mark.parametrize("name", ATTACK_MODELS)
-    def test_logits_and_input_grad_equal_two_passes(self, name):
-        model = ATTACK_MODELS[name]
-        X, y = _attack_batch(model, 300, seed=6)
-        logits, grad = model.logits_and_input_grad(X, y)
-        G = softmax_oracle(model.logits(X))
-        G[np.arange(len(y)), y] -= 1.0
-        assert same_bits(logits, model.logits(X))
-        assert same_bits(grad, model.input_grad_from_dlogits(X, G / len(y)))
-
     def test_one_first_layer_evaluation_per_step(self):
         evaluations = []
 
