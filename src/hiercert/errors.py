@@ -23,10 +23,6 @@ class ConfigError(ValidationError):
         super().__init__(f"field '{field}': {message}" + (f" (hint: {hint})" if hint else ""))
 
 
-class DegenerateRenormalizationError(HiercertError):
-    """Requested label subset carries zero probability mass; treat the sample as abstain."""
-
-
 class RoutingMismatchError(HiercertError):
     """The probability argmax lies outside the routed label subset."""
 

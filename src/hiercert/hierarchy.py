@@ -180,11 +180,6 @@ def infer_batch(h: Hierarchy, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def infer(h: Hierarchy, x) -> int:
-    """Single-input inference; singleton leaves skip classifier evaluation."""
-    return int(infer_batch(h, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def _within_radii(P: np.ndarray, g: np.ndarray, allowed, sigma: float) -> np.ndarray:
     """Two-sided radius of each row's top label g against its runner-up among
     the `allowed` labels (a boolean mask broadcast against P).
@@ -330,23 +325,6 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
                               q25=math.nan, median=math.nan, q75=math.nan)
         out[s] = stats
     return out
-
-
-def refine_partition(first: LabelPartition, second: LabelPartition) -> LabelPartition:
-    """Stack two partitions: classes are the nonempty pairwise intersections.
-
-    Intersection is symmetric, so the induced leaf label sets do not depend
-    on which partition routes first; only their order differs.
-    """
-    if first.n_labels != second.n_labels:
-        raise ValidationError("partitions cover different label spaces")
-    classes = []
-    for a in first.classes:
-        for b in second.classes:
-            inter = tuple(sorted(set(a) & set(b)))
-            if inter:
-                classes.append(inter)
-    return LabelPartition(tuple(classes), n_labels=first.n_labels)
 
 
 @dataclass(frozen=True)

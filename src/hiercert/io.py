@@ -19,7 +19,7 @@ import numpy as np
 from .core import LabelPartition
 from .errors import ValidationError
 from .hierarchy import Hierarchy, Intermediate, Leaf, RENORMALIZE
-from .models import LinearSoftmax, LookupClassifier, MaskedModel, SmallMlp
+from .models import LinearSoftmax, MaskedModel, SmallMlp
 
 
 #: Columns of a certificates table; an abstained row has an empty radius.
@@ -264,12 +264,6 @@ def model_from_dict(spec: dict, base_dir: Path | None = None):
                         b1=np.array(spec["b1"], dtype=np.float64),
                         W2=np.array(spec["W2"], dtype=np.float64),
                         b2=np.array(spec["b2"], dtype=np.float64))
-    if kind == "lookup":
-        path = Path(spec["logits"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        ids, _, values = read_logits(path)
-        return LookupClassifier(table=dict(zip(ids, values)), n_labels=values.shape[1])
     raise ValidationError(f"unknown model type {kind!r}")
 
 

@@ -1,9 +1,9 @@
 """Built-in classifiers and attacks.
 
 Everything here is desk scale and dependency free: a linear softmax model,
-a one-hidden-layer ReLU network with manual backpropagation, a file-backed
-lookup classifier for precomputed logits, full-batch gradient-descent
-training (optionally under Gaussian input noise), and an l-inf PGD attack.
+a one-hidden-layer ReLU network with manual backpropagation, full-batch
+gradient-descent training (optionally under Gaussian input noise), and an
+l-inf PGD attack.
 
 Models are immutable; training returns a new instance. All randomness
 (parameter init, training noise, attack restarts) flows through the
@@ -121,9 +121,13 @@ class LinearSoftmax:
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W, self.b)
 
-    def param_grads_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _param_grads(self, X: np.ndarray, cache: None, G: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Parameter gradients from the logit gradients G at inputs X."""
         X = np.asarray(X, dtype=np.float64)
         return (G.T @ X, G.sum(axis=0))
+
+    def param_grads_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+        return self._param_grads(X, None, G)
 
     def with_params(self, params: Sequence[np.ndarray]) -> "LinearSoftmax":
         W, b = params
@@ -202,38 +206,22 @@ class SmallMlp:
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
 
-    def param_grads_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _param_grads(self, X: np.ndarray, H: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Parameter gradients from the logit gradients G at inputs X and
+        hidden activation H (the cache of `_forward`)."""
         X = np.asarray(X, dtype=np.float64)
-        Z = self._pre_activation(X)
-        H = np.maximum(Z, 0.0)
         dW2 = G.T @ H
         db2 = G.sum(axis=0)
-        dZ = (G @ self.W2) * (Z > 0.0)
+        dZ = G @ self.W2
+        dZ *= H > 0.0
         return (dZ.T @ X, dZ.sum(axis=0), dW2, db2)
+
+    def param_grads_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+        return self._param_grads(X, self._forward(X)[1], G)
 
     def with_params(self, params: Sequence[np.ndarray]) -> "SmallMlp":
         W1, b1, W2, b2 = params
         return SmallMlp(W1=W1, b1=b1, W2=W2, b2=b2)
-
-
-@dataclass(frozen=True)
-class LookupClassifier:
-    """Precomputed logits keyed by sample id, for file-backed case studies."""
-
-    table: dict
-    n_labels: int
-
-    def __post_init__(self):
-        table = {sid: np.asarray(row, dtype=np.float64) for sid, row in self.table.items()}
-        for sid, row in table.items():
-            if row.shape != (self.n_labels,):
-                raise ValidationError(f"logits row for {sid!r} has wrong length")
-        object.__setattr__(self, "table", table)
-
-    def logits_for_id(self, sample_id) -> np.ndarray:
-        if sample_id not in self.table:
-            raise ValidationError(f"unknown sample id {sample_id!r}")
-        return self.table[sample_id]
 
 
 @dataclass(frozen=True)
@@ -315,21 +303,14 @@ class PgdParams:
             raise ValidationError("iters and restarts must be >= 1")
 
 
-def predict_proba(model, x) -> np.ndarray:
-    """Class probabilities for one input vector, or one sample id for lookups."""
-    if isinstance(model, LookupClassifier):
-        return softmax(model.logits_for_id(x))
-    v = np.asarray(x, dtype=np.float64)
-    return softmax(model.logits(v[None, :]))[0]
-
-
 def train(model, X: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float,
           noise_sigma: float | None = None, seed: int = 0):
     """Full-batch gradient descent on cross-entropy; returns the trained model.
 
     With noise_sigma set, every epoch sees a fresh Gaussian perturbation of
     the inputs (the standard way to fit a base classifier that will be
-    smoothed at the same noise level).
+    smoothed at the same noise level). Each epoch makes one forward pass,
+    whose cache also serves the parameter gradients.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -345,11 +326,11 @@ def train(model, X: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float
                 inputs = X + noise_sigma * eta.reshape(n, d)
             else:
                 inputs = X
-            logits = current.logits(inputs)
+            logits, cache = current._forward(inputs)
             loss = cross_entropy(logits, y)
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(epoch, loss)
-            grads = current.param_grads_from_dlogits(inputs, _dlogits(logits, y))
+            grads = current._param_grads(inputs, cache, _dlogits(logits, y))
             if not all(np.all(np.isfinite(g)) for g in grads):
                 raise TrainingDivergenceError(epoch, loss)
             current = current.with_params(
@@ -361,24 +342,6 @@ def train(model, X: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float
 def accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
     pred = np.argmax(model.logits(np.asarray(X, dtype=np.float64)), axis=1)
     return float(np.mean(pred == np.asarray(y)))
-
-
-def adversarial_train(model, X: np.ndarray, y: np.ndarray, epochs: int,
-                      learning_rate: float, attack: "PgdParams", seed: int = 0):
-    """Robust training: every epoch descends on PGD examples of the current model.
-
-    The inner attack runs against the evolving parameters with a
-    deterministic per-epoch seed, so the whole procedure is a pure
-    function of (data, seed).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    current = model
-    for epoch in range(epochs):
-        adv = pgd_attack(current, X, y, attack,
-                         seed=rng.mix64(seed ^ (0x5A5A_0000 + epoch)))
-        current = train(current, adv, y, epochs=1, learning_rate=learning_rate)
-    return current
 
 
 def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:

@@ -6,12 +6,12 @@ probability from Monte-Carlo counts and converts it into a certified
 l2 radius:
 
     one-sided:  R = sigma * Phi^-1(p_a_lower)
-    two-sided:  R = sigma / 2 * (Phi^-1(p_a_lower) - Phi^-1(p_b_upper))
+    two-sided:  R = sigma / 2 * (Phi^-1(p_top) - Phi^-1(p_runner))
 
-The one-sided form is the default and equals the two-sided form with
-p_b_upper = 1 - p_a_lower. The two-sided form is used where an explicit
-runner-up bound exists, e.g. the renormalized leaf certificates in the
-hierarchy module.
+Certificates always take the one-sided form, which equals the two-sided
+form with p_top = p_a_lower and p_runner = 1 - p_a_lower. The two-sided
+form, `margin_radius`, serves only the margin estimates of the hierarchy
+module (the renormalized leaves and the subset sweep).
 
 Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs and chunk sizes.
@@ -210,14 +210,12 @@ class CertifiedBatch:
             p_a_lower=float(self.p_a_lower[i]), sigma=self.sigma, n_samples=self.n_samples)
 
 
-def certify_batch(classifier, X, config: SmoothingConfig, seeds,
-                  p_b_upper=None) -> CertifiedBatch:
+def certify_batch(classifier, X, config: SmoothingConfig, seeds) -> CertifiedBatch:
     """Certify every row of X, input i under seed seeds[i].
 
     Selects each top label with n0 samples, then bounds its probability
     with n samples. An input abstains when its lower bound does not exceed
-    1/2. When p_b_upper (a scalar or one value per input) is given, the
-    two-sided radius is reported instead of the one-sided default.
+    1/2; the runner-up is bounded by 1 - p_a_lower.
     """
     selection = vote_counts(classifier, X, config.sigma, config.n0, seeds,
                             stream=rng.STREAM_SELECT)
@@ -227,25 +225,20 @@ def certify_batch(classifier, X, config: SmoothingConfig, seeds,
     p_lower = clopper_pearson_lower_batch(
         estimation[np.arange(top.size), top], config.n, config.alpha_conf)
     certified = p_lower > 0.5
-    p_runner = 1.0 - p_lower if p_b_upper is None else np.broadcast_to(
-        np.asarray(p_b_upper, dtype=np.float64), p_lower.shape)
     radii = np.full(p_lower.shape, np.nan)
-    radii[certified] = margin_radius(config.sigma, p_lower[certified], p_runner[certified])
+    radii[certified] = margin_radius(config.sigma, p_lower[certified],
+                                     1.0 - p_lower[certified])
     return CertifiedBatch(labels=np.where(certified, top, ABSTAIN), radii=radii,
                           p_a_lower=p_lower, sigma=config.sigma, n_samples=config.n)
 
 
-def certify(classifier, x, config: SmoothingConfig, seed: int,
-            p_b_upper: float | None = None) -> CertifiedPrediction:
+def certify(classifier, x, config: SmoothingConfig, seed: int) -> CertifiedPrediction:
     """Select the top label with n0 samples, then certify it with n samples.
 
-    Abstains when the estimated lower bound does not exceed 1/2. When
-    p_b_upper is given, the two-sided radius is reported instead of the
-    one-sided default.
+    Abstains when the estimated lower bound does not exceed 1/2.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return certify_batch(classifier, x, config, [seed & 0xFFFFFFFFFFFFFFFF],
-                         p_b_upper).prediction(0)
+    return certify_batch(classifier, x, config, [seed & 0xFFFFFFFFFFFFFFFF]).prediction(0)
 
 
 def exact_smoothed_linear(w, b: float, x, sigma: float) -> float:

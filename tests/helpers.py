@@ -13,7 +13,10 @@ oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
 `rng.uniforms` and the bound from `scipy.stats.beta.ppf`. The attack
 oracles are the two-pass PGD step (`logits`, then `input_grad_from_dlogits`,
 then `np.clip`) that the fused step replaces, softmax and cross-entropy
-from numpy's row max, and the per-target-node adversarial evaluation.
+from numpy's row max, and the per-target-node adversarial evaluation. The
+training oracle is the two-pass epoch (`logits`, then the parameter
+gradients from a second first-layer evaluation) that `models.train`
+replaces.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from hiercert.hierarchy import (
     _sample_subsets,
     infer_batch,
 )
+from hiercert.models import SmallMlp
 from hiercert.smoothing import margin_radius
 
 
@@ -276,7 +280,7 @@ def vote_counts_oracle(classifier, x, sigma: float, n: int, seed: int,
 
 
 def certify_oracle(classifier, x, sigma: float, n0: int, n: int, alpha: float,
-                   seed: int, p_b_upper: float | None = None):
+                   seed: int):
     """(label, radius or None, p_a_lower) of CERTIFY for one input."""
     top = int(np.argmax(vote_counts_oracle(classifier, x, sigma, n0, seed, rng.STREAM_SELECT)))
     k = int(vote_counts_oracle(classifier, x, sigma, n, seed, rng.STREAM_NOISE)[top])
@@ -288,10 +292,9 @@ def certify_oracle(classifier, x, sigma: float, n0: int, n: int, alpha: float,
         p = float(stats.beta.ppf(alpha, k, n - k + 1))
     if p <= 0.5:
         return ABSTAIN, None, p
-    runner = 1.0 - p if p_b_upper is None else p_b_upper
-    if runner <= 0.0:
+    if p >= 1.0:
         return top, math.inf, p
-    return top, 0.5 * sigma * max(float(special.ndtri(p)) - float(special.ndtri(runner)), 0.0), p
+    return top, 0.5 * sigma * max(float(special.ndtri(p)) - float(special.ndtri(1.0 - p)), 0.0), p
 
 
 def softmax_oracle(logits) -> np.ndarray:
@@ -340,6 +343,37 @@ def pgd_attack_oracle(model, x, y, params, seed: int = 0) -> np.ndarray:
         best[better] = cur[better]
         best_loss[better] = losses[better]
     return best[0] if single else best
+
+
+def _param_grads_oracle(model, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Parameter gradients of a linear or one-hidden-layer model, with the
+    first layer evaluated afresh."""
+    if isinstance(model, SmallMlp):
+        Z = X @ model.W1.T + model.b1
+        H = np.maximum(Z, 0.0)
+        dZ = (G @ model.W2) * (Z > 0.0)
+        return (dZ.T @ X, dZ.sum(axis=0), G.T @ H, G.sum(axis=0))
+    return (G.T @ X, G.sum(axis=0))
+
+
+def train_oracle(model, X, y, epochs: int, learning_rate: float,
+                 noise_sigma: float | None = None, seed: int = 0):
+    """Full-batch gradient descent with two first-layer evaluations per epoch:
+    `logits`, then the parameter gradients from a fresh forward pass."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, d = X.shape
+    for epoch in range(epochs):
+        inputs = X
+        if noise_sigma:
+            eta = rng.normals(seed, rng.STREAM_TRAIN, epoch * n * d, n * d)
+            inputs = X + noise_sigma * eta.reshape(n, d)
+        G = softmax_oracle(model.logits(inputs))
+        G[np.arange(n), y] -= 1.0
+        grads = _param_grads_oracle(model, inputs, G / n)
+        model = model.with_params([p - learning_rate * g
+                                   for p, g in zip(model.params(), grads)])
+    return model
 
 
 def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):

@@ -169,7 +169,8 @@ class TestCertifyCommand:
             assert meta["versions"]["numpy"] == np.__version__
             assert meta["versions"]["hiercert"] == hiercert.__version__
 
-    def test_lookup_model_rejected(self, tmp_path):
+    def test_lookup_model_rejected(self, tmp_path, capsys):
+        # the lookup model type is gone: it is an unknown type like any other
         io.write_logits(tmp_path / "l.csv", ["a"], np.array([0]), np.array([[1.0, 0.0]]))
         io.write_features(tmp_path / "data.csv", ["a"], np.array([0]), np.array([[0.0, 0.0]]))
         cfg = write_config(tmp_path, "c.json", {
@@ -177,6 +178,17 @@ class TestCertifyCommand:
             "dataset": {"features": "data.csv"},
         })
         assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "unknown model type 'lookup'" in capsys.readouterr().err
+
+
+def _attack_config(tmp_path, hierarchy_spec) -> str:
+    """An attack config over one input and the given hierarchy json."""
+    io.write_json(tmp_path / "h.json", hierarchy_spec)
+    io.write_features(tmp_path / "data.csv", ["a"], np.array([0]), np.array([[0.0, 0.0]]))
+    return write_config(tmp_path, "c.json", {
+        "hierarchy": "h.json", "dataset": {"features": "data.csv"},
+        "attack": {"mode": "worst_case", "epsilon": 0.1, "step": 0.05, "iters": 3},
+    })
 
 
 class TestValidation:
@@ -190,23 +202,28 @@ class TestValidation:
         assert cli.main(["toy-prf", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")]) == 1
 
-    def test_runtime_error_exits_two(self, tmp_path, capsys):
-        # attacking a lookup classifier is a capability error, not validation
-        spec = {"n_labels": 2,
-                "root": {"kind": "leaf", "labels": [0, 1], "strategy": "renormalize",
-                         "classifier": {"type": "lookup", "logits": "l.csv"}}}
-        io.write_logits(tmp_path / "l.csv", ["a"], np.array([0]), np.array([[1.0, 0.0]]))
-        io.write_json(tmp_path / "h.json", spec)
-        io.write_features(tmp_path / "data.csv", ["a"], np.array([0]),
-                          np.array([[0.0, 0.0]]))
-        cfg = write_config(tmp_path, "c.json", {
-            "hierarchy": "h.json", "dataset": {"features": "data.csv"},
-            "attack": {"mode": "worst_case", "epsilon": 0.1, "step": 0.05, "iters": 3},
-        })
+    def test_runtime_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a capability error is a runtime error, not validation
+        def no_gradients(*args, **kwargs):
+            raise CapabilityError("node 'root': no gradients")
+
+        monkeypatch.setattr(cli, "evaluate_adversarial", no_gradients)
+        cfg = _attack_config(tmp_path, {"n_labels": 2, "root": {
+            "kind": "leaf", "labels": [0, 1], "strategy": "renormalize",
+            "classifier": constant_model_spec(2, 2, 0)}})
         assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error[runtime] CapabilityError: node 'root': a LookupClassifier")
+        assert err.startswith("error[runtime] CapabilityError: node 'root': no gradients")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_attack_over_lookup_node_exits_one(self, tmp_path, capsys):
+        io.write_logits(tmp_path / "l.csv", ["a"], np.array([0]), np.array([[1.0, 0.0]]))
+        cfg = _attack_config(tmp_path, {"n_labels": 2, "root": {
+            "kind": "leaf", "labels": [0, 1], "strategy": "renormalize",
+            "classifier": {"type": "lookup", "logits": "l.csv"}}})
+        assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown model type 'lookup'" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("exc, traceback", [(RuntimeError("kaboom"), True),
                                                 (CapabilityError("kaboom"), False)])
@@ -320,6 +337,27 @@ class TestHierarchyCommand:
             assert (float(row[cols.index("hierarchy_cr_mean")])
                     >= float(row[cols.index("baseline_cr_mean")]))
 
+    def test_attack_key_rejected(self, tmp_path, capsys):
+        # attacks run only through the attack command
+        P = synth_prob_dataset(9, 20, 3)
+        io.write_probs(tmp_path / "p.csv", [f"s{i}" for i in range(20)],
+                       np.argmax(P, axis=1), P)
+        cfg = write_config(tmp_path, "c.json", {
+            "sigma": 0.5, "partition": [[0, 1], [2]], "probs": {"probs": "p.csv"},
+            "attack": {"mode": "worst_case", "epsilon": 0.1, "step": 0.05},
+        })
+        assert cli.main(["hierarchy", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation] field 'attack': unknown key for 'hierarchy'")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_nothing_to_do_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"sigma": 0.5})
+        assert cli.main(["hierarchy", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+class TestAttackCommand:
     def test_attack_section_runs(self, tmp_path):
         X, y = make_blobs(9, 30, [(-3, -1), (-3, 1), (3, 0)], spread=0.3)
         base = train(LinearSoftmax.init(3, 2, seed=1), X, y, epochs=200, learning_rate=0.5)
@@ -334,14 +372,10 @@ class TestHierarchyCommand:
             "attack": {"mode": "budgeted", "budget_target": "worst",
                        "epsilon": 0.1, "step": 0.05, "iters": 5},
         })
-        assert cli.main(["hierarchy", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "adversarial_accuracy.csv").read_text().splitlines()
         assert lines[0] == "node,natural_acc,adv_acc,budget_acc"
         assert len(lines) >= 4  # summary + one row per node
-
-    def test_nothing_to_do_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {"sigma": 0.5})
-        assert cli.main(["hierarchy", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
 class TestToyCommands:

@@ -11,11 +11,9 @@ from hiercert.core import (
     LabelSpace,
     as_probability_matrix,
     as_probability_vector,
-    argmax_label,
     hinge_gap,
-    renormalize,
 )
-from hiercert.errors import DegenerateRenormalizationError, ValidationError
+from hiercert.errors import ValidationError
 
 
 class TestLabelSpace:
@@ -85,10 +83,6 @@ class TestHingeGap:
                     [math.inf, 0.5, 0.5], [-math.inf, 0.5, 1.5]):
             with pytest.raises(ValidationError):
                 hinge_gap(bad, 1, {0, 1, 2})
-            with pytest.raises(ValidationError):
-                argmax_label(bad)
-            with pytest.raises(ValidationError):
-                renormalize(bad, {0, 1})
 
     def test_anti_monotone_in_competitor_set(self):
         # 10^4 random (alpha, c, L1 subset of L2) triples, exact comparison
@@ -108,51 +102,6 @@ class TestHingeGap:
             if not gap_big <= gap_small:
                 violations += 1
         assert violations == 0
-
-
-class TestRenormalize:
-    def test_proportional_rescale(self):
-        out = renormalize([0.5, 0.3, 0.2], {1, 2})
-        assert np.allclose(out, [0.6, 0.4])
-
-    def test_identity_on_full_space(self):
-        out = renormalize([0.5, 0.3, 0.2], {0, 1, 2})
-        assert np.allclose(out, [0.5, 0.3, 0.2])
-
-    def test_zero_mass_is_degenerate(self):
-        with pytest.raises(DegenerateRenormalizationError):
-            renormalize([1.0, 0.0, 0.0], {1, 2})
-
-    def test_preserves_argmax_ordering(self):
-        for t in range(2000):
-            u = rng.uniforms(31, 903, t * 6, 6)
-            p = -np.log(u)
-            p /= p.sum()
-            subset = tuple(sorted({int(v) for v in np.argsort(u)[:3]}))
-            before = argmax_label(p, subset)
-            after = renormalize(p, subset)
-            assert subset[int(np.argmax(after))] == before
-
-    def test_idempotent(self):
-        p = np.array([0.5, 0.3, 0.15, 0.05])
-        once = renormalize(p, (1, 2, 3))
-        twice = renormalize(once, (0, 1, 2))
-        assert np.max(np.abs(once - twice)) < 1e-12
-
-
-class TestArgmaxLabel:
-    def test_plain(self):
-        assert argmax_label([0.2, 0.5, 0.3]) == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert argmax_label([0.4, 0.4, 0.2]) == 0
-
-    def test_restricted(self):
-        assert argmax_label([0.6, 0.1, 0.3], {1, 2}) == 2
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValidationError):
-            argmax_label([0.5, 0.5], set())
 
 
 class TestProbabilityVector:

@@ -16,10 +16,8 @@ from hiercert.hierarchy import (
     evaluate_adversarial,
     flat_hierarchy,
     hierarchy_certificate,
-    infer,
     infer_batch,
     leaf_certificate_renormalized,
-    refine_partition,
     renormalization_report,
     renormalized_radii,
     retrain_leaf,
@@ -76,7 +74,7 @@ class TestInfer:
                             children=(Leaf((0, 1), classifier=MaskedModel(linear(np.eye(3)[:, :2]), (0, 1))),
                                       Leaf((2,))))
         h = Hierarchy(root=root, n_labels=3)
-        assert infer(h, np.array([5.0, 0.0])) == 2
+        assert infer_batch(h, np.array([[5.0, 0.0]])).tolist() == [2]
 
     def test_flat_hierarchy_equals_base(self):
         base = train(LinearSoftmax.init(3, 2, seed=1), *make_blobs(8, 40, [(-2, 0), (2, 0), (0, 2)]),
@@ -230,30 +228,6 @@ class TestSweep:
         P = [[0.6, 0.3, 0.1], [0.2, 0.1, 0.9], [0.5, 0.25, 0.25]]
         with pytest.raises(ValidationError, match="row 1 sums to"):
             subset_radius_sweep(P, 0.5, [3])
-
-
-class TestOrderingCommutativity:
-    def test_refinement_is_order_independent(self):
-        p_shape = LabelPartition(((0, 1, 2), (3, 4, 5)))
-        p_other = LabelPartition(((0, 1, 3, 4), (2, 5)))
-        ab = refine_partition(p_shape, p_other)
-        ba = refine_partition(p_other, p_shape)
-        assert {frozenset(c) for c in ab.classes} == {frozenset(c) for c in ba.classes}
-
-    def test_leaf_certificates_identical_under_either_order(self):
-        p_shape = LabelPartition(((0, 1, 2), (3, 4, 5)))
-        p_other = LabelPartition(((0, 1, 3, 4), (2, 5)))
-        ab = refine_partition(p_shape, p_other)
-        ba = refine_partition(p_other, p_shape)
-        P = synth_prob_dataset(31, 200, 6)
-        for i in range(P.shape[0]):
-            g = int(np.argmax(P[i]))
-            sub_ab = next(c for c in ab.classes if g in c)
-            sub_ba = next(c for c in ba.classes if g in c)
-            assert sub_ab == sub_ba
-            ra = leaf_certificate_renormalized(P[i], sub_ab, 0.5).radius
-            rb = leaf_certificate_renormalized(P[i], sub_ba, 0.5).radius
-            assert ra == rb
 
 
 def toy_three_label_hierarchy():

@@ -7,7 +7,7 @@ from hiercert import io, rng
 from hiercert.core import LabelPartition
 from hiercert.errors import ValidationError
 from hiercert.hierarchy import build_renormalize_hierarchy, infer_batch
-from hiercert.models import LinearSoftmax, LookupClassifier, SmallMlp
+from hiercert.models import LinearSoftmax, SmallMlp
 
 from helpers import read_wide_csv_oracle
 
@@ -175,14 +175,6 @@ class TestModelJson:
         got = io.load_model(tmp_path / "m.json")
         for a, b in zip(model.params(), got.params()):
             assert np.array_equal(a, b)
-
-    def test_lookup_from_logits_csv(self, tmp_path):
-        io.write_logits(tmp_path / "l.csv", ["a", "b"], np.array([0, 1]),
-                        np.array([[1.0, 0.0], [0.0, 2.0]]))
-        model = io.model_from_dict({"type": "lookup", "logits": "l.csv"},
-                                   base_dir=tmp_path)
-        assert isinstance(model, LookupClassifier)
-        assert np.array_equal(model.logits_for_id("b"), [0.0, 2.0])
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,6 @@ from hiercert import rng
 from hiercert.errors import CapabilityError, TrainingDivergenceError, ValidationError
 from hiercert.models import (
     LinearSoftmax,
-    LookupClassifier,
     MaskedModel,
     PgdParams,
     SmallMlp,
@@ -15,7 +14,6 @@ from hiercert.models import (
     gradient_check,
     gradient_check_random,
     pgd_attack,
-    predict_proba,
     softmax,
     train,
 )
@@ -26,6 +24,7 @@ from helpers import (
     make_blobs,
     pgd_attack_oracle,
     softmax_oracle,
+    train_oracle,
 )
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -35,7 +34,7 @@ XOR_Y = np.array([0, 1, 1, 0])
 class TestPredictProba:
     def test_uniform_on_zero_logits(self):
         model = LinearSoftmax(W=np.zeros((4, 3)), b=np.zeros(4))
-        assert np.allclose(predict_proba(model, np.ones(3)), 0.25)
+        assert np.allclose(softmax(model.logits(np.ones((1, 3)))), 0.25)
 
     def test_shift_invariance(self):
         logits = np.array([[1.3, -0.2, 0.7]])
@@ -47,21 +46,6 @@ class TestPredictProba:
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(1.0)
         assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
-
-    def test_lookup_by_sample_id(self):
-        table = {"a": np.array([0.0, 1.0])}
-        model = LookupClassifier(table=table, n_labels=2)
-        assert predict_proba(model, "a")[1] > 0.5
-        with pytest.raises(ValidationError):
-            predict_proba(model, "missing")
-
-    def test_lookup_leaves_callers_table_unchanged(self):
-        rows = [0.0, 1.0]
-        table = {"a": rows}
-        model = LookupClassifier(table=table, n_labels=2)
-        assert list(table) == ["a"] and table["a"] is rows and rows == [0.0, 1.0]
-        assert isinstance(model.table["a"], np.ndarray)
-        assert model.table is not table
 
 
 class TestGradientCheck:
@@ -136,34 +120,48 @@ class TestTrain:
         assert np.array_equal(a.W, b.W)
         assert not np.array_equal(a.W, c.W)
 
+    @pytest.mark.parametrize("noise_sigma", [None, 0.5])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_equals_two_pass_oracle_bit_for_bit(self, kind, noise_sigma):
+        X, y = make_blobs(11, 25, [(-1.0, 0.0), (1.0, 0.5), (0.0, -1.0)])
+        init = (LinearSoftmax.init(3, 2, seed=12) if kind == "linear"
+                else SmallMlp.init(3, 2, 6, seed=12))
+        got = train(init, X, y, 30, 0.2, noise_sigma=noise_sigma, seed=13)
+        want = train_oracle(init, X, y, 30, 0.2, noise_sigma=noise_sigma, seed=13)
+        assert type(got) is type(want)
+        for a, b in zip(got.params(), want.params()):
+            assert same_bits(a, b)
 
-class TestAdversarialTrain:
-    def test_deterministic_and_robustness_comparable(self):
-        from hiercert.models import adversarial_train, pgd_attack
+    def test_one_first_layer_evaluation_per_epoch(self):
+        evaluations = []
 
-        X, y = make_blobs(70, 120, [(-1.0, 0.0), (1.0, 0.0)], spread=0.45)
-        params = PgdParams(epsilon=0.5, step=0.15, iters=10)
+        class CountingMlp(SmallMlp):
+            def _pre_activation(self, X):
+                evaluations.append(len(X))
+                return super()._pre_activation(X)
 
-        def robust_acc(model):
-            adv = pgd_attack(model, X, y, params, seed=5)
-            return float(np.mean(np.argmax(model.logits(adv), axis=1) == y))
+            def with_params(self, params):
+                return CountingMlp(*params)
 
-        plain = train(LinearSoftmax.init(2, 2, seed=0), X, y,
-                      epochs=150, learning_rate=0.3)
-        robust = adversarial_train(LinearSoftmax.init(2, 2, seed=0), X, y,
-                                   epochs=150, learning_rate=0.3,
-                                   attack=params, seed=1)
-        again = adversarial_train(LinearSoftmax.init(2, 2, seed=0), X, y,
-                                  epochs=150, learning_rate=0.3,
-                                  attack=params, seed=1)
-        assert np.array_equal(robust.W, again.W)
-        assert accuracy(robust, X, y) >= 0.95
-        assert robust_acc(robust) >= robust_acc(plain)
+        X, y = make_blobs(14, 20, [(-1.0, 0.0), (1.0, 0.0)])
+        epochs = 10
+        train(CountingMlp(*SmallMlp.init(2, 2, 4, seed=15).params()), X, y, epochs, 0.1)
+        assert evaluations == [40] * epochs
 
 
 def binary_linear(w, b=0.0):
     w = np.asarray(w, dtype=np.float64)
     return LinearSoftmax(W=np.vstack([np.zeros_like(w), w]), b=np.array([0.0, b]))
+
+
+class LogitsOnly:
+    """A model that gives logits but no gradients."""
+
+    def __init__(self, n_labels: int):
+        self.n_labels = n_labels
+
+    def logits(self, X):
+        return np.zeros((np.shape(X)[0], self.n_labels))
 
 
 class TestPgd:
@@ -210,7 +208,7 @@ class TestPgd:
             assert attacked >= clean - 1e-12
 
     def test_lookup_rejected(self):
-        model = LookupClassifier(table={"a": np.zeros(2)}, n_labels=2)
+        model = LogitsOnly(2)
         with pytest.raises(CapabilityError):
             pgd_attack(model, np.zeros(2), 0, PgdParams(epsilon=0.1, step=0.05), seed=0)
 
@@ -378,7 +376,6 @@ class TestFusedPgd:
             assert len(evaluations) == params.restarts * (2 * params.iters + 1)
 
     def test_masked_lookup_rejected(self):
-        lookup = LookupClassifier(table={"a": np.zeros(3)}, n_labels=3)
-        with pytest.raises(CapabilityError, match="LookupClassifier"):
-            pgd_attack(MaskedModel(lookup, (0, 1)), np.zeros((1, 2)), [0],
+        with pytest.raises(CapabilityError, match="LogitsOnly cannot be attacked"):
+            pgd_attack(MaskedModel(LogitsOnly(3), (0, 1)), np.zeros((1, 2)), [0],
                        PgdParams(epsilon=0.1, step=0.05), seed=0)
