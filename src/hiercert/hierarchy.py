@@ -30,7 +30,7 @@ from .core import (
     normalize_subset,
 )
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
-from .models import MaskedModel, PgdParams, pgd_attack, train
+from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, pgd_attack, train
 from .smoothing import margin_radius
 
 RENORMALIZE = "renormalize"
@@ -180,23 +180,39 @@ def infer_batch(h: Hierarchy, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _within_radii(P: np.ndarray, g: np.ndarray, allowed, sigma: float) -> np.ndarray:
-    """Two-sided radius of each row's top label g against its runner-up among
-    the `allowed` labels (a boolean mask broadcast against P).
+def _runner_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label-major runner-up table of a probability matrix, built once.
 
-    The labels outside `allowed` and the row's own top label are masked to
-    -inf and one max per row gives the runner-up; a row with no competitor
-    left gets +inf. Every matrix path (the sweep, the renormalized leaves and
-    the flat baseline) takes its runner-up from here.
+    Returns each row's top label g, its probability p_top, and PT, a C-ordered
+    copy of P.T with PT[g[r], r] = -inf, so the max over any label set's rows
+    of PT is every row's runner-up within that set. PT is always a fresh
+    copy: for an n x 1 or 1 x m matrix P.T is already contiguous, and a view
+    would carry the mask into the caller's matrix.
     """
+    g = np.argmax(P, axis=1)
     rows = np.arange(P.shape[0])
-    within = np.where(allowed, P, -np.inf)
-    within[rows, g] = -np.inf
-    runner = within.max(axis=1)
+    PT = P.T.copy()
+    PT[g, rows] = -np.inf
+    return g, P[rows, g], PT
+
+
+def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided radius of every row whose top label lies in `labels`, against
+    its runner-up among `labels`; +inf where no competitor is left.
+
+    `labels` is a list of labels or a slice. Returns the rows, ascending, and
+    their radii. The runner-up is one column-wise max over the label set's
+    contiguous rows of the table.
+    """
+    g, p_top, PT = table
+    allowed = np.zeros(PT.shape[0], dtype=bool)
+    allowed[labels] = True
+    rows = np.flatnonzero(allowed[g])
+    runner = PT[labels].max(axis=0)[rows]
     paired = runner > -np.inf
-    radii = np.full(P.shape[0], np.inf)
-    radii[paired] = margin_radius(sigma, P[rows, g][paired], runner[paired])
-    return radii
+    radii = np.full(rows.size, np.inf)
+    radii[paired] = margin_radius(sigma, p_top[rows][paired], runner[paired])
+    return rows, radii
 
 
 def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],
@@ -254,16 +270,23 @@ def _sample_subsets(m: int, size: int, count: int, seed: int) -> list[tuple[int,
     total = math.comb(m, size)
     if total <= count:
         return [tuple(c) for c in itertools.combinations(range(m), size)]
+    # Candidate t is the `size` smallest of the m uniforms at counters
+    # t*m .. t*m + m - 1; candidates are drawn `count` at a time and kept in
+    # order of first appearance, up to 64 * count candidates in all.
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
-    t = 0
-    while len(out) < count and t < 64 * count:
-        u = rng.uniforms(seed, rng.STREAM_SUBSETS, t * m, m)
-        subset = tuple(sorted(np.argsort(u, kind="stable")[:size].tolist()))
-        if subset not in seen:
-            seen.add(subset)
-            out.append(subset)
-        t += 1
+    t, limit = 0, 64 * count
+    while len(out) < count and t < limit:
+        batch = min(count, limit - t)
+        u = rng.uniforms(seed, rng.STREAM_SUBSETS, t * m, batch * m).reshape(batch, m)
+        picks = np.sort(np.argsort(u, axis=1, kind="stable")[:, :size], axis=1)
+        for subset in map(tuple, picks.tolist()):
+            if subset not in seen:
+                seen.add(subset)
+                out.append(subset)
+                if len(out) == count:
+                    break
+        t += batch
     return out
 
 
@@ -294,7 +317,7 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
                 f"evaluations (> {max_evaluations}); use mode='sampled'"
             )
 
-    g = np.argmax(P, axis=1)
+    table = _runner_table(P)
     out: dict[int, SizeStats] = {}
     for s in sizes:
         if mode == "all":
@@ -304,12 +327,7 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
         finite: list[np.ndarray] = []
         n_inf = 0
         for subset in subsets:
-            allowed = np.zeros(m, dtype=bool)
-            allowed[list(subset)] = True
-            member = allowed[g]
-            if not member.any():
-                continue
-            radii = _within_radii(P[member], g[member], allowed, sigma)
+            _, radii = _set_radii(table, list(subset), sigma)
             inf_mask = np.isinf(radii)
             n_inf += int(inf_mask.sum())
             finite.append(radii[~inf_mask])
@@ -473,8 +491,6 @@ def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500
     local label space. Returns None when fewer than two distinct labels
     are present (the singleton-leaf directive: no classifier is needed).
     """
-    from .models import LinearSoftmax, SmallMlp  # local to avoid cycle noise
-
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     s = normalize_subset(subset, int(y.max()) + 1 if y.size else 1)
@@ -520,16 +536,23 @@ def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.nda
     """Radius of `leaf_certificate_renormalized` for every row, routed to the
     class of the row's argmax.
 
-    The rows are validated once, by `as_probability_matrix`; the
-    runner-up within the routed class comes from `_within_radii`. A class of
-    one label gives +inf.
+    The rows are validated once, by `as_probability_matrix`. One runner-up
+    table (`_runner_table`) serves every class: `_set_radii` takes the radii
+    of the rows routed to each class in turn. A class of one label gives +inf.
     """
-    P = as_probability_matrix(probs)
-    if partition.n_labels != P.shape[1]:
+    return _class_radii(_runner_table(as_probability_matrix(probs)), partition, sigma)
+
+
+def _class_radii(table, partition: LabelPartition, sigma: float) -> np.ndarray:
+    """`renormalized_radii` from a runner-up table."""
+    g, _, PT = table
+    if partition.n_labels != PT.shape[0]:
         raise ValidationError("partition does not match probability width")
-    g = np.argmax(P, axis=1)
-    class_of = _class_index(partition)
-    return _within_radii(P, g, class_of[None, :] == class_of[g][:, None], sigma)
+    radii = np.empty(g.size)
+    for c in partition.classes:
+        rows, class_radii = _set_radii(table, list(c), sigma)
+        radii[rows] = class_radii
+    return radii
 
 
 def renormalization_report(probs, labels, partition: LabelPartition, sigma: float,
@@ -541,11 +564,11 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
     label). A sample routed outside its true class is a misclassification
     and contributes no certificate. Mean/std exclude infinite radii.
     """
-    P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    table = _runner_table(as_probability_matrix(probs))
     y = np.asarray(labels, dtype=np.int64)
-    hier_radius = renormalized_radii(P, partition, sigma)
-    g = np.argmax(P, axis=1)
-    base_radius = _within_radii(P, g, True, sigma)
+    hier_radius = _class_radii(table, partition, sigma)
+    _, base_radius = _set_radii(table, slice(None), sigma)
+    g = table[0]
 
     class_of = _class_index(partition)
     correct = g == y

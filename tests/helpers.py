@@ -7,7 +7,8 @@ linear-programming feasibility check. The CSV, silhouette and confusion
 agglomeration oracles are the straightforward per-cell, per-point and
 per-pair loops that the library's kernels replace, the sweep and baseline
 radius oracles are the per-subset gather and the full row sort that the
-within-class runner-up kernel replaces, and the certification
+runner-up table replaces, the subset sampling oracle draws one candidate
+per `rng.uniforms` call, and the certification
 oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
 `smoothing.certify_batch` batch, with noise taken as the normal quantile of
 `rng.uniforms` and the bound from `scipy.stats.beta.ppf`. The attack
@@ -38,7 +39,6 @@ from hiercert.hierarchy import (
     Leaf,
     SizeStats,
     _path_for_label,
-    _sample_subsets,
     infer_batch,
 )
 from hiercert.models import SmallMlp
@@ -201,6 +201,25 @@ def confusion_levels_oracle(counts) -> dict[int, tuple[tuple[int, ...], ...]]:
     return levels
 
 
+def sample_subsets_oracle(m: int, size: int, count: int, seed: int) -> list:
+    """Sweep subsets drawn one candidate at a time: candidate t is the `size`
+    smallest of the m uniforms at counters t*m .. t*m + m - 1, kept if new,
+    for at most 64 * count candidates."""
+    if math.comb(m, size) <= count:
+        return [tuple(c) for c in itertools.combinations(range(m), size)]
+    seen = set()
+    out = []
+    t = 0
+    while len(out) < count and t < 64 * count:
+        u = rng.uniforms(seed, rng.STREAM_SUBSETS, t * m, m)
+        subset = tuple(sorted(np.argsort(u, kind="stable")[:size].tolist()))
+        if subset not in seen:
+            seen.add(subset)
+            out.append(subset)
+        t += 1
+    return out
+
+
 def sweep_oracle(P, sigma: float, sizes, mode: str = "all", sample_count: int = 500,
                  seed: int = 0) -> dict:
     """`subset_radius_sweep` statistics from one gather per subset: np.isin
@@ -216,7 +235,7 @@ def sweep_oracle(P, sigma: float, sizes, mode: str = "all", sample_count: int = 
         if mode == "all":
             subsets = [tuple(c) for c in itertools.combinations(range(m), s)]
         else:
-            subsets = _sample_subsets(m, s, sample_count, seed + s)
+            subsets = sample_subsets_oracle(m, s, sample_count, seed + s)
         finite = []
         n_inf = 0
         for subset in subsets:

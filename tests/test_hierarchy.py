@@ -22,7 +22,9 @@ from hiercert.hierarchy import (
     renormalized_radii,
     retrain_leaf,
     subset_radius_sweep,
-    _within_radii,
+    _runner_table,
+    _sample_subsets,
+    _set_radii,
 )
 from hiercert.models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, softmax, train
 from hiercert.smoothing import margin_radius
@@ -32,6 +34,7 @@ from helpers import (
     evaluate_adversarial_oracle,
     make_blobs,
     quantile_oracle,
+    sample_subsets_oracle,
     sweep_oracle,
     synth_prob_dataset,
 )
@@ -229,6 +232,54 @@ class TestSweep:
         with pytest.raises(ValidationError, match="row 1 sums to"):
             subset_radius_sweep(P, 0.5, [3])
 
+    @pytest.mark.parametrize("m,size,count,seed", [(6, 3, 19, 0), (6, 3, 19, 9), (12, 4, 40, 5),
+                                                   (30, 2, 100, 1), (100, 50, 7, 2)])
+    def test_sampled_subsets_match_one_draw_per_candidate_oracle(self, m, size, count, seed):
+        # m=6, size=3, count=19: 19 of the 20 subsets, so most candidates are
+        # duplicates and several batches are drawn.
+        got = _sample_subsets(m, size, count, seed)
+        assert got == sample_subsets_oracle(m, size, count, seed)
+        assert len(got) == count
+
+    def test_sampled_subsets_stop_at_the_candidate_cutoff(self, monkeypatch):
+        # Only two distinct candidates ever appear, so 64 * count candidates
+        # are drawn and two subsets returned.
+        m, count, drawn = 6, 19, []
+
+        def two_patterns(seed, stream, start, n):
+            drawn.append(n)
+            idx = np.arange(start, start + n)
+            u = (idx % m + 1.0) / (m + 1)
+            return np.where(idx // m % 2 == 0, u, 1.0 - u)
+
+        monkeypatch.setattr(rng, "uniforms", two_patterns)
+        got = _sample_subsets(m, 3, count, 0)
+        assert sum(drawn) == 64 * count * m
+        drawn.clear()
+        assert sample_subsets_oracle(m, 3, count, 0) == got == [(0, 1, 2), (3, 4, 5)]
+        assert sum(drawn) == 64 * count * m
+
+
+class TestRunnerTable:
+    @pytest.mark.parametrize("layout", ["n_by_1", "1_by_m", "fortran"])
+    def test_callers_matrix_left_unchanged(self, layout):
+        # P.T of each of these is already C-contiguous, so only an explicit
+        # copy keeps the table's -inf mask out of the caller's matrix.
+        if layout == "n_by_1":
+            P = np.ones((5, 1))
+        elif layout == "1_by_m":
+            P = synth_prob_dataset(46, 1, 6)
+        else:
+            P = np.asfortranarray(synth_prob_dataset(46, 40, 6))
+        before = P.copy(order="A")
+        m = P.shape[1]
+        part = LabelPartition(((0, 2, 4), (1, 3, 5)) if m == 6 else ((0,),))
+        subset_radius_sweep(P, 0.5, list(range(1, m + 1)), mode="all")
+        renormalized_radii(P, part, 0.5)
+        renormalization_report(P, np.argmax(P, axis=1), part, 0.5, [0.25])
+        assert P.flags.f_contiguous == before.flags.f_contiguous
+        assert P.tobytes(order="A") == before.tobytes(order="A")
+
 
 def toy_three_label_hierarchy():
     """Labels 0,1 live at x=-4 (split by y-axis at distance 1); label 2 at x=+4.
@@ -390,7 +441,9 @@ class TestRenormalizationReport:
             P[3:6] = 1.0 / m            # ties everywhere
             part = LabelPartition(((0, 2, 4), (1, 3), (5, 6)) if m == 7 else ((0,), (1,)))
         want = baseline_radii_oracle(P, 0.5)
-        assert np.array_equal(_within_radii(P, np.argmax(P, axis=1), True, 0.5), want)
+        rows, radii = _set_radii(_runner_table(P), slice(None), 0.5)
+        assert np.array_equal(rows, np.arange(P.shape[0]))
+        assert np.array_equal(radii, want)
 
         y = np.argmax(P, axis=1)
         y[::4] = (y[::4] + 1) % m
