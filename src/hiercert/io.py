@@ -3,6 +3,15 @@
 All floats are serialized with 17 significant digits so that every emitted
 file re-ingests to bit-identical values. Readers are strict about shapes
 and headers; schema problems raise ValidationError so the CLI can exit 1.
+
+Reading those 17-digit values back is the cost of a wide CSV: CPython's
+correctly rounded decimal conversion, under the GIL. A wide file of at
+least SPLIT_MIN_BYTES with no quoted field is therefore parsed by two
+processes when `os.fork` exists and two CPUs are usable: a forked child
+converts the second half of the rows into a shared anonymous mmap while
+this process converts the first half. Both halves go through the same
+`np.loadtxt` call as the one-process read, so the values are bit-identical;
+any failure of the split falls back to that one-process read.
 """
 
 from __future__ import annotations
@@ -11,6 +20,9 @@ import csv
 import itertools
 import json
 import math
+import mmap
+import os
+import warnings
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -75,6 +87,80 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+#: Files at least this large parse their value columns in two processes
+#: (`_read_wide_csv`). Measured on two cores from a 96 MB process, the split
+#: lost below 1 MB, varied either way between 1 and 3 MB and won by 10-35 %
+#: from 4 MB on (CHANGES.md has the table).
+SPLIT_MIN_BYTES = 4 << 20
+
+
+def _loadtxt(fh, skiprows: int, width: int, max_rows: Optional[int] = None) -> np.ndarray:
+    """The value columns of a wide CSV from fh, after skiprows lines."""
+    return np.loadtxt(fh, delimiter=",", skiprows=skiprows, usecols=range(2, width + 2),
+                      comments=None, quotechar='"', ndmin=2, max_rows=max_rows)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parse_tail(path, encoding: str, offset: int, shape: tuple[int, int], shared) -> None:
+    """Forked child: parse the rows from byte `offset` into `shared`, then exit.
+
+    Exits 0 only when it parsed exactly `shape`; it never returns and never
+    writes to stdout or stderr.
+    """
+    code = 1
+    try:
+        warnings.simplefilter("ignore")
+        with open(path, newline="", encoding=encoding) as fh:
+            fh.seek(offset)
+            tail = _loadtxt(fh, 0, shape[1])
+        if tail.shape == shape:
+            np.frombuffer(shared, dtype=np.float64).reshape(shape)[...] = tail
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _loadtxt_halves(fh, path, header_lines: int, width: int, n: int,
+                    offset: int) -> Optional[np.ndarray]:
+    """Rows 0..n//2 parsed here, rows n//2.. by a forked child into a shared
+    anonymous mmap; `offset` is the byte offset of row n//2. Returns None
+    when fork or mmap fails, the child does not exit 0, or this half is not
+    n//2 rows; the caller then parses the whole file serially.
+    """
+    half = n // 2
+    tail_shape = (n - half, width)
+    try:
+        shared = mmap.mmap(-1, tail_shape[0] * width * 8)
+    except OSError:
+        return None
+    with shared:
+        try:
+            pid = os.fork()
+        except OSError:
+            return None
+        if pid == 0:
+            _parse_tail(path, fh.encoding, offset, tail_shape, shared)
+        try:
+            fh.seek(0)
+            with warnings.catch_warnings():
+                # Blank lines do not count towards max_rows, as wanted here.
+                warnings.filterwarnings("ignore", "Input line", UserWarning)
+                head = _loadtxt(fh, header_lines, width, max_rows=half)
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status != 0 or head.shape != (half, width):
+            return None
+        values = np.empty((n, width))
+        values[:half] = head
+        values[half:] = np.frombuffer(shared, dtype=np.float64).reshape(tail_shape)
+    return values
+
+
 def _read_wide_csv(path, prefix: str):
     """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files.
 
@@ -82,6 +168,19 @@ def _read_wide_csv(path, prefix: str):
     field count; numpy's C parser then reads the value columns from the same
     open file. Only rows holding a quote go through the csv module, so ids
     that csv.writer quoted (commas, quotes, newlines) still parse.
+
+    Converting 17-digit decimals to floats dominates the read and holds the
+    GIL, so a large file (at least SPLIT_MIN_BYTES, no row holding a quote,
+    at least two rows and one value column, `os.fork` available and more
+    than one usable CPU) is parsed by two processes: a forked child parses
+    the second half of the rows from its byte offset while this process
+    parses the first half. Each field goes through the same `np.loadtxt`
+    call as in the one-process read, so the values are bit-identical. A bad
+    value in the first half raises from this process's own call, with the
+    one-process read's message. On any other failure (fork or mmap raises,
+    the child exits non-zero or is killed, a half has the wrong row count)
+    the whole file is parsed again by the one-process call, which raises
+    that read's errors.
     """
     path = Path(path)
     if not path.exists():
@@ -89,8 +188,10 @@ def _read_wide_csv(path, prefix: str):
     with path.open(newline="") as fh:
         header_lines = 0
         header: list[str] = []
+        pos = 0  # characters read so far; exact until a quoted row
         for line in fh:
             header_lines += 1
+            pos += len(line)
             if line.strip("\r\n"):
                 header = next(csv.reader([line]))
                 break
@@ -105,9 +206,13 @@ def _read_wide_csv(path, prefix: str):
 
         ids: list[str] = []
         labels: list[int] = []
+        starts: list[int] = []  # character offset of each row's line
+        quoted = False
         for line in fh:
+            start, pos = pos, pos + len(line)
             if '"' in line:
                 # A quoted field may span lines; the reader pulls them from fh.
+                quoted = True
                 row = next(csv.reader(itertools.chain([line], fh)))
                 n_fields = len(row)
             elif not line.strip("\r\n"):
@@ -120,13 +225,25 @@ def _read_wide_csv(path, prefix: str):
                                       f"{n_fields} fields, the header {width + 2})")
             ids.append(row[0])
             labels.append(int(row[1]))
-        if not ids:
+            starts.append(start)
+        n = len(ids)
+        if not n:
             return ids, np.empty(0, dtype=np.int64), np.empty((0, width))
-        fh.seek(0)
-        values = np.loadtxt(fh, delimiter=",", skiprows=header_lines,
-                            usecols=range(2, width + 2), comments=None,
-                            quotechar='"', ndmin=2)
-    if values.shape != (len(ids), width):
+        values = None
+        size = os.fstat(fh.fileno()).st_size
+        if (not quoted and size >= SPLIT_MIN_BYTES and n > 1 and width > 0
+                and hasattr(os, "fork") and _usable_cpus() > 1):
+            # Characters are bytes when every character took one byte;
+            # otherwise encode the text before row n//2 to count its bytes.
+            offset = starts[n // 2]
+            if pos != size:
+                fh.seek(0)
+                offset = len(fh.read(offset).encode(fh.encoding))
+            values = _loadtxt_halves(fh, path, header_lines, width, n, offset)
+        if values is None:
+            fh.seek(0)
+            values = _loadtxt(fh, header_lines, width)
+    if values.shape != (n, width):
         raise ValidationError(f"{path}: ragged rows")
     return ids, np.array(labels, dtype=np.int64), values
 

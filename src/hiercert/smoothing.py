@@ -176,14 +176,23 @@ def margin_radius(sigma: float, p_top, p_runner):
 
     pt = np.atleast_1d(np.asarray(p_top, dtype=np.float64))
     pr = np.atleast_1d(np.asarray(p_runner, dtype=np.float64))
-    pt, pr = np.broadcast_arrays(pt, pr)
-    if np.any(pt < 0) or np.any(pt > 1) or np.any(pr < 0) or np.any(pr > 1):
+    if pt.shape != pr.shape:
+        pt, pr = np.broadcast_arrays(pt, pr)
+    # NaN-ignoring bounds: NaN passes the range check, as it does elementwise.
+    t_lo, t_hi = np.fmin.reduce(pt, None, initial=math.inf), np.fmax.reduce(pt, None, initial=-math.inf)
+    r_lo, r_hi = np.fmin.reduce(pr, None, initial=math.inf), np.fmax.reduce(pr, None, initial=-math.inf)
+    if t_lo < 0 or t_hi > 1 or r_lo < 0 or r_hi > 1:
         raise ValidationError("probabilities must lie in [0, 1]")
-    degenerate = (pt >= 1.0) | (pr <= 0.0)
-    safe_t = np.where(degenerate, 0.5, pt)
-    safe_r = np.where(degenerate, 0.5, pr)
-    gap = normal_quantile(safe_t) - normal_quantile(safe_r)
-    return np.where(degenerate, math.inf, 0.5 * sigma * np.maximum(gap, 0.0))
+    degenerate = None
+    if t_hi >= 1.0 or r_lo <= 0.0:
+        degenerate = (pt >= 1.0) | (pr <= 0.0)
+        pt = np.where(degenerate, 0.5, pt)
+        pr = np.where(degenerate, 0.5, pr)
+    gap = normal_quantile(pt) - normal_quantile(pr)
+    radius = 0.5 * sigma * np.maximum(gap, 0.0, out=gap)
+    if degenerate is not None:
+        radius[degenerate] = math.inf
+    return radius
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ then `np.clip`) that the fused step replaces, softmax and cross-entropy
 from numpy's row max, and the per-target-node adversarial evaluation. The
 training oracle is the two-pass epoch (`logits`, then the parameter
 gradients from a second first-layer evaluation) that `models.train`
-replaces.
+replaces. The margin radius oracle is the vector path of
+`smoothing.margin_radius` with a comparison pass per range bound and the
+degenerate masks applied unconditionally.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from scipy.optimize import linprog
 
 from hiercert import rng
 from hiercert.core import ABSTAIN
+from hiercert.errors import ValidationError
 from hiercert.hierarchy import (
     WORST_CASE,
     AdversarialReport,
@@ -42,7 +45,21 @@ from hiercert.hierarchy import (
     infer_batch,
 )
 from hiercert.models import SmallMlp
+from hiercert.numerics import normal_quantile
 from hiercert.smoothing import margin_radius
+
+
+def margin_radius_oracle(sigma: float, p_top, p_runner) -> np.ndarray:
+    """Vector two-sided radius: broadcast, four range passes, masks always."""
+    pt = np.atleast_1d(np.asarray(p_top, dtype=np.float64))
+    pr = np.atleast_1d(np.asarray(p_runner, dtype=np.float64))
+    pt, pr = np.broadcast_arrays(pt, pr)
+    if np.any(pt < 0) or np.any(pt > 1) or np.any(pr < 0) or np.any(pr > 1):
+        raise ValidationError("probabilities must lie in [0, 1]")
+    degenerate = (pt >= 1.0) | (pr <= 0.0)
+    gap = (normal_quantile(np.where(degenerate, 0.5, pt))
+           - normal_quantile(np.where(degenerate, 0.5, pr)))
+    return np.where(degenerate, math.inf, 0.5 * sigma * np.maximum(gap, 0.0))
 
 
 def quantile_oracle(q: float) -> float:

@@ -25,7 +25,13 @@ from hiercert.smoothing import (
     vote_counts,
 )
 
-from helpers import certify_oracle, cp_lower_oracle, quantile_oracle, vote_counts_oracle
+from helpers import (
+    certify_oracle,
+    cp_lower_oracle,
+    margin_radius_oracle,
+    quantile_oracle,
+    vote_counts_oracle,
+)
 
 
 def binary_linear(w, b=0.0):
@@ -156,6 +162,17 @@ class TestClopperPearson:
         src = str(Path(hiercert.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         code = "import sys, hiercert.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
+
+    def test_cli_import_leaves_process_pools_out(self):
+        # The two-process CSV read forks directly; a pool module on the import
+        # path would cost every command's start-up.
+        src = str(Path(hiercert.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("import sys, hiercert.cli; print(sorted(m for m in sys.modules if m in "
+                "('multiprocessing', 'concurrent.futures.process')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "[]"
@@ -340,6 +357,68 @@ class TestRadii:
         ps = np.linspace(0.5 + 1e-9, 1 - 1e-9, 10_000)
         radii = smoothing.margin_radius(0.5, ps, 1.0 - ps)
         assert np.all(np.diff(radii) >= 0.0)
+
+    @staticmethod
+    def outcome(fn, *args):
+        """What a call gives: its exception's type and message, or its shape and bits."""
+        try:
+            got = fn(*args)
+        except (ValidationError, ValueError) as exc:
+            return type(exc), str(exc)
+        got = np.atleast_1d(np.asarray(got, dtype=np.float64))
+        return got.shape, got.tobytes()
+
+    GRID = [0.0, -0.0, 1.0, math.nan, -0.25, 1.25, 5e-324, 1e-300, 0.3, 0.5, 0.7, 1.0 - 2**-53]
+
+    def test_vector_path_pinned_elementwise_to_scalar_path_and_oracle(self):
+        for a in self.GRID:
+            for b in self.GRID:
+                vector = self.outcome(margin_radius, 0.5, np.array([a]), np.array([b]))
+                assert vector == self.outcome(margin_radius_oracle, 0.5, [a], [b]), (a, b)
+                if not (math.isnan(a) or math.isnan(b)):
+                    # the scalar path rejects NaN in its range check; the
+                    # vector path only where the quantile meets it
+                    scalar = self.outcome(margin_radius, 0.5, a, b)
+                    assert vector == scalar, (a, b)
+        assert self.outcome(margin_radius, 0.5, [math.nan], [0.0]) == ((1,), np.array([math.inf]).tobytes())
+        assert self.outcome(margin_radius, 0.5, [1.0], [math.nan]) == ((1,), np.array([math.inf]).tobytes())
+        for pt, pr in (([math.nan], [0.3]), ([0.0], [0.3]), ([0.7], [math.nan])):
+            assert self.outcome(margin_radius, 0.5, pt, pr) == (
+                ValidationError, "normal_quantile requires 0 < q < 1")
+        assert self.outcome(margin_radius, 0.5, [math.nan, -0.25], [0.3, 0.3]) == (
+            ValidationError, "probabilities must lie in [0, 1]")
+
+    def test_vector_path_pinned_on_whole_arrays(self):
+        pairs = np.array([(a, b) for a in self.GRID for b in self.GRID])
+        inside = [(a, b) for a, b in pairs
+                  if self.outcome(margin_radius, 0.5, float(a), float(b))[0] == (1,)]
+        pt, pr = np.array(inside).T
+        cases = [
+            (pairs[:, 0], pairs[:, 1]),  # out of range somewhere
+            (pt, pr),
+            (pt[pt < 1], pr[pt < 1]),  # no entry of p_top at 1
+            (pt[(pt < 1) & (pr > 0)], pr[(pt < 1) & (pr > 0)]),  # nothing degenerate
+            (np.array([0.9, 0.6, 1.0, 0.8]).reshape(4, 1), np.array([0.1, 0.0, 0.3])),
+            (np.array([0.9, 0.6]).reshape(2, 1), np.array([[0.1, 0.2, 0.3]])),
+            (0.8, np.array([0.1, 0.0, 0.3])),
+            (np.array([[0.8, 0.9], [1.0, 0.7]]), np.array([[0.1, 0.2], [0.3, 0.0]])),
+            (np.array(0.8), np.array(0.2)),
+            (np.array(0.8), 0.2),
+            (np.empty(0), np.empty(0)),
+            (np.empty(0), np.array([2.0])),  # broadcast to empty: nothing to reject
+            (np.empty((0, 3)), np.array([0.1, 0.2, 0.3])),
+            (np.empty(0), np.array([0.1, 0.2, 0.3])),  # shapes that do not broadcast
+            (np.array([0.9, math.nan]), np.array([0.0, 0.0])),
+        ]
+        rows = rng.uniforms(41, 906, 0, 4000).reshape(2, 2000)
+        rows[0, ::37], rows[1, ::41] = 1.0, 0.0
+        cases.append((rows[0], rows[1]))
+        for pt, pr in cases:
+            assert self.outcome(margin_radius, 0.5, pt, pr) == self.outcome(
+                margin_radius_oracle, 0.5, pt, pr), (pt, pr)
+        scalar = np.array([margin_radius(0.5, float(a), float(b)) for a, b in inside])
+        assert margin_radius(0.5, np.array(inside)[:, 0], np.array(inside)[:, 1]).tobytes() == (
+            scalar.tobytes())
 
 
 class TestCertify:
