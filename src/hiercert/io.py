@@ -89,8 +89,8 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 #: Files at least this large parse their value columns in two processes
 #: (`_read_wide_csv`). Measured on two cores from a 96 MB process, the split
-#: lost below 1 MB, varied either way between 1 and 3 MB and won by 10-35 %
-#: from 4 MB on (CHANGES.md has the table).
+#: lost below 1 MB, varied either way between 1 and 3 MB and won by 12-37 %
+#: from 4 MB on (BENCH_pr9.json has the table).
 SPLIT_MIN_BYTES = 4 << 20
 
 

@@ -179,8 +179,10 @@ def margin_radius(sigma: float, p_top, p_runner):
     if pt.shape != pr.shape:
         pt, pr = np.broadcast_arrays(pt, pr)
     # NaN-ignoring bounds: NaN passes the range check, as it does elementwise.
-    t_lo, t_hi = np.fmin.reduce(pt, None, initial=math.inf), np.fmax.reduce(pt, None, initial=-math.inf)
-    r_lo, r_hi = np.fmin.reduce(pr, None, initial=math.inf), np.fmax.reduce(pr, None, initial=-math.inf)
+    t_lo = np.fmin.reduce(pt, None, initial=math.inf)
+    t_hi = np.fmax.reduce(pt, None, initial=-math.inf)
+    r_lo = np.fmin.reduce(pr, None, initial=math.inf)
+    r_hi = np.fmax.reduce(pr, None, initial=-math.inf)
     if t_lo < 0 or t_hi > 1 or r_lo < 0 or r_hi > 1:
         raise ValidationError("probabilities must lie in [0, 1]")
     degenerate = None

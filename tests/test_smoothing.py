@@ -157,25 +157,24 @@ class TestClopperPearson:
                     cases += 1
         assert cases > 250
 
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats takes most of a cold `import hiercert.cli`.
+    @staticmethod
+    def modules_after_cli_import(condition: str) -> str:
+        """sorted(m for m in sys.modules if condition) after a cold `import hiercert.cli`."""
         src = str(Path(hiercert.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        code = "import sys, hiercert.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        code = f"import sys, hiercert.cli; print(sorted(m for m in sys.modules if {condition}))"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.strip()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats takes most of a cold `import hiercert.cli`.
+        assert self.modules_after_cli_import("m.startswith('scipy.stats')") == "[]"
 
     def test_cli_import_leaves_process_pools_out(self):
         # The two-process CSV read forks directly; a pool module on the import
         # path would cost every command's start-up.
-        src = str(Path(hiercert.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        code = ("import sys, hiercert.cli; print(sorted(m for m in sys.modules if m in "
-                "('multiprocessing', 'concurrent.futures.process')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        assert self.modules_after_cli_import(
+            "m in ('multiprocessing', 'concurrent.futures.process')") == "[]"
 
 
 class TestSampleUnderNoise:
@@ -380,8 +379,9 @@ class TestRadii:
                     # vector path only where the quantile meets it
                     scalar = self.outcome(margin_radius, 0.5, a, b)
                     assert vector == scalar, (a, b)
-        assert self.outcome(margin_radius, 0.5, [math.nan], [0.0]) == ((1,), np.array([math.inf]).tobytes())
-        assert self.outcome(margin_radius, 0.5, [1.0], [math.nan]) == ((1,), np.array([math.inf]).tobytes())
+        inf = ((1,), np.array([math.inf]).tobytes())
+        assert self.outcome(margin_radius, 0.5, [math.nan], [0.0]) == inf
+        assert self.outcome(margin_radius, 0.5, [1.0], [math.nan]) == inf
         for pt, pr in (([math.nan], [0.3]), ([0.0], [0.3]), ([0.7], [math.nan])):
             assert self.outcome(margin_radius, 0.5, pt, pr) == (
                 ValidationError, "normal_quantile requires 0 < q < 1")
