@@ -47,10 +47,6 @@ from .toymodels import (
     tradeoff_experiment,
 )
 
-DEFAULT_THRESHOLDS = [0.25, 0.5, 1.0, 1.5, 2.0]
-DEFAULT_SIGMAS = [0.25, 0.5, 1.0]
-
-
 @dataclass
 class ReportTable:
     """Rectangular named table plus run metadata."""
@@ -74,38 +70,75 @@ def config_hash(config: dict) -> str:
 
 # ---------------------------------------------------------------- validation
 
-def _expect(config: dict, schema: dict, command: str) -> None:
-    for key in config:
-        if key not in schema:
-            raise ConfigError(key, f"unknown key for '{command}'",
-                              hint=f"allowed keys: {', '.join(sorted(schema))}")
-    for key, (required, check, hint) in schema.items():
-        if key not in config:
-            if required:
-                raise ConfigError(key, "missing required key", hint=hint)
-            continue
-        if not check(config[key]):
-            raise ConfigError(key, f"invalid value {config[key]!r}", hint=hint)
+_THRESHOLDS = ([0.25, 0.5, 1.0, 1.5, 2.0], io.is_num_list, "list of radii")
+_DATASET = (io.REQUIRED, {"features": (io.REQUIRED, io.is_str, "csv path")}, "{'features': path}")
+_PROBS = (io.REQUIRED, {"logits": (None, io.is_str, "csv path"),
+                        "probs": (None, io.is_str, "csv path")}, "{'logits' or 'probs': path}")
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_num_list(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)
-
-
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(_is_int(x) for x in v)
-
-
-def _sigma_list(v) -> list[float]:
-    return [float(s) for s in (v if isinstance(v, list) else [v])]
+#: Each command's config keys besides `seed`: (default or REQUIRED, check,
+#: hint); a dict in place of the check is the schema of a nested section.
+_SCHEMAS: dict[str, dict] = {
+    "certify": {
+        "sigma": ([0.25, 0.5, 1.0], lambda v: io.is_num(v) or io.is_num_list(v), "noise levels"),
+        "n0": (100, io.is_int, "selection sample count"),
+        "n": (100_000, io.is_int, "estimation sample count"),
+        "alpha_conf": (0.001, io.is_num, "confidence failure probability in (0,1)"),
+        "model": (io.REQUIRED, io.is_dict, "model spec: {'type', 'path'} or the parameters"),
+        "dataset": _DATASET,
+        "radius_thresholds": _THRESHOLDS,
+    },
+    "hierarchy": {
+        "sigma": (0.5, io.is_num, "noise level for certificates"),
+        "partition": (io.REQUIRED, lambda v: io.is_str(v) or (isinstance(v, list) and all(
+            map(io.is_int_list, v))), "list of label lists, or a partition json path"),
+        "probs": _PROBS,
+        "radius_thresholds": _THRESHOLDS,
+    },
+    "discover": {
+        "k": (io.REQUIRED, io.is_int, "number of equivalence classes"),
+        "embeddings": (None, io.is_str, "embeddings csv path"),
+        "confusion": (None, io.is_str, "confusion csv path"),
+        "max_iter": (100, io.is_int, "k-means iteration cap"),
+        "tol": (1e-8, io.is_num, "k-means movement tolerance"),
+        "n_labels": (None, io.is_int, "label-space size override"),
+        "out_partition": ("partition.json", io.is_str, "partition output filename"),
+    },
+    "sweep": {
+        "sigma": (0.5, io.is_num, "noise level"),
+        "probs": _PROBS,
+        "sizes": (io.REQUIRED, io.is_int_list, "subset sizes to sweep"),
+        "mode": ("all", lambda v: v in ("all", "sampled"), "'all' or 'sampled'"),
+        "samples_per_size": (500, io.is_int, "subset sample count per size"),
+    },
+    "toy-gauss": {
+        "d": (200, io.is_int, "informative feature count"),
+        "p": (0.95, io.is_num, "robust-feature reliability in (1/2,1)"),
+        "eta_list": ([0.05, 0.1, 0.3, 0.5, 1.0], io.is_num_list, "mean shifts"),
+        "k_list": ([0, 1, 5, 10, 25, 50, 100, 200], io.is_int_list, "protected-feature counts"),
+        "n_samples": (100_000, io.is_int, "Monte-Carlo sample count"),
+        "tradeoff": (None, {"gamma": (0.01, io.is_num, "robust-feature error rate"),
+                            "eta": (0.3, io.is_num, "mean shift")}, "{'gamma': g, 'eta': e}"),
+    },
+    "toy-prf": {
+        "n_bits": (16, io.is_int, "message length (1..64)"),
+        "key": (0x5149_77DE_23A6_01B7, io.is_int, "64-bit key"),
+        "repetition": (3, io.is_int, "odd per-bit repetition"),
+        "flip_budget": (1, io.is_int, "copies flipped per repetition group"),
+        "n_trials": (10_000, io.is_int, "trial count"),
+    },
+    "attack": {
+        "hierarchy": (io.REQUIRED, io.is_str, "hierarchy json path"),
+        "dataset": _DATASET,
+        "attack": (io.REQUIRED, {
+            "mode": ("worst_case", io.is_str, "'worst_case' or 'budgeted'"),
+            "budget_target": (None, lambda v: v is None or io.is_str(v), "node id, or 'worst'"),
+            "epsilon": (8 / 255, io.is_num, "l-inf perturbation radius"),
+            "step": (2 / 255, io.is_num, "PGD step size"),
+            "iters": (20, io.is_int, "PGD steps per restart"),
+            "restarts": (1, io.is_int, "PGD restart count"),
+        }, "attack scenario"),
+    },
+}
 
 
 def _per_sample_seeds(seed: int, block: int, count: int) -> np.ndarray:
@@ -115,21 +148,15 @@ def _per_sample_seeds(seed: int, block: int, count: int) -> np.ndarray:
     return rng.mix64(base + np.arange(count, dtype=np.uint64))
 
 
-def _resolve(base: Path, rel) -> Path:
-    """A config path relative to the config's directory; absolute paths stay."""
-    return base / rel
-
-
 def _load_prob_source(config: dict, base: Path):
     src = config["probs"]
-    if not isinstance(src, dict) or len(src) != 1 or next(iter(src)) not in ("logits", "probs"):
+    if (src["logits"] is None) == (src["probs"] is None):
         raise ConfigError("probs", "must be {'logits': path} or {'probs': path}",
                           hint="point at a logits or probability csv")
-    kind, rel = next(iter(src.items()))
-    path = _resolve(base, rel)
-    if kind == "logits":
-        ids, labels, values = io.read_logits(path)
+    if src["logits"] is not None:
+        ids, labels, values = io.read_logits(base / src["logits"])
         return ids, labels, softmax(values) if values.size else values
+    path = base / src["probs"]
     ids, labels, values = io.read_probs(path)
     try:
         return ids, labels, as_probability_matrix(values)
@@ -137,46 +164,15 @@ def _load_prob_source(config: dict, base: Path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _partition_from_config(config: dict, base: Path, n_labels: int) -> LabelPartition:
-    part = config["partition"]
-    if isinstance(part, str):
-        return io.read_partition(_resolve(base, part), n_labels=n_labels)
-    if isinstance(part, list):
-        return LabelPartition(tuple(tuple(c) for c in part), n_labels=n_labels)
-    raise ConfigError("partition", "must be a list of label lists or a json path",
-                      hint="e.g. [[0,1,2],[3,4]]")
-
-
-def _pgd_from_config(cfg: dict) -> PgdParams:
-    return PgdParams(epsilon=float(cfg.get("epsilon", 8 / 255)),
-                     step=float(cfg.get("step", 2 / 255)),
-                     iters=int(cfg.get("iters", 20)),
-                     restarts=int(cfg.get("restarts", 1)))
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "sigma": (False, lambda v: _is_num(v) or _is_num_list(v), "float or list of floats"),
-        "n0": (False, _is_int, "selection sample count"),
-        "n": (False, _is_int, "estimation sample count"),
-        "alpha_conf": (False, _is_num, "confidence failure probability in (0,1)"),
-        "model": (True, lambda v: isinstance(v, dict), "model reference dict"),
-        "dataset": (True, lambda v: isinstance(v, dict) and "features" in v,
-                    "{'features': path}"),
-        "radius_thresholds": (False, _is_num_list, "list of radii"),
-    }
-    _expect(config, schema, "certify")
-    seed = int(config.get("seed", 0))
     model = io.model_from_dict(config["model"], base)
-    ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
-    sigmas = _sigma_list(config.get("sigma", DEFAULT_SIGMAS))
-    thresholds = [float(t) for t in config.get("radius_thresholds", DEFAULT_THRESHOLDS)]
-    n0 = int(config.get("n0", 100))
-    n = int(config.get("n", 100_000))
-    alpha = float(config.get("alpha_conf", 0.001))
+    ids, labels, X = io.read_features(base / config["dataset"]["features"])
+    sigma = config["sigma"]
+    sigmas = [float(s) for s in (sigma if isinstance(sigma, list) else [sigma])]
+    thresholds = [float(t) for t in config["radius_thresholds"]]
+    n0, n, alpha = config["n0"], config["n"], float(config["alpha_conf"])
 
     tables = []
     summary_rows = []
@@ -184,7 +180,7 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
         print("warning: empty dataset, emitting empty tables", file=sys.stderr)
     for si, sigma in enumerate(sigmas):
         cfg = SmoothingConfig(sigma=sigma, n0=n0, n=n, alpha_conf=alpha)
-        batch = certify_batch(model, X, cfg, _per_sample_seeds(seed, si, len(ids)))
+        batch = certify_batch(model, X, cfg, _per_sample_seeds(config["seed"], si, len(ids)))
         abstained = batch.abstained
         radius_col = [None if a else r for a, r in zip(abstained.tolist(), batch.radii.tolist())]
         rows = [list(row) for row in zip(ids, labels.tolist(), batch.labels.tolist(), radius_col,
@@ -211,18 +207,12 @@ def format_sigma(sigma: float) -> str:
 
 
 def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "sigma": (False, _is_num, "noise level for certificates"),
-        "partition": (True, lambda v: isinstance(v, (list, str)), "label classes"),
-        "probs": (True, lambda v: isinstance(v, dict), "{'logits': path} or {'probs': path}"),
-        "radius_thresholds": (False, _is_num_list, "list of radii"),
-    }
-    _expect(config, schema, "hierarchy")
-    sigma = float(config.get("sigma", 0.5))
-    thresholds = [float(t) for t in config.get("radius_thresholds", DEFAULT_THRESHOLDS)]
+    sigma = float(config["sigma"])
+    thresholds = [float(t) for t in config["radius_thresholds"]]
     ids, labels, probs = _load_prob_source(config, base)
-    partition = _partition_from_config(config, base, probs.shape[1])
+    part, m = config["partition"], probs.shape[1]
+    partition = (io.read_partition(base / part, n_labels=m) if isinstance(part, str)
+                 else LabelPartition(tuple(map(tuple, part)), n_labels=m))
     reports = renormalization_report(probs, labels, partition, sigma, thresholds)
     columns = ["class_index", "labels", "n_samples", "routing_acc",
                "baseline_cr_mean", "baseline_cr_std",
@@ -240,26 +230,13 @@ def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "hierarchy": (True, lambda v: isinstance(v, str), "hierarchy json path"),
-        "dataset": (True, lambda v: isinstance(v, dict) and "features" in v,
-                    "{'features': path}"),
-        "attack": (True, lambda v: isinstance(v, dict), "attack scenario dict"),
-    }
-    _expect(config, schema, "attack")
-    h = io.load_hierarchy(_resolve(base, config["hierarchy"]))
-    ids, labels, X = io.read_features(_resolve(base, config["dataset"]["features"]))
-    attack_cfg = config["attack"]
-    allowed = {"mode", "budget_target", "epsilon", "step", "iters", "restarts"}
-    for key in attack_cfg:
-        if key not in allowed:
-            raise ConfigError(f"attack.{key}", "unknown attack key",
-                              hint=f"allowed: {', '.join(sorted(allowed))}")
-    scenario = AttackScenario(mode=attack_cfg.get("mode", "worst_case"),
-                              attack=_pgd_from_config(attack_cfg),
-                              budget_target=attack_cfg.get("budget_target"))
-    report = evaluate_adversarial(h, X, labels, scenario, seed=int(config.get("seed", 0)))
+    h = io.load_hierarchy(base / config["hierarchy"])
+    ids, labels, X = io.read_features(base / config["dataset"]["features"])
+    a = config["attack"]
+    pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
+                    iters=a["iters"], restarts=a["restarts"])
+    scenario = AttackScenario(mode=a["mode"], attack=pgd, budget_target=a["budget_target"])
+    report = evaluate_adversarial(h, X, labels, scenario, seed=config["seed"])
     rows = [["all", report.natural_acc,
              "" if report.adv_acc is None else report.adv_acc,
              "" if report.budget_acc is None else report.budget_acc]]
@@ -272,64 +249,38 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "k": (True, _is_int, "number of equivalence classes"),
-        "embeddings": (False, lambda v: isinstance(v, str), "embeddings csv path"),
-        "confusion": (False, lambda v: isinstance(v, str), "confusion csv path"),
-        "max_iter": (False, _is_int, "k-means iteration cap"),
-        "tol": (False, _is_num, "k-means movement tolerance"),
-        "n_labels": (False, _is_int, "label-space size override"),
-        "out_partition": (False, lambda v: isinstance(v, str), "partition output filename"),
-    }
-    _expect(config, schema, "discover")
-    if ("embeddings" in config) == ("confusion" in config):
+    if (config["embeddings"] is None) == (config["confusion"] is None):
         raise ConfigError("embeddings", "give exactly one of 'embeddings' or 'confusion'",
                           hint="embedding clustering and confusion clustering are alternatives")
-    seed = int(config.get("seed", 0))
-    k = int(config["k"])
+    k = config["k"]
 
-    if "embeddings" in config:
-        ids, labels, vectors = io.read_features(_resolve(base, config["embeddings"]))
-        result = kmeans(vectors, k, seed=seed,
-                        max_iter=int(config.get("max_iter", 100)),
-                        tol=float(config.get("tol", 1e-8)))
+    if config["embeddings"] is not None:
+        ids, labels, vectors = io.read_features(base / config["embeddings"])
+        result = kmeans(vectors, k, seed=config["seed"], max_iter=config["max_iter"],
+                        tol=float(config["tol"]))
         sep = cluster_separation_check(result.assignment, vectors) if k >= 2 else None
         partition = derive_partition(result.assignment, labels, k,
-                                     n_labels=config.get("n_labels"))
+                                     n_labels=config["n_labels"])
         row = [k, result.inertia, result.n_iter, result.reseeds,
                "" if sep is None else sep.silhouette,
                "" if sep is None else sep.passed]
     else:
-        counts = io.read_confusion(_resolve(base, config["confusion"]))
+        counts = io.read_confusion(base / config["confusion"])
         partition = partition_from_confusion(counts, k)
         row = [k, "", "", "", "", ""]
     row.append(json.dumps([list(c) for c in partition.classes]))
     return [ReportTable(name="discovered_partition",
-                        metadata=dict(meta, partition_file=config.get("out_partition",
-                                                                      "partition.json")),
+                        metadata=dict(meta, partition_file=config["out_partition"]),
                         columns=["k", "inertia", "n_iter", "reseeds",
                                  "silhouette", "separation_pass", "classes"],
                         rows=[row])]
 
 
 def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "sigma": (False, _is_num, "noise level"),
-        "probs": (True, lambda v: isinstance(v, dict), "{'logits': path} or {'probs': path}"),
-        "sizes": (True, _is_int_list, "subset sizes to sweep"),
-        "mode": (False, lambda v: v in ("all", "sampled"), "'all' or 'sampled'"),
-        "samples_per_size": (False, _is_int, "subset sample count per size"),
-    }
-    _expect(config, schema, "sweep")
-    seed = int(config.get("seed", 0))
-    sigma = float(config.get("sigma", 0.5))
     ids, labels, probs = _load_prob_source(config, base)
-    stats = subset_radius_sweep(probs, sigma, [int(s) for s in config["sizes"]],
-                                mode=config.get("mode", "all"),
-                                sample_count=int(config.get("samples_per_size", 500)),
-                                seed=seed)
+    stats = subset_radius_sweep(probs, float(config["sigma"]), config["sizes"],
+                                mode=config["mode"], sample_count=config["samples_per_size"],
+                                seed=config["seed"])
     rows = [[s.size, s.n_finite, s.n_infinite, s.mean, s.std, s.q25, s.median, s.q75]
             for s in (stats[k] for k in sorted(stats))]
     return [ReportTable(name="subset_radius_sweep", metadata=dict(meta),
@@ -339,23 +290,10 @@ def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "d": (False, _is_int, "informative feature count"),
-        "p": (False, _is_num, "robust-feature reliability in (1/2,1)"),
-        "eta_list": (False, _is_num_list, "mean shifts"),
-        "k_list": (False, _is_int_list, "protected-feature counts"),
-        "n_samples": (False, _is_int, "Monte-Carlo sample count"),
-        "tradeoff": (False, lambda v: isinstance(v, dict), "{'gamma': g, 'eta': e}"),
-    }
-    _expect(config, schema, "toy-gauss")
-    seed = int(config.get("seed", 0))
-    d = int(config.get("d", 200))
-    p = float(config.get("p", 0.95))
-    eta_list = [float(e) for e in config.get("eta_list", [0.05, 0.1, 0.3, 0.5, 1.0])]
-    k_list = [int(k) for k in config.get("k_list", [0, 1, 5, 10, 25, 50, 100, 200])]
-    n_samples = int(config.get("n_samples", 100_000))
-    cells = gauss_experiment(eta_list, k_list, d, p, n_samples, seed)
+    seed, d, n_samples = config["seed"], config["d"], config["n_samples"]
+    p = float(config["p"])
+    eta_list = [float(e) for e in config["eta_list"]]
+    cells = gauss_experiment(eta_list, config["k_list"], d, p, n_samples, seed)
     rows = []
     for c in cells:
         bound = adversarial_accuracy_bound(p, 1.0 - c.natural_acc) if c.k == 0 else ""
@@ -364,10 +302,8 @@ def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                           columns=["eta", "k", "natural_acc", "adversarial_acc",
                                    "bound_if_unprotected"],
                           rows=rows)]
-    if "tradeoff" in config:
-        t = config["tradeoff"]
-        gamma = float(t.get("gamma", 0.01))
-        eta = float(t.get("eta", 0.3))
+    if config["tradeoff"] is not None:
+        gamma, eta = (float(config["tradeoff"][key]) for key in ("gamma", "eta"))
         res = tradeoff_experiment(p, gamma, eta, d, n_samples, seed)
         tables.append(ReportTable(name="tradeoff", metadata=dict(meta),
                                   columns=["p", "gamma", "eta", "natural_acc",
@@ -378,21 +314,9 @@ def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def cmd_toy_prf(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    schema = {
-        "seed": (False, _is_int, "integer master seed"),
-        "n_bits": (False, _is_int, "message length (1..64)"),
-        "key": (False, _is_int, "64-bit key"),
-        "repetition": (False, _is_int, "odd per-bit repetition"),
-        "flip_budget": (False, _is_int, "copies flipped per repetition group"),
-        "n_trials": (False, _is_int, "trial count"),
-    }
-    _expect(config, schema, "toy-prf")
-    seed = int(config.get("seed", 0))
-    params = PrfModelParams(n_bits=int(config.get("n_bits", 16)),
-                            key=int(config.get("key", 0x5149_77DE_23A6_01B7)),
-                            repetition=int(config.get("repetition", 3)))
-    budget = int(config.get("flip_budget", 1))
-    n_trials = int(config.get("n_trials", 10_000))
+    seed, budget, n_trials = config["seed"], config["flip_budget"], config["n_trials"]
+    params = PrfModelParams(n_bits=config["n_bits"], key=config["key"],
+                            repetition=config["repetition"])
     scenarios = [
         ("clean", 0, False),
         ("first_bit_attack", budget, True),
@@ -445,16 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
+    """Run the command on its config, checked and with defaults filled in."""
     started = time.perf_counter()
+    schema = {"seed": (0, io.is_int, "integer master seed"), **_SCHEMAS[command]}
+    checked = io.check_object(config, schema, command, prefix="")
     meta = {
         "command": command,
-        "seed": int(config.get("seed", 0)),
+        "seed": checked["seed"],
         "config_hash": config_hash(config),
         "versions": {"hiercert": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": "%d.%d.%d" % sys.version_info[:3]},
     }
-    tables = _COMMANDS[command](config, base, meta)
+    tables = _COMMANDS[command](checked, base, meta)
     wall = time.perf_counter() - started
     out.mkdir(parents=True, exist_ok=True)
     for t in tables:
@@ -463,7 +390,7 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
         print(f"wrote {path}")
     if command == "discover":
         classes = json.loads(tables[0].rows[0][-1])
-        part_path = out / tables[0].metadata.get("partition_file", "partition.json")
+        part_path = out / tables[0].metadata["partition_file"]
         io.write_json(part_path, classes)
         print(f"wrote {part_path}")
     return tables
@@ -473,9 +400,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = io.read_json(args.config)
-        if not isinstance(config, dict):
-            raise ConfigError("<root>", "config must be a JSON object", hint="{...}")
-        if args.seed is not None:
+        if args.seed is not None and isinstance(config, dict):
             config["seed"] = int(args.seed)
         run(args.command, config, Path(args.out), Path(args.config).resolve().parent)
         return 0

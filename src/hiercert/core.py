@@ -50,6 +50,10 @@ class LabelPartition:
     n_labels: int = field(default=0)
 
     def __post_init__(self):
+        bad = [i for c in self.classes for i in c
+               if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+        if bad:
+            raise ValidationError(f"partition labels must be integers, got {bad[0]!r}")
         classes = tuple(tuple(sorted(int(i) for i in c)) for c in self.classes)
         object.__setattr__(self, "classes", classes)
         n = self.n_labels or (max((c[-1] for c in classes if c), default=-1) + 1)

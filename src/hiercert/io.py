@@ -22,6 +22,7 @@ import json
 import math
 import mmap
 import os
+import reprlib
 import warnings
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -29,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import LabelPartition
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .hierarchy import Hierarchy, Intermediate, Leaf, RENORMALIZE
 from .models import LinearSoftmax, MaskedModel, SmallMlp
 
@@ -340,6 +341,73 @@ def read_json(path):
         raise ValidationError(f"{path}: invalid json ({exc})")
 
 
+#: The default of a schema key that the object must carry.
+REQUIRED = object()
+
+
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def is_dict(v) -> bool:
+    return isinstance(v, dict)
+
+
+def list_of(check):
+    """A check for a nonempty list whose items all pass `check`."""
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(check, v))
+
+
+is_num_list, is_int_list = list_of(is_num), list_of(is_int)
+
+
+def check_object(obj, schema: dict, where: str, prefix: Optional[str] = None) -> dict:
+    """`obj` checked against `schema`, as a new dict with defaults filled in.
+
+    The schema maps each allowed key to `(default or REQUIRED, check, hint)`;
+    `check` is a predicate on the value, or the schema of a nested object.
+    Errors name the field `prefix + key` (prefix: `where.` unless given), as
+    `attack.epsilon`, and an unknown key also `where`, the object holding it.
+    """
+    prefix = where + "." if prefix is None else prefix
+    if not isinstance(obj, dict):
+        raise ConfigError("<root>", f"'{where}' must be a JSON object", hint="{...}")
+    for key in obj:
+        if key not in schema:
+            raise ConfigError(prefix + key, f"unknown key for '{where}'",
+                              hint=f"allowed keys: {', '.join(sorted(schema))}")
+    out = {}
+    for key, (default, check, hint) in schema.items():
+        name = prefix + key
+        if key not in obj:
+            if default is REQUIRED:
+                raise ConfigError(name, "missing required key", hint=hint)
+            out[key] = default
+            continue
+        value, nested = obj[key], isinstance(check, dict)
+        if not (is_dict(value) if nested else check(value)):
+            raise ConfigError(name, f"invalid value {reprlib.repr(value)}", hint=hint)
+        out[key] = check_object(value, check, name) if nested else value
+    return out
+
+
+def _variant(obj, key: str, variants: dict, where: str, what: str):
+    """The entry of `variants` named by obj[key]: a model's type, a node's kind."""
+    kind = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in variants:
+        raise ConfigError(f"{where}.{key}", f"unknown {what} {kind!r}",
+                          hint=" or ".join(map(repr, variants)))
+    return variants[kind]
+
+
 def write_partition(path, partition: LabelPartition) -> None:
     write_json(path, [list(c) for c in partition.classes])
 
@@ -348,8 +416,7 @@ def read_partition(path, n_labels: Optional[int] = None) -> LabelPartition:
     raw = read_json(path)
     if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
         raise ValidationError(f"{path}: partition must be a list of label lists")
-    return LabelPartition(tuple(tuple(c) for c in raw),
-                          n_labels=n_labels or 0)
+    return LabelPartition(tuple(tuple(c) for c in raw), n_labels=n_labels or 0)
 
 
 def model_to_dict(model) -> dict:
@@ -361,27 +428,24 @@ def model_to_dict(model) -> dict:
     raise ValidationError(f"cannot serialize model type {type(model).__name__}")
 
 
-def model_from_dict(spec: dict, base_dir: Path | None = None):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValidationError("model spec must be a dict with a 'type'")
-    kind = spec["type"]
-    if "path" in spec:
-        path = Path(spec["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        inner = read_json(path)
-        if inner.get("type", kind) != kind:
+_MODELS = {"linear": (LinearSoftmax, ("W", "b")), "mlp": (SmallMlp, ("W1", "b1", "W2", "b2"))}
+_MODEL_TYPE = (REQUIRED, is_str, "'linear' or 'mlp'")
+_MODEL_FILE = {"type": _MODEL_TYPE, "path": (REQUIRED, is_str, "model json path")}
+_PARAM = (REQUIRED, lambda v: is_num_list(v) or list_of(is_num_list)(v), "(rows of) numbers")
+
+
+def model_from_dict(spec: dict, base_dir: Path | None = None, where: str = "model"):
+    """A built-in model from its type and parameters, or from its type and
+    the path of its model file (relative to base_dir); `where` names it."""
+    if isinstance(spec, dict) and "path" in spec:
+        ref = check_object(spec, _MODEL_FILE, where)
+        path = Path(base_dir or "", ref["path"])
+        spec, where = read_json(path), str(path)
+        if not isinstance(spec, dict) or spec.get("type") != ref["type"]:
             raise ValidationError(f"{path}: model type mismatch")
-        return model_from_dict(inner)
-    if kind == "linear":
-        return LinearSoftmax(W=np.array(spec["W"], dtype=np.float64),
-                             b=np.array(spec["b"], dtype=np.float64))
-    if kind == "mlp":
-        return SmallMlp(W1=np.array(spec["W1"], dtype=np.float64),
-                        b1=np.array(spec["b1"], dtype=np.float64),
-                        W2=np.array(spec["W2"], dtype=np.float64),
-                        b2=np.array(spec["b2"], dtype=np.float64))
-    raise ValidationError(f"unknown model type {kind!r}")
+    cls, names = _variant(spec, "type", _MODELS, where, "model type")
+    params = check_object(spec, {"type": _MODEL_TYPE, **dict.fromkeys(names, _PARAM)}, where)
+    return cls(**{name: params[name] for name in names})
 
 
 def save_model(path, model) -> None:
@@ -409,31 +473,37 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
     return {"n_labels": h.n_labels, "root": encode(h.root)}
 
 
-def hierarchy_from_dict(spec: dict, base_dir: Path | None = None) -> Hierarchy:
-    if "n_labels" not in spec or "root" not in spec:
-        raise ValidationError("hierarchy spec needs 'n_labels' and 'root'")
+_HIERARCHY = {"n_labels": (REQUIRED, is_int, "label-space size"),
+              "root": (REQUIRED, is_dict, "the root node")}
+_NODE_KIND = (REQUIRED, is_str, "'leaf' or 'intermediate'")
+_NODES = {
+    "leaf": {"kind": _NODE_KIND, "labels": (REQUIRED, is_int_list, "the leaf's label indices"),
+             "strategy": (RENORMALIZE, is_str, "'renormalize' or 'retrain'"),
+             "classifier": (None, lambda v: v is None or is_dict(v),
+                            "model spec; a singleton leaf ignores it")},
+    "intermediate": {"kind": _NODE_KIND, "classifier": (REQUIRED, is_dict, "routing model spec"),
+                     "children": (REQUIRED, list_of(is_dict), "list of child nodes")},
+}
 
-    def decode(node: dict):
-        kind = node.get("kind")
-        if kind == "leaf":
-            labels = tuple(int(i) for i in node["labels"])
-            strategy = node.get("strategy", RENORMALIZE)
-            clf_spec = node.get("classifier")
-            if len(labels) == 1 or clf_spec is None:
-                if len(labels) > 1:
-                    raise ValidationError(f"leaf {labels} needs a classifier")
-                return Leaf(labels, strategy=strategy)
-            model = model_from_dict(clf_spec, base_dir)
+
+def hierarchy_from_dict(spec: dict, base_dir: Path | None = None) -> Hierarchy:
+    spec = check_object(spec, _HIERARCHY, "hierarchy", prefix="")
+
+    def decode(node: dict, where: str):
+        node = check_object(node, _variant(node, "kind", _NODES, where, "node kind"), where)
+        if node["kind"] == "intermediate":
+            children = tuple(decode(c, f"{where}.children.{i}")
+                             for i, c in enumerate(node["children"]))
+            model = model_from_dict(node["classifier"], base_dir, f"{where}.classifier")
+            return Intermediate(classifier=model, children=children)
+        labels, strategy, model = tuple(node["labels"]), node["strategy"], None
+        if len(labels) > 1 and node["classifier"] is not None:
+            model = model_from_dict(node["classifier"], base_dir, f"{where}.classifier")
             if strategy == RENORMALIZE:
                 model = MaskedModel(model, labels)
-            return Leaf(labels, strategy=strategy, classifier=model)
-        if kind == "intermediate":
-            children = tuple(decode(c) for c in node["children"])
-            return Intermediate(classifier=model_from_dict(node["classifier"], base_dir),
-                                children=children)
-        raise ValidationError(f"unknown node kind {kind!r}")
+        return Leaf(labels, strategy=strategy, classifier=model)
 
-    return Hierarchy(root=decode(spec["root"]), n_labels=int(spec["n_labels"]))
+    return Hierarchy(root=decode(spec["root"], "root"), n_labels=spec["n_labels"])
 
 
 def save_hierarchy(path, h: Hierarchy) -> None:

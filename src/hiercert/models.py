@@ -69,7 +69,10 @@ def _dlogits(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
+    try:
+        out = np.array(arr, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"model parameters must be numeric arrays ({exc})") from None
     if not np.all(np.isfinite(out)):
         raise ValidationError("model parameters must be finite")
     out.setflags(write=False)

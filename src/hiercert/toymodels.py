@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .errors import ValidationError
-from .numerics import normal_cdf
+from .numerics import normal_cdf, normal_quantile
 
 _STREAM_LABEL = 101
 _STREAM_ROBUST = 102
@@ -207,8 +207,6 @@ def tuned_feature_weight(p: float, gamma: float, eta: float, d: int) -> float:
     target = (1.0 - gamma - p) / (1.0 - p)
     if not 0.0 < target < 1.0:
         raise ValidationError("requires p < 1 - gamma < 1")
-    from .numerics import normal_quantile
-
     return eta - normal_quantile(target) / math.sqrt(d)
 
 

@@ -241,6 +241,63 @@ class TestValidation:
         assert err.count("\n") > 1 if traceback else err.count("\n") == 1
 
 
+_MODEL = {"type": "linear", "W": [[0.0, 0.0], [1.0, 0.0]], "b": [0.0, 0.0]}
+_TREE = {"n_labels": 2, "root": {"kind": "intermediate", "classifier": _MODEL, "children": [
+    {"kind": "leaf", "labels": [0]}, {"kind": "leaf", "labels": [1]}]}}
+_VALID = {
+    "certify": {"n0": 10, "n": 50, "model": _MODEL, "dataset": {"features": "data.csv"}},
+    "attack": {"hierarchy": "h.json", "dataset": {"features": "data.csv"},
+               "attack": {"iters": 2}},
+    "hierarchy": {"partition": [[0], [1]], "probs": {"probs": "p.csv"}},
+    "toy-gauss": {"d": 10, "eta_list": [0.3], "k_list": [0], "n_samples": 100,
+                  "tradeoff": {"gamma": 0.02}},
+    "toy-prf": {"n_trials": 10},
+}
+
+
+def _malformed(command, tree=_TREE, **section):
+    """The valid config of `command` with its keys or sections replaced."""
+    return command, dict(_VALID[command], **section), tree
+
+
+class TestMalformedInputs:
+    """Each malformed config, model spec or hierarchy file exits 1 with one
+    line naming the field."""
+
+    @staticmethod
+    def _run(tmp_path, command, config, tree):
+        io.write_features(tmp_path / "data.csv", ["a"], np.array([0]), np.array([[0.5, 0.0]]))
+        io.write_probs(tmp_path / "p.csv", ["a"], np.array([0]), np.array([[0.75, 0.25]]))
+        io.write_json(tmp_path / "h.json", tree)
+        cfg = write_config(tmp_path, "c.json", config)
+        return cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", sorted(_VALID))
+    def test_valid_configs_run(self, tmp_path, command):
+        assert self._run(tmp_path, *_malformed(command)) == 0
+
+    @pytest.mark.parametrize("case, field", [
+        (_malformed("toy-gauss", tradeoff={"gama": 0.02}), "tradeoff.gama"),
+        (_malformed("toy-gauss", tradeoff={"gamma": "x"}), "tradeoff.gamma"),
+        (_malformed("certify", dataset={"features": "data.csv", "labels": "l.csv"}),
+         "dataset.labels"),
+        (_malformed("certify", model=dict(_MODEL, bias=[0.0, 0.0])), "model.bias"),
+        (_malformed("certify", model={"type": "linear", "W": _MODEL["W"]}), "model.b"),
+        (_malformed("attack", attack={"iters": 2, "epsilon": "big"}), "attack.epsilon"),
+        (_malformed("toy-prf", seed="x"), "seed"),
+        (_malformed("attack", tree={"n_labels": 2, "root": dict(_TREE["root"], children=[
+            {"kind": "leaf", "labels": [0]}, {"kind": "leaf"}])}), "root.children.1.labels"),
+        (_malformed("hierarchy", partition=[["a"]]), "partition"),
+        (_malformed("certify", model=dict(_MODEL, W=[["a", 0.0], [1.0, 0.0]])), "model.W"),
+    ])
+    def test_malformed_input_names_its_field(self, tmp_path, capsys, case, field):
+        assert self._run(tmp_path, *case) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[validation] field '{field}': ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_monotone_mean_column(self, tmp_path):
         P = synth_prob_dataset(5, 300, 8)

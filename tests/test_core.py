@@ -34,6 +34,7 @@ class TestLabelPartition:
         p = LabelPartition(((0, 1, 2), (3, 4)))
         assert p.n_labels == 5
         assert p.class_of(3) == 1
+        assert LabelPartition((tuple(np.arange(3)), (3,))).classes == ((0, 1, 2), (3,))
 
     def test_rejects_overlap_gap_and_empty(self):
         with pytest.raises(ValidationError):

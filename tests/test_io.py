@@ -365,6 +365,12 @@ class TestPartitionJson:
         got = io.read_partition(tmp_path / "p.json", n_labels=5)
         assert got.classes == part.classes
 
+    @pytest.mark.parametrize("classes", [[[0.5, 1], [2]], [["a"]], [[True], [0]]])
+    def test_non_integer_labels_rejected(self, tmp_path, classes):
+        io.write_json(tmp_path / "p.json", classes)
+        with pytest.raises(ValidationError, match="partition labels must be integers"):
+            io.read_partition(tmp_path / "p.json")
+
 
 class TestModelJson:
     def test_linear_round_trip(self, tmp_path):
@@ -419,6 +425,17 @@ class TestHierarchyJson:
         io.write_json(tmp_path / "h.json", spec)
         h = io.load_hierarchy(tmp_path / "h.json")
         assert h.n_labels == 3
+
+    def test_singleton_leaf_classifier_ignored(self, tmp_path):
+        # the classifier of a one-label leaf is never parsed, whatever its arity
+        spec = {"n_labels": 2, "root": {
+            "kind": "intermediate",
+            "classifier": {"type": "linear", "W": [[0.0], [1.0]], "b": [0.0, 0.0]},
+            "children": [{"kind": "leaf", "labels": [0],
+                          "classifier": {"type": "linear", "W": [[1.0]], "b": [0.0, 0.0]}},
+                         {"kind": "leaf", "labels": [1], "classifier": None}]}}
+        h = io.hierarchy_from_dict(spec)
+        assert [leaf.classifier for leaf in h.leaves()] == [None, None]
 
     def test_multi_label_leaf_without_classifier_rejected(self, tmp_path):
         spec = {"n_labels": 2,

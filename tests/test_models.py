@@ -221,6 +221,13 @@ class TestPgd:
             PgdParams(epsilon=0.1, step=0.1, iters=0)
 
 
+class TestModelParameters:
+    @pytest.mark.parametrize("W", [[["a", 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0]]])
+    def test_unconvertible_parameters_rejected(self, W):
+        with pytest.raises(ValidationError, match="model parameters must be numeric arrays"):
+            LinearSoftmax(W=W, b=[0.0, 0.0])
+
+
 class TestMaskedModel:
     def test_logits_are_selected_columns(self):
         base = LinearSoftmax.init(5, 3, seed=11)
