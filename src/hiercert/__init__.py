@@ -11,10 +11,9 @@ from .core import (
     ABSTAIN,
     CertifiedPrediction,
     LabelPartition,
-    LabelSpace,
     hinge_gap,
 )
-from .smoothing import SmoothingConfig, certify, phi_inv
+from .smoothing import SmoothingConfig, certify
 
 __version__ = "0.1.0"
 
@@ -22,10 +21,8 @@ __all__ = [
     "ABSTAIN",
     "CertifiedPrediction",
     "LabelPartition",
-    "LabelSpace",
     "SmoothingConfig",
     "certify",
     "hinge_gap",
-    "phi_inv",
     "__version__",
 ]

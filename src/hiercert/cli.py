@@ -88,7 +88,7 @@ _SCHEMAS: dict[str, dict] = {
         "radius_thresholds": _THRESHOLDS,
     },
     "hierarchy": {
-        "sigma": (0.5, io.is_num, "noise level for certificates"),
+        "sigma": (0.5, io.is_pos_num, "positive noise level for certificates"),
         "partition": (io.REQUIRED, lambda v: io.is_str(v) or (isinstance(v, list) and all(
             map(io.is_int_list, v))), "list of label lists, or a partition json path"),
         "probs": _PROBS,
@@ -104,18 +104,18 @@ _SCHEMAS: dict[str, dict] = {
         "out_partition": ("partition.json", io.is_str, "partition output filename"),
     },
     "sweep": {
-        "sigma": (0.5, io.is_num, "noise level"),
+        "sigma": (0.5, io.is_pos_num, "positive noise level"),
         "probs": _PROBS,
         "sizes": (io.REQUIRED, io.is_int_list, "subset sizes to sweep"),
         "mode": ("all", lambda v: v in ("all", "sampled"), "'all' or 'sampled'"),
-        "samples_per_size": (500, io.is_int, "subset sample count per size"),
+        "samples_per_size": (500, io.is_pos_int, "positive subset sample count per size"),
     },
     "toy-gauss": {
         "d": (200, io.is_int, "informative feature count"),
         "p": (0.95, io.is_num, "robust-feature reliability in (1/2,1)"),
         "eta_list": ([0.05, 0.1, 0.3, 0.5, 1.0], io.is_num_list, "mean shifts"),
         "k_list": ([0, 1, 5, 10, 25, 50, 100, 200], io.is_int_list, "protected-feature counts"),
-        "n_samples": (100_000, io.is_int, "Monte-Carlo sample count"),
+        "n_samples": (100_000, io.is_pos_int, "positive Monte-Carlo sample count"),
         "tradeoff": (None, {"gamma": (0.01, io.is_num, "robust-feature error rate"),
                             "eta": (0.3, io.is_num, "mean shift")}, "{'gamma': g, 'eta': e}"),
     },
@@ -124,7 +124,7 @@ _SCHEMAS: dict[str, dict] = {
         "key": (0x5149_77DE_23A6_01B7, io.is_int, "64-bit key"),
         "repetition": (3, io.is_int, "odd per-bit repetition"),
         "flip_budget": (1, io.is_int, "copies flipped per repetition group"),
-        "n_trials": (10_000, io.is_int, "trial count"),
+        "n_trials": (10_000, io.is_pos_int, "positive trial count"),
     },
     "attack": {
         "hierarchy": (io.REQUIRED, io.is_str, "hierarchy json path"),

@@ -25,24 +25,6 @@ PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class LabelSpace:
-    """A classification output space of m labels, optionally named."""
-
-    m: int
-    names: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValidationError(f"a label space needs at least 2 labels, got {self.m}")
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != self.m:
-                raise ValidationError("names length must equal m")
-            if len(set(self.names)) != self.m:
-                raise ValidationError("label names must be unique")
-
-
-@dataclass(frozen=True)
 class LabelPartition:
     """Disjoint, nonempty label-index classes covering {0, ..., m-1}."""
 
@@ -111,23 +93,22 @@ class CertifiedPrediction:
         return self.label == ABSTAIN
 
 
-def as_probability_vector(p, *, validate: bool = True) -> np.ndarray:
-    """Coerce to a 1-D float64 array and optionally check simplex invariants."""
+def as_probability_vector(p) -> np.ndarray:
+    """Coerce to a 1-D float64 array and check the simplex invariants."""
     v = np.asarray(p, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValidationError("probability vector must be 1-D and nonempty")
-    if validate:
-        total = float(np.add.reduce(v))
-        # Python's min and max over a list: on the short vectors of the
-        # callers, two numpy reductions cost more than the list conversion.
-        values = v.tolist()
-        lo, hi = min(values), max(values)
-        # A NaN entry makes the total NaN, which fails `total == total`;
-        # +-inf entries fail the range test.
-        if not (lo >= 0.0 and hi <= 1.0 and total == total):
-            raise ValidationError("probabilities must be finite and lie in [0, 1]")
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+    total = float(np.add.reduce(v))
+    # Python's min and max over a list: on the short vectors of the
+    # callers, two numpy reductions cost more than the list conversion.
+    values = v.tolist()
+    lo, hi = min(values), max(values)
+    # A NaN entry makes the total NaN, which fails `total == total`;
+    # +-inf entries fail the range test.
+    if not (lo >= 0.0 and hi <= 1.0 and total == total):
+        raise ValidationError("probabilities must be finite and lie in [0, 1]")
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"probabilities sum to {total!r}, expected 1")
     return v
 
 

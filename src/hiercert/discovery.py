@@ -24,27 +24,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class EmbeddingSet:
-    """Feature vectors with ground-truth labels and layer provenance."""
-
-    vectors: np.ndarray  # (n, d)
-    labels: np.ndarray   # (n,)
-    layer_tag: str = ""
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=np.float64))
-        y = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "labels", y)
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValidationError("embeddings must be a nonempty (n, d) matrix")
-        if y.shape != (v.shape[0],):
-            raise ValidationError("labels must align with embedding rows")
-        if y.size and y.min() < 0:
-            raise ValidationError("labels must be nonnegative")
-
-
-@dataclass(frozen=True)
 class KmeansResult:
     assignment: np.ndarray
     centroids: np.ndarray
@@ -56,6 +35,9 @@ class KmeansResult:
 
 # Distance entries per block of rows in the silhouette (8 MB of float64).
 _SEPARATION_BLOCK = 1 << 20
+
+#: Mean silhouette at or above which a clustering passes the separation check.
+SEPARATION_THRESHOLD = 0.1
 
 
 def _sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -93,7 +75,7 @@ def _plus_plus_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     return X[chosen].copy()
 
 
-def kmeans(embeddings: EmbeddingSet | np.ndarray, k: int, seed: int = 0,
+def kmeans(embeddings, k: int, seed: int = 0,
            max_iter: int = 100, tol: float = 1e-8) -> KmeansResult:
     """Lloyd's iteration from seeded k-means++ starts.
 
@@ -102,8 +84,7 @@ def kmeans(embeddings: EmbeddingSet | np.ndarray, k: int, seed: int = 0,
     farthest from its current centroid. The returned assignment is a fixed
     point of the assignment step for the returned centroids.
     """
-    X = embeddings.vectors if isinstance(embeddings, EmbeddingSet) else \
-        np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
@@ -182,15 +163,14 @@ class SeparationReport:
     n_singletons: int
 
 
-def cluster_separation_check(assignment, embeddings: EmbeddingSet | np.ndarray,
-                             threshold: float = 0.1) -> SeparationReport:
-    """Mean silhouette coefficient of a clustering; pass iff >= threshold.
+def cluster_separation_check(assignment, embeddings) -> SeparationReport:
+    """Mean silhouette coefficient of a clustering; pass iff it is at least
+    SEPARATION_THRESHOLD.
 
     Points in singleton clusters score 0 by convention and trigger a
     warning; a single-cluster assignment has no defined separation.
     """
-    X = embeddings.vectors if isinstance(embeddings, EmbeddingSet) else \
-        np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    X = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     assign = np.asarray(assignment, dtype=np.int64)
     ids, cluster, sizes = np.unique(assign, return_inverse=True, return_counts=True)
     if ids.size < 2:
@@ -220,7 +200,7 @@ def cluster_separation_check(assignment, embeddings: EmbeddingSet | np.ndarray,
         scored = (own_size > 1) & (denom != 0.0)
         scores[rows] = np.where(scored, (b - a) / np.where(scored, denom, 1.0), 0.0)
     sil = float(scores.mean())
-    return SeparationReport(silhouette=sil, passed=sil >= threshold,
+    return SeparationReport(silhouette=sil, passed=sil >= SEPARATION_THRESHOLD,
                             n_singletons=n_singletons)
 
 

@@ -39,6 +39,9 @@ RETRAIN = "retrain"
 WORST_CASE = "worst_case"
 BUDGETED = "budgeted"
 
+#: Cap on (subsets x rows) of an all-subsets sweep; larger ones must sample.
+MAX_SWEEP_EVALUATIONS = 10_000_000
+
 
 @dataclass(frozen=True)
 class Leaf:
@@ -105,17 +108,7 @@ class Hierarchy:
             )
 
     def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: Node):
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
+        return [node for _, node in self.nodes() if isinstance(node, Leaf)]
 
     def partition(self) -> LabelPartition:
         return LabelPartition(tuple(l.label_subset for l in self.leaves()),
@@ -292,8 +285,7 @@ def _sample_subsets(m: int, size: int, count: int, seed: int) -> list[tuple[int,
 
 def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
                         mode: str = "all", sample_count: int = 500,
-                        seed: int = 0,
-                        max_evaluations: int = 10_000_000) -> dict[int, SizeStats]:
+                        seed: int = 0) -> dict[int, SizeStats]:
     """Renormalized-radius statistics over label subsets of each size.
 
     For every subset (all of them, or a seeded sample of `sample_count`
@@ -311,10 +303,10 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
     for s in sizes:
         if not 1 <= s <= m:
             raise ValidationError(f"subset size {s} outside 1..{m}")
-        if mode == "all" and math.comb(m, s) * n > max_evaluations:
+        if mode == "all" and math.comb(m, s) * n > MAX_SWEEP_EVALUATIONS:
             raise ValidationError(
                 f"all-subsets sweep at size {s} needs {math.comb(m, s) * n} "
-                f"evaluations (> {max_evaluations}); use mode='sampled'"
+                f"evaluations (> {MAX_SWEEP_EVALUATIONS}); use mode='sampled'"
             )
 
     table = _runner_table(P)

@@ -40,18 +40,10 @@ CERTIFICATE_COLUMNS = ("sample_id", "label", "pred", "radius", "abstain", "p_a_l
 
 
 def format_float(x: float) -> str:
+    """17 significant digits; `inf`, `-inf` and `nan` for the non-finite."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
-
-
-def parse_float(s: str) -> float:
-    return float(s)
+    return f"{float(x):.17g}"
 
 
 def _format_cell(v) -> str:
@@ -96,9 +88,13 @@ SPLIT_MIN_BYTES = 4 << 20
 
 
 def _loadtxt(fh, skiprows: int, width: int, max_rows: Optional[int] = None) -> np.ndarray:
-    """The value columns of a wide CSV from fh, after skiprows lines."""
-    return np.loadtxt(fh, delimiter=",", skiprows=skiprows, usecols=range(2, width + 2),
-                      comments=None, quotechar='"', ndmin=2, max_rows=max_rows)
+    """The value columns of a wide CSV from fh, after skiprows lines; a value
+    numpy cannot parse raises ValidationError naming the file."""
+    try:
+        return np.loadtxt(fh, delimiter=",", skiprows=skiprows, usecols=range(2, width + 2),
+                          comments=None, quotechar='"', ndmin=2, max_rows=max_rows)
+    except ValueError as exc:
+        raise ValidationError(f"{fh.name}: {exc}") from None
 
 
 def _usable_cpus() -> int:
@@ -181,7 +177,8 @@ def _read_wide_csv(path, prefix: str):
     one-process read's message. On any other failure (fork or mmap raises,
     the child exits non-zero or is killed, a half has the wrong row count)
     the whole file is parsed again by the one-process call, which raises
-    that read's errors.
+    that read's errors. A label that is not an integer, or a value numpy
+    cannot parse, raises ValidationError naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -224,8 +221,12 @@ def _read_wide_csv(path, prefix: str):
             if n_fields != width + 2:
                 raise ValidationError(f"{path}: ragged rows (row {len(ids) + 1} has "
                                       f"{n_fields} fields, the header {width + 2})")
+            try:
+                labels.append(int(row[1]))
+            except ValueError:
+                raise ValidationError(f"{path}: row {len(ids) + 1} label {row[1]!r} "
+                                      "is not an integer") from None
             ids.append(row[0])
-            labels.append(int(row[1]))
             starts.append(start)
         n = len(ids)
         if not n:
@@ -318,9 +319,9 @@ def read_certificates(path) -> list[dict]:
             "sample_id": row[0],
             "label": int(row[1]),
             "pred": int(row[2]),
-            "radius": None if row[3] == "" else parse_float(row[3]),
+            "radius": None if row[3] == "" else float(row[3]),
             "abstain": row[4] == "true",
-            "p_a_lower": parse_float(row[5]),
+            "p_a_lower": float(row[5]),
         })
     return out
 
@@ -350,7 +351,12 @@ def is_int(v) -> bool:
 
 
 def is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number: NaN, +-Infinity and literals that overflow a float
+    (1e999, a 400-digit integer) fail."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def is_str(v) -> bool:
@@ -366,7 +372,13 @@ def list_of(check):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(map(check, v))
 
 
+def positive(check):
+    """A check that also requires the value to be > 0."""
+    return lambda v: check(v) and v > 0
+
+
 is_num_list, is_int_list = list_of(is_num), list_of(is_int)
+is_pos_num, is_pos_int = positive(is_num), positive(is_int)
 
 
 def check_object(obj, schema: dict, where: str, prefix: Optional[str] = None) -> dict:

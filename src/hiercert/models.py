@@ -129,9 +129,6 @@ class LinearSoftmax:
         X = np.asarray(X, dtype=np.float64)
         return (G.T @ X, G.sum(axis=0))
 
-    def param_grads_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
-        return self._param_grads(X, None, G)
-
     def with_params(self, params: Sequence[np.ndarray]) -> "LinearSoftmax":
         W, b = params
         return LinearSoftmax(W=W, b=b)
@@ -161,10 +158,6 @@ class SmallMlp:
     @property
     def input_dim(self) -> int:
         return self.W1.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.W1.shape[0]
 
     @staticmethod
     def init(n_labels: int, dim: int, hidden: int, seed: int, scale: float = 0.5) -> "SmallMlp":
@@ -218,9 +211,6 @@ class SmallMlp:
         dZ = G @ self.W2
         dZ *= H > 0.0
         return (dZ.T @ X, dZ.sum(axis=0), dW2, db2)
-
-    def param_grads_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
-        return self._param_grads(X, self._forward(X)[1], G)
 
     def with_params(self, params: Sequence[np.ndarray]) -> "SmallMlp":
         W1, b1, W2, b2 = params
@@ -415,7 +405,7 @@ def gradient_check(model, x, y: int, step: float = 1e-5) -> float:
     logits = model.logits(X)
     G = _dlogits(logits, ya)
     analytic_input = model.input_grad_from_dlogits(X, G)[0]
-    analytic_params = model.param_grads_from_dlogits(X, G)
+    analytic_params = model._param_grads(X, model._forward(X)[1], G)
 
     worst = 0.0
 

@@ -32,7 +32,10 @@ def normal_cdf(x):
 
 
 def normal_quantile(q):
-    """Inverse standard-normal CDF for scalars or ndarrays in (0, 1)."""
+    """Inverse standard-normal CDF for scalars or ndarrays in (0, 1).
+
+    The scalar fork stays: through the array path, acceptance test 2 took
+    8.6 s in place of 5.9 s on a 2-vCPU Xeon, against its 10 s gate."""
     if np.isscalar(q):
         qf = float(q)
         if not 0.0 < qf < 1.0:

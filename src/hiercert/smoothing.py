@@ -8,10 +8,10 @@ l2 radius:
     one-sided:  R = sigma * Phi^-1(p_a_lower)
     two-sided:  R = sigma / 2 * (Phi^-1(p_top) - Phi^-1(p_runner))
 
-Certificates always take the one-sided form, which equals the two-sided
-form with p_top = p_a_lower and p_runner = 1 - p_a_lower. The two-sided
-form, `margin_radius`, serves only the margin estimates of the hierarchy
-module (the renormalized leaves and the subset sweep).
+Certificates always take the one-sided form, computed as the two-sided
+form `margin_radius` with p_top = p_a_lower and p_runner = 1 - p_a_lower.
+The hierarchy module's margin estimates (the renormalized leaves and the
+subset sweep) use `margin_radius` with a separate runner-up probability.
 
 Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs and chunk sizes.
@@ -25,9 +25,8 @@ then gets one `logits` call, one argmax, and one `bincount` over
 (input, label) pairs. `certify_batch` runs the selection and estimation
 passes through it, bounds all top-label counts with one
 `clopper_pearson_lower_batch` call and takes all radii from one
-`margin_radius` call. `sample_under_noise`, `clopper_pearson_lower` and
-`certify` are its one-input wrappers, and agree with the batched calls bit
-for bit.
+`margin_radius` call. `clopper_pearson_lower` and `certify` are the
+one-input wrappers of the batched calls, and agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from . import rng
 from .core import ABSTAIN, CertifiedPrediction
 from .errors import ValidationError
 from .numerics import normal_cdf, normal_quantile
-
-# Certification formulas conventionally write the quantile as phi_inv.
-phi_inv = normal_quantile
 
 _CHUNK = 20_000
 
@@ -65,20 +61,6 @@ class SmoothingConfig:
             raise ValidationError("sample counts must be >= 1")
         if not 0.0 < self.alpha_conf < 1.0:
             raise ValidationError("alpha_conf must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class NoiseSampleCounts:
-    """Per-label vote counts from one Monte-Carlo pass."""
-
-    counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.sum() != self.total:
-            raise ValidationError("counts must sum to total")
 
 
 def clopper_pearson_lower_batch(successes, total: int, alpha_conf: float) -> np.ndarray:
@@ -106,12 +88,6 @@ def clopper_pearson_lower_batch(successes, total: int, alpha_conf: float) -> np.
 def clopper_pearson_lower(successes: int, total: int, alpha_conf: float) -> float:
     """One-sided exact binomial lower confidence bound on a proportion."""
     return float(clopper_pearson_lower_batch([successes], total, alpha_conf)[0])
-
-
-def predict_labels(classifier, x_batch: np.ndarray) -> np.ndarray:
-    """Argmax labels for a batch, ties broken by lowest index."""
-    logits = np.asarray(classifier.logits(x_batch), dtype=np.float64)
-    return np.argmax(logits, axis=1)
 
 
 def vote_counts(classifier, X, sigma: float, n: int, seeds,
@@ -142,29 +118,19 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
             batch = rng.normals(seeds[b0:b1], stream, start * d, s * d).reshape(k, s, d)
             batch *= sigma
             batch += X[b0:b1, None, :]
-            votes = predict_labels(classifier, batch.reshape(k * s, d))
+            votes = np.argmax(classifier.logits(batch.reshape(k * s, d)), axis=1)
             votes += np.repeat(np.arange(0, k * m, m), s)
             counts[b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
     return counts
-
-
-def sample_under_noise(classifier, x, sigma: float, n: int, seed: int,
-                       stream: int = rng.STREAM_NOISE) -> NoiseSampleCounts:
-    """Vote counts of the base classifier over n draws of x + N(0, sigma^2 I).
-
-    The noise for sample i, dimension j sits at counter i*d + j of the given
-    substream, making the result independent of chunking.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    counts = vote_counts(classifier, x, sigma, n, [seed & 0xFFFFFFFFFFFFFFFF], stream)
-    return NoiseSampleCounts(counts=counts[0], total=n)
 
 
 def margin_radius(sigma: float, p_top, p_runner):
     """sigma/2 * (Phi^-1(p_top) - Phi^-1(p_runner)), scalar or vectorized.
 
     Degenerate exact probabilities (p_top == 1 or p_runner == 0) yield +inf;
-    the margin is floored at zero.
+    the margin is floored at zero. The scalar fork stays: with scalars sent
+    through the array paths here and in `normal_quantile`, acceptance test 2
+    took 10.5 s in place of 5.9 s on a 2-vCPU Xeon, past its 10 s gate.
     """
     if np.isscalar(p_top) and np.isscalar(p_runner):
         pt, pr = float(p_top), float(p_runner)

@@ -42,7 +42,6 @@ class GaussModelParams:
     d: int
     p: float
     eta: float
-    k: int = 0
 
     def __post_init__(self):
         if self.d < 1:
@@ -51,8 +50,6 @@ class GaussModelParams:
             raise ValidationError("p must lie in (1/2, 1)")
         if self.eta < 0.0:
             raise ValidationError("eta must be >= 0")
-        if not 0 <= self.k <= self.d:
-            raise ValidationError("k must lie in 0..d")
 
 
 # About 64k values per block of rows, so that drawing or attacking a sample
@@ -324,7 +321,7 @@ def prf_experiment(params: PrfModelParams, flip_budget: int,
         x_packed &= np.uint64((1 << nb) - 1)
     x_bits = _unpack_bits(x_packed, nb)
     check = keyed_bit(params.key, x_packed) ^ b
-    encoded = repeat_encode(np.concatenate([x_bits, check[:, None]], axis=1), r)
+    encoded = prf_encode(x_bits, check[:, None], r)
 
     received = encoded.copy()
     if flip_budget:

@@ -252,6 +252,7 @@ _VALID = {
     "toy-gauss": {"d": 10, "eta_list": [0.3], "k_list": [0], "n_samples": 100,
                   "tradeoff": {"gamma": 0.02}},
     "toy-prf": {"n_trials": 10},
+    "sweep": {"probs": {"probs": "p.csv"}, "sizes": [1, 2]},
 }
 
 
@@ -265,12 +266,15 @@ class TestMalformedInputs:
     line naming the field."""
 
     @staticmethod
-    def _run(tmp_path, command, config, tree):
+    def _run(tmp_path, command, config, tree, files=()):
         io.write_features(tmp_path / "data.csv", ["a"], np.array([0]), np.array([[0.5, 0.0]]))
         io.write_probs(tmp_path / "p.csv", ["a"], np.array([0]), np.array([[0.75, 0.25]]))
         io.write_json(tmp_path / "h.json", tree)
-        cfg = write_config(tmp_path, "c.json", config)
-        return cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        for name, text in files:
+            (tmp_path / name).write_text(text)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("command", sorted(_VALID))
     def test_valid_configs_run(self, tmp_path, command):
@@ -294,6 +298,45 @@ class TestMalformedInputs:
         assert self._run(tmp_path, *case) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[validation] field '{field}': ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    # id -> (command, config key or input file, its JSON literal or file
+    # text, the name the error line must carry)
+    REJECTED = {
+        "nan": ("toy-gauss", "eta_list", "[NaN]", "field 'eta_list'"),
+        "infinity": ("toy-gauss", "eta_list", "[Infinity]", "field 'eta_list'"),
+        "minus-infinity": ("toy-gauss", "eta_list", "[-Infinity]", "field 'eta_list'"),
+        "float-overflow": ("toy-gauss", "eta_list", "[1e999]", "field 'eta_list'"),
+        "scalar-nan": ("toy-gauss", "p", "NaN", "field 'p'"),
+        "int-overflow": ("certify", "alpha_conf", "1" + "0" * 400, "field 'alpha_conf'"),
+        "negative-sigma": ("hierarchy", "sigma", "-0.5", "field 'sigma'"),
+        "zero-sigma": ("sweep", "sigma", "0", "field 'sigma'"),
+        "zero-n-samples": ("toy-gauss", "n_samples", "0", "field 'n_samples'"),
+        "zero-n-trials": ("toy-prf", "n_trials", "0", "field 'n_trials'"),
+        "zero-samples-per-size": ("sweep", "samples_per_size", "0", "field 'samples_per_size'"),
+        "negative-samples-per-size": ("sweep", "samples_per_size", "-3",
+                                      "field 'samples_per_size'"),
+        "fractional-label": ("certify", "data.csv", "sample_id,label,e0,e1\na,0.5,0.5,0\n",
+                             "data.csv"),
+        "text-value": ("certify", "data.csv", "sample_id,label,e0,e1\na,0,0.5,x\n", "data.csv"),
+        "text-label": ("hierarchy", "p.csv", "sample_id,label,p0,p1\na,zero,0.75,0.25\n",
+                       "p.csv"),
+        "empty-value": ("hierarchy", "p.csv", "sample_id,label,p0,p1\na,0,0.75,\n", "p.csv"),
+    }
+
+    @pytest.mark.parametrize("command, key, text, name", list(REJECTED.values()),
+                             ids=list(REJECTED))
+    def test_rejected_input_exits_one_naming_it(self, tmp_path, capsys, command, key, text,
+                                                name):
+        if key.endswith(".csv"):
+            args = (_VALID[command], _TREE, [(key, text)])
+        else:
+            config = json.dumps(dict(_VALID[command], **{key: "@"})).replace('"@"', text)
+            args = (config, _TREE)
+        assert self._run(tmp_path, command, *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation] ") and name in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

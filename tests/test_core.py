@@ -8,25 +8,11 @@ from hiercert.core import (
     ABSTAIN,
     CertifiedPrediction,
     LabelPartition,
-    LabelSpace,
     as_probability_matrix,
     as_probability_vector,
     hinge_gap,
 )
 from hiercert.errors import ValidationError
-
-
-class TestLabelSpace:
-    def test_requires_two_labels(self):
-        with pytest.raises(ValidationError):
-            LabelSpace(m=1)
-
-    def test_names_must_be_unique_and_match(self):
-        LabelSpace(m=2, names=("a", "b"))
-        with pytest.raises(ValidationError):
-            LabelSpace(m=2, names=("a", "a"))
-        with pytest.raises(ValidationError):
-            LabelSpace(m=3, names=("a", "b"))
 
 
 class TestLabelPartition:

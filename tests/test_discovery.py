@@ -6,7 +6,6 @@ import pytest
 from hiercert import discovery, rng
 from hiercert.core import LabelPartition
 from hiercert.discovery import (
-    EmbeddingSet,
     cluster_separation_check,
     derive_partition,
     kmeans,
@@ -236,19 +235,9 @@ class TestIngestedEmbeddingFixture:
         io.write_features(path, [f"s{i}" for i in range(len(y))], y, X)
 
         ids, labels2, vectors2 = io.read_features(path)
-        emb = EmbeddingSet(vectors=vectors2, labels=labels2, layer_tag="penultimate")
-        result = kmeans(emb, 2, seed=3)
-        report = cluster_separation_check(result.assignment, emb)
+        result = kmeans(vectors2, 2, seed=3)
+        report = cluster_separation_check(result.assignment, vectors2)
         assert report.passed
-        part = derive_partition(result.assignment, emb.labels, 2, n_labels=10)
+        part = derive_partition(result.assignment, labels2, 2, n_labels=10)
         got = {frozenset(c) for c in part.classes}
         assert got == {frozenset(group_a), frozenset(group_b)}
-
-
-class TestEmbeddingSet:
-    def test_validation(self):
-        EmbeddingSet(vectors=np.zeros((3, 2)), labels=np.array([0, 1, 0]), layer_tag="L2")
-        with pytest.raises(ValidationError):
-            EmbeddingSet(vectors=np.zeros((3, 2)), labels=np.array([0, 1]))
-        with pytest.raises(ValidationError):
-            EmbeddingSet(vectors=np.zeros((3, 2)), labels=np.array([0, -1, 0]))

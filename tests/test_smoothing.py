@@ -13,6 +13,7 @@ from hiercert import rng, smoothing
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
 from hiercert.models import LinearSoftmax, SmallMlp
+from hiercert.numerics import normal_quantile
 from hiercert.smoothing import (
     SmoothingConfig,
     certify,
@@ -21,7 +22,6 @@ from hiercert.smoothing import (
     clopper_pearson_lower_batch,
     exact_smoothed_linear,
     margin_radius,
-    sample_under_noise,
     vote_counts,
 )
 
@@ -177,34 +177,34 @@ class TestClopperPearson:
             "m in ('multiprocessing', 'concurrent.futures.process')") == "[]"
 
 
-class TestSampleUnderNoise:
+class TestOneRowVoteCounts:
     def test_constant_classifier(self):
-        counts = sample_under_noise(ConstantClassifier(2, 4), np.zeros(2), 1.0, 100, seed=1)
-        assert counts.counts[2] == 100 and counts.total == 100
+        counts = vote_counts(ConstantClassifier(2, 4), np.zeros((1, 2)), 1.0, 100, [1])[0]
+        assert counts[2] == 100 and counts.sum() == 100
 
     def test_tiny_sigma_concentrates_on_clean_argmax(self):
         model = binary_linear([1.0, 0.0])
-        counts = sample_under_noise(model, np.array([1.0, 0.0]), 1e-9, 1000, seed=2)
-        assert counts.counts[1] == 1000
+        counts = vote_counts(model, np.array([[1.0, 0.0]]), 1e-9, 1000, [2])[0]
+        assert counts[1] == 1000
 
     def test_linear_fraction_matches_analytic(self):
         model = binary_linear([1.0, 0.0])
         x = np.array([1.0, 0.0])
         n = 100_000
-        counts = sample_under_noise(model, x, 1.0, n, seed=3)
+        counts = vote_counts(model, x[None, :], 1.0, n, [3])[0]
         p_true = exact_smoothed_linear([1.0, 0.0], 0.0, x, 1.0)
         se = math.sqrt(p_true * (1 - p_true) / n)
-        assert counts.counts[1] / n == pytest.approx(p_true, abs=3 * se)
+        assert counts[1] / n == pytest.approx(p_true, abs=3 * se)
 
     def test_deterministic_and_chunk_invariant(self, monkeypatch):
         model = binary_linear([0.7, -0.2])
-        x = np.array([0.3, 0.4])
-        a = sample_under_noise(model, x, 0.5, 5000, seed=7)
-        b = sample_under_noise(model, x, 0.5, 5000, seed=7)
-        assert np.array_equal(a.counts, b.counts)
+        X = np.array([[0.3, 0.4]])
+        a = vote_counts(model, X, 0.5, 5000, [7])
+        b = vote_counts(model, X, 0.5, 5000, [7])
+        assert np.array_equal(a, b)
         monkeypatch.setattr(smoothing, "_CHUNK", 613)
-        c = sample_under_noise(model, x, 0.5, 5000, seed=7)
-        assert np.array_equal(a.counts, c.counts)
+        c = vote_counts(model, X, 0.5, 5000, [7])
+        assert np.array_equal(a, c)
 
     @pytest.mark.parametrize("chunk", [None, 1, 613])
     def test_perturbed_inputs_are_x_plus_sigma_noise_bit_for_bit(self, monkeypatch, chunk):
@@ -220,7 +220,7 @@ class TestSampleUnderNoise:
         x = np.array([0.3, -1.25, 7.0])
         x_before = x.copy()
         n = 1500 if chunk != 1 else 40
-        sample_under_noise(Recorder(0, 2), x, 0.37, n, seed=9, stream=rng.STREAM_SELECT)
+        vote_counts(Recorder(0, 2), x[None, :], 0.37, n, [9], stream=rng.STREAM_SELECT)
         noise = rng.normals(9, rng.STREAM_SELECT, 0, n * 3).reshape(n, 3)
         assert np.array_equal(np.concatenate(seen), x[None, :] + 0.37 * noise)
         assert np.array_equal(x, x_before)
@@ -245,8 +245,6 @@ class TestVoteCountKernel:
         for i in range(B):
             want = vote_counts_oracle(model, X[i], 0.4, n, int(seeds[i]), rng.STREAM_SELECT)
             assert np.array_equal(got[i], want), i
-            one = sample_under_noise(model, X[i], 0.4, n, int(seeds[i]), stream=rng.STREAM_SELECT)
-            assert np.array_equal(one.counts, want), i
 
     # 37 inputs: whole inputs share a unit while n < _CHUNK, otherwise a unit
     # is at most _CHUNK samples of one input
@@ -345,7 +343,7 @@ class TestRadii:
     def test_one_sided_equals_two_sided_with_complement(self):
         # One-sided: R = sigma * Phi^-1(p_a_lower), the margin against 1 - p_a_lower.
         for p in np.linspace(0.5 + 1e-6, 1 - 1e-9, 5000):
-            diff = abs(margin_radius(1.0, p, 1.0 - p) - smoothing.phi_inv(p))
+            diff = abs(margin_radius(1.0, p, 1.0 - p) - normal_quantile(p))
             assert diff <= 1e-12
 
     def test_linear_in_sigma(self):

@@ -48,8 +48,6 @@ class TestGaussSampling:
             GaussModelParams(d=0, p=0.9, eta=0.1)
         with pytest.raises(ValidationError):
             GaussModelParams(d=5, p=0.5, eta=0.1)
-        with pytest.raises(ValidationError):
-            GaussModelParams(d=5, p=0.9, eta=0.1, k=6)
 
 
 class TestMetaFeature:
