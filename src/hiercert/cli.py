@@ -70,7 +70,8 @@ def config_hash(config: dict) -> str:
 
 # ---------------------------------------------------------------- validation
 
-_THRESHOLDS = ([0.25, 0.5, 1.0, 1.5, 2.0], io.is_num_list, "list of radii")
+_THRESHOLDS = ([0.25, 0.5, 1.0, 1.5, 2.0], io.list_of(io.is_nonneg_num),
+               "list of nonnegative radii")
 _DATASET = (io.REQUIRED, {"features": (io.REQUIRED, io.is_str, "csv path")}, "{'features': path}")
 _PROBS = (io.REQUIRED, {"logits": (None, io.is_str, "csv path"),
                         "probs": (None, io.is_str, "csv path")}, "{'logits' or 'probs': path}")
@@ -79,9 +80,10 @@ _PROBS = (io.REQUIRED, {"logits": (None, io.is_str, "csv path"),
 #: hint); a dict in place of the check is the schema of a nested section.
 _SCHEMAS: dict[str, dict] = {
     "certify": {
-        "sigma": ([0.25, 0.5, 1.0], lambda v: io.is_num(v) or io.is_num_list(v), "noise levels"),
-        "n0": (100, io.is_int, "selection sample count"),
-        "n": (100_000, io.is_int, "estimation sample count"),
+        "sigma": ([0.25, 0.5, 1.0], lambda v: io.is_pos_num(v) or io.list_of(io.is_pos_num)(v),
+                  "positive noise level or list of them"),
+        "n0": (100, io.is_pos_int, "positive selection sample count"),
+        "n": (100_000, io.is_pos_int, "positive estimation sample count"),
         "alpha_conf": (0.001, io.is_num, "confidence failure probability in (0,1)"),
         "model": (io.REQUIRED, io.is_dict, "model spec: {'type', 'path'} or the parameters"),
         "dataset": _DATASET,
@@ -130,12 +132,13 @@ _SCHEMAS: dict[str, dict] = {
         "hierarchy": (io.REQUIRED, io.is_str, "hierarchy json path"),
         "dataset": _DATASET,
         "attack": (io.REQUIRED, {
-            "mode": ("worst_case", io.is_str, "'worst_case' or 'budgeted'"),
+            "mode": ("worst_case", lambda v: v in ("worst_case", "budgeted"),
+                     "'worst_case' or 'budgeted'"),
             "budget_target": (None, lambda v: v is None or io.is_str(v), "node id, or 'worst'"),
-            "epsilon": (8 / 255, io.is_num, "l-inf perturbation radius"),
-            "step": (2 / 255, io.is_num, "PGD step size"),
-            "iters": (20, io.is_int, "PGD steps per restart"),
-            "restarts": (1, io.is_int, "PGD restart count"),
+            "epsilon": (8 / 255, io.is_nonneg_num, "nonnegative l-inf perturbation radius"),
+            "step": (2 / 255, io.is_pos_num, "positive PGD step size"),
+            "iters": (20, io.is_pos_int, "positive PGD steps per restart"),
+            "restarts": (1, io.is_pos_int, "positive PGD restart count"),
         }, "attack scenario"),
     },
 }
@@ -190,10 +193,10 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                                   metadata=dict(meta, inputs=len(ids),
                                                 noise_draws=len(ids) * (n0 + n) * X.shape[1],
                                                 abstained=int(abstained.sum()))))
-        radii = np.where(abstained, -1.0, batch.radii)
+        # An abstained row's radius is NaN, which fails every threshold.
         correct = batch.labels == labels
         for t in thresholds:
-            ca = float(np.mean(correct & (radii >= t))) if rows else 0.0
+            ca = float(np.mean(correct & (batch.radii >= t))) if rows else 0.0
             summary_rows.append([sigma, t, ca])
     tables.append(ReportTable(name="certified_accuracy", metadata=dict(meta),
                               columns=["sigma", "radius_threshold", "certified_accuracy"],

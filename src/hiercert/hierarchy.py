@@ -8,8 +8,14 @@ widen the top-vs-runner-up margin, which is where the robustness gain
 comes from.
 
 Leaf classifiers always speak the local label space (index i means
-label_subset[i]); a renormalizing leaf is the base classifier masked to
-its subset, a retrained leaf is a fresh model fit on in-class samples.
+label_subset[i]). A leaf whose classifier is a `MaskedModel` renormalizes
+the base classifier over its subset; any other leaf classifier is a model
+of the subset's own labels, such as one fit by `retrain_leaf`.
+
+Every node is a unit of work: `_label_index` maps each true label onto a
+node's local target (the child holding it, or its index in a leaf), and
+`evaluate_adversarial` attacks a node once, over every row whose true
+root-to-leaf path passes through it.
 """
 
 from __future__ import annotations
@@ -33,9 +39,6 @@ from .errors import CapabilityError, RoutingMismatchError, ValidationError
 from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, pgd_attack, train
 from .smoothing import margin_radius
 
-RENORMALIZE = "renormalize"
-RETRAIN = "retrain"
-
 WORST_CASE = "worst_case"
 BUDGETED = "budgeted"
 
@@ -48,13 +51,10 @@ class Leaf:
     """Terminal node predicting within one equivalence class."""
 
     label_subset: tuple[int, ...]
-    strategy: str = RENORMALIZE
     classifier: Optional[object] = None
 
     def __post_init__(self):
         object.__setattr__(self, "label_subset", tuple(int(i) for i in self.label_subset))
-        if self.strategy not in (RENORMALIZE, RETRAIN):
-            raise ValidationError(f"unknown leaf strategy {self.strategy!r}")
         if len(self.label_subset) == 1:
             if self.classifier is not None:
                 raise ValidationError("singleton leaves carry no classifier")
@@ -63,6 +63,9 @@ class Leaf:
                 raise ValidationError("multi-label leaves need a classifier")
             if self.classifier.n_labels != len(self.label_subset):
                 raise ValidationError("leaf classifier arity must match its label subset")
+            if (isinstance(self.classifier, MaskedModel)
+                    and self.classifier.subset != self.label_subset):
+                raise ValidationError("a masked leaf classifier must select the leaf's labels")
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,9 @@ def build_renormalize_hierarchy(partition: LabelPartition, root_classifier,
     children = []
     for subset in partition.classes:
         if len(subset) == 1:
-            children.append(Leaf(subset, strategy=RENORMALIZE))
+            children.append(Leaf(subset))
         else:
-            children.append(Leaf(subset, strategy=RENORMALIZE,
-                                 classifier=MaskedModel(base_classifier, subset)))
+            children.append(Leaf(subset, MaskedModel(base_classifier, subset)))
     root = Intermediate(classifier=root_classifier, children=tuple(children))
     return Hierarchy(root=root, n_labels=partition.n_labels)
 
@@ -145,9 +147,25 @@ def build_renormalize_hierarchy(partition: LabelPartition, root_classifier,
 def flat_hierarchy(classifier) -> Hierarchy:
     """Degenerate one-leaf hierarchy: identical to the flat base classifier."""
     subset = tuple(range(classifier.n_labels))
-    leaf = Leaf(subset, strategy=RENORMALIZE,
-                classifier=MaskedModel(classifier, subset))
-    return Hierarchy(root=leaf, n_labels=classifier.n_labels)
+    return Hierarchy(root=Leaf(subset, MaskedModel(classifier, subset)),
+                     n_labels=classifier.n_labels)
+
+
+def _checked_labels(y, n_labels: int) -> np.ndarray:
+    """True labels as int64, each in 0..n_labels-1."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.size and not (0 <= y.min() and y.max() < n_labels):
+        raise ValidationError(f"labels must lie in 0..{n_labels - 1}")
+    return y
+
+
+def _label_index(groups: Iterable[Iterable[int]], n_labels: int) -> np.ndarray:
+    """Position of the group holding each label 0..n_labels-1, or -1 for a
+    label in no group."""
+    index = np.full(n_labels, -1, dtype=np.int64)
+    for i, group in enumerate(groups):
+        index[list(group)] = i
+    return index
 
 
 def infer_batch(h: Hierarchy, X: np.ndarray) -> np.ndarray:
@@ -360,47 +378,17 @@ class AdversarialReport:
     per_node: Optional[dict] = None
 
 
-def _path_for_label(h: Hierarchy, label: int) -> list[tuple[str, Node, int]]:
-    """(node id, node, local target) along the label's root-to-leaf path.
-
-    For intermediates the local target is the correct child index; for the
-    leaf it is the label's index within the leaf subset.
-    """
-    path = []
-    node, nid = h.root, "root"
-    while isinstance(node, Intermediate):
-        child_idx = None
-        for i, child in enumerate(node.children):
-            if label in node_label_set(child):
-                child_idx = i
-                break
-        if child_idx is None:
-            raise ValidationError(f"label {label} not under node {nid}")
-        path.append((nid, node, child_idx))
-        node = node.children[child_idx]
-        nid = f"{nid}.{child_idx}"
-    path.append((nid, node, node.label_subset.index(label)))
-    return path
-
-
-def _node_correct_under_attack(node: Node, X: np.ndarray, targets: np.ndarray,
-                               attack: PgdParams, seed: int) -> np.ndarray:
-    """Per-sample: does the node still produce its local target after PGD?
+def _node_correct(node: Node, X: np.ndarray, targets: np.ndarray,
+                  attack: Optional[PgdParams] = None, seed: int = 0) -> np.ndarray:
+    """Per row: does the node still produce its local target, on the clean
+    input or, given `attack`, after one `pgd_attack` call over all rows?
 
     Singleton leaves have no classifier and cannot be attacked."""
-    if isinstance(node, Leaf) and len(node.label_subset) == 1:
+    if node.classifier is None:
         return np.ones(X.shape[0], dtype=bool)
-    model = node.classifier
-    x_adv = pgd_attack(model, X, targets, attack, seed=seed)
-    pred = np.argmax(model.logits(x_adv), axis=1)
-    return pred == targets
-
-
-def _node_correct_clean(node: Node, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    if isinstance(node, Leaf) and len(node.label_subset) == 1:
-        return np.ones(X.shape[0], dtype=bool)
-    pred = np.argmax(node.classifier.logits(X), axis=1)
-    return pred == targets
+    if attack is not None:
+        X = pgd_attack(node.classifier, X, targets, attack, seed=seed)
+    return np.argmax(node.classifier.logits(X), axis=1) == targets
 
 
 def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
@@ -412,6 +400,10 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     if all of them still decide correctly. Budgeted: only the designated
     node is attacked, every other classifier sees the clean input; the
     target 'worst' tries each node and reports the most damaging one.
+
+    Each node's rows are those whose true path passes through it. A node is
+    checked clean at most once and attacked at most once, by one
+    `pgd_attack` call over all its rows.
     """
     for nid, node in h.nodes():
         model = node.classifier
@@ -426,52 +418,41 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
         raise ValidationError(f"no node named {scenario.budget_target!r}; "
                               f"known ids: {node_ids}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
+    y = _checked_labels(y, h.n_labels)
     natural = float(np.mean(infer_batch(h, X) == y))
 
-    # Group samples by true label so each shares a root-to-leaf path; every
-    # (group, node) pair is attacked at most once and checked clean at most
-    # once, and one pgd_attack call per pair keeps its restart offsets.
-    groups = []
-    for label in np.unique(y):
-        idx = np.flatnonzero(y == label)
-        path = [(nid, node, np.full(idx.size, target, dtype=np.int64))
-                for nid, node, target in _path_for_label(h, int(label))]
-        groups.append((idx, path))
-    if scenario.mode == WORST_CASE or scenario.budget_target == "worst":
-        attacked_ids = set(node_ids)
-    else:
-        attacked_ids = {scenario.budget_target}
-    attacked = {(gi, nid): _node_correct_under_attack(node, X[idx], targets,
-                                                      scenario.attack, seed)
-                for gi, (idx, path) in enumerate(groups)
-                for nid, node, targets in path if nid in attacked_ids}
+    every_node = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
+    attacked, clean = {}, {}
+    for nid, node in h.nodes():
+        # The local target of each row: its label's child, or its index in a leaf.
+        groups = ([(label,) for label in node.label_subset] if isinstance(node, Leaf)
+                  else map(node_label_set, node.children))
+        local = _label_index(groups, h.n_labels)[y]
+        rows = np.flatnonzero(local >= 0)
+        if every_node or nid == scenario.budget_target:
+            attacked[nid] = rows, _node_correct(node, X[rows], local[rows],
+                                                scenario.attack, seed)
+        # A single budgeted target never needs its own clean correctness.
+        if scenario.mode == BUDGETED and nid != scenario.budget_target:
+            clean[nid] = rows, _node_correct(node, X[rows], local[rows])
 
-    if scenario.mode == WORST_CASE:
+    def accuracy(target_id: Optional[str]) -> float:
+        """Share of rows correct at every node: attacked at every node when
+        target_id is None, else attacked at target_id and clean elsewhere."""
         ok = np.ones(X.shape[0], dtype=bool)
-        for (gi, _), good in attacked.items():
-            ok[groups[gi][0]] &= good
-        return AdversarialReport(natural_acc=natural, adv_acc=float(np.mean(ok)))
-
-    # A single budgeted target never needs its own clean correctness.
-    every_target = scenario.budget_target == "worst"
-    clean = {(gi, nid): _node_correct_clean(node, X[idx], targets)
-             for gi, (idx, path) in enumerate(groups) for nid, node, targets in path
-             if every_target or nid not in attacked_ids}
-
-    def budget_accuracy(target_id: str) -> float:
-        ok = np.ones(X.shape[0], dtype=bool)
-        for gi, (idx, path) in enumerate(groups):
-            for nid, _, _ in path:
-                ok[idx] &= attacked[gi, nid] if nid == target_id else clean[gi, nid]
+        for nid in node_ids:
+            rows, good = attacked[nid] if target_id in (None, nid) else clean[nid]
+            ok[rows] &= good
         return float(np.mean(ok))
 
+    if scenario.mode == WORST_CASE:
+        return AdversarialReport(natural_acc=natural, adv_acc=accuracy(None))
     if scenario.budget_target == "worst":
-        per_node = {nid: budget_accuracy(nid) for nid in node_ids}
+        per_node = {nid: accuracy(nid) for nid in node_ids}
         return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
                                  per_node=per_node)
     return AdversarialReport(natural_acc=natural,
-                             budget_acc=budget_accuracy(scenario.budget_target))
+                             budget_acc=accuracy(scenario.budget_target))
 
 
 def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500,
@@ -485,13 +466,13 @@ def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
-    s = normalize_subset(subset, int(y.max()) + 1 if y.size else 1)
-    member = np.isin(y, np.fromiter(s, dtype=np.int64))
-    Xs, ys = X[member], y[member]
-    if np.unique(ys).size < 2:
+    n_labels = int(y.max()) + 1 if y.size else 1
+    s = normalize_subset(subset, n_labels)
+    local = _label_index([(label,) for label in s], n_labels)[y]
+    member = (y >= 0) & (local >= 0)  # a negative label would wrap around `local`
+    Xs, y_local = X[member], local[member]
+    if np.unique(y_local).size < 2:
         return None
-    local = {lab: i for i, lab in enumerate(s)}
-    y_local = np.fromiter((local[int(v)] for v in ys), dtype=np.int64)
     if hidden > 0:
         model = SmallMlp.init(len(s), X.shape[1], hidden, seed)
     else:
@@ -514,14 +495,6 @@ class ClassReport:
     hierarchy_cr_std: float
     baseline_ca: tuple[float, ...]
     hierarchy_ca: tuple[float, ...]
-
-
-def _class_index(partition: LabelPartition) -> np.ndarray:
-    """Class index of every label."""
-    class_of = np.empty(partition.n_labels, dtype=np.int64)
-    for ci, c in enumerate(partition.classes):
-        class_of[list(c)] = ci
-    return class_of
 
 
 def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.ndarray:
@@ -557,14 +530,15 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
     and contributes no certificate. Mean/std exclude infinite radii.
     """
     table = _runner_table(as_probability_matrix(probs))
-    y = np.asarray(labels, dtype=np.int64)
+    y = _checked_labels(labels, partition.n_labels)
     hier_radius = _class_radii(table, partition, sigma)
     _, base_radius = _set_radii(table, slice(None), sigma)
     g = table[0]
 
-    class_of = _class_index(partition)
+    class_of = _label_index(partition.classes, partition.n_labels)
+    true_class = class_of[y]
     correct = g == y
-    routed = class_of[g] == class_of[y]
+    routed = class_of[g] == true_class
 
     def _stats(vals: np.ndarray) -> tuple[float, float]:
         finite = vals[np.isfinite(vals)]
@@ -574,7 +548,7 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
 
     reports = []
     for ci, c in enumerate(partition.classes):
-        sel = np.flatnonzero(np.isin(y, np.fromiter(c, dtype=np.int64)))
+        sel = np.flatnonzero(true_class == ci)
         if sel.size == 0:
             continue
         ok = correct[sel]

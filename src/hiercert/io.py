@@ -4,6 +4,11 @@ All floats are serialized with 17 significant digits so that every emitted
 file re-ingests to bit-identical values. Readers are strict about shapes
 and headers; schema problems raise ValidationError so the CLI can exit 1.
 
+A hierarchy file's leaf names its `strategy`: "renormalize" masks a model
+of all the file's labels to the leaf's subset (a `MaskedModel`), and
+"retrain" takes a model of the leaf's own labels as it is. The word lives
+only in the file; a loaded `Leaf` holds the classifier alone.
+
 Reading those 17-digit values back is the cost of a wide CSV: CPython's
 correctly rounded decimal conversion, under the GIL. A wide file of at
 least SPLIT_MIN_BYTES with no quoted field is therefore parsed by two
@@ -31,7 +36,7 @@ import numpy as np
 
 from .core import LabelPartition
 from .errors import ConfigError, ValidationError
-from .hierarchy import Hierarchy, Intermediate, Leaf, RENORMALIZE
+from .hierarchy import Hierarchy, Intermediate, Leaf
 from .models import LinearSoftmax, MaskedModel, SmallMlp
 
 
@@ -377,6 +382,10 @@ def positive(check):
     return lambda v: check(v) and v > 0
 
 
+def is_nonneg_num(v) -> bool:
+    return is_num(v) and v >= 0
+
+
 is_num_list, is_int_list = list_of(is_num), list_of(is_int)
 is_pos_num, is_pos_int = positive(is_num), positive(is_int)
 
@@ -471,14 +480,13 @@ def load_model(path):
 def hierarchy_to_dict(h: Hierarchy) -> dict:
     def encode(node) -> dict:
         if isinstance(node, Leaf):
-            if node.classifier is None:
-                clf = None
-            elif isinstance(node.classifier, MaskedModel):
-                clf = model_to_dict(node.classifier.base)
-            else:
-                clf = model_to_dict(node.classifier)
-            return {"kind": "leaf", "labels": list(node.label_subset),
-                    "strategy": node.strategy, "classifier": clf}
+            strategy, clf = "renormalize", node.classifier
+            if isinstance(clf, MaskedModel):
+                clf = clf.base
+            elif clf is not None:
+                strategy = "retrain"
+            return {"kind": "leaf", "labels": list(node.label_subset), "strategy": strategy,
+                    "classifier": None if clf is None else model_to_dict(clf)}
         return {"kind": "intermediate", "classifier": model_to_dict(node.classifier),
                 "children": [encode(c) for c in node.children]}
 
@@ -490,7 +498,8 @@ _HIERARCHY = {"n_labels": (REQUIRED, is_int, "label-space size"),
 _NODE_KIND = (REQUIRED, is_str, "'leaf' or 'intermediate'")
 _NODES = {
     "leaf": {"kind": _NODE_KIND, "labels": (REQUIRED, is_int_list, "the leaf's label indices"),
-             "strategy": (RENORMALIZE, is_str, "'renormalize' or 'retrain'"),
+             "strategy": ("renormalize", lambda v: v in ("renormalize", "retrain"),
+                          "'renormalize' or 'retrain'"),
              "classifier": (None, lambda v: v is None or is_dict(v),
                             "model spec; a singleton leaf ignores it")},
     "intermediate": {"kind": _NODE_KIND, "classifier": (REQUIRED, is_dict, "routing model spec"),
@@ -508,12 +517,18 @@ def hierarchy_from_dict(spec: dict, base_dir: Path | None = None) -> Hierarchy:
                              for i, c in enumerate(node["children"]))
             model = model_from_dict(node["classifier"], base_dir, f"{where}.classifier")
             return Intermediate(classifier=model, children=children)
-        labels, strategy, model = tuple(node["labels"]), node["strategy"], None
+        labels, model = tuple(node["labels"]), None
         if len(labels) > 1 and node["classifier"] is not None:
-            model = model_from_dict(node["classifier"], base_dir, f"{where}.classifier")
-            if strategy == RENORMALIZE:
+            name = f"{where}.classifier"
+            model = model_from_dict(node["classifier"], base_dir, name)
+            if node["strategy"] == "renormalize":
+                if model.n_labels != spec["n_labels"]:
+                    raise ConfigError(name, f"a 'renormalize' leaf masks a model of all "
+                                      f"{spec['n_labels']} labels, not {model.n_labels}",
+                                      hint="'strategy': 'retrain' for a model of the "
+                                           "leaf's own labels")
                 model = MaskedModel(model, labels)
-        return Leaf(labels, strategy=strategy, classifier=model)
+        return Leaf(labels, model)
 
     return Hierarchy(root=decode(spec["root"], "root"), n_labels=spec["n_labels"])
 

@@ -230,6 +230,9 @@ class MaskedModel:
 
     def __post_init__(self):
         object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
+        if not self.subset or min(self.subset) < 0 or max(self.subset) >= self.base.n_labels:
+            raise ValidationError(f"mask subset {self.subset} is not a nonempty subset of "
+                                  f"0..{self.base.n_labels - 1}")
 
     @property
     def n_labels(self) -> int:

@@ -14,7 +14,8 @@ oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
 `rng.uniforms` and the bound from `scipy.stats.beta.ppf`. The attack
 oracles are the two-pass PGD step (`logits`, then `input_grad_from_dlogits`,
 then `np.clip`) that the fused step replaces, softmax and cross-entropy
-from numpy's row max, and the per-target-node adversarial evaluation. The
+from numpy's row max, and the adversarial evaluation with each row's path
+found by its own walk and every node's clean check redone per target. The
 training oracle is the two-pass epoch (`logits`, then the parameter
 gradients from a second first-layer evaluation) that `models.train`
 replaces. The margin radius oracle is the vector path of
@@ -41,7 +42,6 @@ from hiercert.hierarchy import (
     AdversarialReport,
     Leaf,
     SizeStats,
-    _path_for_label,
     infer_batch,
 )
 from hiercert.models import SmallMlp
@@ -413,13 +413,34 @@ def train_oracle(model, X, y, epochs: int, learning_rate: float,
 
 
 def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
-    """`evaluate_adversarial` as one pass over every label group's path per
-    attacked node: clean correctness is recomputed for every target node,
-    and attacks run through `pgd_attack_oracle`."""
+    """`evaluate_adversarial` with every row's root-to-leaf path found by its
+    own walk down the tree, then grouped per node: clean correctness is
+    recomputed for every target node, and each attacked node gets one
+    `pgd_attack_oracle` call over all its rows."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     natural = float(np.mean(infer_batch(h, X) == y))
-    paths = {label: _path_for_label(h, int(label)) for label in np.unique(y)}
+
+    def labels_below(node):
+        if isinstance(node, Leaf):
+            return set(node.label_subset)
+        return set().union(*map(labels_below, node.children))
+
+    members = {}  # node id -> (node, rows, local targets)
+    for row, label in enumerate(y.tolist()):
+        node, nid = h.root, "root"
+        while True:
+            if isinstance(node, Leaf):
+                target = node.label_subset.index(label)
+            else:
+                target = next(i for i, child in enumerate(node.children)
+                              if label in labels_below(child))
+            entry = members.setdefault(nid, (node, [], []))
+            entry[1].append(row)
+            entry[2].append(target)
+            if isinstance(node, Leaf):
+                break
+            node, nid = node.children[target], f"{nid}.{target}"
 
     def node_ok(node, Xs, targets, attacked):
         if isinstance(node, Leaf) and len(node.label_subset) == 1:
@@ -431,12 +452,10 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
 
     def correctness(attacked_id):
         ok = np.ones(X.shape[0], dtype=bool)
-        for label, path in paths.items():
-            idx = np.flatnonzero(y == label)
-            for nid, node, target in path:
-                targets = np.full(idx.size, target, dtype=np.int64)
-                ok[idx] &= node_ok(node, X[idx], targets,
-                                   attacked_id is None or nid == attacked_id)
+        for nid, (node, rows, targets) in members.items():
+            rows = np.array(rows, dtype=np.int64)
+            ok[rows] &= node_ok(node, X[rows], np.array(targets, dtype=np.int64),
+                                attacked_id is None or nid == attacked_id)
         return ok
 
     if scenario.mode == WORST_CASE:

@@ -323,13 +323,36 @@ class TestMalformedInputs:
         "text-label": ("hierarchy", "p.csv", "sample_id,label,p0,p1\na,zero,0.75,0.25\n",
                        "p.csv"),
         "empty-value": ("hierarchy", "p.csv", "sample_id,label,p0,p1\na,0,0.75,\n", "p.csv"),
+        "negative-certify-threshold": ("certify", "radius_thresholds", "[-1, 0.5]",
+                                       "field 'radius_thresholds'"),
+        "negative-hierarchy-threshold": ("hierarchy", "radius_thresholds", "[0.5, -0.25]",
+                                         "field 'radius_thresholds'"),
+        "zero-n0": ("certify", "n0", "0", "field 'n0'"),
+        "zero-n": ("certify", "n", "0", "field 'n'"),
+        "zero-sigma-in-list": ("certify", "sigma", "[0.5, 0]", "field 'sigma'"),
+        "zero-iters": ("attack", "attack", '{"iters": 0}', "field 'attack.iters'"),
+        "zero-restarts": ("attack", "attack", '{"restarts": 0}', "field 'attack.restarts'"),
+        "zero-step": ("attack", "attack", '{"step": 0}', "field 'attack.step'"),
+        "negative-epsilon": ("attack", "attack", '{"epsilon": -0.1}', "field 'attack.epsilon'"),
+        "unknown-mode": ("attack", "attack", '{"mode": "worstcase"}', "field 'attack.mode'"),
+        "unknown-strategy": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
+            _TREE["root"], children=[{"kind": "leaf", "labels": [0], "strategy": "mask"},
+                                     {"kind": "leaf", "labels": [1]}]))),
+                             "field 'root.children.0.strategy'"),
+        # a 'renormalize' leaf [2, 3] holding a model of two labels, not of all four
+        "renormalize-leaf-arity": ("attack", "h.json", json.dumps({"n_labels": 4, "root": dict(
+            _TREE["root"], children=[
+                {"kind": "leaf", "labels": [0, 1], "classifier": {
+                    "type": "linear", "W": [[0.0, 0.0]] * 4, "b": [0.0] * 4}},
+                {"kind": "leaf", "labels": [2, 3], "classifier": _MODEL}])}),
+                                   "field 'root.children.1.classifier'"),
     }
 
     @pytest.mark.parametrize("command, key, text, name", list(REJECTED.values()),
                              ids=list(REJECTED))
     def test_rejected_input_exits_one_naming_it(self, tmp_path, capsys, command, key, text,
                                                 name):
-        if key.endswith(".csv"):
+        if key.endswith((".csv", ".json")):
             args = (_VALID[command], _TREE, [(key, text)])
         else:
             config = json.dumps(dict(_VALID[command], **{key: "@"})).replace('"@"', text)

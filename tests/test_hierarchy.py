@@ -57,6 +57,8 @@ class TestStructure:
             Leaf((3,), classifier=linear([[0.0, 0.0]]))
         with pytest.raises(ValidationError):
             Leaf((1, 2))  # multi-label needs a classifier
+        with pytest.raises(ValidationError, match="must select the leaf's labels"):
+            Leaf((0, 1), MaskedModel(linear(np.eye(4)[:, :2]), (2, 3)))
 
     def test_hierarchy_partition_check(self):
         base = linear(np.eye(3))
@@ -364,6 +366,37 @@ class TestAdversarial:
         attacked = got.adv_acc if mode == "worst_case" else got.budget_acc
         assert 0.0 < attacked < got.natural_acc < 1.0 or target == "root.2"
 
+    @pytest.mark.parametrize("mode,target,calls", [("worst_case", None, 5),
+                                                   ("budgeted", "worst", 5),
+                                                   ("budgeted", "root.2", 1)])
+    def test_one_pgd_call_per_attacked_multi_label_node(self, monkeypatch, mode, target,
+                                                        calls):
+        from hiercert import hierarchy
+        rows, original = [], hierarchy.pgd_attack
+
+        def counted(model, X, y, params, seed=0):
+            rows.append(len(y))
+            return original(model, X, y, params, seed=seed)
+
+        monkeypatch.setattr(hierarchy, "pgd_attack", counted)
+        part = LabelPartition(((0, 1), (2, 3), (4, 5), (6, 7), (8,)))
+        h = build_renormalize_hierarchy(part, SmallMlp.init(5, 3, 4, seed=54),
+                                        SmallMlp.init(9, 3, 4, seed=55))
+        X = rng.normals(56, 331, 0, 180 * 3).reshape(180, 3)
+        y = np.arange(180) % 9
+        evaluate_adversarial(h, X, y, AttackScenario(
+            mode=mode, budget_target=target, attack=PgdParams(epsilon=0.1, step=0.05, iters=2)))
+        # the root sees all 180 rows, each two-label leaf the 40 rows of its labels
+        assert rows == ([180, 40, 40, 40, 40] if calls == 5 else [40])
+
+    def test_labels_outside_the_hierarchy_rejected(self):
+        h, X, y = toy_three_label_hierarchy()
+        scenario = AttackScenario(mode="worst_case", attack=PgdParams(epsilon=0.1, step=0.1))
+        for bad in (3, -1):
+            y[0] = bad
+            with pytest.raises(ValidationError, match="labels must lie in 0..2"):
+                evaluate_adversarial(h, X, y, scenario)
+
     def test_budgeted_needs_valid_target(self):
         h, X, y = toy_three_label_hierarchy()
         params = PgdParams(epsilon=0.5, step=0.2, iters=5)
@@ -428,6 +461,15 @@ class TestRenormalizationReport:
         r = renormalization_report(P, labels, part, 0.5, thresholds=[0.25])[0]
         assert r.hierarchy_cr_mean == pytest.approx(r.baseline_cr_mean, abs=1e-12)
         assert r.hierarchy_ca == pytest.approx(r.baseline_ca)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_labels_outside_the_partition_rejected(self, bad):
+        P = synth_prob_dataset(43, 20, 6)
+        labels = np.argmax(P, axis=1)
+        labels[3] = bad
+        part = LabelPartition(((0, 1, 2), (3, 4, 5)))
+        with pytest.raises(ValidationError, match="labels must lie in 0..5"):
+            renormalization_report(P, labels, part, 0.5, thresholds=[0.25])
 
     @pytest.mark.parametrize("m", [1, 2, 7])
     def test_baseline_matches_argsort_oracle(self, m):

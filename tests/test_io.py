@@ -9,8 +9,8 @@ import pytest
 
 from hiercert import io, rng
 from hiercert.core import LabelPartition
-from hiercert.errors import ValidationError
-from hiercert.hierarchy import build_renormalize_hierarchy, infer_batch
+from hiercert.errors import ConfigError, ValidationError
+from hiercert.hierarchy import Hierarchy, Intermediate, Leaf, build_renormalize_hierarchy, infer_batch
 from hiercert.models import LinearSoftmax, SmallMlp
 
 from helpers import read_wide_csv_oracle
@@ -398,12 +398,32 @@ class TestHierarchyJson:
         base = LinearSoftmax.init(4, 2, seed=8)
         root = LinearSoftmax.init(2, 2, seed=9)
         part = LabelPartition(((0, 1), (2, 3)))
-        h = build_renormalize_hierarchy(part, root, base)
-        io.save_hierarchy(tmp_path / "h.json", h)
-        got = io.load_hierarchy(tmp_path / "h.json")
-        assert got.n_labels == 4
-        assert np.array_equal(infer_batch(got, X), infer_batch(h, X))
-        assert got.partition().classes == part.classes
+        # the masked base model at both leaves, then acceptance 9's leaves:
+        # models of each leaf's own two labels
+        local = Hierarchy(root=Intermediate(root, (Leaf((0, 1), LinearSoftmax.init(2, 2, 10)),
+                                                   Leaf((2, 3), LinearSoftmax.init(2, 2, 11)))),
+                          n_labels=4)
+        for h in (build_renormalize_hierarchy(part, root, base), local):
+            io.save_hierarchy(tmp_path / "h.json", h)
+            got = io.load_hierarchy(tmp_path / "h.json")
+            assert got.n_labels == 4
+            assert np.array_equal(infer_batch(got, X), infer_batch(h, X))
+            assert got.partition().classes == part.classes
+
+    def test_renormalize_leaf_needs_a_model_of_every_label(self):
+        spec = {"n_labels": 4, "root": {
+            "kind": "intermediate", "classifier": io.model_to_dict(LinearSoftmax.init(2, 2, 12)),
+            "children": [{"kind": "leaf", "labels": [0, 1],
+                          "classifier": io.model_to_dict(LinearSoftmax.init(4, 2, 13))},
+                         {"kind": "leaf", "labels": [2, 3],
+                          "classifier": io.model_to_dict(LinearSoftmax.init(2, 2, 14))}]}}
+        with pytest.raises(ConfigError) as exc:
+            io.hierarchy_from_dict(spec)
+        assert exc.value.field == "root.children.1.classifier"
+        assert "'strategy': 'retrain'" in exc.value.hint
+        spec["root"]["children"][1]["strategy"] = "retrain"
+        leaf = io.hierarchy_from_dict(spec).leaves()[1]
+        assert isinstance(leaf.classifier, LinearSoftmax)
 
     def test_model_by_path_reference(self, tmp_path):
         base = LinearSoftmax.init(3, 2, seed=10)

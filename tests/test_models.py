@@ -229,6 +229,11 @@ class TestModelParameters:
 
 
 class TestMaskedModel:
+    @pytest.mark.parametrize("subset", [(), (0, 5), (-1, 2)])
+    def test_subset_must_be_nonempty_labels_of_the_base(self, subset):
+        with pytest.raises(ValidationError, match="mask subset"):
+            MaskedModel(LinearSoftmax.init(5, 3, seed=11), subset)
+
     def test_logits_are_selected_columns(self):
         base = LinearSoftmax.init(5, 3, seed=11)
         masked = MaskedModel(base, (1, 3, 4))
