@@ -18,6 +18,7 @@ import json
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -31,6 +32,7 @@ from .discovery import cluster_separation_check, derive_partition, kmeans, parti
 from .errors import ConfigError, HiercertError, ValidationError
 from .hierarchy import (
     AttackScenario,
+    checked_labels,
     evaluate_adversarial,
     renormalization_report,
     subset_radius_sweep,
@@ -73,6 +75,8 @@ def config_hash(config: dict) -> str:
 _THRESHOLDS = ([0.25, 0.5, 1.0, 1.5, 2.0], io.list_of(io.is_nonneg_num),
                "list of nonnegative radii")
 _DATASET = (io.REQUIRED, {"features": (io.REQUIRED, io.is_str, "csv path")}, "{'features': path}")
+#: The table `discover` writes; `out_partition` may name neither of its files.
+_DISCOVERED = "discovered_partition"
 _PROBS = (io.REQUIRED, {"logits": (None, io.is_str, "csv path"),
                         "probs": (None, io.is_str, "csv path")}, "{'logits' or 'probs': path}")
 
@@ -84,7 +88,7 @@ _SCHEMAS: dict[str, dict] = {
                   "positive noise level or list of them"),
         "n0": (100, io.is_pos_int, "positive selection sample count"),
         "n": (100_000, io.is_pos_int, "positive estimation sample count"),
-        "alpha_conf": (0.001, io.is_num, "confidence failure probability in (0,1)"),
+        "alpha_conf": (0.001, io.between(0, 1), "confidence failure probability in (0,1)"),
         "model": (io.REQUIRED, io.is_dict, "model spec: {'type', 'path'} or the parameters"),
         "dataset": _DATASET,
         "radius_thresholds": _THRESHOLDS,
@@ -97,13 +101,16 @@ _SCHEMAS: dict[str, dict] = {
         "radius_thresholds": _THRESHOLDS,
     },
     "discover": {
-        "k": (io.REQUIRED, io.is_int, "number of equivalence classes"),
+        "k": (io.REQUIRED, io.is_pos_int, "positive number of equivalence classes"),
         "embeddings": (None, io.is_str, "embeddings csv path"),
         "confusion": (None, io.is_str, "confusion csv path"),
-        "max_iter": (100, io.is_int, "k-means iteration cap"),
-        "tol": (1e-8, io.is_num, "k-means movement tolerance"),
-        "n_labels": (None, io.is_int, "label-space size override"),
-        "out_partition": ("partition.json", io.is_str, "partition output filename"),
+        "max_iter": (100, io.is_pos_int, "positive k-means iteration cap"),
+        "tol": (1e-8, io.is_pos_num, "positive k-means movement tolerance"),
+        "n_labels": (None, lambda v: v is None or io.is_pos_int(v),
+                     "positive label-space size override"),
+        "out_partition": ("partition.json", lambda v: io.is_str(v) and v == Path(v).name and v
+                          not in ("", "..", f"{_DISCOVERED}.csv", f"{_DISCOVERED}.meta.json"),
+                          f"file name in --out other than {_DISCOVERED}.csv and .meta.json"),
     },
     "sweep": {
         "sigma": (0.5, io.is_pos_num, "positive noise level"),
@@ -113,19 +120,25 @@ _SCHEMAS: dict[str, dict] = {
         "samples_per_size": (500, io.is_pos_int, "positive subset sample count per size"),
     },
     "toy-gauss": {
-        "d": (200, io.is_int, "informative feature count"),
-        "p": (0.95, io.is_num, "robust-feature reliability in (1/2,1)"),
-        "eta_list": ([0.05, 0.1, 0.3, 0.5, 1.0], io.is_num_list, "mean shifts"),
-        "k_list": ([0, 1, 5, 10, 25, 50, 100, 200], io.is_int_list, "protected-feature counts"),
+        "d": (200, io.is_pos_int, "positive informative feature count"),
+        "p": (0.95, io.between(0.5, 1), "robust-feature reliability in (1/2,1)"),
+        "eta_list": ([0.05, 0.1, 0.3, 0.5, 1.0], io.list_of(io.is_nonneg_num),
+                     "nonnegative mean shifts"),
+        "k_list": ([0, 1, 5, 10, 25, 50, 100, 200], io.list_of(io.is_nonneg_int),
+                   "nonnegative protected-feature counts, each at most d"),
         "n_samples": (100_000, io.is_pos_int, "positive Monte-Carlo sample count"),
-        "tradeoff": (None, {"gamma": (0.01, io.is_num, "robust-feature error rate"),
-                            "eta": (0.3, io.is_num, "mean shift")}, "{'gamma': g, 'eta': e}"),
+        "tradeoff": (None, {
+            "gamma": (0.01, io.between(0, 1), "robust-feature error rate in (0,1)"),
+            "eta": (0.3, io.is_nonneg_num, "nonnegative mean shift"),
+        }, "{'gamma': g, 'eta': e}"),
     },
     "toy-prf": {
-        "n_bits": (16, io.is_int, "message length (1..64)"),
+        "n_bits": (16, lambda v: io.is_int(v) and 1 <= v <= 64, "message length (1..64)"),
         "key": (0x5149_77DE_23A6_01B7, io.is_int, "64-bit key"),
-        "repetition": (3, io.is_int, "odd per-bit repetition"),
-        "flip_budget": (1, io.is_int, "copies flipped per repetition group"),
+        "repetition": (3, lambda v: io.is_pos_int(v) and v % 2 == 1,
+                       "positive odd per-bit repetition"),
+        "flip_budget": (1, io.is_nonneg_int,
+                        "nonnegative copies flipped per repetition group, at most repetition"),
         "n_trials": (10_000, io.is_pos_int, "positive trial count"),
     },
     "attack": {
@@ -151,20 +164,29 @@ def _per_sample_seeds(seed: int, block: int, count: int) -> np.ndarray:
     return rng.mix64(base + np.arange(count, dtype=np.uint64))
 
 
+@contextmanager
+def _in_file(path):
+    """A ValidationError raised in the block, prefixed with path."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _load_prob_source(config: dict, base: Path):
+    """(path, ids, labels, probability rows) of the `probs` section's file."""
     src = config["probs"]
     if (src["logits"] is None) == (src["probs"] is None):
         raise ConfigError("probs", "must be {'logits': path} or {'probs': path}",
                           hint="point at a logits or probability csv")
     if src["logits"] is not None:
-        ids, labels, values = io.read_logits(base / src["logits"])
-        return ids, labels, softmax(values) if values.size else values
+        path = base / src["logits"]
+        ids, labels, values = io.read_logits(path)
+        return path, ids, labels, softmax(values) if values.size else values
     path = base / src["probs"]
     ids, labels, values = io.read_probs(path)
-    try:
-        return ids, labels, as_probability_matrix(values)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    with _in_file(path):
+        return path, ids, labels, as_probability_matrix(values)
 
 
 # ------------------------------------------------------------------ commands
@@ -212,8 +234,10 @@ def format_sigma(sigma: float) -> str:
 def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     sigma = float(config["sigma"])
     thresholds = [float(t) for t in config["radius_thresholds"]]
-    ids, labels, probs = _load_prob_source(config, base)
+    path, ids, labels, probs = _load_prob_source(config, base)
     part, m = config["partition"], probs.shape[1]
+    with _in_file(path):
+        checked_labels(labels, m)
     partition = (io.read_partition(base / part, n_labels=m) if isinstance(part, str)
                  else LabelPartition(tuple(map(tuple, part)), n_labels=m))
     reports = renormalization_report(probs, labels, partition, sigma, thresholds)
@@ -222,30 +246,29 @@ def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                "hierarchy_cr_mean", "hierarchy_cr_std"]
     columns += [f"baseline_ca_r{format_sigma(t)}" for t in thresholds]
     columns += [f"hierarchy_ca_r{format_sigma(t)}" for t in thresholds]
-    rows = []
-    for r in reports:
-        rows.append([r.class_index, "|".join(str(i) for i in r.labels), r.n_samples,
-                     r.routing_acc, r.baseline_cr_mean, r.baseline_cr_std,
-                     r.hierarchy_cr_mean, r.hierarchy_cr_std,
-                     *r.baseline_ca, *r.hierarchy_ca])
+    rows = [[r.class_index, "|".join(str(i) for i in r.labels), r.n_samples,
+             r.routing_acc, r.baseline_cr_mean, r.baseline_cr_std,
+             r.hierarchy_cr_mean, r.hierarchy_cr_std, *r.baseline_ca, *r.hierarchy_ca]
+            for r in reports]
     return [ReportTable(name="hierarchy_certificates", metadata=dict(meta),
                         columns=columns, rows=rows)]
 
 
 def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     h = io.load_hierarchy(base / config["hierarchy"])
-    ids, labels, X = io.read_features(base / config["dataset"]["features"])
+    path = base / config["dataset"]["features"]
+    ids, labels, X = io.read_features(path)
+    with _in_file(path):
+        checked_labels(labels, h.n_labels)
     a = config["attack"]
     pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
                     iters=a["iters"], restarts=a["restarts"])
     scenario = AttackScenario(mode=a["mode"], attack=pgd, budget_target=a["budget_target"])
     report = evaluate_adversarial(h, X, labels, scenario, seed=config["seed"])
-    rows = [["all", report.natural_acc,
-             "" if report.adv_acc is None else report.adv_acc,
-             "" if report.budget_acc is None else report.budget_acc]]
-    if report.per_node:
-        for nid in sorted(report.per_node):
-            rows.append([nid, report.natural_acc, "", report.per_node[nid]])
+    # write_csv writes None as an empty cell
+    rows = [["all", report.natural_acc, report.adv_acc, report.budget_acc]]
+    rows += [[nid, report.natural_acc, "", report.per_node[nid]]
+             for nid in sorted(report.per_node or ())]
     return [ReportTable(name="adversarial_accuracy", metadata=dict(meta),
                         columns=["node", "natural_acc", "adv_acc", "budget_acc"],
                         rows=rows)]
@@ -272,7 +295,7 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
         partition = partition_from_confusion(counts, k)
         row = [k, "", "", "", "", ""]
     row.append(json.dumps([list(c) for c in partition.classes]))
-    return [ReportTable(name="discovered_partition",
+    return [ReportTable(name=_DISCOVERED,
                         metadata=dict(meta, partition_file=config["out_partition"]),
                         columns=["k", "inertia", "n_iter", "reseeds",
                                  "silhouette", "separation_pass", "classes"],
@@ -280,7 +303,7 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
-    ids, labels, probs = _load_prob_source(config, base)
+    _, ids, labels, probs = _load_prob_source(config, base)
     stats = subset_radius_sweep(probs, float(config["sigma"]), config["sizes"],
                                 mode=config["mode"], sample_count=config["samples_per_size"],
                                 seed=config["seed"])

@@ -151,7 +151,7 @@ def flat_hierarchy(classifier) -> Hierarchy:
                      n_labels=classifier.n_labels)
 
 
-def _checked_labels(y, n_labels: int) -> np.ndarray:
+def checked_labels(y, n_labels: int) -> np.ndarray:
     """True labels as int64, each in 0..n_labels-1."""
     y = np.asarray(y, dtype=np.int64)
     if y.size and not (0 <= y.min() and y.max() < n_labels):
@@ -418,7 +418,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
         raise ValidationError(f"no node named {scenario.budget_target!r}; "
                               f"known ids: {node_ids}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = _checked_labels(y, h.n_labels)
+    y = checked_labels(y, h.n_labels)
     natural = float(np.mean(infer_batch(h, X) == y))
 
     every_node = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
@@ -530,7 +530,7 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
     and contributes no certificate. Mean/std exclude infinite radii.
     """
     table = _runner_table(as_probability_matrix(probs))
-    y = _checked_labels(labels, partition.n_labels)
+    y = checked_labels(labels, partition.n_labels)
     hier_radius = _class_radii(table, partition, sigma)
     _, base_radius = _set_radii(table, slice(None), sigma)
     g = table[0]

@@ -9,26 +9,22 @@ of all the file's labels to the leaf's subset (a `MaskedModel`), and
 "retrain" takes a model of the leaf's own labels as it is. The word lives
 only in the file; a loaded `Leaf` holds the classifier alone.
 
-Reading those 17-digit values back is the cost of a wide CSV: CPython's
-correctly rounded decimal conversion, under the GIL. A wide file of at
-least SPLIT_MIN_BYTES with no quoted field is therefore parsed by two
-processes when `os.fork` exists and two CPUs are usable: a forked child
-converts the second half of the rows into a shared anonymous mmap while
-this process converts the first half. Both halves go through the same
-`np.loadtxt` call as the one-process read, so the values are bit-identical;
-any failure of the split falls back to that one-process read.
+A wide CSV (features, logits, probabilities) is read by one `np.loadtxt`
+record pass per process; `_read_wide_csv` says when a second process helps.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import mmap
 import os
+import pickle
+import re
 import reprlib
 import warnings
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -85,21 +81,30 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-#: Files at least this large parse their value columns in two processes
-#: (`_read_wide_csv`). Measured on two cores from a 96 MB process, the split
-#: lost below 1 MB, varied either way between 1 and 3 MB and won by 12-37 %
-#: from 4 MB on (BENCH_pr9.json has the table).
+#: Files at least this large are read by two processes (`_read_wide_csv`).
+#: Measured on two cores from a 96 MB process, the split lost below 1 MB,
+#: varied either way between 1 and 3 MB and won by 12-37 % from 4 MB on
+#: (BENCH_pr9.json has the table).
 SPLIT_MIN_BYTES = 4 << 20
 
 
-def _loadtxt(fh, skiprows: int, width: int, max_rows: Optional[int] = None) -> np.ndarray:
-    """The value columns of a wide CSV from fh, after skiprows lines; a value
-    numpy cannot parse raises ValidationError naming the file."""
+def _records(fh, path, width: int):
+    """(ids, labels, values) of the rows left in fh, from one np.loadtxt
+    record pass. numpy honours quoted ids and skips blank lines; a row with
+    the wrong field count, or anything else it rejects, raises
+    ValidationError naming path."""
+    dtype = [("id", object), ("label", np.int64)]
+    if width:
+        dtype.append(("values", np.float64, (width,)))
     try:
-        return np.loadtxt(fh, delimiter=",", skiprows=skiprows, usecols=range(2, width + 2),
-                          comments=None, quotechar='"', ndmin=2, max_rows=max_rows)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rec = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                             ndmin=1)
     except ValueError as exc:
-        raise ValidationError(f"{fh.name}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None
+    values = np.ascontiguousarray(rec["values"]) if width else np.empty((len(rec), 0))
+    return rec["id"].tolist(), rec["label"].copy(), values
 
 
 def _usable_cpus() -> int:
@@ -108,93 +113,92 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_tail(path, encoding: str, offset: int, shape: tuple[int, int], shared) -> None:
-    """Forked child: parse the rows from byte `offset` into `shared`, then exit.
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
-    Exits 0 only when it parsed exactly `shape`; it never returns and never
-    writes to stdout or stderr.
-    """
+
+def _cut(mm, start: int) -> Optional[int]:
+    """The offset just past the first line break of mm from the middle of
+    the body mm[start:] on, or else from its start on, that leaves bytes
+    after it; None if there is none."""
+    for pos in ((start + len(mm)) // 2, start):
+        found = _LINE_BREAK.search(mm, pos)
+        if found and found.end() < len(mm):
+            return found.end()
+    return None
+
+
+def _send_head(fd: int, encoding: str, path, width: int, start: int, cut: int, out: int):
+    """Forked child: parse bytes start..cut of fd, free the text, pickle
+    (ids, labels, values) into the pipe `out` and exit, with 0 only when
+    all of it was sent. It never returns or writes to stdout or stderr."""
     code = 1
     try:
         warnings.simplefilter("ignore")
-        with open(path, newline="", encoding=encoding) as fh:
-            fh.seek(offset)
-            tail = _loadtxt(fh, 0, shape[1])
-        if tail.shape == shape:
-            np.frombuffer(shared, dtype=np.float64).reshape(shape)[...] = tail
-            code = 0
+        parts = _records(TextIOWrapper(BytesIO(os.pread(fd, cut - start, start)),
+                                       encoding=encoding, newline=""), path, width)
+        with os.fdopen(out, "wb") as pipe:
+            pickle.dump(parts, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
     finally:
         os._exit(code)
 
 
-def _loadtxt_halves(fh, path, header_lines: int, width: int, n: int,
-                    offset: int) -> Optional[np.ndarray]:
-    """Rows 0..n//2 parsed here, rows n//2.. by a forked child into a shared
-    anonymous mmap; `offset` is the byte offset of row n//2. Returns None
-    when fork or mmap fails, the child does not exit 0, or this half is not
-    n//2 rows; the caller then parses the whole file serially.
-    """
-    half = n // 2
-    tail_shape = (n - half, width)
+def _split_read(fh, path, width: int, start: int):
+    """The rows of fh from byte `start` on, read by a forked child up to the
+    `_cut` and by this process from there. None when the body holds a quote
+    or no cut, or when anything fails: mmap, pipe or fork raises, this
+    process's part is bad, or the child exits non-zero or is killed."""
     try:
-        shared = mmap.mmap(-1, tail_shape[0] * width * 8)
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            cut = None if mm.find(b'"', start) >= 0 else _cut(mm, start)
+        if cut is None:
+            return None
+        r, w = os.pipe()
     except OSError:
         return None
-    with shared:
-        try:
-            pid = os.fork()
-        except OSError:
-            return None
-        if pid == 0:
-            _parse_tail(path, fh.encoding, offset, tail_shape, shared)
-        try:
-            fh.seek(0)
-            with warnings.catch_warnings():
-                # Blank lines do not count towards max_rows, as wanted here.
-                warnings.filterwarnings("ignore", "Input line", UserWarning)
-                head = _loadtxt(fh, header_lines, width, max_rows=half)
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status != 0 or head.shape != (half, width):
-            return None
-        values = np.empty((n, width))
-        values[:half] = head
-        values[half:] = np.frombuffer(shared, dtype=np.float64).reshape(tail_shape)
-    return values
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        os.close(r)  # so that the write fails, not blocks, once this process closes r
+        _send_head(fh.fileno(), fh.encoding, path, width, start, cut, w)
+    os.close(w)
+    head = None
+    try:
+        # Closing r before waitpid frees a child blocked on a full pipe.
+        with os.fdopen(r, "rb") as pipe:
+            fh.seek(cut)
+            tail = _records(fh, path, width)
+            head = pickle.load(pipe)
+    except (ValidationError, OSError, EOFError, pickle.UnpicklingError):
+        pass  # the one-process read raises its own error
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if head is None or status != 0:
+        return None
+    return (head[0] + tail[0], np.concatenate([head[1], tail[1]]),
+            np.concatenate([head[2], tail[2]]))
 
 
 def _read_wide_csv(path, prefix: str):
-    """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files.
-
-    One pass over the lines takes the ids and labels and checks every row's
-    field count; numpy's C parser then reads the value columns from the same
-    open file. Only rows holding a quote go through the csv module, so ids
-    that csv.writer quoted (commas, quotes, newlines) still parse.
-
-    Converting 17-digit decimals to floats dominates the read and holds the
-    GIL, so a large file (at least SPLIT_MIN_BYTES, no row holding a quote,
-    at least two rows and one value column, `os.fork` available and more
-    than one usable CPU) is parsed by two processes: a forked child parses
-    the second half of the rows from its byte offset while this process
-    parses the first half. Each field goes through the same `np.loadtxt`
-    call as in the one-process read, so the values are bit-identical. A bad
-    value in the first half raises from this process's own call, with the
-    one-process read's message. On any other failure (fork or mmap raises,
-    the child exits non-zero or is killed, a half has the wrong row count)
-    the whole file is parsed again by the one-process call, which raises
-    that read's errors. A label that is not an integer, or a value numpy
-    cannot parse, raises ValidationError naming the file.
-    """
+    """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files: the
+    csv module reads the header, the first non-blank line, and `_records`
+    the rest. Converting 17-digit decimals to floats holds the GIL, so a
+    file of at least SPLIT_MIN_BYTES with a value column, where `os.fork`
+    exists and two CPUs are usable, goes to `_split_read`; the same record
+    pass makes the result bit-identical. If no split happens, the whole body
+    is read here, and that read raises its own error."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"file not found: {path}")
     with path.open(newline="") as fh:
-        header_lines = 0
         header: list[str] = []
-        pos = 0  # characters read so far; exact until a quoted row
+        start = 0  # characters read; bytes too, as a header that passes is ASCII
         for line in fh:
-            header_lines += 1
-            pos += len(line)
+            start += len(line)
             if line.strip("\r\n"):
                 header = next(csv.reader([line]))
                 break
@@ -206,53 +210,13 @@ def _read_wide_csv(path, prefix: str):
         expected = [f"{prefix}{i}" for i in range(width)]
         if header[2:] != expected:
             raise ValidationError(f"{path}: value columns must be {prefix}0..{prefix}{width - 1}")
-
-        ids: list[str] = []
-        labels: list[int] = []
-        starts: list[int] = []  # character offset of each row's line
-        quoted = False
-        for line in fh:
-            start, pos = pos, pos + len(line)
-            if '"' in line:
-                # A quoted field may span lines; the reader pulls them from fh.
-                quoted = True
-                row = next(csv.reader(itertools.chain([line], fh)))
-                n_fields = len(row)
-            elif not line.strip("\r\n"):
-                continue
-            else:
-                n_fields = line.count(",") + 1
-                row = line.split(",", 2)
-            if n_fields != width + 2:
-                raise ValidationError(f"{path}: ragged rows (row {len(ids) + 1} has "
-                                      f"{n_fields} fields, the header {width + 2})")
-            try:
-                labels.append(int(row[1]))
-            except ValueError:
-                raise ValidationError(f"{path}: row {len(ids) + 1} label {row[1]!r} "
-                                      "is not an integer") from None
-            ids.append(row[0])
-            starts.append(start)
-        n = len(ids)
-        if not n:
-            return ids, np.empty(0, dtype=np.int64), np.empty((0, width))
-        values = None
-        size = os.fstat(fh.fileno()).st_size
-        if (not quoted and size >= SPLIT_MIN_BYTES and n > 1 and width > 0
+        if (width > 0 and os.fstat(fh.fileno()).st_size >= SPLIT_MIN_BYTES
                 and hasattr(os, "fork") and _usable_cpus() > 1):
-            # Characters are bytes when every character took one byte;
-            # otherwise encode the text before row n//2 to count its bytes.
-            offset = starts[n // 2]
-            if pos != size:
-                fh.seek(0)
-                offset = len(fh.read(offset).encode(fh.encoding))
-            values = _loadtxt_halves(fh, path, header_lines, width, n, offset)
-        if values is None:
-            fh.seek(0)
-            values = _loadtxt(fh, header_lines, width)
-    if values.shape != (n, width):
-        raise ValidationError(f"{path}: ragged rows")
-    return ids, np.array(labels, dtype=np.int64), values
+            result = _split_read(fh, path, width, start)
+            if result is not None:
+                return result
+            fh.seek(start)
+        return _records(fh, path, width)
 
 
 def _write_wide(path, prefix: str, ids: Sequence, labels, values: np.ndarray) -> None:
@@ -382,8 +346,17 @@ def positive(check):
     return lambda v: check(v) and v > 0
 
 
+def between(lo, hi):
+    """A check for a number strictly between lo and hi."""
+    return lambda v: is_num(v) and lo < v < hi
+
+
 def is_nonneg_num(v) -> bool:
     return is_num(v) and v >= 0
+
+
+def is_nonneg_int(v) -> bool:
+    return is_int(v) and v >= 0
 
 
 is_num_list, is_int_list = list_of(is_num), list_of(is_int)
@@ -517,14 +490,17 @@ def hierarchy_from_dict(spec: dict, base_dir: Path | None = None) -> Hierarchy:
                              for i, c in enumerate(node["children"]))
             model = model_from_dict(node["classifier"], base_dir, f"{where}.classifier")
             return Intermediate(classifier=model, children=children)
-        labels, model = tuple(node["labels"]), None
+        labels, model, n_labels = tuple(node["labels"]), None, spec["n_labels"]
+        if not all(0 <= label < n_labels for label in labels):
+            raise ConfigError(f"{where}.labels", f"labels must lie in 0..{n_labels - 1}",
+                              hint="label indices below n_labels")
         if len(labels) > 1 and node["classifier"] is not None:
             name = f"{where}.classifier"
             model = model_from_dict(node["classifier"], base_dir, name)
             if node["strategy"] == "renormalize":
-                if model.n_labels != spec["n_labels"]:
+                if model.n_labels != n_labels:
                     raise ConfigError(name, f"a 'renormalize' leaf masks a model of all "
-                                      f"{spec['n_labels']} labels, not {model.n_labels}",
+                                      f"{n_labels} labels, not {model.n_labels}",
                                       hint="'strategy': 'retrain' for a model of the "
                                            "leaf's own labels")
                 model = MaskedModel(model, labels)

@@ -253,7 +253,11 @@ _VALID = {
                   "tradeoff": {"gamma": 0.02}},
     "toy-prf": {"n_trials": 10},
     "sweep": {"probs": {"probs": "p.csv"}, "sizes": [1, 2]},
+    "discover": {"k": 1, "embeddings": "data.csv"},
 }
+# a leaf holding label 5 of a two-label hierarchy
+_LEAVES = [{"kind": "leaf", "labels": [0, 5], "classifier": _MODEL},
+           {"kind": "leaf", "labels": [1]}]
 
 
 def _malformed(command, tree=_TREE, **section):
@@ -346,6 +350,39 @@ class TestMalformedInputs:
                     "type": "linear", "W": [[0.0, 0.0]] * 4, "b": [0.0] * 4}},
                 {"kind": "leaf", "labels": [2, 3], "classifier": _MODEL}])}),
                                    "field 'root.children.1.classifier'"),
+        # true labels outside the label space name their file
+        "probs-label-out-of-range": ("hierarchy", "p.csv",
+                                     "sample_id,label,p0,p1\na,2,0.75,0.25\n", "p.csv"),
+        "features-label-out-of-range": ("attack", "data.csv",
+                                        "sample_id,label,e0,e1\na,2,0.5,0\n", "data.csv"),
+        "leaf-label-out-of-range": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
+            _TREE["root"], children=_LEAVES))), "field 'root.children.0.labels'"),
+        # out_partition is a bare file name that is not one of discover's own outputs
+        "out-partition-table": ("discover", "out_partition", '"discovered_partition.csv"',
+                                "field 'out_partition'"),
+        "out-partition-sidecar": ("discover", "out_partition",
+                                  '"discovered_partition.meta.json"', "field 'out_partition'"),
+        "out-partition-empty": ("discover", "out_partition", '""', "field 'out_partition'"),
+        "out-partition-absolute": ("discover", "out_partition", '"/partition.json"',
+                                   "field 'out_partition'"),
+        "out-partition-parent": ("discover", "out_partition", '"../partition.json"',
+                                 "field 'out_partition'"),
+        "out-partition-subdirectory": ("discover", "out_partition", '"sub/partition.json"',
+                                       "field 'out_partition'"),
+        # single-field ranges
+        "zero-max-iter": ("discover", "max_iter", "0", "field 'max_iter'"),
+        "negative-tol": ("discover", "tol", "-1", "field 'tol'"),
+        "zero-k": ("discover", "k", "0", "field 'k'"),
+        "zero-n-labels": ("discover", "n_labels", "0", "field 'n_labels'"),
+        "alpha-conf-above-one": ("certify", "alpha_conf", "2", "field 'alpha_conf'"),
+        "p-above-one": ("toy-gauss", "p", "2", "field 'p'"),
+        "zero-d": ("toy-gauss", "d", "0", "field 'd'"),
+        "negative-eta": ("toy-gauss", "eta_list", "[-1]", "field 'eta_list'"),
+        "negative-k": ("toy-gauss", "k_list", "[-1]", "field 'k_list'"),
+        "gamma-above-one": ("toy-gauss", "tradeoff", '{"gamma": 2}', "field 'tradeoff.gamma'"),
+        "zero-n-bits": ("toy-prf", "n_bits", "0", "field 'n_bits'"),
+        "even-repetition": ("toy-prf", "repetition", "2", "field 'repetition'"),
+        "negative-flip-budget": ("toy-prf", "flip_budget", "-1", "field 'flip_budget'"),
     }
 
     @pytest.mark.parametrize("command, key, text, name", list(REJECTED.values()),

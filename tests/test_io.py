@@ -1,6 +1,7 @@
 import math
 import mmap
 import os
+import pickle
 import signal
 import warnings
 
@@ -38,6 +39,8 @@ MALFORMED = {
     "non-integer-label": ("sample_id,label,l0\na,0.5,1\n", ValidationError),
     "non-numeric-value": ("sample_id,label,l0\na,0,x\n", ValidationError),
     "empty-value": ("sample_id,label,l0\na,0,\n", ValidationError),
+    "label-overflows-int64": ("sample_id,label,l0\na,9223372036854775808,1\n", ValidationError),
+    "underscore-label": ("sample_id,label,l0\na,1_5,1\n", ValidationError),
 }
 
 
@@ -56,6 +59,57 @@ class TestFloatFormat:
         assert io.format_float(math.inf) == "inf"
         assert io.format_float(-math.inf) == "-inf"
         assert io.format_float(math.nan) == "nan"
+
+
+def wide_lines(n, width=3, ids=None, seed=11):
+    """Header and n unquoted rows of a logits file, without line endings."""
+    ids = ids or [f"s{i}" for i in range(n)]
+    values = random_floats(seed, n * width).reshape(n, width)
+    lines = ["sample_id,label," + ",".join(f"l{j}" for j in range(width))]
+    lines += [",".join([ids[i], str(i % 7 - 3)] + [io.format_float(v) for v in values[i]])
+              for i in range(n)]
+    return lines
+
+
+def read_error(path):
+    with pytest.raises((ValidationError, ValueError)) as info:
+        io.read_logits(path)
+    return info.type, str(info.value)
+
+
+NON_ASCII_IDS = ["é", "日本語", "naïve", "Ωmega", "ß", "😀", "plain", "ü", "中"]
+
+LAYOUTS = {
+    "non-ascii-ids": "\n".join(wide_lines(9, ids=NON_ASCII_IDS)) + "\n",
+    "crlf": "\r\n".join(wide_lines(8)) + "\r\n",
+    "cr": "\r".join(wide_lines(8)) + "\r",
+    "non-ascii-crlf": "\r\n".join(wide_lines(9, ids=NON_ASCII_IDS)),
+    # blank lines before the header, just before the cut (ahead of row 4), after
+    # row 4 and at the end
+    "blank-lines-around-split": "\n".join(
+        ["", ""] + wide_lines(8)[:5] + ["", "\r"] + wide_lines(8)[5:6] + ["", ""]
+        + wide_lines(8)[6:] + ["", ""]),
+    "n2": "\n".join(wide_lines(2)) + "\n",
+    "n3": "\n".join(wide_lines(3)),
+    "n7-wide": "\n".join(wide_lines(7, width=40)) + "\n",
+}
+
+
+def assert_matches_oracle(path):
+    """The ids read from path, after checking every field against the
+    per-cell oracle bit for bit."""
+    got_ids, got_labels, got = io.read_logits(path)
+    want_ids, want_labels, want = read_wide_csv_oracle(path, "l")
+    assert got_ids == want_ids
+    assert got_labels.dtype == np.int64 and np.array_equal(got_labels, want_labels)
+    assert got.dtype == np.float64 and got.flags.c_contiguous and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return got_ids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWideCsv:
@@ -104,12 +158,8 @@ class TestWideCsv:
         labels = rng.integers(6, 905, 0, 100, 1000) - 500
         path = tmp_path / "l.csv"
         io.write_logits(path, ids, labels, values)
-        got_ids, got_labels, got = io.read_logits(path)
-        want_ids, want_labels, want = read_wide_csv_oracle(path, "l")
-        assert got_ids == want_ids == ids
-        assert np.array_equal(got_labels, want_labels)
-        assert got.dtype == np.float64 and got.shape == (100, 100)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert assert_matches_oracle(path) == ids
+        _, _, got = io.read_logits(path)
         finite = np.isfinite(values)
         assert np.array_equal(got[finite].view(np.uint64), values[finite].view(np.uint64))
 
@@ -117,11 +167,13 @@ class TestWideCsv:
     def test_edge_cases_match_oracle(self, tmp_path, text):
         path = tmp_path / "l.csv"
         path.write_bytes(text.encode())
-        got_ids, got_labels, got = io.read_logits(path)
-        want_ids, want_labels, want = read_wide_csv_oracle(path, "l")
-        assert got_ids == want_ids
-        assert np.array_equal(got_labels, want_labels)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert_matches_oracle(path)
+
+    @pytest.mark.parametrize("text", list(LAYOUTS.values()), ids=list(LAYOUTS))
+    def test_layouts_match_oracle_bit_for_bit(self, tmp_path, text):
+        path = tmp_path / "l.csv"
+        path.write_bytes(text.encode())
+        assert_matches_oracle(path)
 
     @pytest.mark.parametrize("text, error", list(MALFORMED.values()), ids=list(MALFORMED))
     def test_malformed_files_rejected(self, tmp_path, text, error):
@@ -149,61 +201,25 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """max_rows of each value-column parse this process makes (None: to the
-    end), so a split that quietly fell back to the serial read shows."""
-    real, calls = io._loadtxt, []
+    """Rows of each record pass this process makes (None: it raised), so a
+    split that quietly fell back to the one-process read shows."""
+    real, calls = io._records, []
 
-    def spy(fh, skiprows, width, max_rows=None):
-        calls.append(max_rows)
-        return real(fh, skiprows, width, max_rows)
+    def spy(fh, path, width):
+        calls.append(None)
+        parts = real(fh, path, width)
+        calls[-1] = len(parts[0])
+        return parts
 
-    monkeypatch.setattr(io, "_loadtxt", spy)
+    monkeypatch.setattr(io, "_records", spy)
     return calls
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def wide_lines(n, width=3, ids=None, seed=11):
-    """Header and n unquoted rows of a logits file, without line endings."""
-    ids = ids or [f"s{i}" for i in range(n)]
-    values = random_floats(seed, n * width).reshape(n, width)
-    lines = ["sample_id,label," + ",".join(f"l{j}" for j in range(width))]
-    lines += [",".join([ids[i], str(i % 7 - 3)] + [io.format_float(v) for v in values[i]])
-              for i in range(n)]
-    return lines
-
-
-def read_error(path):
-    with pytest.raises((ValidationError, ValueError)) as info:
-        io.read_logits(path)
-    return info.type, str(info.value)
-
-
-NON_ASCII_IDS = ["é", "日本語", "naïve", "Ωmega", "ß", "😀", "plain", "ü", "中"]
-
-LAYOUTS = {
-    "non-ascii-ids": "\n".join(wide_lines(9, ids=NON_ASCII_IDS)) + "\n",
-    "crlf": "\r\n".join(wide_lines(8)) + "\r\n",
-    "cr": "\r".join(wide_lines(8)) + "\r",
-    "non-ascii-crlf": "\r\n".join(wide_lines(9, ids=NON_ASCII_IDS)),
-    # blank lines before the header, on both sides of row n//2 = 4, at the end
-    "blank-lines-around-split": "\n".join(
-        ["", ""] + wide_lines(8)[:5] + ["", "\r"] + wide_lines(8)[5:6] + ["", ""]
-        + wide_lines(8)[6:] + ["", ""]),
-    "n2": "\n".join(wide_lines(2)) + "\n",
-    "n3": "\n".join(wide_lines(3)),
-    "n7-wide": "\n".join(wide_lines(7, width=40)) + "\n",
-}
 
 
 class TestWideCsvSplit(TestWideCsv):
     """Every TestWideCsv case again with the size threshold at 0, so that each
-    file of two or more rows, one value column and no quote is parsed by two
-    processes; then the cases that the byte offset and the serial fallback
-    must get right."""
+    file with two or more rows, one value column and no quote is read by two
+    processes; then the cases that the cut and the one-process fallback must
+    get right."""
 
     @pytest.fixture(autouse=True)
     def split_every_file(self, monkeypatch, forks, parses):
@@ -228,26 +244,18 @@ class TestWideCsvSplit(TestWideCsv):
     def test_layouts_match_oracle_bit_for_bit(self, tmp_path, forks, parses, text):
         path = tmp_path / "l.csv"
         path.write_bytes(text.encode())
-        got_ids, got_labels, got = io.read_logits(path)
+        n = len(assert_matches_oracle(path))
         assert len(forks) == 1
-        assert parses == [len(got_ids) // 2]  # the child's half was used
+        assert len(parses) == 1 and 0 < parses[0] < n  # the child's part was used
         assert_no_child_left()
-        want_ids, want_labels, want = read_wide_csv_oracle(path, "l")
-        assert got_ids == want_ids
-        assert np.array_equal(got_labels, want_labels)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bit_patterns_match_oracle_across_the_split(self, tmp_path, forks, parses):
         values = rng.raw64(5, 904, 0, 10_000).view(np.float64).reshape(100, 100)
         ids = [NON_ASCII_IDS[i % len(NON_ASCII_IDS)] + str(i) for i in range(100)]
         path = tmp_path / "l.csv"
         io.write_logits(path, ids, np.arange(100), values)
-        got_ids, _, got = io.read_logits(path)
-        assert len(forks) == 1 and parses == [50]
-        want_ids, _, want = read_wide_csv_oracle(path, "l")
-        assert got_ids == want_ids == ids
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert assert_matches_oracle(path) == ids
+        assert len(forks) == 1 and len(parses) == 1 and 0 < parses[0] < 100
 
     @pytest.mark.parametrize("bad_row", [0, 2, 3, 6])
     def test_bad_value_raises_the_serial_error(self, tmp_path, monkeypatch, forks, parses,
@@ -258,58 +266,83 @@ class TestWideCsvSplit(TestWideCsv):
         path.write_text("\n".join(lines) + "\n")
         split_error = read_error(path)
         assert len(forks) == 1
-        # rows 0-2 are this process's half, whose error stands; the child's
-        # failure sends rows 3-6 to the serial read
-        assert parses == ([3] if bad_row < 3 else [3, None])
+        # rows 0-3 are the child's part and rows 4-6 this process's; either
+        # failure sends the whole file to the one-process read, which raises
+        assert len(parses) == 2 and parses[1] is None
+        assert (parses[0] is None) == (bad_row > 3)
         assert_no_child_left()
         monkeypatch.setattr(io, "SPLIT_MIN_BYTES", path.stat().st_size + 1)
         assert read_error(path) == split_error
         assert len(forks) == 1
         assert split_error[0] is ValidationError and "1.5x" in split_error[1]
 
-    def check_serial_fallback(self, tmp_path, forks, parses, n_forks, want_parses):
+    def test_bad_part_here_and_a_full_pipe_raise_without_hanging(self, tmp_path, forks,
+                                                                 parses):
+        # The child's part, about 2000 rows, holds about 160 kB of values, more
+        # than a pipe buffers, so it is still writing when this process's part
+        # fails.
+        lines = wide_lines(4000, width=10)
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1.5x"
+        path = tmp_path / "l.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        def hung(signum, frame):
+            for pid in forks:
+                os.kill(pid, signal.SIGKILL)
+            raise TimeoutError("the read hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ValidationError, match="1.5x"):
+                io.read_logits(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1 and parses == [None, None]
+        assert_no_child_left()
+
+    def check_serial_fallback(self, tmp_path, forks, parses, n_forks):
         path = tmp_path / "l.csv"
         path.write_bytes(LAYOUTS["non-ascii-crlf"].encode())
-        got_ids, _, got = io.read_logits(path)
+        n = len(assert_matches_oracle(path))
         assert len(forks) == n_forks
-        assert parses == want_parses
+        # this process's part if the child was forked, then the whole file
+        assert parses[n_forks:] == [n] and all(0 < k < n for k in parses[:n_forks])
         parses.clear()
-        want_ids, _, want = read_wide_csv_oracle(path, "l")
-        assert got_ids == want_ids
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("how", ["exit-3", "sigkill", "row-count"])
+    @pytest.mark.parametrize("how", ["exit-3", "sigkill", "truncated"])
     def test_failed_child_falls_back_to_serial(self, tmp_path, monkeypatch, forks, parses,
                                                how):
-        real = io._parse_tail
-
-        def child(path, encoding, offset, shape, shared):
+        def child(fd, encoding, path, width, start, cut, out):
             try:
-                if how == "row-count":
-                    real(path, encoding, offset, (shape[0] + 1, shape[1]), shared)
-                elif how == "sigkill":
+                if how == "truncated":  # exits 0 having sent half of a pickle
+                    data = pickle.dumps(([], np.zeros(0), np.zeros((0, width))))
+                    os.write(out, data[:len(data) // 2])
+                    os._exit(0)
+                if how == "sigkill":
                     os.kill(os.getpid(), signal.SIGKILL)
             finally:
                 os._exit(3)
 
-        monkeypatch.setattr(io, "_parse_tail", child)
-        self.check_serial_fallback(tmp_path, forks, parses, 1, [4, None])
+        monkeypatch.setattr(io, "_send_head", child)
+        self.check_serial_fallback(tmp_path, forks, parses, 1)
 
-    @pytest.mark.parametrize("broken", ["fork", "mmap"])
+    @pytest.mark.parametrize("broken", ["fork", "mmap", "pipe"])
     def test_fork_or_mmap_oserror_falls_back_to_serial(self, tmp_path, monkeypatch, forks,
                                                        parses, broken):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise OSError("unavailable")
 
-        monkeypatch.setattr(os if broken == "fork" else mmap, broken, fail)
-        self.check_serial_fallback(tmp_path, forks, parses, 0, [None])
+        monkeypatch.setattr(mmap if broken == "mmap" else os, broken, fail)
+        self.check_serial_fallback(tmp_path, forks, parses, 0)
 
     def test_one_cpu_or_no_fork_reads_serially(self, tmp_path, monkeypatch, forks, parses):
         monkeypatch.setattr(io, "_usable_cpus", lambda: 1)
-        self.check_serial_fallback(tmp_path, forks, parses, 0, [None])
+        self.check_serial_fallback(tmp_path, forks, parses, 0)
         monkeypatch.setattr(io, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
-        self.check_serial_fallback(tmp_path, forks, parses, 0, [None])
+        self.check_serial_fallback(tmp_path, forks, parses, 0)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork") or io._usable_cpus() < 2,
