@@ -165,12 +165,20 @@ def _per_sample_seeds(seed: int, block: int, count: int) -> np.ndarray:
 
 
 @contextmanager
-def _in_file(path):
-    """A ValidationError raised in the block, prefixed with path."""
+def _naming(source):
+    """A ValidationError raised in the block, prefixed with its file or field."""
     try:
         yield
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{source}: {exc}") from None
+
+
+def _check_width(path, X: np.ndarray, models) -> None:
+    """Every (name, model) of `models` takes the feature rows of X, read from path."""
+    for name, model in models:
+        if model.input_dim != X.shape[1]:
+            raise ValidationError(f"{path}: {X.shape[1]} feature columns, but {name} takes "
+                                  f"{model.input_dim} inputs")
 
 
 def _load_prob_source(config: dict, base: Path):
@@ -185,7 +193,7 @@ def _load_prob_source(config: dict, base: Path):
         return path, ids, labels, softmax(values) if values.size else values
     path = base / src["probs"]
     ids, labels, values = io.read_probs(path)
-    with _in_file(path):
+    with _naming(path):
         return path, ids, labels, as_probability_matrix(values)
 
 
@@ -193,7 +201,9 @@ def _load_prob_source(config: dict, base: Path):
 
 def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     model = io.model_from_dict(config["model"], base)
-    ids, labels, X = io.read_features(base / config["dataset"]["features"])
+    path = base / config["dataset"]["features"]
+    ids, labels, X = io.read_features(path)
+    _check_width(path, X, [("the model", model)])
     sigma = config["sigma"]
     sigmas = [float(s) for s in (sigma if isinstance(sigma, list) else [sigma])]
     thresholds = [float(t) for t in config["radius_thresholds"]]
@@ -236,10 +246,13 @@ def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     thresholds = [float(t) for t in config["radius_thresholds"]]
     path, ids, labels, probs = _load_prob_source(config, base)
     part, m = config["partition"], probs.shape[1]
-    with _in_file(path):
+    with _naming(path):
         checked_labels(labels, m)
-    partition = (io.read_partition(base / part, n_labels=m) if isinstance(part, str)
-                 else LabelPartition(tuple(map(tuple, part)), n_labels=m))
+    if isinstance(part, str):
+        partition = io.read_partition(base / part, n_labels=m)
+    else:
+        with _naming("field 'partition'"):
+            partition = LabelPartition(tuple(map(tuple, part)), n_labels=m)
     reports = renormalization_report(probs, labels, partition, sigma, thresholds)
     columns = ["class_index", "labels", "n_samples", "routing_acc",
                "baseline_cr_mean", "baseline_cr_std",
@@ -258,8 +271,10 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     h = io.load_hierarchy(base / config["hierarchy"])
     path = base / config["dataset"]["features"]
     ids, labels, X = io.read_features(path)
-    with _in_file(path):
+    with _naming(path):
         checked_labels(labels, h.n_labels)
+    _check_width(path, X, [(f"node {nid!r}", node.classifier) for nid, node in h.nodes()
+                           if node.classifier is not None])
     a = config["attack"]
     pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
                     iters=a["iters"], restarts=a["restarts"])
@@ -291,8 +306,10 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                "" if sep is None else sep.silhouette,
                "" if sep is None else sep.passed]
     else:
-        counts = io.read_confusion(base / config["confusion"])
-        partition = partition_from_confusion(counts, k)
+        path = base / config["confusion"]
+        counts = io.read_confusion(path)
+        with _naming(path):
+            partition = partition_from_confusion(counts, k)
         row = [k, "", "", "", "", ""]
     row.append(json.dumps([list(c) for c in partition.classes]))
     return [ReportTable(name=_DISCOVERED,

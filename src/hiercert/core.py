@@ -60,9 +60,6 @@ class LabelPartition:
                 return idx
         raise ValidationError(f"label {label} not in partition")
 
-    def __len__(self) -> int:
-        return len(self.classes)
-
 
 @dataclass(frozen=True)
 class CertifiedPrediction:

@@ -61,12 +61,7 @@ def _plus_plus_init(X: np.ndarray, k: int, seed: int) -> np.ndarray:
         total = float(d2.sum())
         if total <= 0.0:
             # all remaining points coincide with a centroid; take lowest unused
-            for idx in range(n):
-                if idx not in chosen:
-                    chosen.append(idx)
-                    break
-            else:
-                chosen.append(chosen[-1])
+            chosen.append(next(i for i in range(n) if i not in chosen))
         else:
             u = float(rng.uniforms(seed, rng.STREAM_KMEANS, j, 1)[0])
             idx = int(np.searchsorted(np.cumsum(d2), u * total, side="right"))
@@ -81,8 +76,9 @@ def kmeans(embeddings, k: int, seed: int = 0,
 
     Stops when the largest centroid movement drops below tol or after
     max_iter rounds; clusters that empty out are re-seeded to the point
-    farthest from its current centroid. The returned assignment is a fixed
-    point of the assignment step for the returned centroids.
+    farthest from its current centroid, unless that point sits on it
+    (coincident points). The returned assignment is a fixed point of the
+    assignment step for the returned centroids.
     """
     X = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     n = X.shape[0]
@@ -107,10 +103,11 @@ def kmeans(embeddings, k: int, seed: int = 0,
             else:
                 order = np.argsort(-own, kind="stable")
                 pick = next(int(i) for i in order if int(i) not in taken)
-                taken.add(pick)
-                newC[j] = X[pick]
-                reseeded = True
-                reseeds += 1
+                if own[pick] > 0:
+                    taken.add(pick)
+                    newC[j] = X[pick]
+                    reseeded = True
+                    reseeds += 1
         move = float(np.sqrt(((newC - C) ** 2).sum(axis=1)).max())
         C = newC
         if move < tol and not reseeded:

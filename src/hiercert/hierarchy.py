@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -70,10 +70,12 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Intermediate:
-    """Routing node; child i handles the i-th equivalence class below it."""
+    """Routing node; child i handles the i-th equivalence class below it.
+    `label_subset` is the sorted union of the children's label subsets."""
 
     classifier: object
     children: tuple["Node", ...]
+    label_subset: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
@@ -81,18 +83,11 @@ class Intermediate:
             raise ValidationError("intermediate nodes need at least 2 children")
         if self.classifier.n_labels != len(self.children):
             raise ValidationError("routing arity must equal the child count")
+        object.__setattr__(self, "label_subset",
+                           tuple(sorted(i for c in self.children for i in c.label_subset)))
 
 
 Node = Union[Leaf, Intermediate]
-
-
-def node_label_set(node: Node) -> tuple[int, ...]:
-    if isinstance(node, Leaf):
-        return node.label_subset
-    out: list[int] = []
-    for child in node.children:
-        out.extend(node_label_set(child))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -103,11 +98,10 @@ class Hierarchy:
     n_labels: int
 
     def __post_init__(self):
-        labels = node_label_set(self.root)
-        if labels != tuple(range(self.n_labels)):
+        if self.root.label_subset != tuple(range(self.n_labels)):
             raise ValidationError(
                 "leaf subsets must partition the label space "
-                f"0..{self.n_labels - 1}, got {labels}"
+                f"0..{self.n_labels - 1}, got {self.root.label_subset}"
             )
 
     def leaves(self) -> list[Leaf]:
@@ -209,21 +203,19 @@ def _runner_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided radius of every row whose top label lies in `labels`, against
-    its runner-up among `labels`; +inf where no competitor is left.
+    its runner-up among `labels`.
 
     `labels` is a list of labels or a slice. Returns the rows, ascending, and
     their radii. The runner-up is one column-wise max over the label set's
-    contiguous rows of the table.
+    contiguous rows of the table; -inf where no competitor is left, floored
+    to 0, for which `margin_radius` gives +inf.
     """
     g, p_top, PT = table
     allowed = np.zeros(PT.shape[0], dtype=bool)
     allowed[labels] = True
     rows = np.flatnonzero(allowed[g])
     runner = PT[labels].max(axis=0)[rows]
-    paired = runner > -np.inf
-    radii = np.full(rows.size, np.inf)
-    radii[paired] = margin_radius(sigma, p_top[rows][paired], runner[paired])
-    return rows, radii
+    return rows, margin_radius(sigma, p_top[rows], np.maximum(runner, 0.0))
 
 
 def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],
@@ -235,19 +227,16 @@ def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],
     top and runner-up that remain (the estimates themselves are not
     rescaled, which is what makes the bound valid). The global argmax must
     lie inside the subset; otherwise the sample was routed wrong and is a
-    misclassification, not a certificate.
+    misclassification, not a certificate. With no competitor left the
+    runner-up is 0, for which `margin_radius` gives +inf.
     """
     probs = as_probability_vector(smoothed_probs)
     s = normalize_subset(subset, probs.size)
     g = int(np.argmax(probs))
     if g not in s:
         raise RoutingMismatchError(f"argmax {g} outside routed subset {s}")
-    if len(s) == 1:
-        return CertifiedPrediction(label=g, radius=math.inf,
-                                   p_a_lower=float(probs[g]), sigma=sigma)
-    competitors = [i for i in s if i != g]
     p_top = float(probs[g])
-    p_runner = float(probs[competitors].max())
+    p_runner = max((float(probs[i]) for i in s if i != g), default=0.0)
     return CertifiedPrediction(label=g, radius=margin_radius(sigma, p_top, p_runner),
                                p_a_lower=p_top, sigma=sigma)
 
@@ -407,7 +396,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     """
     for nid, node in h.nodes():
         model = node.classifier
-        while isinstance(model, MaskedModel):
+        if isinstance(model, MaskedModel):
             model = model.base
         if model is not None and not hasattr(model, "input_grad_from_dlogits"):
             raise CapabilityError(
@@ -426,7 +415,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     for nid, node in h.nodes():
         # The local target of each row: its label's child, or its index in a leaf.
         groups = ([(label,) for label in node.label_subset] if isinstance(node, Leaf)
-                  else map(node_label_set, node.children))
+                  else (child.label_subset for child in node.children))
         local = _label_index(groups, h.n_labels)[y]
         rows = np.flatnonzero(local >= 0)
         if every_node or nid == scenario.budget_target:

@@ -42,8 +42,6 @@ CERTIFICATE_COLUMNS = ("sample_id", "label", "pred", "radius", "abstain", "p_a_l
 
 def format_float(x: float) -> str:
     """17 significant digits; `inf`, `-inf` and `nan` for the non-finite."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.17g}"
 
 
@@ -59,6 +57,14 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _open(path):
+    """path opened for reading text with newlines untranslated; a missing
+    file is a ValidationError."""
+    if not os.path.exists(path):
+        raise ValidationError(f"file not found: {path}")
+    return open(path, newline="")
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -69,18 +75,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValidationError(f"empty csv: {path}")
-    return rows[0], rows[1:]
-
-
 #: Files at least this large are read by two processes (`_read_wide_csv`).
 #: Measured on two cores from a 96 MB process, the split lost below 1 MB,
 #: varied either way between 1 and 3 MB and won by 12-37 % from 4 MB on
@@ -88,21 +82,35 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
 SPLIT_MIN_BYTES = 4 << 20
 
 
-def _records(fh, path, width: int):
-    """(ids, labels, values) of the rows left in fh, from one np.loadtxt
-    record pass. numpy honours quoted ids and skips blank lines; a row with
-    the wrong field count, or anything else it rejects, raises
-    ValidationError naming path."""
-    dtype = [("id", object), ("label", np.int64)]
-    if width:
-        dtype.append(("values", np.float64, (width,)))
+# numpy's loadtxt messages for a cell it cannot convert and a row of the wrong width
+_BAD_CELL = re.compile(r"(could not convert string .*) at row (\d+), column (\d+)\.", re.S)
+_BAD_WIDTH = re.compile(r".* (\d+) (?:columns but|to) (\d+) (?:were found )?at row (\d+);.*", re.S)
+
+
+def _loadtxt(fh, path, dtype, **kw) -> np.ndarray:
+    """np.loadtxt of the comma-separated rows left in fh, quoted fields
+    honoured and blank lines skipped. Errors raise ValidationError naming
+    path; a bad cell or row width also names its `data row N`, counted from
+    1 over the non-blank rows read here (numpy counts cells' rows from 0)."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rec = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                             ndmin=1)
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', **kw)
     except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        msg = str(exc)
+        if found := _BAD_CELL.fullmatch(msg):
+            msg = f"data row {int(found[2]) + 1}, column {found[3]}: {found[1]}"
+        elif found := _BAD_WIDTH.fullmatch(msg):
+            msg = f"data row {found[3]}: expected {found[1]} fields, found {found[2]}"
+        raise ValidationError(f"{path}: {msg}") from None
+
+
+def _records(fh, path, width: int):
+    """(ids, labels, values) of the rows left in fh, from one `_loadtxt` record pass."""
+    dtype = [("id", object), ("label", np.int64)]
+    if width:
+        dtype.append(("values", np.float64, (width,)))
+    rec = _loadtxt(fh, path, dtype, ndmin=1)
     values = np.ascontiguousarray(rec["values"]) if width else np.empty((len(rec), 0))
     return rec["id"].tolist(), rec["label"].copy(), values
 
@@ -191,10 +199,7 @@ def _read_wide_csv(path, prefix: str):
     exists and two CPUs are usable, goes to `_split_read`; the same record
     pass makes the result bit-identical. If no split happens, the whole body
     is read here, and that read raises its own error."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"file not found: {path}")
-    with path.open(newline="") as fh:
+    with _open(path) as fh:
         header: list[str] = []
         start = 0  # characters read; bytes too, as a header that passes is ASCII
         for line in fh:
@@ -253,37 +258,28 @@ def read_probs(path):
 
 
 def write_confusion(path, counts: np.ndarray) -> None:
-    counts = np.asarray(counts, dtype=np.int64)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in counts:
-            writer.writerow([str(int(v)) for v in row])
+    np.savetxt(path, np.asarray(counts, dtype=np.int64), fmt="%d", delimiter=",")
 
 
 def read_confusion(path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"file not found: {path}")
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    try:
-        mat = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: confusion entries must be integers ({exc})")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    """A headerless square matrix of int64 counts, read by `_loadtxt`."""
+    with _open(path) as fh:
+        mat = _loadtxt(fh, path, np.int64, ndmin=2)
+    if mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{path}: confusion matrix must be square")
     return mat
 
 
 def read_certificates(path) -> list[dict]:
     """Rows of a certificates table as the certify command writes them."""
-    header, body = _read_csv(path)
-    if tuple(header) != CERTIFICATE_COLUMNS:
+    with _open(path) as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or tuple(rows[0]) != CERTIFICATE_COLUMNS:
         raise ValidationError(f"{path}: header must be {','.join(CERTIFICATE_COLUMNS)}")
     out = []
-    for row in body:
+    for row in rows[1:]:
         out.append({
             "sample_id": row[0],
             "label": int(row[1]),
@@ -302,13 +298,11 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"file not found: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid json ({exc})")
+    with _open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid json ({exc})")
 
 
 #: The default of a schema key that the object must carry.
@@ -408,21 +402,25 @@ def write_partition(path, partition: LabelPartition) -> None:
 
 def read_partition(path, n_labels: Optional[int] = None) -> LabelPartition:
     raw = read_json(path)
-    if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
-        raise ValidationError(f"{path}: partition must be a list of label lists")
-    return LabelPartition(tuple(tuple(c) for c in raw), n_labels=n_labels or 0)
+    try:
+        if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
+            raise ValidationError("partition must be a list of label lists")
+        return LabelPartition(tuple(tuple(c) for c in raw), n_labels=n_labels or 0)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+#: Each model file type: its class and the names of its parameters.
+_MODELS = {"linear": (LinearSoftmax, ("W", "b")), "mlp": (SmallMlp, ("W1", "b1", "W2", "b2"))}
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, LinearSoftmax):
-        return {"type": "linear", "W": model.W.tolist(), "b": model.b.tolist()}
-    if isinstance(model, SmallMlp):
-        return {"type": "mlp", "W1": model.W1.tolist(), "b1": model.b1.tolist(),
-                "W2": model.W2.tolist(), "b2": model.b2.tolist()}
+    for kind, (cls, names) in _MODELS.items():
+        if isinstance(model, cls):
+            return {"type": kind, **{name: getattr(model, name).tolist() for name in names}}
     raise ValidationError(f"cannot serialize model type {type(model).__name__}")
 
 
-_MODELS = {"linear": (LinearSoftmax, ("W", "b")), "mlp": (SmallMlp, ("W1", "b1", "W2", "b2"))}
 _MODEL_TYPE = (REQUIRED, is_str, "'linear' or 'mlp'")
 _MODEL_FILE = {"type": _MODEL_TYPE, "path": (REQUIRED, is_str, "model json path")}
 _PARAM = (REQUIRED, lambda v: is_num_list(v) or list_of(is_num_list)(v), "(rows of) numbers")

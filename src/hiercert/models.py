@@ -221,18 +221,23 @@ class SmallMlp:
 class MaskedModel:
     """A model restricted to a label subset; logits are selected columns.
 
-    Local label i corresponds to global label subset[i]. Gradients chain
-    through to the base model, so the restriction stays attackable.
+    Local label i is label subset[i] of `base`. A mask of a mask is composed
+    when built, so `base` is never a MaskedModel. Gradients pass through to
+    the base model, so the restriction stays attackable.
     """
 
     base: object
     subset: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
-        if not self.subset or min(self.subset) < 0 or max(self.subset) >= self.base.n_labels:
-            raise ValidationError(f"mask subset {self.subset} is not a nonempty subset of "
+        subset = tuple(int(i) for i in self.subset)
+        if not subset or min(subset) < 0 or max(subset) >= self.base.n_labels:
+            raise ValidationError(f"mask subset {subset} is not a nonempty subset of "
                                   f"0..{self.base.n_labels - 1}")
+        if isinstance(self.base, MaskedModel):
+            subset = tuple(self.base.subset[i] for i in subset)
+            object.__setattr__(self, "base", self.base.base)
+        object.__setattr__(self, "subset", subset)
 
     @property
     def n_labels(self) -> int:
@@ -252,14 +257,10 @@ class MaskedModel:
 
 
 def _unmask(model) -> tuple[object, Optional[np.ndarray]]:
-    """The model under a chain of MaskedModels, and the columns of its
-    logits that the chain selects (None for an unmasked model)."""
-    cols = None
-    while isinstance(model, MaskedModel):
-        subset = np.asarray(model.subset, dtype=np.int64)
-        cols = subset if cols is None else subset[cols]
-        model = model.base
-    return model, cols
+    """The model under a MaskedModel and the logit columns it selects (None if unmasked)."""
+    if isinstance(model, MaskedModel):
+        return model.base, np.asarray(model.subset, dtype=np.int64)
+    return model, None
 
 
 def _fused_step(base, cols: Optional[np.ndarray], X: np.ndarray, y: np.ndarray,
@@ -349,7 +350,7 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
     highest final loss wins per sample.
 
     Each step takes its logits and input gradient from one forward and one
-    backward pass of the model under any MaskedModel chain (`_fused_step`),
+    backward pass of the model under its MaskedModel, if any (`_fused_step`),
     and updates the iterate in place; the result equals the two-pass form
     (`logits`, then `input_grad_from_dlogits`, then `np.clip`) bit for bit.
     """
@@ -394,7 +395,7 @@ def _project(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.maximum(cur, lo, out=cur)
 
 
-def gradient_check(model, x, y: int, step: float = 1e-5) -> float:
+def gradient_check(model, x, y: int) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     Checks both the input gradient and every parameter gradient of the
@@ -402,6 +403,7 @@ def gradient_check(model, x, y: int, step: float = 1e-5) -> float:
     max(1, |analytic|, |numeric|) so that near-zero gradients are compared
     absolutely.
     """
+    step = 1e-5
     x = np.asarray(x, dtype=np.float64)
     X = x[None, :]
     ya = np.asarray([y], dtype=np.int64)
@@ -437,8 +439,7 @@ def gradient_check(model, x, y: int, step: float = 1e-5) -> float:
     return worst
 
 
-def gradient_check_random(make_model, n_configs: int, seed: int,
-                          dim: int | None = None) -> float:
+def gradient_check_random(make_model, n_configs: int, seed: int) -> float:
     """Worst gradient-check error over random configurations.
 
     `make_model(config_seed)` builds a fresh model. Test inputs near a ReLU
@@ -448,7 +449,7 @@ def gradient_check_random(make_model, n_configs: int, seed: int,
     worst = 0.0
     for c in range(n_configs):
         model = make_model(seed + c)
-        d = dim if dim is not None else model.input_dim
+        d = model.input_dim
         for attempt in range(64):
             x = rng.normals(seed, 1000 + c, attempt * d, d)
             z = model._pre_activation(x[None, :]) if isinstance(model, SmallMlp) else None

@@ -255,6 +255,10 @@ _VALID = {
     "sweep": {"probs": {"probs": "p.csv"}, "sizes": [1, 2]},
     "discover": {"k": 1, "embeddings": "data.csv"},
 }
+# The valid config of a command that reads the named file in place of its
+# usual input.
+_READING = {"cm.csv": {"k": 1, "confusion": "cm.csv"},
+            "part.json": dict(_VALID["hierarchy"], partition="part.json")}
 # a leaf holding label 5 of a two-label hierarchy
 _LEAVES = [{"kind": "leaf", "labels": [0, 5], "classifier": _MODEL},
            {"kind": "leaf", "labels": [1]}]
@@ -383,6 +387,33 @@ class TestMalformedInputs:
         "zero-n-bits": ("toy-prf", "n_bits", "0", "field 'n_bits'"),
         "even-repetition": ("toy-prf", "repetition", "2", "field 'repetition'"),
         "negative-flip-budget": ("toy-prf", "flip_budget", "-1", "field 'flip_budget'"),
+        # feature width against the model's, or every node's, input width
+        "model-input-width": ("certify", "data.csv", "sample_id,label,e0,e1,e2\na,0,0.5,0,0\n",
+                              "data.csv: 3 feature columns, but the model takes 2 inputs"),
+        "node-input-width": ("attack", "data.csv", "sample_id,label,e0,e1,e2\na,0,0.5,0,0\n",
+                             "data.csv: 3 feature columns, but node 'root' takes 2 inputs"),
+        # partition and confusion contents name their source
+        "overlapping-partition": ("hierarchy", "partition", "[[0, 1], [1]]",
+                                  "field 'partition': label 1 appears in more than one class"),
+        "overlapping-partition-file": ("hierarchy", "part.json", "[[0, 1], [1]]",
+                                       "part.json: label 1 appears in more than one class"),
+        "negative-confusion-count": ("discover", "cm.csv", "1,-1\n0,1\n",
+                                     "cm.csv: confusion counts must be nonnegative"),
+        "underscore-confusion-count": ("discover", "cm.csv", "1_000,1\n0,1\n", "cm.csv"),
+        "confusion-count-overflows-int64": ("discover", "cm.csv",
+                                            "1,9223372036854775808\n0,1\n", "cm.csv"),
+        "empty-confusion-file": ("discover", "cm.csv", "",
+                                 "cm.csv: confusion matrix must be square"),
+        # one 1-based data row in each reader's messages, blank lines not counted
+        "features-bad-cell-row": ("certify", "data.csv",
+                                  "sample_id,label,e0,e1\na,0,0.5,0\n\n\nb,0,0.5,x\n",
+                                  "data.csv: data row 2, column 4: could not convert"),
+        "features-short-row": ("attack", "data.csv", "sample_id,label,e0,e1\n\na,0,0.5,0\n\nb,0\n",
+                               "data.csv: data row 2: expected 4 fields, found 2"),
+        "confusion-bad-cell-row": ("discover", "cm.csv", "1,0\n\n0,x\n",
+                                   "cm.csv: data row 2, column 2: could not convert"),
+        "confusion-short-row": ("discover", "cm.csv", "1,0\n\n\n0\n",
+                                "cm.csv: data row 2: expected 2 fields, found 1"),
     }
 
     @pytest.mark.parametrize("command, key, text, name", list(REJECTED.values()),
@@ -390,7 +421,7 @@ class TestMalformedInputs:
     def test_rejected_input_exits_one_naming_it(self, tmp_path, capsys, command, key, text,
                                                 name):
         if key.endswith((".csv", ".json")):
-            args = (_VALID[command], _TREE, [(key, text)])
+            args = (_READING.get(key, _VALID[command]), _TREE, [(key, text)])
         else:
             config = json.dumps(dict(_VALID[command], **{key: "@"})).replace('"@"', text)
             args = (config, _TREE)

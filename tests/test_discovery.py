@@ -40,6 +40,27 @@ class TestKmeans:
         X = rng.normals(3, 700, 0, 20).reshape(10, 2)
         result = kmeans(X, 10, seed=3)
         assert result.inertia == pytest.approx(0.0, abs=1e-20)
+        assert result.reseeds == 0
+
+    @pytest.mark.parametrize("points, k, assignment", [
+        ([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], 4, [2, 2, 0, 1]),
+        (np.zeros((5, 2)), 3, [0, 0, 0, 0, 0]),
+    ], ids=["two-coincident", "all-coincident"])
+    def test_coincident_points_stop_without_reseeding(self, points, k, assignment):
+        # an empty cluster whose farthest unused point sits on its centroid
+        # keeps its centroid, so the first round is already a fixed point
+        result = kmeans(points, k, seed=1)
+        assert (result.n_iter, result.reseeds, result.inertia) == (1, 0, 0.0)
+        assert result.assignment.tolist() == assignment
+
+    def test_empty_cluster_reseeded_to_the_farthest_point(self, monkeypatch):
+        # a start no point is nearest to empties its cluster in the first round
+        monkeypatch.setattr(discovery, "_plus_plus_init",
+                            lambda X, k, seed: np.array([[0.0, 0.0], [100.0, 100.0]]))
+        result = kmeans([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 2, seed=0)
+        assert result.reseeds == 1
+        assert result.assignment.tolist() == [0, 0, 1]
+        assert result.centroids.tolist() == [[0.5, 0.0], [2.0, 0.0]]
 
     def test_k_larger_than_n_rejected(self):
         X = np.zeros((3, 2))

@@ -60,6 +60,33 @@ class TestStructure:
         with pytest.raises(ValidationError, match="must select the leaf's labels"):
             Leaf((0, 1), MaskedModel(linear(np.eye(4)[:, :2]), (2, 3)))
 
+    def test_a_mask_of_a_mask_is_checked_against_the_base_labels(self):
+        base = linear(np.eye(4)[:, :2])
+        nested = MaskedModel(MaskedModel(base, (2, 3, 0, 1)), (0, 1))  # base labels 2, 3
+        Leaf((2, 3), nested)
+        with pytest.raises(ValidationError, match="must select the leaf's labels"):
+            Leaf((0, 1), nested)
+
+    def test_intermediate_label_subset_is_the_union_below_it(self):
+        def union(node):
+            if isinstance(node, Leaf):
+                return set(node.label_subset)
+            return set().union(*map(union, node.children))
+
+        # acceptance 9's hierarchy, then one whose children list labels out of order
+        acceptance_9 = Intermediate(axis_router(), (Leaf((0, 1), linear(np.eye(2))),
+                                                    Leaf((2, 3), linear(np.eye(2)))))
+        deep = Intermediate(axis_router(), (
+            Leaf((4,)),
+            Intermediate(axis_router(), (Leaf((3, 0), linear(np.eye(2))),
+                                         Intermediate(axis_router(), (Leaf((2,)),
+                                                                      Leaf((1,))))))))
+        for root in (acceptance_9, deep):
+            h = Hierarchy(root=root, n_labels=len(union(root)))
+            for _, node in h.nodes():
+                if isinstance(node, Intermediate):
+                    assert node.label_subset == tuple(sorted(union(node)))
+
     def test_hierarchy_partition_check(self):
         base = linear(np.eye(3))
         with pytest.raises(ValidationError):

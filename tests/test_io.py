@@ -12,7 +12,7 @@ from hiercert import io, rng
 from hiercert.core import LabelPartition
 from hiercert.errors import ConfigError, ValidationError
 from hiercert.hierarchy import Hierarchy, Intermediate, Leaf, build_renormalize_hierarchy, infer_batch
-from hiercert.models import LinearSoftmax, SmallMlp
+from hiercert.models import LinearSoftmax, MaskedModel, SmallMlp
 
 from helpers import read_wide_csv_oracle
 
@@ -41,6 +41,21 @@ MALFORMED = {
     "empty-value": ("sample_id,label,l0\na,0,\n", ValidationError),
     "label-overflows-int64": ("sample_id,label,l0\na,9223372036854775808,1\n", ValidationError),
     "underscore-label": ("sample_id,label,l0\na,1_5,1\n", ValidationError),
+}
+
+
+# A cell numpy cannot convert and a row of the wrong width, each also after
+# blank lines: (file text, the message after "<path>: ").
+ROW_ERRORS = {
+    "bad-label": ("sample_id,label,l0,l1\na,0,1,2\nb,0.5,1,2\n",
+                  "data row 2, column 2: could not convert string '0.5' to int64"),
+    "bad-value-after-blank-lines": ("sample_id,label,l0,l1\na,0,1,2\n\n\r\nb,0,1,x\nc,0,1,2\n",
+                                    "data row 2, column 4: could not convert string 'x' to "
+                                    "float64"),
+    "short-row": ("sample_id,label,l0,l1\na,0,1,2\nb,0,1\n",
+                  "data row 2: expected 4 fields, found 3"),
+    "long-row-after-blank-lines": ("sample_id,label,l0,l1\n\na,0,1,2\n\n\nb,0,1,2,3\nc,0,1,2\n",
+                                   "data row 2: expected 4 fields, found 5"),
 }
 
 
@@ -181,6 +196,14 @@ class TestWideCsv:
         path.write_bytes(text.encode())
         with pytest.raises(error):
             io.read_logits(path)
+
+    @pytest.mark.parametrize("text, message", list(ROW_ERRORS.values()), ids=list(ROW_ERRORS))
+    def test_row_errors_name_the_data_row(self, tmp_path, text, message):
+        path = tmp_path / "l.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValidationError) as exc:
+            io.read_logits(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.fixture
@@ -374,6 +397,40 @@ class TestConfusion:
         with pytest.raises(ValidationError):
             io.read_confusion(tmp_path / "c.csv")
 
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (3, 3), (7, 7), (2, 5)])
+    def test_writes_one_line_of_decimal_counts_per_row(self, tmp_path, shape):
+        n = shape[0] * shape[1]
+        cm = rng.integers(5, 905, 0, n, 1 << 40).reshape(shape) - (1 << 39)
+        cm.flat[:2] = [0, np.iinfo(np.int64).max][:n]
+        io.write_confusion(tmp_path / "c.csv", cm)
+        want = "".join(",".join(str(int(v)) for v in row) + "\n" for row in cm)
+        assert (tmp_path / "c.csv").read_bytes() == want.encode()
+
+    def test_quoted_counts_and_blank_lines_parse(self, tmp_path):
+        (tmp_path / "c.csv").write_text('"1",2\n\n3,"4"\r\n')
+        assert io.read_confusion(tmp_path / "c.csv").tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_is_not_square(self, tmp_path, text):
+        (tmp_path / "c.csv").write_text(text)
+        with pytest.raises(ValidationError, match="confusion matrix must be square"):
+            io.read_confusion(tmp_path / "c.csv")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_000,1\n0,1\n", "data row 1, column 1: could not convert string '1_000' to int64"),
+        ("1,9223372036854775808\n0,1\n",
+         "data row 1, column 2: could not convert string '9223372036854775808' to int64"),
+        ("1,2\n\n3,0.5\n", "data row 2, column 2: could not convert string '0.5' to int64"),
+        ("1,2\n\n\n3\n", "data row 2: expected 2 fields, found 1"),
+    ], ids=["underscore", "int64-overflow", "bad-cell-after-blank-line",
+            "short-row-after-blank-lines"])
+    def test_bad_rows_name_the_file_and_data_row(self, tmp_path, text, message):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            io.read_confusion(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestCertificates:
     def test_round_trip_with_abstain_and_inf(self, tmp_path):
@@ -489,6 +546,21 @@ class TestHierarchyJson:
                          {"kind": "leaf", "labels": [1], "classifier": None}]}}
         h = io.hierarchy_from_dict(spec)
         assert [leaf.classifier for leaf in h.leaves()] == [None, None]
+
+    def test_mask_of_a_mask_saves_and_reloads(self, tmp_path):
+        base = LinearSoftmax(W=np.eye(4), b=np.zeros(4))
+        leaf = MaskedModel(MaskedModel(base, (2, 3, 0, 1)), (0, 1))  # base labels 2, 3
+        router = LinearSoftmax(W=np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
+                               b=np.zeros(2))
+        h = Hierarchy(root=Intermediate(router, (Leaf((0, 1), MaskedModel(base, (0, 1))),
+                                                 Leaf((2, 3), leaf))), n_labels=4)
+        X = np.eye(4)
+        assert infer_batch(h, X).tolist() == [0, 1, 2, 3]
+        io.save_hierarchy(tmp_path / "h.json", h)
+        got = io.load_hierarchy(tmp_path / "h.json")
+        assert infer_batch(got, X).tolist() == [0, 1, 2, 3]
+        reloaded = got.leaves()[1].classifier
+        assert reloaded.subset == (2, 3) and np.array_equal(reloaded.base.W, base.W)
 
     def test_multi_label_leaf_without_classifier_rejected(self, tmp_path):
         spec = {"n_labels": 2,

@@ -260,6 +260,28 @@ class TestMaskedModel:
             num = (loss(xp) - loss(xm)) / (2 * step)
             assert analytic[j] == pytest.approx(num, abs=1e-6)
 
+    def test_a_mask_of_a_mask_is_composed_when_built(self):
+        base = SmallMlp.init(5, 3, 4, seed=13)
+        inner = MaskedModel(base, (4, 2, 0, 1))
+        nested = MaskedModel(inner, (1, 3))
+        assert nested.base is base and nested.subset == (2, 1)
+        X = rng.normals(5, 306, 0, 6).reshape(2, 3)
+        G = rng.normals(5, 307, 0, 4).reshape(2, 2)
+        # the chain of both masks, one column selection and one scatter each
+        chained = base.logits(X)[:, [4, 2, 0, 1]][:, [1, 3]]
+        assert same_bits(nested.logits(X), chained)
+        local = np.zeros((2, 4))
+        local[:, [1, 3]] = G
+        full = np.zeros((2, 5))
+        full[:, [4, 2, 0, 1]] = local
+        assert same_bits(nested.input_grad_from_dlogits(X, G),
+                         base.input_grad_from_dlogits(X, full))
+
+    def test_a_mask_of_a_mask_is_checked_against_the_inner_labels(self):
+        inner = MaskedModel(LinearSoftmax.init(5, 3, seed=13), (3, 4))
+        with pytest.raises(ValidationError, match=r"\(2,\) is not a nonempty subset of 0..1"):
+            MaskedModel(inner, (2,))
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
