@@ -27,12 +27,11 @@ import numpy as np
 import scipy
 
 from . import __version__, io, rng
-from .core import LabelPartition, as_probability_matrix
+from .core import LabelPartition, as_probability_matrix, checked_labels
 from .discovery import cluster_separation_check, derive_partition, kmeans, partition_from_confusion
 from .errors import ConfigError, HiercertError, ValidationError
 from .hierarchy import (
     AttackScenario,
-    checked_labels,
     evaluate_adversarial,
     renormalization_report,
     subset_radius_sweep,

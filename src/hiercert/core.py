@@ -24,6 +24,14 @@ ABSTAIN = -1
 PROB_SUM_TOL = 1e-9
 
 
+def checked_labels(y, n_labels: int) -> np.ndarray:
+    """True labels as int64, each in 0..n_labels-1."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.size and not (0 <= y.min() and y.max() < n_labels):
+        raise ValidationError(f"labels must lie in 0..{n_labels - 1}")
+    return y
+
+
 @dataclass(frozen=True)
 class LabelPartition:
     """Disjoint, nonempty label-index classes covering {0, ..., m-1}."""
@@ -53,12 +61,6 @@ class LabelPartition:
         if len(seen) != n:
             missing = sorted(set(range(n)) - seen)
             raise ValidationError(f"partition does not cover labels {missing}")
-
-    def class_of(self, label: int) -> int:
-        for idx, c in enumerate(self.classes):
-            if label in c:
-                return idx
-        raise ValidationError(f"label {label} not in partition")
 
 
 @dataclass(frozen=True)

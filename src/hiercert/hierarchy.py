@@ -33,6 +33,7 @@ from .core import (
     LabelPartition,
     as_probability_matrix,
     as_probability_vector,
+    checked_labels,
     normalize_subset,
 )
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
@@ -143,14 +144,6 @@ def flat_hierarchy(classifier) -> Hierarchy:
     subset = tuple(range(classifier.n_labels))
     return Hierarchy(root=Leaf(subset, MaskedModel(classifier, subset)),
                      n_labels=classifier.n_labels)
-
-
-def checked_labels(y, n_labels: int) -> np.ndarray:
-    """True labels as int64, each in 0..n_labels-1."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.size and not (0 <= y.min() and y.max() < n_labels):
-        raise ValidationError(f"labels must lie in 0..{n_labels - 1}")
-    return y
 
 
 def _label_index(groups: Iterable[Iterable[int]], n_labels: int) -> np.ndarray:

@@ -272,22 +272,43 @@ def read_confusion(path) -> np.ndarray:
     return mat
 
 
+# What each certificates column holds, and its parse; a parse fails with
+# ValueError or KeyError.
+_CERTIFICATE_CELLS = (
+    ("text", str),
+    ("an integer", int),
+    ("an integer", int),
+    ("a number or empty", lambda cell: None if cell == "" else float(cell)),
+    ("true or false", {"true": True, "false": False}.__getitem__),
+    ("a number", float),
+)
+
+
 def read_certificates(path) -> list[dict]:
-    """Rows of a certificates table as the certify command writes them."""
+    """Rows of a certificates table as the certify command writes them.
+
+    A row of the wrong width or a cell that does not parse raises
+    ValidationError naming path and its data row, counted from 1 over the
+    non-blank rows after the header, as `_loadtxt` counts them.
+    """
     with _open(path) as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows or tuple(rows[0]) != CERTIFICATE_COLUMNS:
         raise ValidationError(f"{path}: header must be {','.join(CERTIFICATE_COLUMNS)}")
     out = []
-    for row in rows[1:]:
-        out.append({
-            "sample_id": row[0],
-            "label": int(row[1]),
-            "pred": int(row[2]),
-            "radius": None if row[3] == "" else float(row[3]),
-            "abstain": row[4] == "true",
-            "p_a_lower": float(row[5]),
-        })
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(CERTIFICATE_COLUMNS):
+            raise ValidationError(f"{path}: data row {i}: expected "
+                                  f"{len(CERTIFICATE_COLUMNS)} fields, found {len(row)}")
+        record = {}
+        for c, (name, (kind, parse), cell) in enumerate(
+                zip(CERTIFICATE_COLUMNS, _CERTIFICATE_CELLS, row), 1):
+            try:
+                record[name] = parse(cell)
+            except (ValueError, KeyError):
+                raise ValidationError(f"{path}: data row {i}, column {c}: "
+                                      f"{name} must be {kind}, got {cell!r}") from None
+        out.append(record)
     return out
 
 

@@ -13,13 +13,14 @@ from hiercert.core import (
     hinge_gap,
 )
 from hiercert.errors import ValidationError
+from hiercert.hierarchy import _label_index
 
 
 class TestLabelPartition:
     def test_valid_partition(self):
         p = LabelPartition(((0, 1, 2), (3, 4)))
         assert p.n_labels == 5
-        assert p.class_of(3) == 1
+        assert _label_index(p.classes, p.n_labels)[3] == 1
         assert LabelPartition((tuple(np.arange(3)), (3,))).classes == ((0, 1, 2), (3,))
 
     def test_rejects_overlap_gap_and_empty(self):

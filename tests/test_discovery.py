@@ -16,6 +16,7 @@ from hiercert.errors import (
     UndefinedSeparationError,
     ValidationError,
 )
+from hiercert.hierarchy import _label_index
 
 from helpers import confusion_levels_oracle, make_blobs, silhouette_oracle
 
@@ -96,15 +97,15 @@ class TestDerivePartition:
         # label 2 split 70/30 between clusters 0 and 1; brute-force majority
         assignment = np.array([0] * 7 + [1] * 3 + [0, 1])
         labels = np.array([2] * 10 + [0, 1])
-        part = derive_partition(assignment, labels, 2)
-        assert part.class_of(2) == part.class_of(0)
-        assert part.class_of(1) != part.class_of(2)
+        class_of = _label_index(derive_partition(assignment, labels, 2).classes, 3)
+        assert class_of[2] == class_of[0]
+        assert class_of[1] != class_of[2]
 
     def test_tie_goes_to_lower_cluster(self):
         assignment = np.array([0, 1, 0, 1])
         labels = np.array([3, 3, 0, 1])
-        part = derive_partition(assignment, labels, 2, n_labels=4)
-        assert part.class_of(3) == part.class_of(0)
+        class_of = _label_index(derive_partition(assignment, labels, 2, n_labels=4).classes, 4)
+        assert class_of[3] == class_of[0]
 
     def test_unobserved_labels_append_to_first_class(self):
         assignment = np.array([0, 1])

@@ -447,6 +447,26 @@ class TestCertificates:
         got = io.read_certificates(tmp_path / "cert.csv")
         assert got == rows
 
+    @pytest.mark.parametrize("body, message", [
+        ("a,0\n", "data row 1: expected 6 fields, found 2"),
+        ("a,0,0,0.5,false,0.9\n\nb,1,1,0.5,false,0.9,7\n",
+         "data row 2: expected 6 fields, found 7"),
+        ("a,x,0,0.5,false,0.9\n", "data row 1, column 2: label must be an integer, got 'x'"),
+        ("a,0,0,0.5,false,0.9\nb,1,1.5,0.5,false,0.9\n",
+         "data row 2, column 3: pred must be an integer, got '1.5'"),
+        ("a,0,0,wide,false,0.9\n",
+         "data row 1, column 4: radius must be a number or empty, got 'wide'"),
+        ("a,0,0,,yes,0.9\n", "data row 1, column 5: abstain must be true or false, got 'yes'"),
+        ("a,0,0,0.5,false,\n", "data row 1, column 6: p_a_lower must be a number, got ''"),
+    ], ids=["short-row", "long-row-after-blank-line", "label", "pred", "radius", "abstain",
+            "p_a_lower"])
+    def test_bad_rows_name_the_file_and_data_row(self, tmp_path, body, message):
+        path = tmp_path / "cert.csv"
+        path.write_text(",".join(io.CERTIFICATE_COLUMNS) + "\n" + body)
+        with pytest.raises(ValidationError) as exc:
+            io.read_certificates(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestPartitionJson:
     def test_round_trip(self, tmp_path):

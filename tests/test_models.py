@@ -8,7 +8,10 @@ from hiercert.models import (
     MaskedModel,
     PgdParams,
     SmallMlp,
-    _row_max,
+    _dlogits,
+    _fused_step,
+    _row_reduce,
+    _signed_step,
     accuracy,
     cross_entropy,
     gradient_check,
@@ -331,7 +334,82 @@ class TestSoftmaxBits:
     @pytest.mark.parametrize("shape", [(8,), (1, 8), (5, 1), (0, 3), (2, 3, 4), (7, 2)])
     def test_row_max_equals_numpy_max(self, shape):
         z = rng.normals(5, 312, 0, int(np.prod(shape))).reshape(shape)
-        assert same_bits(_row_max(z), z.max(axis=-1))
+        assert same_bits(_row_reduce(np.maximum, z), z.max(axis=-1))
+
+    @pytest.mark.parametrize("rows", [1, 3, 500])
+    def test_row_reduce_equals_numpy_at_every_width(self, rows):
+        # Random magnitudes, with signed zeros, infinities, NaN and subnormals
+        # in about a third of the cells.
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+        for w in range(1, 131):
+            size = rows * w
+            z = rng.normals(6, 313, 0, size) * 10.0 ** rng.integers(6, 314, 0, size, 17)
+            pick = rng.integers(6, 315, 0, size, 3 * len(specials))
+            z = np.where(pick < len(specials), specials[pick % len(specials)], z)
+            for shaped in (z.reshape(rows, w), z.reshape(rows, w)[:, ::-1], z[:w]):
+                with np.errstate(invalid="ignore"):
+                    assert same_bits(_row_reduce(np.maximum, shaped), shaped.max(axis=-1)), w
+                    assert same_bits(_row_reduce(np.add, shaped), shaped.sum(axis=-1)), w
+
+
+def _layouts(L: np.ndarray, width: int) -> dict:
+    """Views of logits L with `width` columns: the F-ordered copy that
+    selecting columns makes, and a view strided along both axes."""
+    return {"selected": L[:, list(range(1, 2 * width, 2))],
+            "strided": L[::2, 1:2 * width:2]}
+
+
+class TestNonContiguousLogits:
+    """softmax, the logit gradient and the fused step equal their oracles bit
+    for bit on logits that are not C-contiguous."""
+
+    @pytest.mark.parametrize("width", [2, 3, 7, 8, 12])
+    def test_softmax_and_logit_gradient(self, width):
+        L = rng.normals(7, 316, 0, 301 * 30).reshape(301, 30) * 4.0
+        for name, z in _layouts(L, width).items():
+            assert not z.flags.c_contiguous, name
+            n = z.shape[0]
+            y = rng.integers(7, 317, 0, n, width)
+            assert same_bits(softmax(z), softmax_oracle(z)), name
+            G = softmax_oracle(z)
+            G[np.arange(n), y] -= 1.0
+            assert same_bits(_dlogits(z, y), G / n), name
+
+    @pytest.mark.parametrize("name", ["linear", "mlp", "masked_two", "masked_all",
+                                      "masked_nested"])
+    def test_fused_step(self, name):
+        model = ATTACK_MODELS[name]
+        base = getattr(model, "base", model)
+        cols = np.asarray(model.subset) if hasattr(model, "subset") else None
+        X, y = _attack_batch(model, 333, seed=5)
+        pad = None if cols is None else np.zeros((333, base.n_labels))
+        logits, grad = _fused_step(base, cols, X, y, pad)
+        assert same_bits(logits, model.logits(X))
+        G = softmax_oracle(model.logits(X))
+        G[np.arange(333), y] -= 1.0
+        assert same_bits(grad, model.input_grad_from_dlogits(X, G / 333))
+
+
+class TestSignedStep:
+    """The branch-free sign step equals np.sign(g) * step bit for bit."""
+
+    @pytest.mark.parametrize("case", ["random", "zeros", "specials", "nan"])
+    @pytest.mark.parametrize("step", [0.02, 1.0, 5e-324, np.inf])
+    def test_equals_sign_times_step(self, case, step):
+        g = rng.normals(8, 318, 0, 900 * 7).reshape(900, 7)
+        g *= 10.0 ** rng.integers(8, 319, 0, g.size, 40).reshape(g.shape) / 1e20
+        specials = {"random": [], "zeros": [0.0, -0.0],
+                    "specials": [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308],
+                    "nan": [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan]}[case]
+        for k, v in enumerate(specials):
+            g.reshape(-1)[k::97] = v
+        buffers = (np.empty(g.shape, dtype=bool), np.empty(g.shape, dtype=bool),
+                   np.empty(g.shape, dtype=np.int8))
+        with np.errstate(invalid="ignore"):
+            want = np.sign(g) * step
+            got = _signed_step(g, step, *buffers)
+        assert got is g
+        assert same_bits(got, want)
 
 
 def _attack_models():
@@ -408,6 +486,17 @@ class TestFusedPgd:
             evaluations.clear()
             pgd_attack_oracle(attacked, X, y, params, seed=1)
             assert len(evaluations) == params.restarts * (2 * params.iters + 1)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_labels_outside_the_model_are_rejected(self, label):
+        # The logit gradient indexes one flat array, so a label outside
+        # 0..m-1 would land in another row; pgd_attack and train check first.
+        X, y = _attack_batch(ATTACK_MODELS["masked_two"], 10, seed=6)
+        y[3] = label
+        with pytest.raises(ValidationError, match=r"labels must lie in 0\.\.1"):
+            pgd_attack(ATTACK_MODELS["masked_two"], X, y, PgdParams(epsilon=0.1, step=0.05))
+        with pytest.raises(ValidationError, match=r"labels must lie in 0\.\.1"):
+            train(LinearSoftmax.init(2, X.shape[1], seed=3), X, y, epochs=1, learning_rate=0.1)
 
     def test_masked_lookup_rejected(self):
         with pytest.raises(CapabilityError, match="LogitsOnly cannot be attacked"):
