@@ -87,9 +87,11 @@ def uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return _unit_interval(raw64(seed, stream, start, count))
 
 
-# 64k draws, 512 KB per array: a chunk's bits and uniforms stay in cache
-# between being written and being read by ndtri.
-_NORMAL_CHUNK = 1 << 16
+#: The unit of noise work: 64k draws, 512 KB per float64 or uint64 array,
+#: so a piece's bits and uniforms stay in cache between being written and
+#: being read by ndtri. `smoothing.vote_counts` and the `toymodels` Gaussian
+#: sample size their units by it too.
+PIECE = 1 << 16
 
 
 def normals(seed, stream: int, start: int, count: int) -> np.ndarray:
@@ -105,10 +107,10 @@ def normals(seed, stream: int, start: int, count: int) -> np.ndarray:
     single = isinstance(seed, (int, np.integer))
     bases = np.array(stream_seed(seed, stream), dtype=np.uint64).reshape(-1, 1)
     out = np.empty((bases.shape[0], count))
-    rows = max(1, _NORMAL_CHUNK // max(count, 1))
+    rows = max(1, PIECE // max(count, 1))
     for r in range(0, bases.shape[0], rows):
-        for off in range(0, count, _NORMAL_CHUNK):
-            block = min(_NORMAL_CHUNK, count - off)
+        for off in range(0, count, PIECE):
+            block = min(PIECE, count - off)
             bits = np.arange(start + off + 1, start + off + block + 1, dtype=np.uint64)
             with np.errstate(over="ignore"):
                 bits *= _GAMMA

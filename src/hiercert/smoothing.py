@@ -17,11 +17,13 @@ Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs and chunk sizes.
 
 One kernel, `vote_counts`, does the Monte-Carlo work for a whole batch of
-inputs, each with its own seed. It fills units of about `_CHUNK`
-perturbed rows: when n < _CHUNK a unit holds floor(_CHUNK / n) inputs with
-all their samples, otherwise a unit is a range of one input's samples.
-Each unit's noise comes from one `rng.normals` call over the unit's seeds,
-then gets one `logits` call, one argmax, and one `bincount` over
+inputs, each with its own seed. A unit holds about one `rng.PIECE` of
+draws: r = max(1, PIECE // d) perturbed rows of width d. When n < r a unit
+holds floor(r / n) inputs with all their samples, otherwise a unit is a
+range of at most r samples of one input. Working memory is therefore
+about one piece whatever n is, and whatever d is up to PIECE (beyond it,
+one row). Each unit's noise comes from one `rng.normals` call over the
+unit's seeds, then gets one `logits` call, one argmax, and one `bincount` over
 (input, label) pairs. `certify_batch` runs the selection and estimation
 passes through it, bounds all top-label counts with one
 `clopper_pearson_lower_batch` call and takes all radii from one
@@ -41,8 +43,6 @@ from . import rng
 from .core import ABSTAIN, CertifiedPrediction
 from .errors import ValidationError
 from .numerics import normal_cdf, normal_quantile
-
-_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
     Row i counts the labels of X[i] + N(0, sigma^2 I) under seed seeds[i]:
     the noise for sample s, dimension j sits at counter s*d + j of that
     seed's substream, so the counts do not depend on how inputs and samples
-    are grouped into units.
+    are grouped into units. A unit is about one `rng.PIECE` of draws:
+    max(1, PIECE // d) rows, and PIECE rows when d is 0.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -108,12 +109,13 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
         raise ValidationError(f"need one seed per input: {seeds.shape} seeds for {B} inputs")
     m = classifier.n_labels
     counts = np.zeros((B, m), dtype=np.int64)
-    per_unit = max(1, _CHUNK // n)
+    rows = max(1, rng.PIECE // max(d, 1))
+    per_unit = max(1, rows // n)
     for b0 in range(0, B, per_unit):
         b1 = min(b0 + per_unit, B)
         k = b1 - b0
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
             s = stop - start
             batch = rng.normals(seeds[b0:b1], stream, start * d, s * d).reshape(k, s, d)
             batch *= sigma

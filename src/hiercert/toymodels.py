@@ -52,15 +52,24 @@ class GaussModelParams:
             raise ValidationError("eta must be >= 0")
 
 
-# About 64k values per block of rows, so that drawing or attacking a sample
-# one block at a time never holds a second n x (d + 1) copy.
-_BLOCK_VALUES = 1 << 16
-
-
-def _row_blocks(n: int, width: int):
-    step = max(1, _BLOCK_VALUES // width)
+# The sample is drawn in blocks of max(1, rng.PIECE // d) rows, one
+# `rng.normals` piece of features each. The experiments count their hits
+# block by block and drop each block, so their working memory stays about
+# one piece whatever n_samples and d are (up to d = PIECE).
+def _gauss_blocks(params: GaussModelParams, n: int, seed: int):
+    """(X, y) of each block of rows of the sample, in order."""
+    d = params.d
+    step = max(1, rng.PIECE // d)
     for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+        count = min(step, n - start)
+        y = np.where(rng.uniforms(seed, _STREAM_LABEL, start, count) < 0.5, -1.0, 1.0)
+        flip = np.where(rng.uniforms(seed, _STREAM_ROBUST, start, count) < params.p,
+                        1.0, -1.0)
+        X = np.empty((count, d + 1))
+        np.multiply(y, flip, out=X[:, 0])
+        feats = rng.normals(seed, _STREAM_FEAT, start * d, count * d).reshape(count, d)
+        np.add(feats, params.eta * y[:, None], out=X[:, 1:])
+        yield X, y
 
 
 def sample_gauss_model(params: GaussModelParams, n_samples: int,
@@ -68,18 +77,16 @@ def sample_gauss_model(params: GaussModelParams, n_samples: int,
     """Draw (X, y): y uniform in {-1,+1}; column 0 equals y with probability p;
     columns 1..d are N(eta*y, 1), one deterministic substream per quantity.
 
-    Feature (i, j) is draw i*d + j of its substream, so filling X block by
-    block gives the same bits as one draw of all n*d values."""
-    n, d = n_samples, params.d
-    y = np.where(rng.uniforms(seed, _STREAM_LABEL, 0, n) < 0.5, -1.0, 1.0)
-    flip = np.where(rng.uniforms(seed, _STREAM_ROBUST, 0, n) < params.p, 1.0, -1.0)
-    X = np.empty((n, d + 1))
-    X[:, 0] = y * flip
-    for rows in _row_blocks(n, d):
-        feats = rng.normals(seed, _STREAM_FEAT, rows.start * d,
-                            (rows.stop - rows.start) * d).reshape(-1, d)
-        feats += params.eta * y[rows, None]
-        X[rows, 1:] = feats
+    Row i's label and robust feature are draw i of their substreams, and
+    feature (i, j) is draw i*d + j of its own, so the rows are the
+    concatenation of the blocks the experiments consume, bit for bit."""
+    X = np.empty((n_samples, params.d + 1))
+    y = np.empty(n_samples)
+    start = 0
+    for X_block, y_block in _gauss_blocks(params, n_samples, seed):
+        stop = start + len(y_block)
+        X[start:stop], y[start:stop] = X_block, y_block
+        start = stop
     return X, y
 
 
@@ -154,14 +161,9 @@ def _cell_predict(X, k: int) -> np.ndarray:
     return averaging_predict(X) if k == 0 else meta_feature(X, k)
 
 
-def _attacked_accuracy(X, y, eta: float, k_protected: int, predict) -> float:
-    """Accuracy of predict on linf_flip_attack(X), attacked one block of rows
-    at a time."""
-    correct = 0
-    for rows in _row_blocks(*X.shape):
-        X_adv = linf_flip_attack(X[rows], y[rows], eta, k_protected)
-        correct += int(np.count_nonzero(predict(X_adv) == y[rows]))
-    return correct / X.shape[0]
+def _check_sample_count(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
 
 
 def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
@@ -170,24 +172,30 @@ def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
 
     k = 0 evaluates the plain averaging classifier; k >= 1 evaluates the
     meta-feature over the k protected features. The attack flips every
-    unprotected informative feature.
+    unprotected informative feature. Each eta's sample is drawn, predicted
+    and attacked one block at a time.
     """
     for k in k_list:
         if k > d:
             raise ValidationError(f"k={k} inadmissible for d={d}")
+    _check_sample_count(n_samples)
+    ks = [int(k) for k in k_list]
     rows = []
     for ei, eta in enumerate(eta_list):
-        params = GaussModelParams(d=d, p=p, eta=float(eta))
-        X, y = sample_gauss_model(params, n_samples, seed=rng.mix64(seed + ei))
-        for k in k_list:
-            k = int(k)
-            nat = float(np.mean(_cell_predict(X, k) == y))
-            adv = _attacked_accuracy(X, y, float(eta), k,
-                                     lambda V: _cell_predict(V, k))
-            rows.append(GaussCell(eta=float(eta), k=k,
-                                  natural_acc=nat, adversarial_acc=adv))
-        # Free this sample before the next one is drawn.
-        del X, y
+        eta = float(eta)
+        params = GaussModelParams(d=d, p=p, eta=eta)
+        natural = [0] * len(ks)
+        attacked = [0] * len(ks)
+        for X, y in _gauss_blocks(params, n_samples, seed=rng.mix64(seed + ei)):
+            for i, k in enumerate(ks):
+                natural[i] += int(np.count_nonzero(_cell_predict(X, k) == y))
+                X_adv = linf_flip_attack(X, y, eta, k)
+                attacked[i] += int(np.count_nonzero(_cell_predict(X_adv, k) == y))
+                del X_adv
+            del X, y  # before the next block is drawn
+        rows.extend(GaussCell(eta=eta, k=k, natural_acc=nat / n_samples,
+                              adversarial_acc=adv / n_samples)
+                    for k, nat, adv in zip(ks, natural, attacked))
     return rows
 
 
@@ -224,16 +232,19 @@ class TradeoffResult:
 def tradeoff_experiment(p: float, gamma: float, eta: float, d: int,
                         n_samples: int, seed: int) -> TradeoffResult:
     """Measure the accuracy-robustness cap on a classifier tuned to natural
-    accuracy 1 - gamma with no protected features."""
+    accuracy 1 - gamma with no protected features, one block at a time."""
     params = GaussModelParams(d=d, p=p, eta=eta)
-    X, y = sample_gauss_model(params, n_samples, seed)
+    _check_sample_count(n_samples)
     c = tuned_feature_weight(p, gamma, eta, d)
-    return TradeoffResult(
-        natural_acc=float(np.mean(weighted_predict(X, c) == y)),
-        adversarial_acc=_attacked_accuracy(X, y, eta, 0,
-                                           lambda V: weighted_predict(V, c)),
-        bound=adversarial_accuracy_bound(p, gamma),
-    )
+    natural = attacked = 0
+    for X, y in _gauss_blocks(params, n_samples, seed):
+        natural += int(np.count_nonzero(weighted_predict(X, c) == y))
+        X_adv = linf_flip_attack(X, y, eta, 0)
+        attacked += int(np.count_nonzero(weighted_predict(X_adv, c) == y))
+        del X, y, X_adv  # before the next block is drawn
+    return TradeoffResult(natural_acc=natural / n_samples,
+                          adversarial_acc=attacked / n_samples,
+                          bound=adversarial_accuracy_bound(p, gamma))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ training oracle is the two-pass epoch (`logits`, then the parameter
 gradients from a second first-layer evaluation) that `models.train`
 replaces. The margin radius oracle is the vector path of
 `smoothing.margin_radius` with a comparison pass per range bound and the
-degenerate masks applied unconditionally.
+degenerate masks applied unconditionally. `peak_traced_bytes` measures a
+call's working memory; tracemalloc also sees numpy's data buffers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -467,3 +469,13 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
                                  per_node=per_node)
     return AdversarialReport(natural_acc=natural,
                              budget_acc=float(np.mean(correctness(scenario.budget_target))))
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes that tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

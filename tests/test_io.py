@@ -467,6 +467,45 @@ class TestCertificates:
             io.read_certificates(path)
         assert str(exc.value) == f"{path}: {message}"
 
+    # cell -> the value every numpy-parsed reader gives it, or None where all
+    # of them reject it
+    INT_CELLS = {"3": 3, "+3": 3, "-0": 0, " 3 ": 3, "\t3": 3, "1_000": None,
+                 "\u0663": None, "3.0": None, "1e3": None, "0x10": None, "": None,
+                 "9223372036854775807": 2**63 - 1, "9223372036854775808": None}
+    FLOAT_CELLS = {"0.5": 0.5, " 0.5 ": 0.5, "1e3": 1000.0, "-3": -3.0, "inf": math.inf,
+                   "1_0.5": None, "1_000": None, "\u0663": None, "0x10": None, "": None,
+                   "0.5x": None}
+
+    @staticmethod
+    def verdict(read, path):
+        try:
+            return read(path)
+        except ValidationError:
+            return None
+
+    @pytest.mark.parametrize("cell", sorted(INT_CELLS))
+    def test_integer_cells_get_the_confusion_readers_verdict(self, tmp_path, cell):
+        conf, cert = tmp_path / "c.csv", tmp_path / "cert.csv"
+        conf.write_text(f"{cell},1\n0,1\n", encoding="utf-8")
+        cert.write_text(",".join(io.CERTIFICATE_COLUMNS) + f"\na,{cell},{cell},,true,0.5\n",
+                        encoding="utf-8")
+        by_confusion = self.verdict(lambda p: int(io.read_confusion(p)[0, 0]), conf)
+        by_certificates = self.verdict(lambda p: io.read_certificates(p)[0]["label"], cert)
+        assert by_confusion == by_certificates == self.INT_CELLS[cell]
+
+    @pytest.mark.parametrize("cell", sorted(FLOAT_CELLS))
+    def test_number_cells_get_the_wide_readers_verdict(self, tmp_path, cell):
+        wide, cert = tmp_path / "l.csv", tmp_path / "cert.csv"
+        wide.write_text(f"sample_id,label,l0\na,0,{cell}\n", encoding="utf-8")
+        cert.write_text(",".join(io.CERTIFICATE_COLUMNS) + f"\na,0,0,{cell or 1},false,{cell}\n",
+                        encoding="utf-8")
+        by_logits = self.verdict(lambda p: float(io.read_logits(p)[2][0, 0]), wide)
+        by_certificates = self.verdict(lambda p: io.read_certificates(p)[0]["p_a_lower"], cert)
+        assert by_logits == by_certificates == self.FLOAT_CELLS[cell]
+        if cell:
+            radius = self.verdict(lambda p: io.read_certificates(p)[0]["radius"], cert)
+            assert radius == self.FLOAT_CELLS[cell]
+
 
 class TestPartitionJson:
     def test_round_trip(self, tmp_path):

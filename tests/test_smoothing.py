@@ -29,6 +29,7 @@ from helpers import (
     certify_oracle,
     cp_lower_oracle,
     margin_radius_oracle,
+    peak_traced_bytes,
     quantile_oracle,
     vote_counts_oracle,
 )
@@ -70,6 +71,13 @@ MODELS = {
 
 def batch_inputs(count: int) -> np.ndarray:
     return 0.5 * rng.normals(31, 960, 0, count * 3).reshape(count, 3)
+
+
+def unit_rows(monkeypatch, rows, d: int) -> None:
+    """Make `vote_counts`' units `rows` perturbed rows of width d by setting
+    the piece to rows * d draws; None keeps the default piece."""
+    if rows is not None:
+        monkeypatch.setattr(rng, "PIECE", rows * d)
 
 
 def wrapping_seeds(count: int) -> np.ndarray:
@@ -202,14 +210,13 @@ class TestOneRowVoteCounts:
         a = vote_counts(model, X, 0.5, 5000, [7])
         b = vote_counts(model, X, 0.5, 5000, [7])
         assert np.array_equal(a, b)
-        monkeypatch.setattr(smoothing, "_CHUNK", 613)
+        unit_rows(monkeypatch, 613, 2)
         c = vote_counts(model, X, 0.5, 5000, [7])
         assert np.array_equal(a, c)
 
-    @pytest.mark.parametrize("chunk", [None, 1, 613])
-    def test_perturbed_inputs_are_x_plus_sigma_noise_bit_for_bit(self, monkeypatch, chunk):
-        if chunk is not None:
-            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+    @pytest.mark.parametrize("rows", [None, 1, 613])
+    def test_perturbed_inputs_are_x_plus_sigma_noise_bit_for_bit(self, monkeypatch, rows):
+        unit_rows(monkeypatch, rows, 3)
         seen = []
 
         class Recorder(ConstantClassifier):
@@ -219,7 +226,7 @@ class TestOneRowVoteCounts:
 
         x = np.array([0.3, -1.25, 7.0])
         x_before = x.copy()
-        n = 1500 if chunk != 1 else 40
+        n = 1500 if rows != 1 else 40
         vote_counts(Recorder(0, 2), x[None, :], 0.37, n, [9], stream=rng.STREAM_SELECT)
         noise = rng.normals(9, rng.STREAM_SELECT, 0, n * 3).reshape(n, 3)
         assert np.array_equal(np.concatenate(seen), x[None, :] + 0.37 * noise)
@@ -227,17 +234,17 @@ class TestOneRowVoteCounts:
 
 
 class TestVoteCountKernel:
-    # (monkeypatched _CHUNK or None for the default, n): n below, equal to and
-    # above the chunk
+    # (rows per unit, set through the piece, or None for the default piece's
+    # 65536 // 3 = 21845 rows, n): n below, equal to and above units of 613
+    # and 1 rows, and below the default unit
     CASES = [(None, 500), (None, 20_000), (None, 20_001), (613, 100), (613, 613),
              (613, 1500), (1, 1), (1, 3)]
 
-    @pytest.mark.parametrize("chunk, n", CASES)
+    @pytest.mark.parametrize("rows, n", CASES)
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     @pytest.mark.parametrize("B", [1, 2, 37])
-    def test_rows_equal_per_input_oracle(self, monkeypatch, chunk, n, model_name, B):
-        if chunk is not None:
-            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+    def test_rows_equal_per_input_oracle(self, monkeypatch, rows, n, model_name, B):
+        unit_rows(monkeypatch, rows, 3)
         model = MODELS[model_name]()
         X, seeds = batch_inputs(B), wrapping_seeds(B)
         got = vote_counts(model, X, 0.4, n, seeds, stream=rng.STREAM_SELECT)
@@ -246,23 +253,53 @@ class TestVoteCountKernel:
             want = vote_counts_oracle(model, X[i], 0.4, n, int(seeds[i]), rng.STREAM_SELECT)
             assert np.array_equal(got[i], want), i
 
-    # 37 inputs: whole inputs share a unit while n < _CHUNK, otherwise a unit
-    # is at most _CHUNK samples of one input
-    @pytest.mark.parametrize("chunk, n, units", [(None, 300, [37 * 300]),
-                                                 (613, 300, [600] * 18 + [300]),
-                                                 (1, 2, [1] * 74)])
-    def test_one_logits_call_per_unit(self, monkeypatch, chunk, n, units):
-        if chunk is not None:
-            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+    @staticmethod
+    def unit_sizes(B: int, d: int, n: int) -> list[int]:
+        """Rows of each `logits` call that vote_counts makes for B inputs of width d."""
         sizes = []
 
         class Recorder(ConstantClassifier):
             def logits(self, X):
+                assert X.shape[1] == d
                 sizes.append(X.shape[0])
                 return super().logits(X)
 
-        vote_counts(Recorder(0, 3), np.zeros((37, 2)), 0.5, n, np.arange(37))
-        assert sizes == units
+        counts = vote_counts(Recorder(0, 3), np.zeros((B, d)), 0.5, n, np.arange(B))
+        assert counts[:, 0].tolist() == [n] * B
+        return sizes
+
+    # 37 inputs of width 2 under a piece of P draws, so a unit is P // 2 rows:
+    # whole inputs share a unit while n fits in one, otherwise a unit is at
+    # most P // 2 samples of one input
+    @pytest.mark.parametrize("piece, n, units", [(None, 300, [37 * 300]),
+                                                 (613, 300, [300] * 37),
+                                                 (1, 2, [1] * 74),
+                                                 (1226, 300, [600] * 18 + [300]),
+                                                 (1000, 700, [500, 200] * 37)])
+    def test_one_logits_call_per_unit(self, monkeypatch, piece, n, units):
+        if piece is not None:
+            monkeypatch.setattr(rng, "PIECE", piece)
+        assert self.unit_sizes(37, 2, n) == units
+
+    # 3 inputs: d = 0 draws nothing and takes PIECE rows per unit; from
+    # d = PIECE on a unit is one row
+    @pytest.mark.parametrize("d, n, units", [(0, 300, [900]),
+                                             (0, 70_000, [65_536, 4464] * 3),
+                                             (65_536, 2, [1] * 6),
+                                             (65_537, 2, [1] * 6)])
+    def test_unit_rows_at_extreme_widths(self, d, n, units):
+        assert self.unit_sizes(3, d, n) == units
+
+    def test_working_memory_does_not_grow_with_n(self):
+        # 2 inputs of width 64: a unit of 20k rows would hold 10 MB of noise.
+        # A unit of one piece holds 0.5 MB, and about 2.1 MB is alive at the
+        # peak with the piece's temporaries inside `rng.normals`.
+        model = LinearSoftmax.init(10, 64, seed=23, scale=1.0)
+        X = np.ones((2, 64))
+        peaks = [peak_traced_bytes(lambda: vote_counts(model, X, 0.5, n, [1, 2]))
+                 for n in (100_000, 200_000)]
+        assert peaks[0] < 4 << 20, peaks
+        assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
     def test_empty_batch_and_validation(self):
         model = MODELS["linear"]()
@@ -274,12 +311,11 @@ class TestVoteCountKernel:
 
 
 class TestCertifyBatch:
-    @pytest.mark.parametrize("chunk, n", [(None, 400), (613, 613), (613, 2000)])
+    @pytest.mark.parametrize("rows, n", [(None, 400), (613, 613), (613, 2000)])
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     @pytest.mark.parametrize("B", [1, 2, 37])
-    def test_equals_per_input_oracle(self, monkeypatch, chunk, n, model_name, B):
-        if chunk is not None:
-            monkeypatch.setattr(smoothing, "_CHUNK", chunk)
+    def test_equals_per_input_oracle(self, monkeypatch, rows, n, model_name, B):
+        unit_rows(monkeypatch, rows, 3)
         model = MODELS[model_name]()
         X, seeds = batch_inputs(B), wrapping_seeds(B)
         cfg = SmoothingConfig(sigma=0.5, n0=50, n=n, alpha_conf=0.01)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from hiercert.toymodels import (
     tuned_feature_weight,
     weighted_predict,
 )
+
+from helpers import peak_traced_bytes
 
 
 class TestGaussSampling:
@@ -168,6 +171,26 @@ class TestGaussExperiment:
             se = math.sqrt(expected * (1 - expected) / n)
             assert c.adversarial_acc == pytest.approx(expected, abs=max(3 * se, 1e-3))
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_rejected_without_a_warning(self, n_samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="n_samples"):
+                gauss_experiment([0.3], [0, 1], d=4, p=0.9, n_samples=n_samples, seed=1)
+            with pytest.raises(ValidationError, match="n_samples"):
+                tradeoff_experiment(0.9, 0.05, 0.3, 4, n_samples, seed=1)
+
+    def test_working_memory_does_not_grow_with_n_samples(self):
+        # A whole 25k x 201 sample is 40 MB. One block of 327 rows is 0.5 MB;
+        # about 2.6 MB is alive at the peak with the piece's temporaries
+        # inside `rng.normals`.
+        peaks = [peak_traced_bytes(lambda: (
+            gauss_experiment([0.1], [0, 5], d=200, p=0.95, n_samples=n, seed=3),
+            tradeoff_experiment(0.95, 0.01, 0.3, 200, n, seed=3)))
+            for n in (25_000, 50_000)]
+        assert peaks[0] < 4 << 20, peaks
+        assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
 
 class TestBlockedSampleAndAttack:
     """Row blocks must give exactly what one whole-array pass gives."""
@@ -181,9 +204,10 @@ class TestBlockedSampleAndAttack:
         feats += params.eta * y[:, None]
         return np.hstack([(y * flip)[:, None], feats]), y
 
-    @pytest.mark.parametrize("block_values", [1, 29, 1 << 16])
-    def test_matches_full_array_path(self, monkeypatch, block_values):
-        monkeypatch.setattr(toymodels, "_BLOCK_VALUES", block_values)
+    # pieces of 1, 29 and 65536 draws: blocks of 1 row, 3 rows and the whole sample
+    @pytest.mark.parametrize("piece", [1, 29, 1 << 16])
+    def test_matches_full_array_path(self, monkeypatch, piece):
+        monkeypatch.setattr(rng, "PIECE", piece)
         d, n, p, seed = 9, 301, 0.8, 17
         params = GaussModelParams(d=d, p=p, eta=0.3)
         X, y = sample_gauss_model(params, n, seed)
