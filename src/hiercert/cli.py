@@ -340,14 +340,15 @@ def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     for c in cells:
         bound = adversarial_accuracy_bound(p, 1.0 - c.natural_acc) if c.k == 0 else ""
         rows.append([c.eta, c.k, c.natural_acc, c.adversarial_acc, bound])
-    tables = [ReportTable(name="gauss_grid", metadata=dict(meta),
+    tables = [ReportTable(name="gauss_grid",
+                          metadata=dict(meta, noise_draws=len(eta_list) * n_samples * d),
                           columns=["eta", "k", "natural_acc", "adversarial_acc",
                                    "bound_if_unprotected"],
                           rows=rows)]
     if config["tradeoff"] is not None:
         gamma, eta = (float(config["tradeoff"][key]) for key in ("gamma", "eta"))
         res = tradeoff_experiment(p, gamma, eta, d, n_samples, seed)
-        tables.append(ReportTable(name="tradeoff", metadata=dict(meta),
+        tables.append(ReportTable(name="tradeoff", metadata=dict(meta, noise_draws=n_samples * d),
                                   columns=["p", "gamma", "eta", "natural_acc",
                                            "adversarial_acc", "bound"],
                                   rows=[[p, gamma, eta, res.natural_acc,

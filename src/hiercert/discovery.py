@@ -33,9 +33,6 @@ class KmeansResult:
     reseeds: int
 
 
-# Distance entries per block of rows in the silhouette (8 MB of float64).
-_SEPARATION_BLOCK = 1 << 20
-
 #: Mean silhouette at or above which a clustering passes the separation check.
 SEPARATION_THRESHOLD = 0.1
 
@@ -177,15 +174,29 @@ def cluster_separation_check(assignment, embeddings) -> SeparationReport:
     if n_singletons:
         warnings.warn(f"{n_singletons} singleton cluster(s); scoring their points 0")
     # Columns sorted by cluster, so each cluster's distances form one
-    # contiguous run that reduceat sums; a block of rows holds O(block * n).
+    # contiguous run that reduceat sums. A block of rows holds one
+    # `rng.PIECE` of distances, but at least 2 rows: a one-row block goes
+    # through BLAS's matrix-vector product, which rounds differently. The
+    # blocks reuse two buffers, so that no block's arrays are freed to the
+    # system and faulted back; the distances are `_sq_distances`'s, each
+    # operation in its order.
     Xs = X[np.argsort(cluster, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     n = X.shape[0]
     scores = np.zeros(n)
-    step = max(1, _SEPARATION_BLOCK // n)
+    step = max(2, rng.PIECE // n)
+    x_sq, xs_sq = (X * X).sum(1), (Xs * Xs).sum(1)
+    dist_buf, prod_buf = np.empty(min(step, n) * n), np.empty(min(step, n) * n)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        sums = np.add.reduceat(np.sqrt(_sq_distances(X[rows], Xs)), starts, axis=1)
+        count = rows.stop - start
+        dist = dist_buf[:count * n].reshape(count, n)
+        prod = prod_buf[:count * n].reshape(count, n)
+        np.add(x_sq[rows, None], xs_sq[None, :], out=dist)
+        np.matmul(2.0 * X[rows], Xs.T, out=prod)
+        dist -= prod
+        np.maximum(dist, 0.0, out=dist)
+        sums = np.add.reduceat(np.sqrt(dist, out=dist), starts, axis=1)
         own = cluster[rows]
         local = np.arange(own.size)
         own_size = sizes[own]

@@ -20,7 +20,6 @@ import json
 import math
 import mmap
 import os
-import pickle
 import re
 import reprlib
 import warnings
@@ -30,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import split
 from .core import LabelPartition
 from .errors import ConfigError, ValidationError
 from .hierarchy import Hierarchy, Intermediate, Leaf
@@ -115,12 +115,6 @@ def _records(fh, path, width: int):
     return rec["id"].tolist(), rec["label"].copy(), values
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
@@ -135,57 +129,34 @@ def _cut(mm, start: int) -> Optional[int]:
     return None
 
 
-def _send_head(fd: int, encoding: str, path, width: int, start: int, cut: int, out: int):
-    """Forked child: parse bytes start..cut of fd, free the text, pickle
-    (ids, labels, values) into the pipe `out` and exit, with 0 only when
-    all of it was sent. It never returns or writes to stdout or stderr."""
-    code = 1
-    try:
-        warnings.simplefilter("ignore")
-        parts = _records(TextIOWrapper(BytesIO(os.pread(fd, cut - start, start)),
-                                       encoding=encoding, newline=""), path, width)
-        with os.fdopen(out, "wb") as pipe:
-            pickle.dump(parts, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _split_read(fh, path, width: int, start: int):
     """The rows of fh from byte `start` on, read by a forked child up to the
-    `_cut` and by this process from there. None when the body holds a quote
-    or no cut, or when anything fails: mmap, pipe or fork raises, this
-    process's part is bad, or the child exits non-zero or is killed."""
+    `_cut` and by this process from there (`split.fork_pair`). None when the
+    body holds a quote or no cut, or when anything fails: mmap raises, no
+    child is forked, this process's part is bad, or the child's part does
+    not arrive."""
     try:
         with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
             cut = None if mm.find(b'"', start) >= 0 else _cut(mm, start)
-        if cut is None:
-            return None
-        r, w = os.pipe()
     except OSError:
         return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
+    if cut is None:
         return None
-    if pid == 0:
-        os.close(r)  # so that the write fails, not blocks, once this process closes r
-        _send_head(fh.fileno(), fh.encoding, path, width, start, cut, w)
-    os.close(w)
-    head = None
+    fd, encoding = fh.fileno(), fh.encoding
+
+    def read_head():
+        return _records(TextIOWrapper(BytesIO(os.pread(fd, cut - start, start)),
+                                      encoding=encoding, newline=""), path, width)
+
+    def read_tail():
+        fh.seek(cut)
+        return _records(fh, path, width)
+
     try:
-        # Closing r before waitpid frees a child blocked on a full pipe.
-        with os.fdopen(r, "rb") as pipe:
-            fh.seek(cut)
-            tail = _records(fh, path, width)
-            head = pickle.load(pipe)
-    except (ValidationError, OSError, EOFError, pickle.UnpicklingError):
-        pass  # the one-process read raises its own error
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if head is None or status != 0:
+        head, tail = split.fork_pair(read_head, read_tail)
+    except ValidationError:
+        return None  # the one-process read raises its own error
+    if head is None:
         return None
     return (head[0] + tail[0], np.concatenate([head[1], tail[1]]),
             np.concatenate([head[2], tail[2]]))
@@ -195,10 +166,10 @@ def _read_wide_csv(path, prefix: str):
     """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files: the
     csv module reads the header, the first non-blank line, and `_records`
     the rest. Converting 17-digit decimals to floats holds the GIL, so a
-    file of at least SPLIT_MIN_BYTES with a value column, where `os.fork`
-    exists and two CPUs are usable, goes to `_split_read`; the same record
-    pass makes the result bit-identical. If no split happens, the whole body
-    is read here, and that read raises its own error."""
+    file of at least SPLIT_MIN_BYTES with a value column goes to
+    `_split_read` where `split.can_fork`; the same record pass makes the
+    result bit-identical. If no split happens, the whole body is read here,
+    and that read raises its own error."""
     with _open(path) as fh:
         header: list[str] = []
         start = 0  # characters read; bytes too, as a header that passes is ASCII
@@ -216,7 +187,7 @@ def _read_wide_csv(path, prefix: str):
         if header[2:] != expected:
             raise ValidationError(f"{path}: value columns must be {prefix}0..{prefix}{width - 1}")
         if (width > 0 and os.fstat(fh.fileno()).st_size >= SPLIT_MIN_BYTES
-                and hasattr(os, "fork") and _usable_cpus() > 1):
+                and split.can_fork()):
             result = _split_read(fh, path, width, start)
             if result is not None:
                 return result

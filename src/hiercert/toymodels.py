@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import rng
+from . import rng, split
 from .errors import ValidationError
 from .numerics import normal_cdf, normal_quantile
 
@@ -56,18 +57,23 @@ class GaussModelParams:
 # `rng.normals` piece of features each. The experiments count their hits
 # block by block and drop each block, so their working memory stays about
 # one piece whatever n_samples and d are (up to d = PIECE).
-def _gauss_blocks(params: GaussModelParams, n: int, seed: int):
-    """(X, y) of each block of rows of the sample, in order."""
+def _block_rows(d: int) -> int:
+    return max(1, rng.PIECE // d)
+
+
+def _gauss_blocks(params: GaussModelParams, seed: int, start: int, stop: int):
+    """(X, y) of each block of rows start..stop-1 of the sample, in order;
+    start is a multiple of `_block_rows`, so the blocks are the sample's own."""
     d = params.d
-    step = max(1, rng.PIECE // d)
-    for start in range(0, n, step):
-        count = min(step, n - start)
-        y = np.where(rng.uniforms(seed, _STREAM_LABEL, start, count) < 0.5, -1.0, 1.0)
-        flip = np.where(rng.uniforms(seed, _STREAM_ROBUST, start, count) < params.p,
+    step = _block_rows(d)
+    for lo in range(start, stop, step):
+        count = min(step, stop - lo)
+        y = np.where(rng.uniforms(seed, _STREAM_LABEL, lo, count) < 0.5, -1.0, 1.0)
+        flip = np.where(rng.uniforms(seed, _STREAM_ROBUST, lo, count) < params.p,
                         1.0, -1.0)
         X = np.empty((count, d + 1))
         np.multiply(y, flip, out=X[:, 0])
-        feats = rng.normals(seed, _STREAM_FEAT, start * d, count * d).reshape(count, d)
+        feats = rng.normals(seed, _STREAM_FEAT, lo * d, count * d).reshape(count, d)
         np.add(feats, params.eta * y[:, None], out=X[:, 1:])
         yield X, y
 
@@ -83,7 +89,7 @@ def sample_gauss_model(params: GaussModelParams, n_samples: int,
     X = np.empty((n_samples, params.d + 1))
     y = np.empty(n_samples)
     start = 0
-    for X_block, y_block in _gauss_blocks(params, n_samples, seed):
+    for X_block, y_block in _gauss_blocks(params, seed, 0, n_samples):
         stop = start + len(y_block)
         X[start:stop], y[start:stop] = X_block, y_block
         start = stop
@@ -148,6 +154,51 @@ def averaging_predict(X) -> np.ndarray:
     return np.where(V[:, 1:].mean(axis=1) >= 0.0, 1.0, -1.0)
 
 
+#: Samples of at least this many feature draws in all are counted by two
+#: processes (`_count_hits`). Measured on two cores from a 96 MB process,
+#: the split lost below 0.4M draws, varied either way up to 0.8M and won by
+#: 32-47 % from 1M on (the toy split's BENCH_*.json record has the table).
+SPLIT_MIN_DRAWS = 1 << 20
+
+
+def _hits(samples, cells, start: int, stop: int) -> np.ndarray:
+    """Natural and attacked hits of each cell on rows start..stop-1 of each
+    sample, int64 of shape (samples, cells, 2). A sample is (params, seed),
+    a cell (predict, k): a classifier of X and the features the attack
+    leaves alone."""
+    hits = np.zeros((len(samples), len(cells), 2), dtype=np.int64)
+    for s, (params, seed) in enumerate(samples):
+        for X, y in _gauss_blocks(params, seed, start, stop):
+            for c, (predict, k) in enumerate(cells):
+                hits[s, c, 0] += np.count_nonzero(predict(X) == y)
+                X_adv = linf_flip_attack(X, y, params.eta, k)
+                hits[s, c, 1] += np.count_nonzero(predict(X_adv) == y)
+                del X_adv
+            del X, y  # before the next block is drawn
+    return hits
+
+
+def _count_hits(samples, cells, n: int, d: int) -> np.ndarray:
+    """`_hits` over all n rows of each sample of d features. With at least
+    SPLIT_MIN_DRAWS feature draws in all and two blocks or more, a forked
+    child counts the blocks before the middle one while this process counts
+    the rest (`split.fork_pair`); a half that `fork_pair` does not return is
+    counted here. The counts are integers, so their sum is the same
+    whichever process counted which rows."""
+    step = _block_rows(d)
+    n_blocks = -(-n // step)
+    mid = n_blocks // 2 * step
+    if mid == 0 or len(samples) * n * d < SPLIT_MIN_DRAWS:
+        return _hits(samples, cells, 0, n)
+    head, tail = split.fork_pair(lambda: _hits(samples, cells, 0, mid),
+                                 lambda: _hits(samples, cells, mid, n))
+    if head is None:
+        head = _hits(samples, cells, 0, mid)
+    if tail is None:
+        tail = _hits(samples, cells, mid, n)
+    return head + tail
+
+
 @dataclass(frozen=True)
 class GaussCell:
     eta: float
@@ -173,30 +224,20 @@ def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
     k = 0 evaluates the plain averaging classifier; k >= 1 evaluates the
     meta-feature over the k protected features. The attack flips every
     unprotected informative feature. Each eta's sample is drawn, predicted
-    and attacked one block at a time.
+    and attacked one block at a time (`_count_hits`).
     """
     for k in k_list:
         if k > d:
             raise ValidationError(f"k={k} inadmissible for d={d}")
     _check_sample_count(n_samples)
-    ks = [int(k) for k in k_list]
-    rows = []
-    for ei, eta in enumerate(eta_list):
-        eta = float(eta)
-        params = GaussModelParams(d=d, p=p, eta=eta)
-        natural = [0] * len(ks)
-        attacked = [0] * len(ks)
-        for X, y in _gauss_blocks(params, n_samples, seed=rng.mix64(seed + ei)):
-            for i, k in enumerate(ks):
-                natural[i] += int(np.count_nonzero(_cell_predict(X, k) == y))
-                X_adv = linf_flip_attack(X, y, eta, k)
-                attacked[i] += int(np.count_nonzero(_cell_predict(X_adv, k) == y))
-                del X_adv
-            del X, y  # before the next block is drawn
-        rows.extend(GaussCell(eta=eta, k=k, natural_acc=nat / n_samples,
-                              adversarial_acc=adv / n_samples)
-                    for k, nat, adv in zip(ks, natural, attacked))
-    return rows
+    cells = [(partial(_cell_predict, k=int(k)), int(k)) for k in k_list]
+    samples = [(GaussModelParams(d=d, p=p, eta=float(eta)), rng.mix64(seed + ei))
+               for ei, eta in enumerate(eta_list)]
+    hits = _count_hits(samples, cells, n_samples, d)
+    return [GaussCell(eta=params.eta, k=k, natural_acc=int(nat) / n_samples,
+                      adversarial_acc=int(adv) / n_samples)
+            for (params, _), sample_hits in zip(samples, hits)
+            for (_, k), (nat, adv) in zip(cells, sample_hits)]
 
 
 def tuned_feature_weight(p: float, gamma: float, eta: float, d: int) -> float:
@@ -232,18 +273,15 @@ class TradeoffResult:
 def tradeoff_experiment(p: float, gamma: float, eta: float, d: int,
                         n_samples: int, seed: int) -> TradeoffResult:
     """Measure the accuracy-robustness cap on a classifier tuned to natural
-    accuracy 1 - gamma with no protected features, one block at a time."""
+    accuracy 1 - gamma with no protected features, one block at a time
+    (`_count_hits`)."""
     params = GaussModelParams(d=d, p=p, eta=eta)
     _check_sample_count(n_samples)
     c = tuned_feature_weight(p, gamma, eta, d)
-    natural = attacked = 0
-    for X, y in _gauss_blocks(params, n_samples, seed):
-        natural += int(np.count_nonzero(weighted_predict(X, c) == y))
-        X_adv = linf_flip_attack(X, y, eta, 0)
-        attacked += int(np.count_nonzero(weighted_predict(X_adv, c) == y))
-        del X, y, X_adv  # before the next block is drawn
-    return TradeoffResult(natural_acc=natural / n_samples,
-                          adversarial_acc=attacked / n_samples,
+    natural, attacked = _count_hits([(params, seed)], [(partial(weighted_predict, weight=c), 0)],
+                                    n_samples, d)[0, 0]
+    return TradeoffResult(natural_acc=int(natural) / n_samples,
+                          adversarial_acc=int(attacked) / n_samples,
                           bound=adversarial_accuracy_bound(p, gamma))
 
 

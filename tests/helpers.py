@@ -21,18 +21,26 @@ gradients from a second first-layer evaluation) that `models.train`
 replaces. The margin radius oracle is the vector path of
 `smoothing.margin_radius` with a comparison pass per range bound and the
 degenerate masks applied unconditionally. `peak_traced_bytes` measures a
-call's working memory; tracemalloc also sees numpy's data buffers.
+call's working memory; tracemalloc also sees numpy's data buffers. The
+`forks` fixture, `failing_send` and `killed_after` check the two-process
+paths (`hiercert.split`): every fork is counted and reaped, a child can be
+made to fail, and a hang ends the test.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import os
+import pickle
+import signal
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import special, stats
 from scipy.optimize import linprog
 
@@ -479,3 +487,61 @@ def peak_traced_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the forks made during a test; afterwards no child may be left."""
+    real, pids = os.fork, []
+
+    def counting_fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield pids
+    assert_no_child_left()
+
+
+def failing_send(how: str):
+    """A stand-in for `split._send` whose child exits 3 having sent its
+    whole pickle ("exit-3"), is killed ("sigkill"), or exits 0 having sent
+    half of its pickle ("truncated")."""
+    def send(child, out):
+        try:
+            data = pickle.dumps(child(), protocol=pickle.HIGHEST_PROTOCOL)
+            if how == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            with os.fdopen(out, "wb") as pipe:
+                pipe.write(data[:len(data) // 2] if how == "truncated" else data)
+            if how == "truncated":
+                os._exit(0)
+        finally:
+            os._exit(3)
+
+    return send
+
+
+@contextlib.contextmanager
+def killed_after(seconds: int, pids: list):
+    """Run the block under an alarm: past `seconds`, SIGKILL each of pids
+    and raise TimeoutError, so that a hung parent or child fails the test."""
+    def hung(signum, frame):
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise TimeoutError("the call hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

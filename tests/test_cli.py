@@ -592,3 +592,15 @@ class TestToyCommands:
         se = math.sqrt(bound * (1 - bound) / 20000)
         assert natural == pytest.approx(0.99, abs=0.01)
         assert adv <= bound + 3 * se
+
+    def test_gauss_meta_records_noise_draws(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": 13, "d": 7, "eta_list": [0.1, 0.3, 0.5], "k_list": [0, 2],
+            "n_samples": 50, "tradeoff": {"gamma": 0.01, "eta": 0.3},
+        })
+        assert cli.main(["toy-gauss", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        grid, tradeoff = (json.loads((tmp_path / "out" / f"{name}.meta.json").read_text())
+                          for name in ("gauss_grid", "tradeoff"))
+        assert grid["noise_draws"] == 3 * 50 * 7
+        assert tradeoff["noise_draws"] == 50 * 7
+        assert grid["seed"] == tradeoff["seed"] == 13

@@ -18,7 +18,7 @@ from hiercert.errors import (
 )
 from hiercert.hierarchy import _label_index
 
-from helpers import confusion_levels_oracle, make_blobs, silhouette_oracle
+from helpers import confusion_levels_oracle, make_blobs, peak_traced_bytes, silhouette_oracle
 
 
 class TestKmeans:
@@ -161,7 +161,9 @@ class TestSeparation:
         # A one-row block goes through BLAS's matrix-vector product, which
         # rounds x.y differently; between coincident points the square root
         # turns that rounding into distances near 1e-8 that differ between the
-        # two products, so one-row blocks agree only to about 1e-10.
+        # two products, so one-row blocks agree only to about 1e-10. Block 2
+        # asks for one row's distances per block, which the 2-row floor
+        # turns into blocks of 2 rows.
         for t in range(6):
             n, d, k = 40 + 17 * t, 2 + t, 2 + t
             X = rng.normals(63, 706, t * 4096, n * d).reshape(n, d) * (1 + t)
@@ -171,12 +173,21 @@ class TestSeparation:
             assignment[n - 2] = k      # singleton at a point shared with others
             assignment[n - 1] = k + 1  # second singleton, same point
             if block is not None:
-                monkeypatch.setattr(discovery, "_SEPARATION_BLOCK", block * n)
+                monkeypatch.setattr(rng, "PIECE", n if block == 2 else block * n)
             with pytest.warns(UserWarning, match="2 singleton"):
                 report = cluster_separation_check(assignment, X)
             assert report.n_singletons == 2
             assert report.silhouette == pytest.approx(silhouette_oracle(assignment, X),
                                                       rel=1e-12)
+
+    def test_working_memory_is_about_two_pieces_of_distances(self):
+        # At the casestudy shape, 2000 x 32 in 10 clusters, the sorted copy of
+        # the points and the two block buffers of one rng.PIECE each peak at
+        # about 1.7 MB; blocks of 1M distances peaked at 16.7 MB.
+        X = rng.normals(5, 708, 0, 2000 * 32).reshape(2000, 32)
+        assignment = rng.integers(5, 709, 0, 2000, 10)
+        peak = peak_traced_bytes(lambda: cluster_separation_check(assignment, X))
+        assert peak < 5 << 19, peak
 
     def test_zero_denominator_scores_zero(self):
         # Both clusters sit on one point: a = b = 0 for every point.

@@ -1,20 +1,24 @@
 import math
 import mmap
 import os
-import pickle
-import signal
 import warnings
 
 import numpy as np
 import pytest
 
-from hiercert import io, rng
+from hiercert import io, rng, split
 from hiercert.core import LabelPartition
 from hiercert.errors import ConfigError, ValidationError
 from hiercert.hierarchy import Hierarchy, Intermediate, Leaf, build_renormalize_hierarchy, infer_batch
 from hiercert.models import LinearSoftmax, MaskedModel, SmallMlp
 
-from helpers import read_wide_csv_oracle
+from helpers import (
+    assert_no_child_left,
+    failing_send,
+    forks,  # noqa: F401 (a fixture)
+    killed_after,
+    read_wide_csv_oracle,
+)
 
 
 EDGE_CASES = {
@@ -122,11 +126,6 @@ def assert_matches_oracle(path):
     return got_ids
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWideCsv:
     def test_features_round_trip(self, tmp_path):
         ids = [f"s{i}" for i in range(20)]
@@ -207,22 +206,6 @@ class TestWideCsv:
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Pids of the forks made during a test; afterwards no child may be left."""
-    real, pids = os.fork, []
-
-    def counting_fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    yield pids
-    assert_no_child_left()
-
-
-@pytest.fixture
 def parses(monkeypatch):
     """Rows of each record pass this process makes (None: it raised), so a
     split that quietly fell back to the one-process read shows."""
@@ -247,7 +230,7 @@ class TestWideCsvSplit(TestWideCsv):
     @pytest.fixture(autouse=True)
     def split_every_file(self, monkeypatch, forks, parses):
         monkeypatch.setattr(io, "SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
 
     @pytest.mark.parametrize("text, n_forks", [
         (EDGE_CASES["quoted-comma"], 0), (EDGE_CASES["blank-lines"], 1),
@@ -309,19 +292,8 @@ class TestWideCsvSplit(TestWideCsv):
         path = tmp_path / "l.csv"
         path.write_text("\n".join(lines) + "\n")
 
-        def hung(signum, frame):
-            for pid in forks:
-                os.kill(pid, signal.SIGKILL)
-            raise TimeoutError("the read hung")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
-        try:
-            with pytest.raises(ValidationError, match="1.5x"):
-                io.read_logits(path)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with killed_after(30, forks), pytest.raises(ValidationError, match="1.5x"):
+            io.read_logits(path)
         assert len(forks) == 1 and parses == [None, None]
         assert_no_child_left()
 
@@ -337,18 +309,7 @@ class TestWideCsvSplit(TestWideCsv):
     @pytest.mark.parametrize("how", ["exit-3", "sigkill", "truncated"])
     def test_failed_child_falls_back_to_serial(self, tmp_path, monkeypatch, forks, parses,
                                                how):
-        def child(fd, encoding, path, width, start, cut, out):
-            try:
-                if how == "truncated":  # exits 0 having sent half of a pickle
-                    data = pickle.dumps(([], np.zeros(0), np.zeros((0, width))))
-                    os.write(out, data[:len(data) // 2])
-                    os._exit(0)
-                if how == "sigkill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-            finally:
-                os._exit(3)
-
-        monkeypatch.setattr(io, "_send_head", child)
+        monkeypatch.setattr(split, "_send", failing_send(how))
         self.check_serial_fallback(tmp_path, forks, parses, 1)
 
     @pytest.mark.parametrize("broken", ["fork", "mmap", "pipe"])
@@ -361,14 +322,14 @@ class TestWideCsvSplit(TestWideCsv):
         self.check_serial_fallback(tmp_path, forks, parses, 0)
 
     def test_one_cpu_or_no_fork_reads_serially(self, tmp_path, monkeypatch, forks, parses):
-        monkeypatch.setattr(io, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 1)
         self.check_serial_fallback(tmp_path, forks, parses, 0)
-        monkeypatch.setattr(io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
         self.check_serial_fallback(tmp_path, forks, parses, 0)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or io._usable_cpus() < 2,
+@pytest.mark.skipif(not hasattr(os, "fork") or split._usable_cpus() < 2,
                     reason="the split needs os.fork and two usable CPUs")
 def test_file_above_threshold_splits_bit_for_bit(tmp_path, forks):
     n, width = 5000, 40

@@ -1,10 +1,11 @@
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from hiercert import rng, toymodels
+from hiercert import rng, split, toymodels
 from hiercert.errors import ValidationError
 from hiercert.numerics import normal_cdf
 from hiercert.toymodels import (
@@ -26,7 +27,12 @@ from hiercert.toymodels import (
     weighted_predict,
 )
 
-from helpers import peak_traced_bytes
+from helpers import (
+    failing_send,
+    forks,  # noqa: F401 (a fixture)
+    killed_after,
+    peak_traced_bytes,
+)
 
 
 class TestGaussSampling:
@@ -232,6 +238,96 @@ class TestBlockedSampleAndAttack:
         assert res.natural_acc == float(np.mean(weighted_predict(X_full, c) == y_full))
         assert res.adversarial_acc == float(np.mean(
             weighted_predict(linf_flip_attack(X_full, y_full, 0.3, 0), c) == y_full))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """(start, stop) of each `_hits` call this process makes, so that a
+    split that quietly counted everything here shows."""
+    real, calls = toymodels._hits, []
+
+    def spy(samples, cells, start, stop):
+        calls.append((start, stop))
+        return real(samples, cells, start, stop)
+
+    monkeypatch.setattr(toymodels, "_hits", spy)
+    return calls
+
+
+class TestTwoProcessCounts:
+    """With the draw threshold at 0, a forked child counts the blocks before
+    the middle one and this process the rest: the results must be those of
+    one process, also when the child or the fork fails."""
+
+    D, P, SEED, ETAS, KS = 9, 0.8, 17, [0.1, 0.4, 0.0], [0, 1, 4, 9]
+
+    @pytest.fixture(autouse=True)
+    def split_every_sample(self, monkeypatch, forks, counted):
+        # pieces of 29 draws: blocks of 3 rows, 101 of them for 301 rows
+        monkeypatch.setattr(rng, "PIECE", 29)
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+        with monkeypatch.context() as m:
+            m.setattr(toymodels, "SPLIT_MIN_DRAWS", 1 << 62)
+            self.want = self.results(301)
+        assert counted == [(0, 301)] * 2 and not forks
+        counted.clear()
+        monkeypatch.setattr(toymodels, "SPLIT_MIN_DRAWS", 0)
+
+    def results(self, n):
+        return (gauss_experiment(self.ETAS, self.KS, self.D, self.P, n, self.SEED),
+                tradeoff_experiment(self.P, 0.1, 0.3, self.D, n, self.SEED))
+
+    @pytest.mark.parametrize("piece, n, mid", [(29, 301, 150), (4, 301, 150), (29, 3, None)],
+                             ids=["odd-block-count", "d-above-piece", "one-block"])
+    def test_split_counts_equal_one_process_counts(self, monkeypatch, forks, counted,
+                                                   piece, n, mid):
+        monkeypatch.setattr(rng, "PIECE", piece)
+        got = self.results(n)
+        with monkeypatch.context() as m:
+            m.setattr(toymodels, "SPLIT_MIN_DRAWS", 1 << 62)
+            assert got == self.results(n)
+        if mid is None:  # one block has no middle
+            assert not forks and counted == [(0, n)] * 4
+        else:  # the child's half was used
+            assert len(forks) == 2 and counted == [(mid, n)] * 2 + [(0, n)] * 2
+
+    @pytest.mark.parametrize("how", ["exit-3", "sigkill", "truncated"])
+    def test_failed_child_falls_back_to_the_same_counts(self, monkeypatch, forks, counted,
+                                                        how):
+        monkeypatch.setattr(split, "_send", failing_send(how))
+        assert self.results(301) == self.want
+        assert len(forks) == 2 and counted == [(150, 301), (0, 150)] * 2
+
+    @pytest.mark.parametrize("broken", ["fork", "pipe"])
+    def test_fork_or_pipe_oserror_falls_back_to_the_same_counts(self, monkeypatch, forks,
+                                                                counted, broken):
+        def fail(*args, **kwargs):
+            raise OSError("unavailable")
+
+        monkeypatch.setattr(os, broken, fail)
+        assert self.results(301) == self.want
+        assert not forks and counted == [(0, 150), (150, 301)] * 2
+
+    def test_one_cpu_or_no_fork_counts_in_one_process(self, monkeypatch, forks, counted):
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 1)
+        assert self.results(301) == self.want
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert self.results(301) == self.want
+        assert not forks and counted == [(0, 150), (150, 301)] * 4
+
+    def test_raise_here_with_a_full_pipe_does_not_hang(self, monkeypatch, forks):
+        parent = os.getpid()
+
+        def hits(samples, cells, start, stop):
+            if os.getpid() == parent:
+                raise RuntimeError("this process's half failed")
+            return np.zeros(1 << 20)  # 8 MB, more than a pipe buffers
+
+        monkeypatch.setattr(toymodels, "_hits", hits)
+        with killed_after(30, forks), pytest.raises(RuntimeError, match="half failed"):
+            gauss_experiment(self.ETAS, self.KS, self.D, self.P, 301, self.SEED)
+        assert len(forks) == 1
 
 
 class TestTunedClassifier:
