@@ -24,7 +24,12 @@ range of at most r samples of one input. Working memory is therefore
 about one piece whatever n is, and whatever d is up to PIECE (beyond it,
 one row). Each unit's noise comes from one `rng.normals` call over the
 unit's seeds, then gets one `logits` call, one argmax, and one `bincount` over
-(input, label) pairs. `certify_batch` runs the selection and estimation
+(input, label) pairs. A call of at least `split.SPLIT_MIN_DRAWS` draws
+counts the first half of its units in a forked child and the rest in this
+process, each with numpy's OpenBLAS held to one thread, and adds the
+integer counts, so the counts do not depend on the split either; where
+that OpenBLAS cannot be held to one thread, every call stays in one
+process. `certify_batch` runs the selection and estimation
 passes through it, bounds all top-label counts with one
 `clopper_pearson_lower_batch` call and takes all radii from one
 `margin_radius` call. `clopper_pearson_lower` and `certify` are the
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import rng
+from . import rng, split
 from .core import ABSTAIN, CertifiedPrediction
 from .errors import ValidationError
 from .numerics import normal_cdf, normal_quantile
@@ -98,7 +103,11 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
     the noise for sample s, dimension j sits at counter s*d + j of that
     seed's substream, so the counts do not depend on how inputs and samples
     are grouped into units. A unit is about one `rng.PIECE` of draws:
-    max(1, PIECE // d) rows, and PIECE rows when d is 0.
+    max(1, PIECE // d) rows, and PIECE rows when d is 0. A call of at least
+    `split.SPLIT_MIN_DRAWS` draws (B·n·d) with two units or more, where
+    `split.can_hold_blas`, counts the first half of its units in a forked
+    child and the rest here, both with one OpenBLAS thread (`split.summed`);
+    the counts are integers, so their sum is the one-process count.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -108,22 +117,27 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
     if seeds.shape != (B,):
         raise ValidationError(f"need one seed per input: {seeds.shape} seeds for {B} inputs")
     m = classifier.n_labels
-    counts = np.zeros((B, m), dtype=np.int64)
     rows = max(1, rng.PIECE // max(d, 1))
     per_unit = max(1, rows // n)
-    for b0 in range(0, B, per_unit):
-        b1 = min(b0 + per_unit, B)
-        k = b1 - b0
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            s = stop - start
+    units = [(b0, min(b0 + per_unit, B), start, min(start + rows, n))
+             for b0 in range(0, B, per_unit) for start in range(0, n, rows)]
+
+    def count(part):
+        counts = np.zeros((B, m), dtype=np.int64)
+        for b0, b1, start, stop in part:
+            k, s = b1 - b0, stop - start
             batch = rng.normals(seeds[b0:b1], stream, start * d, s * d).reshape(k, s, d)
             batch *= sigma
             batch += X[b0:b1, None, :]
             votes = np.argmax(classifier.logits(batch.reshape(k * s, d)), axis=1)
             votes += np.repeat(np.arange(0, k * m, m), s)
             counts[b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
-    return counts
+        return counts
+
+    half = len(units) // 2
+    if half and B * n * d >= split.SPLIT_MIN_DRAWS and split.can_hold_blas():
+        return split.summed(lambda: count(units[:half]), lambda: count(units[half:]))
+    return count(units)
 
 
 def margin_radius(sigma: float, p_top, p_runner):

@@ -154,13 +154,6 @@ def averaging_predict(X) -> np.ndarray:
     return np.where(V[:, 1:].mean(axis=1) >= 0.0, 1.0, -1.0)
 
 
-#: Samples of at least this many feature draws in all are counted by two
-#: processes (`_count_hits`). Measured on two cores from a 96 MB process,
-#: the split lost below 0.4M draws, varied either way up to 0.8M and won by
-#: 32-47 % from 1M on (the toy split's BENCH_*.json record has the table).
-SPLIT_MIN_DRAWS = 1 << 20
-
-
 def _hits(samples, cells, start: int, stop: int) -> np.ndarray:
     """Natural and attacked hits of each cell on rows start..stop-1 of each
     sample, int64 of shape (samples, cells, 2). A sample is (params, seed),
@@ -180,23 +173,17 @@ def _hits(samples, cells, start: int, stop: int) -> np.ndarray:
 
 def _count_hits(samples, cells, n: int, d: int) -> np.ndarray:
     """`_hits` over all n rows of each sample of d features. With at least
-    SPLIT_MIN_DRAWS feature draws in all and two blocks or more, a forked
-    child counts the blocks before the middle one while this process counts
-    the rest (`split.fork_pair`); a half that `fork_pair` does not return is
-    counted here. The counts are integers, so their sum is the same
-    whichever process counted which rows."""
+    `split.SPLIT_MIN_DRAWS` feature draws in all and two blocks or more, a
+    forked child counts the blocks before the middle one while this process
+    counts the rest (`split.summed`). The counts are integers, so their sum
+    is the same whichever process counted which rows."""
     step = _block_rows(d)
     n_blocks = -(-n // step)
     mid = n_blocks // 2 * step
-    if mid == 0 or len(samples) * n * d < SPLIT_MIN_DRAWS:
+    if mid == 0 or len(samples) * n * d < split.SPLIT_MIN_DRAWS:
         return _hits(samples, cells, 0, n)
-    head, tail = split.fork_pair(lambda: _hits(samples, cells, 0, mid),
-                                 lambda: _hits(samples, cells, mid, n))
-    if head is None:
-        head = _hits(samples, cells, 0, mid)
-    if tail is None:
-        tail = _hits(samples, cells, mid, n)
-    return head + tail
+    return split.summed(lambda: _hits(samples, cells, 0, mid),
+                        lambda: _hits(samples, cells, mid, n))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import hiercert
-from hiercert import rng, smoothing
+from hiercert import rng, smoothing, split
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
 from hiercert.models import LinearSoftmax, SmallMlp
@@ -28,6 +28,9 @@ from hiercert.smoothing import (
 from helpers import (
     certify_oracle,
     cp_lower_oracle,
+    failing_send,
+    forks,  # noqa: F401 (a fixture)
+    killed_after,
     margin_radius_oracle,
     peak_traced_bytes,
     quantile_oracle,
@@ -308,6 +311,176 @@ class TestVoteCountKernel:
             vote_counts(model, batch_inputs(3), 0.5, 100, [1, 2])
         with pytest.raises(ValidationError):
             vote_counts(model, batch_inputs(3), 0.5, 0, [1, 2, 3])
+
+
+class UnitRecorder:
+    """A model that records the rows of each `logits` call this process
+    makes: the units a forked child counts leave no record here."""
+
+    def __init__(self, model):
+        self.model, self.n_labels, self.rows = model, model.n_labels, []
+
+    def logits(self, X):
+        self.rows.append(X.shape[0])
+        return self.model.logits(X)
+
+
+class ThreadVoter(ConstantClassifier):
+    """Every sample votes the OpenBLAS thread count that `get()` reads in
+    the process counting it."""
+
+    def __init__(self, get):
+        super().__init__(0, 4)
+        self.get = get
+
+    def logits(self, X):
+        out = np.zeros((X.shape[0], self.n_labels))
+        out[:, self.get()] = 1.0
+        return out
+
+
+@pytest.fixture(params=["stand-in", "numpy's"])
+def blas_threads(request, monkeypatch):
+    """A reader of the OpenBLAS thread count that `split` sets, 2 when the
+    test starts: a stand-in held in a list, whose copy a forked child
+    changes on its own, or numpy's OpenBLAS, put back after the test."""
+    if request.param == "stand-in":
+        threads = [2]
+
+        def put(k):
+            threads[0] = k
+
+        monkeypatch.setattr(split, "_openblas", lambda: (lambda: threads[0], put))
+        yield lambda: threads[0]
+        return
+    blas = split._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread control found next to numpy")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestTwoProcessVoteCounts:
+    """With the draw threshold at 0, a forked child counts the first half of
+    a call's units and this process the rest: the counts must be those of one
+    process, also when the child or the fork fails."""
+
+    # (model, B, d, piece, n): units of 613, 50 or 1 rows, or of 100 rows of
+    # width 0, and one unit of the default piece
+    CASES = {"odd-unit-count": ("mlp", 1, 3, 613 * 3, 1500),
+             "one-input-many-units": ("linear", 1, 3, 50 * 3, 2001),
+             "many-inputs-per-unit": ("mlp", 37, 3, 613 * 3, 100),
+             "d-above-piece": ("mlp", 2, 3, 2, 5),
+             "d-zero": ("tied", 3, 0, 100, 250),
+             "one-unit": ("mlp", 2, 3, None, 100)}
+
+    @pytest.fixture(autouse=True)
+    def split_every_call(self, monkeypatch, forks):
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 0)
+
+    def counts(self, monkeypatch, case="many-inputs-per-unit"):
+        """(counts, rows counted here) of the split call and of one process."""
+        model_name, B, d, piece, n = self.CASES[case]
+        if piece is not None:
+            monkeypatch.setattr(rng, "PIECE", piece)
+        X = batch_inputs(B) if d else np.zeros((B, 0))
+        seeds = wrapping_seeds(B)
+        model = UnitRecorder(MODELS[model_name]())
+        got = vote_counts(model, X, 0.4, n, seeds), model.rows
+        model = UnitRecorder(MODELS[model_name]())
+        with monkeypatch.context() as m:
+            m.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
+            want = vote_counts(model, X, 0.4, n, seeds), model.rows
+        return got, want
+
+    @pytest.mark.parametrize("case, n_units", [("odd-unit-count", 3),
+                                               ("one-input-many-units", 41),
+                                               ("many-inputs-per-unit", 7),
+                                               ("d-above-piece", 10),
+                                               ("d-zero", 9),
+                                               ("one-unit", 1)])
+    def test_split_counts_equal_one_process_counts(self, monkeypatch, forks, case, n_units):
+        (got, rows), (want, units) = self.counts(monkeypatch, case)
+        assert np.array_equal(got, want) and got.dtype == np.int64
+        assert len(units) == n_units
+        if n_units == 1:  # one unit has no half
+            assert not forks and rows == units
+        else:  # the child's half was used
+            assert len(forks) == 1 and rows == units[n_units // 2:]
+
+    @pytest.mark.parametrize("how", ["exit-3", "sigkill", "truncated"])
+    def test_failed_child_falls_back_to_the_same_counts(self, monkeypatch, forks, how):
+        monkeypatch.setattr(split, "_send", failing_send(how))
+        (got, rows), (want, units) = self.counts(monkeypatch)
+        assert np.array_equal(got, want)
+        assert len(forks) == 1 and rows == units[3:] + units[:3]
+
+    @pytest.mark.parametrize("broken", ["fork", "pipe"])
+    def test_fork_or_pipe_oserror_falls_back_to_the_same_counts(self, monkeypatch, forks,
+                                                                broken):
+        def fail(*args, **kwargs):
+            raise OSError("unavailable")
+
+        monkeypatch.setattr(os, broken, fail)
+        (got, rows), (want, units) = self.counts(monkeypatch)
+        assert np.array_equal(got, want) and not forks and rows == units
+
+    @pytest.mark.parametrize("host", ["one-cpu", "no-fork", "no-blas-control"])
+    def test_counts_in_one_process_where_it_cannot_split(self, monkeypatch, forks, host):
+        if host == "one-cpu":
+            monkeypatch.setattr(split, "_usable_cpus", lambda: 1)
+        elif host == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(split, "_openblas", lambda: None)
+        (got, rows), (want, units) = self.counts(monkeypatch)
+        assert np.array_equal(got, want) and not forks and rows == units
+
+    def test_both_processes_count_with_one_blas_thread(self, forks, blas_threads):
+        counts = vote_counts(ThreadVoter(blas_threads), np.zeros((2, 3)), 0.4, 70_000, [1, 2])
+        assert len(forks) == 1 and counts[:, 1].tolist() == [70_000] * 2
+        assert blas_threads() == 2
+
+    def test_blas_threads_put_back_when_this_half_raises(self, forks, blas_threads):
+        parent = os.getpid()
+
+        class FailsHere(ConstantClassifier):
+            def logits(self, X):
+                if os.getpid() == parent:
+                    raise RuntimeError("this process's half failed")
+                return super().logits(X)
+
+        with killed_after(30, forks), pytest.raises(RuntimeError, match="half failed"):
+            vote_counts(FailsHere(0, 3), np.zeros((2, 3)), 0.4, 70_000, [1, 2])
+        assert len(forks) == 1 and blas_threads() == 2
+
+
+def test_vote_counts_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
+    # The host's own CPU affinity decides; one CPU (taskset -c 0) never forks.
+    monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 0)
+    unit_rows(monkeypatch, 613, 3)
+    model, X, seeds = MODELS["mlp"](), batch_inputs(37), wrapping_seeds(37)
+    got = vote_counts(model, X, 0.4, 100, seeds)
+    assert len(forks) == int(split.can_fork() and split.can_hold_blas())
+    monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
+    assert np.array_equal(got, vote_counts(model, X, 0.4, 100, seeds))
+
+
+def test_finds_numpys_openblas_where_numpy_is_built_on_scipy_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas["name"] == "scipy-openblas" and blas["found"]:
+        get, put = split._openblas()
+        before = get()
+        put(1)
+        try:
+            assert get() == 1
+        finally:
+            put(before)
+        assert get() == before
 
 
 class TestCertifyBatch:

@@ -267,11 +267,11 @@ class TestTwoProcessCounts:
         monkeypatch.setattr(rng, "PIECE", 29)
         monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
         with monkeypatch.context() as m:
-            m.setattr(toymodels, "SPLIT_MIN_DRAWS", 1 << 62)
+            m.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
             self.want = self.results(301)
         assert counted == [(0, 301)] * 2 and not forks
         counted.clear()
-        monkeypatch.setattr(toymodels, "SPLIT_MIN_DRAWS", 0)
+        monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 0)
 
     def results(self, n):
         return (gauss_experiment(self.ETAS, self.KS, self.D, self.P, n, self.SEED),
@@ -284,7 +284,7 @@ class TestTwoProcessCounts:
         monkeypatch.setattr(rng, "PIECE", piece)
         got = self.results(n)
         with monkeypatch.context() as m:
-            m.setattr(toymodels, "SPLIT_MIN_DRAWS", 1 << 62)
+            m.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
             assert got == self.results(n)
         if mid is None:  # one block has no middle
             assert not forks and counted == [(0, n)] * 4
