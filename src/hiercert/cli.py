@@ -272,6 +272,8 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     ids, labels, X = io.read_features(path)
     with _naming(path):
         checked_labels(labels, h.n_labels)
+        if not len(ids):
+            raise ValidationError("no data rows; an attack needs at least one input")
     _check_width(path, X, [(f"node {nid!r}", node.classifier) for nid, node in h.nodes()
                            if node.classifier is not None])
     a = config["attack"]
@@ -283,7 +285,8 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     rows = [["all", report.natural_acc, report.adv_acc, report.budget_acc]]
     rows += [[nid, report.natural_acc, "", report.per_node[nid]]
              for nid in sorted(report.per_node or ())]
-    return [ReportTable(name="adversarial_accuracy", metadata=dict(meta),
+    return [ReportTable(name="adversarial_accuracy",
+                        metadata=dict(meta, pgd_steps=report.pgd_steps),
                         columns=["node", "natural_acc", "adv_acc", "budget_acc"],
                         rows=rows)]
 

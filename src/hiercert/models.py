@@ -74,18 +74,21 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(_row_losses(z, np.asarray(y, dtype=np.int64))))
 
 
-def _dlogits(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _dlogits(logits: np.ndarray, y: np.ndarray, total: Optional[int] = None) -> np.ndarray:
     """Gradient of mean cross-entropy with respect to the logits.
 
-    The one-hot is subtracted through one flat index into a C-contiguous
-    copy of the softmax: the softmax of F-ordered logits (the columns a
-    MaskedModel selects) is F-ordered, and its flat view would be a copy.
+    The mean is over `total` rows, of which these are some (default: these
+    rows alone), so that a row's gradient does not depend on how a batch is
+    cut into calls. The one-hot is subtracted through one flat index into a
+    C-contiguous copy of the softmax: the softmax of F-ordered logits (the
+    columns a MaskedModel selects) is F-ordered, and its flat view would be
+    a copy.
     Labels must lie in 0..m-1; a flat index does not check them per row.
     """
     g = np.ascontiguousarray(softmax(logits))
     n, m = g.shape
     g.reshape(-1)[np.arange(0, n * m, m) + np.asarray(y, dtype=np.int64)] -= 1.0
-    g /= n
+    g /= n if total is None else total
     return g
 
 
@@ -285,9 +288,11 @@ def _unmask(model) -> tuple[object, Optional[np.ndarray]]:
 
 
 def _fused_step(base, cols: Optional[np.ndarray], X: np.ndarray, y: np.ndarray,
-                pad: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+                pad: Optional[np.ndarray], total: Optional[int] = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Logits over `cols` of a built-in model and the input gradient of their
-    mean cross-entropy at labels y, from one forward and one backward pass.
+    mean cross-entropy at labels y (over `total` rows, as in `_dlogits`),
+    from one forward and one backward pass.
 
     The forward pass stays full width and the columns are selected after it;
     the logit gradient is written into `pad`, a zeroed (rows x base labels)
@@ -297,9 +302,9 @@ def _fused_step(base, cols: Optional[np.ndarray], X: np.ndarray, y: np.ndarray,
     """
     logits, cache = base._forward(X)
     if cols is None:
-        return logits, base._backward(cache, _dlogits(logits, y))
+        return logits, base._backward(cache, _dlogits(logits, y, total))
     logits = logits[:, cols]
-    pad[:, cols] = _dlogits(logits, y)
+    pad[:, cols] = _dlogits(logits, y, total)
     return logits, base._backward(cache, pad)
 
 
@@ -375,10 +380,23 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
     takes the gradient's sign without numpy's branching sign loop
     (`_signed_step`), and updates the iterate in place; the result equals the
     two-pass form (`logits`, then `input_grad_from_dlogits`, then
-    `np.sign(grad) * step`, then `np.clip`) bit for bit.
+    `np.sign(grad) * step`, then `np.clip`) bit for bit. Every row is
+    attacked on its own (`_pgd_rows`), so any cut of the batch into row
+    ranges gives the same rows.
     """
     single = np.asarray(x).ndim == 1
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    best = _pgd_rows(model, X, y, params, seed, 0, X.shape[0])
+    return best[0] if single else best
+
+
+def _pgd_rows(model, X: np.ndarray, y, params: PgdParams, seed: int, start: int,
+              total: int) -> np.ndarray:
+    """`pgd_attack` of rows start..start+n of a batch of `total` rows, given
+    as X (n, d) with their labels y: equal bit for bit to those rows of the
+    whole call. Row i's restart offsets are drawn at counter
+    (r-1)*total*d + (start+i)*d, where the whole call draws them, and its
+    logit gradient is divided by `total`, as the whole call's mean is."""
     y = np.atleast_1d(checked_labels(y, model.n_labels))
     base, cols = _unmask(model)
     if not hasattr(base, "_backward"):
@@ -395,21 +413,22 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
         if r == 0:
             cur = X.copy()
         else:
-            cur = rng.uniforms(seed, rng.STREAM_PGD, (r - 1) * n * d, n * d).reshape(n, d)
+            cur = rng.uniforms(seed, rng.STREAM_PGD, ((r - 1) * total + start) * d,
+                               n * d).reshape(n, d)
             cur *= 2.0
             cur -= 1.0
             cur *= params.epsilon
             cur += X
             _project(cur, lo, hi)
         for _ in range(params.iters):
-            grad = _fused_step(base, cols, cur, y, pad)[1]
+            grad = _fused_step(base, cols, cur, y, pad, total)[1]
             cur += _signed_step(grad, params.step, *signs)
             _project(cur, lo, hi)
         losses = _row_losses(model.logits(cur), y)
         better = losses > best_loss
         best[better] = cur[better]
         best_loss[better] = losses[better]
-    return best[0] if single else best
+    return best
 
 
 def _signed_step(g: np.ndarray, step: float, pos: np.ndarray, neg: np.ndarray,

@@ -3,16 +3,17 @@ process computes the other.
 
 The program splits work that holds the GIL, where a second thread would
 wait for it while a forked child runs beside this process: the 17-digit
-float parsing of a wide CSV, the toy sample's normal quantile and the
-Monte-Carlo votes of `smoothing.vote_counts`. The votes call BLAS through
-the base model's products, and two processes each running numpy's
+float parsing of a wide CSV, the toy sample's normal quantile, the
+Monte-Carlo votes of `smoothing.vote_counts` and the PGD steps of
+`hierarchy.evaluate_adversarial`. The votes and the attack call BLAS
+through the models' products, and two processes each running numpy's
 OpenBLAS with a thread per CPU contend for the CPUs: a `vote_counts` split
 like that was 1.8-2x slower than one process. So `fork_pair` holds numpy's
 OpenBLAS to one thread from just before the fork until the child is
 reaped, and work that calls BLAS splits only where it can
 (`can_hold_blas`). A caller gets the child's part only when it arrived
-whole, and otherwise does the work in this process, so a failed split
-costs time, never a result.
+whole, and otherwise does the work in this process (`both`), so a failed
+split costs time, never a result.
 """
 
 from __future__ import annotations
@@ -150,9 +151,15 @@ def fork_pair(child, here):
     return (theirs if status == 0 else None), mine
 
 
-def summed(head, tail):
-    """head() + tail(), head() called in a forked child while this process
+def both(head, tail):
+    """(head(), tail()), head() called in a forked child while this process
     calls tail() (`fork_pair`). A half that does not arrive is computed in
-    this process, so the sum is the same wherever each half was computed."""
+    this process, so the pair is the same wherever each half was computed."""
     theirs, mine = fork_pair(head, tail)
-    return (head() if theirs is None else theirs) + (tail() if mine is None else mine)
+    return (head() if theirs is None else theirs), (tail() if mine is None else mine)
+
+
+def summed(head, tail):
+    """head() + tail(), the halves computed as `both` computes them."""
+    theirs, mine = both(head, tail)
+    return theirs + mine

@@ -452,8 +452,11 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
                 break
             node, nid = node.children[target], f"{nid}.{target}"
 
+    def unattackable(node):
+        return isinstance(node, Leaf) and len(node.label_subset) == 1
+
     def node_ok(node, Xs, targets, attacked):
-        if isinstance(node, Leaf) and len(node.label_subset) == 1:
+        if unattackable(node):
             return np.ones(Xs.shape[0], dtype=bool)
         model = node.classifier
         if attacked:
@@ -468,14 +471,19 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
                                 attacked_id is None or nid == attacked_id)
         return ok
 
+    # Each attacked node's rows take iters x restarts steps, counted once per node.
+    every = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
+    steps = sum(len(rows) for nid, (node, rows, _) in members.items()
+                if (every or nid == scenario.budget_target) and not unattackable(node))
+    steps *= scenario.attack.iters * scenario.attack.restarts
     if scenario.mode == WORST_CASE:
         return AdversarialReport(natural_acc=natural,
-                                 adv_acc=float(np.mean(correctness(None))))
+                                 adv_acc=float(np.mean(correctness(None))), pgd_steps=steps)
     if scenario.budget_target == "worst":
         per_node = {nid: float(np.mean(correctness(nid))) for nid, _ in h.nodes()}
         return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
-                                 per_node=per_node)
-    return AdversarialReport(natural_acc=natural,
+                                 per_node=per_node, pgd_steps=steps)
+    return AdversarialReport(natural_acc=natural, pgd_steps=steps,
                              budget_acc=float(np.mean(correctness(scenario.budget_target))))
 
 

@@ -225,6 +225,14 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "unknown model type 'lookup'" in err and err.count("\n") == 1
 
+    def test_attack_on_header_only_dataset_exits_one(self, tmp_path, capsys):
+        cfg = _attack_config(tmp_path, _TREE)
+        io.write_features(tmp_path / "data.csv", [], np.empty(0, np.int64), np.empty((0, 2)))
+        assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[validation] {tmp_path / 'data.csv'}: no data rows")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("exc, traceback", [(RuntimeError("kaboom"), True),
                                                 (CapabilityError("kaboom"), False)])
     def test_only_unexpected_errors_print_a_traceback(self, tmp_path, monkeypatch,
@@ -567,6 +575,26 @@ class TestAttackCommand:
         lines = (tmp_path / "out" / "adversarial_accuracy.csv").read_text().splitlines()
         assert lines[0] == "node,natural_acc,adv_acc,budget_acc"
         assert len(lines) >= 4  # summary + one row per node
+
+    @pytest.mark.parametrize("target, attacked", [("worst", 90 + 60), ("root", 90),
+                                                  ("root.0", 60), ("root.1", 0)])
+    def test_meta_records_pgd_steps(self, tmp_path, target, attacked):
+        # root sees all 90 rows, leaf root.0 the 60 rows of labels 0 and 1,
+        # and the singleton leaf root.1 is never attacked
+        X, y = make_blobs(9, 30, [(-3, -1), (-3, 1), (3, 0)], spread=0.3)
+        h = build_renormalize_hierarchy(LabelPartition(((0, 1), (2,))),
+                                        LinearSoftmax.init(2, 2, seed=2),
+                                        LinearSoftmax.init(3, 2, seed=1))
+        io.save_hierarchy(tmp_path / "h.json", h)
+        io.write_features(tmp_path / "d.csv", [f"s{i}" for i in range(len(y))], y, X)
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": 5, "hierarchy": "h.json", "dataset": {"features": "d.csv"},
+            "attack": {"mode": "budgeted", "budget_target": target,
+                       "epsilon": 0.1, "step": 0.05, "iters": 5, "restarts": 3},
+        })
+        assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        meta = json.loads((tmp_path / "out" / "adversarial_accuracy.meta.json").read_text())
+        assert meta["pgd_steps"] == attacked * 5 * 3
 
 
 class TestToyCommands:

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from hiercert import rng
+from hiercert import hierarchy, rng, split
 from hiercert.core import LabelPartition
 from hiercert.errors import RoutingMismatchError, ValidationError
 from hiercert.hierarchy import (
@@ -32,6 +33,8 @@ from hiercert.smoothing import margin_radius
 from helpers import (
     baseline_radii_oracle,
     evaluate_adversarial_oracle,
+    failing_send,
+    forks,  # noqa: F401 (a fixture)
     make_blobs,
     quantile_oracle,
     sample_subsets_oracle,
@@ -398,14 +401,13 @@ class TestAdversarial:
                                                    ("budgeted", "root.2", 1)])
     def test_one_pgd_call_per_attacked_multi_label_node(self, monkeypatch, mode, target,
                                                         calls):
-        from hiercert import hierarchy
-        rows, original = [], hierarchy.pgd_attack
+        rows, original = [], hierarchy._pgd_rows
 
-        def counted(model, X, y, params, seed=0):
+        def counted(model, X, y, params, seed, start, total):
             rows.append(len(y))
-            return original(model, X, y, params, seed=seed)
+            return original(model, X, y, params, seed, start, total)
 
-        monkeypatch.setattr(hierarchy, "pgd_attack", counted)
+        monkeypatch.setattr(hierarchy, "_pgd_rows", counted)
         part = LabelPartition(((0, 1), (2, 3), (4, 5), (6, 7), (8,)))
         h = build_renormalize_hierarchy(part, SmallMlp.init(5, 3, 4, seed=54),
                                         SmallMlp.init(9, 3, 4, seed=55))
@@ -432,6 +434,131 @@ class TestAdversarial:
                                                          budget_target="nope"))
         with pytest.raises(ValidationError):
             AttackScenario(mode="budgeted", attack=params)
+
+
+def two_process_case():
+    """A hierarchy and rows, most of them labelled as it infers them, in
+    which leaf root.0 (labels 0-2) has one row, leaf root.1 (labels 3, 4)
+    none, and leaf root.2 is a singleton."""
+    part = LabelPartition(((0, 1, 2), (3, 4), (5,), (6, 7), (8, 9)))
+    h = build_renormalize_hierarchy(part, SmallMlp.init(5, 4, 8, seed=61),
+                                    SmallMlp.init(10, 4, 8, seed=62))
+    X = rng.normals(63, 332, 0, 301 * 4).reshape(301, 4)
+    y = infer_batch(h, X)
+    low = np.flatnonzero(y < 5)  # two rows; keep the first in labels 0-4
+    y[low[1:]] = 5
+    y[::7] = 5 + (y[::7] - 4) % 5
+    return h, X, y
+
+
+TWO_PROCESS_PGD = PgdParams(epsilon=0.3, step=0.1, iters=4, restarts=2)
+
+
+class TestTwoProcessAttack:
+    """With the work cut-off at 0, a forked child attacks the first half of
+    every attacked node's rows and this process the rest: the report must be
+    the one-process report, also when the child or the fork fails."""
+
+    SCENARIOS = {"worst_case": ("worst_case", None), "single": ("budgeted", "root.3"),
+                 "one-row": ("budgeted", "root.0"), "worst": ("budgeted", "worst")}
+    # The rows of each node attacked, in `Hierarchy.nodes()` order: root,
+    # root.0, root.1, root.3 and root.4 (root.2 is a singleton).
+    ROWS = {"worst_case": [301, 1, 0, 103, 160], "single": [103], "one-row": [1],
+            "worst": [301, 1, 0, 103, 160]}
+
+    @pytest.fixture(autouse=True)
+    def split_every_call(self, monkeypatch, forks):
+        monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 0)
+
+    def reports(self, monkeypatch, name="worst"):
+        """(report, (start, rows, total) of each range attacked here) of the
+        split call and of one process."""
+        mode, target = self.SCENARIOS[name]
+        h, X, y = two_process_case()
+        scenario = AttackScenario(mode=mode, budget_target=target, attack=TWO_PROCESS_PGD)
+        original, ranges = hierarchy._pgd_rows, []
+
+        def recorded(model, X, y, params, seed, start, total):
+            ranges.append((start, len(X), total))
+            return original(model, X, y, params, seed, start, total)
+
+        monkeypatch.setattr(hierarchy, "_pgd_rows", recorded)
+        got = evaluate_adversarial(h, X, y, scenario, seed=3), ranges[:]
+        ranges.clear()
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)
+            want = evaluate_adversarial(h, X, y, scenario, seed=3), ranges[:]
+        return got, want
+
+    @staticmethod
+    def halves(whole):
+        """The (head, tail) ranges of each whole-node range."""
+        return ([(0, n // 2, n) for _, n, _ in whole],
+                [(n // 2, n - n // 2, n) for _, n, _ in whole])
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_split_report_equals_one_process_report(self, monkeypatch, forks, name):
+        (got, here), (want, whole) = self.reports(monkeypatch, name)
+        assert got == want
+        mode, target = self.SCENARIOS[name]
+        h, X, y = two_process_case()
+        assert want == evaluate_adversarial_oracle(h, X, y, AttackScenario(
+            mode=mode, budget_target=target, attack=TWO_PROCESS_PGD), seed=3)
+        assert [n for _, n, _ in whole] == self.ROWS[name]
+        assert len(forks) == 1 and here == self.halves(whole)[1]
+
+    @pytest.mark.parametrize("how", ["exit-3", "sigkill", "truncated"])
+    def test_failed_child_falls_back_to_the_same_report(self, monkeypatch, forks, how):
+        monkeypatch.setattr(split, "_send", failing_send(how))
+        (got, here), (want, whole) = self.reports(monkeypatch)
+        head, tail = self.halves(whole)
+        assert got == want and len(forks) == 1 and here == tail + head
+
+    @pytest.mark.parametrize("broken", ["fork", "pipe"])
+    def test_fork_or_pipe_oserror_falls_back_to_the_same_report(self, monkeypatch, forks,
+                                                                broken):
+        def fail(*args, **kwargs):
+            raise OSError("unavailable")
+
+        monkeypatch.setattr(os, broken, fail)
+        (got, here), (want, whole) = self.reports(monkeypatch)
+        head, tail = self.halves(whole)
+        assert got == want and not forks and here == head + tail
+
+    @pytest.mark.parametrize("host", ["one-cpu", "no-fork", "no-blas-control"])
+    def test_attacks_in_one_process_where_it_cannot_split(self, monkeypatch, forks, host):
+        if host == "one-cpu":
+            monkeypatch.setattr(split, "_usable_cpus", lambda: 1)
+        elif host == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(split, "_openblas", lambda: None)
+        (got, here), (want, whole) = self.reports(monkeypatch)
+        head, tail = self.halves(whole)
+        assert got == want and not forks
+        # both halves here where only the fork is missing; no split without BLAS control
+        assert here == (whole if host == "no-blas-control" else head + tail)
+
+
+def test_attack_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
+    # The host's own CPU affinity decides; one CPU (taskset -c 0) never forks.
+    monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 0)
+    h, X, y = two_process_case()
+    scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
+    got = evaluate_adversarial(h, X, y, scenario, seed=3)
+    assert len(forks) == int(split.can_fork() and split.can_hold_blas())
+    monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)
+    assert got == evaluate_adversarial(h, X, y, scenario, seed=3)
+
+
+def test_attack_below_the_cut_off_does_not_fork(monkeypatch, forks):
+    monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+    h, X, y = two_process_case()
+    scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
+    report = evaluate_adversarial(h, X, y, scenario, seed=3)
+    # 565 attacked rows x 4 steps x 2 restarts x d = 4: far below the cut-off
+    assert report.pgd_steps == 565 * 4 * 2 and not forks
 
 
 class TestRetrainLeaf:

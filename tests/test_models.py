@@ -10,6 +10,7 @@ from hiercert.models import (
     SmallMlp,
     _dlogits,
     _fused_step,
+    _pgd_rows,
     _row_reduce,
     _signed_step,
     accuracy,
@@ -486,6 +487,44 @@ class TestFusedPgd:
             evaluations.clear()
             pgd_attack_oracle(attacked, X, y, params, seed=1)
             assert len(evaluations) == params.restarts * (2 * params.iters + 1)
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("name", ["linear", "mlp", "masked_two"])
+    def test_row_ranges_concatenate_to_the_whole_call(self, name, restarts, nan):
+        # Cuts at 0, 1, an odd middle and n, with empty ranges at either end.
+        # A NaN input gives its row a NaN gradient, so a range holding it
+        # takes np.sign's path and the others the branch-free one.
+        model = ATTACK_MODELS[name]
+        X, y = _attack_batch(model, 41, seed=restarts)
+        if nan:
+            X[23, 2] = np.nan
+        params = PgdParams(epsilon=0.4, step=0.1, iters=5, restarts=restarts)
+        with np.errstate(invalid="ignore"):
+            whole = pgd_attack(model, X, y, params, seed=6)
+            for cuts in [(0, 41), (0, 0, 41), (0, 1, 41), (0, 19, 41), (0, 1, 19, 19, 41),
+                         (0, 41, 41)]:
+                parts = [_pgd_rows(model, X[a:b], y[a:b], params, 6, a, 41)
+                         for a, b in zip(cuts, cuts[1:])]
+                assert same_bits(np.concatenate(parts), whole), cuts
+        assert np.isnan(whole[23, 2]) == nan
+        assert not same_bits(whole, X)
+
+    def test_row_ranges_divide_the_gradient_by_the_whole_batch(self):
+        # Row 7's runner-up probability is about 1e-323, a subnormal that the
+        # mean over 41 rows rounds to 0, so the row has a zero gradient and
+        # does not move; a mean over its range of one row would move it.
+        model = LinearSoftmax(W=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.zeros(2))
+        X, _ = _attack_batch(model, 41, seed=5)
+        y = (X[:, 0] > 0).astype(np.int64)
+        X[7] = (-743.5, 0.0)
+        y[7] = 0
+        params = PgdParams(epsilon=0.4, step=0.1, iters=5)
+        whole = pgd_attack(model, X, y, params, seed=6)
+        assert same_bits(whole[7], X[7]) and not same_bits(whole, X)
+        parts = [_pgd_rows(model, X[a:b], y[a:b], params, 6, a, 41)
+                 for a, b in [(0, 7), (7, 8), (8, 41)]]
+        assert same_bits(np.concatenate(parts), whole)
 
     @pytest.mark.parametrize("label", [-1, 2])
     def test_labels_outside_the_model_are_rejected(self, label):
