@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+from scipy import special
 
 from . import rng, split
 from .core import (
@@ -188,34 +189,46 @@ def infer_batch(h: Hierarchy, X: np.ndarray) -> np.ndarray:
 def _runner_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label-major runner-up table of a probability matrix, built once.
 
-    Returns each row's top label g, its probability p_top, and PT, a C-ordered
-    copy of P.T with PT[g[r], r] = -inf, so the max over any label set's rows
-    of PT is every row's runner-up within that set. PT is always a fresh
-    copy: for an n x 1 or 1 x m matrix P.T is already contiguous, and a view
-    would carry the mask into the caller's matrix.
+    Returns each row's top label g, q_top = Phi^-1(p_top) of its top
+    probability (+inf where p_top == 1), and PT, a C-ordered copy of P.T with
+    PT[g[r], r] = -inf, so the max over any label set's rows of PT is every
+    row's runner-up within that set. PT is always a fresh copy: for an n x 1
+    or 1 x m matrix P.T is already contiguous, and a view would carry the
+    mask into the caller's matrix.
     """
     g = np.argmax(P, axis=1)
     rows = np.arange(P.shape[0])
     PT = P.T.copy()
     PT[g, rows] = -np.inf
-    return g, P[rows, g], PT
+    return g, special.ndtri(P[rows, g]), PT
 
 
 def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided radius of every row whose top label lies in `labels`, against
     its runner-up among `labels`.
 
-    `labels` is a list of labels or a slice. Returns the rows, ascending, and
-    their radii. The runner-up is one column-wise max over the label set's
-    contiguous rows of the table; -inf where no competitor is left, floored
-    to 0, for which `margin_radius` gives +inf.
+    `labels` is a nonempty list of labels, in any order and possibly
+    repeated, or a slice. Returns the rows, ascending, and their radii. The
+    runner-up is a running column-wise max over the label set's rows of the
+    table, made in place with no gather copy (one max over the view for a
+    slice); it is -inf where no competitor is left, as in a singleton set,
+    and is floored to 0. The radius takes the operations of the array path
+    of `margin_radius` in its order, so its bits are the same; the ranges
+    were checked when P was validated. Its +inf entries come from
+    Phi^-1(1) = +inf at p_top == 1 and Phi^-1(0) = -inf at a runner-up of 0.
     """
-    g, p_top, PT = table
+    g, q_top, PT = table
     allowed = np.zeros(PT.shape[0], dtype=bool)
     allowed[labels] = True
     rows = np.flatnonzero(allowed[g])
-    runner = PT[labels].max(axis=0)[rows]
-    return rows, margin_radius(sigma, p_top[rows], np.maximum(runner, 0.0))
+    if isinstance(labels, slice):
+        runner = PT[labels].max(axis=0)
+    else:
+        runner = PT[labels[0]].copy()
+        for label in labels[1:]:
+            np.maximum(runner, PT[label], out=runner)
+    q_runner = special.ndtri(np.maximum(runner[rows], 0.0))
+    return rows, 0.5 * sigma * np.maximum(q_top[rows] - q_runner, 0.0)
 
 
 def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],
@@ -420,11 +433,11 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     node is attacked, every other classifier sees the clean input; the
     target 'worst' tries each node and reports the most damaging one.
 
-    Each node's rows are those whose true path passes through it. A node is
-    checked clean at most once and attacked at most once, its rows attacked
-    as by one `pgd_attack` call over all of them. The attack takes
-    `pgd_steps` = Σ attacked rows·iters·restarts row steps, each one forward
-    and one backward pass. From `SPLIT_MIN_PGD_WORK` of work (pgd_steps·d)
+    X needs at least one row. Each node's rows are those whose true path
+    passes through it. A node is checked clean at most once and attacked at
+    most once, its rows attacked as by one `pgd_attack` call over all of
+    them. The attack takes `pgd_steps` = Σ attacked rows·iters·restarts row
+    steps, each one forward and one backward pass. From `SPLIT_MIN_PGD_WORK` of work (pgd_steps·d)
     on, where numpy's OpenBLAS can be held to one thread, one forked child
     attacks the first half of every attacked node's rows while this process
     attacks the second half; a child that fails costs time, never a result,
@@ -445,6 +458,8 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
                               f"known ids: {node_ids}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = checked_labels(y, h.n_labels)
+    if not X.shape[0]:
+        raise ValidationError("no data rows; an attack needs at least one input")
     natural = float(np.mean(infer_batch(h, X) == y))
 
     every_node = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
@@ -533,7 +548,10 @@ def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.nda
 
     The rows are validated once, by `as_probability_matrix`. One runner-up
     table (`_runner_table`) serves every class: `_set_radii` takes the radii
-    of the rows routed to each class in turn. A class of one label gives +inf.
+    of the rows routed to each class in turn. The radius is +inf for a row
+    of a one-label class or with no competitor left above 0 (its runner-up
+    is 0, and Phi^-1(0) = -inf), and for a row whose top probability is 1
+    (Phi^-1(1) = +inf).
     """
     return _class_radii(_runner_table(as_probability_matrix(probs)), partition, sigma)
 

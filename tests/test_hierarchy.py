@@ -313,6 +313,74 @@ class TestRunnerTable:
         assert P.tobytes(order="A") == before.tobytes(order="A")
 
 
+def set_radii_by_rows(P, labels, sigma):
+    """Rows whose argmax lies in `labels` and their `margin_radius` against
+    the largest other entry among `labels`, one row at a time (0 if none)."""
+    labels = sorted(set(labels))
+    g = np.argmax(P, axis=1)
+    rows = np.flatnonzero(np.isin(g, labels))
+    p_top = P[rows, g[rows]]
+    runner = np.array([max((P[r, j] for j in labels if j != g[r]), default=0.0)
+                       for r in rows])
+    return rows, margin_radius(sigma, p_top, runner)
+
+
+class TestSetRadii:
+    # Row 0: top probability exactly 1. Row 1: runner-up among {0, 2} exactly
+    # 0. Row 2: top and runner-up tied. Rows 3-4: ordinary rows whose top
+    # labels are 3 and 1.
+    P = np.array([[1.0, 0.0, 0.0, 0.0],
+                  [0.6, 0.4, 0.0, 0.0],
+                  [0.4, 0.4, 0.2, 0.0],
+                  [0.1, 0.2, 0.3, 0.4],
+                  [0.05, 0.7, 0.15, 0.1]])
+
+    @pytest.mark.parametrize("labels", [
+        [0], [1], [3], [0, 1], [0, 2], [1, 3], [2, 3], [0, 1, 2], [3, 0, 2],
+        [2, 0, 2], [1, 1], [3, 2, 1, 0], [0, 1, 2, 3]])
+    @pytest.mark.parametrize("sigma", [0.25, 1.0])
+    def test_equals_margin_radius_bit_for_bit(self, labels, sigma):
+        rows, radii = _set_radii(_runner_table(self.P), labels, sigma)
+        want_rows, want = set_radii_by_rows(self.P, labels, sigma)
+        assert np.array_equal(rows, want_rows)
+        assert radii.dtype == want.dtype and radii.tobytes() == want.tobytes()
+
+    def test_degenerate_rows_are_infinite_and_a_tie_is_zero(self):
+        table = _runner_table(self.P)
+        assert np.isinf(_set_radii(table, [0, 1, 2, 3], 0.5)[1][0])     # p_top == 1
+        rows, radii = _set_radii(table, [0, 2], 0.5)
+        assert rows.tolist() == [0, 1, 2] and np.isinf(radii[1])       # runner-up 0
+        assert np.isfinite(radii[2])
+        rows, radii = _set_radii(table, [0, 1], 0.5)
+        assert rows.tolist() == [0, 1, 2, 4] and radii[2] == 0.0       # tie
+        rows, radii = _set_radii(table, [1], 0.5)
+        assert rows.tolist() == [4] and np.isinf(radii).all()          # singleton
+
+    def test_matches_by_rows_on_a_random_matrix(self):
+        P = synth_prob_dataset(47, 300, 9)
+        P[:4] = 0.0
+        P[:4, 5] = 1.0
+        P[4:8] = 1.0 / 9
+        table = _runner_table(P)
+        for labels in ([5], [8, 5], [5, 4, 3, 5], list(range(9))[::-1], [0, 2, 4, 6, 8]):
+            rows, radii = _set_radii(table, labels, 0.5)
+            want_rows, want = set_radii_by_rows(P, labels, 0.5)
+            assert np.array_equal(rows, want_rows)
+            assert radii.tobytes() == want.tobytes()
+
+    def test_one_label_matrix(self):
+        P = np.ones((4, 1))
+        for labels in ([0], [0, 0], slice(None)):
+            rows, radii = _set_radii(_runner_table(P), labels, 0.5)
+            assert rows.tolist() == [0, 1, 2, 3]
+            assert radii.tobytes() == np.full(4, math.inf).tobytes()
+
+    def test_all_labels_slice_equals_baseline_oracle(self):
+        rows, radii = _set_radii(_runner_table(self.P), slice(None), 0.5)
+        assert np.array_equal(rows, np.arange(self.P.shape[0]))
+        assert radii.tobytes() == baseline_radii_oracle(self.P, 0.5).tobytes()
+
+
 def toy_three_label_hierarchy():
     """Labels 0,1 live at x=-4 (split by y-axis at distance 1); label 2 at x=+4.
 
@@ -425,6 +493,14 @@ class TestAdversarial:
             y[0] = bad
             with pytest.raises(ValidationError, match="labels must lie in 0..2"):
                 evaluate_adversarial(h, X, y, scenario)
+
+    @pytest.mark.parametrize("mode", ["worst_case", "budgeted"])
+    def test_no_rows_rejected(self, mode):
+        h = flat_hierarchy(linear([[1.0, 0.0], [0.0, 1.0]]))
+        scenario = AttackScenario(mode=mode, attack=PgdParams(epsilon=0.1, step=0.1),
+                                  budget_target="root" if mode == "budgeted" else None)
+        with pytest.raises(ValidationError, match="no data rows"):
+            evaluate_adversarial(h, np.empty((0, 2)), np.empty(0, dtype=np.int64), scenario)
 
     def test_budgeted_needs_valid_target(self):
         h, X, y = toy_three_label_hierarchy()
