@@ -38,7 +38,7 @@ from .core import (
     normalize_subset,
 )
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
-from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _pgd_rows, train
+from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _pgd_rows, _unmask, train
 from .smoothing import margin_radius
 
 #: An attack of at least this much work (Σ rows·d·iters·restarts) runs in two
@@ -445,10 +445,9 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     (`_attacked_correct`).
     """
     for nid, node in h.nodes():
-        model = node.classifier
-        if isinstance(model, MaskedModel):
-            model = model.base
-        if model is not None and not hasattr(model, "input_grad_from_dlogits"):
+        # The attack runs `_fused_step`, which needs a built-in model's `_backward`.
+        model = _unmask(node.classifier)[0]
+        if model is not None and not hasattr(model, "_backward"):
             raise CapabilityError(
                 f"node {nid!r}: a {type(model).__name__} cannot be run or attacked on input "
                 "features; attacks need built-in linear or mlp classifiers at every node")

@@ -23,6 +23,7 @@ import os
 import re
 import reprlib
 import warnings
+from dataclasses import fields
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -33,7 +34,7 @@ from . import split
 from .core import LabelPartition
 from .errors import ConfigError, ValidationError
 from .hierarchy import Hierarchy, Intermediate, Leaf
-from .models import LinearSoftmax, MaskedModel, SmallMlp
+from .models import LinearSoftmax, MaskedModel, SmallMlp, _unmask
 
 
 #: Columns of a certificates table; an abstained row has an empty radius.
@@ -424,14 +425,14 @@ def read_partition(path, n_labels: Optional[int] = None) -> LabelPartition:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-#: Each model file type: its class and the names of its parameters.
-_MODELS = {"linear": (LinearSoftmax, ("W", "b")), "mlp": (SmallMlp, ("W1", "b1", "W2", "b2"))}
+#: Each model file type and its class, whose dataclass fields name the parameters.
+_MODELS = {"linear": LinearSoftmax, "mlp": SmallMlp}
 
 
 def model_to_dict(model) -> dict:
-    for kind, (cls, names) in _MODELS.items():
+    for kind, cls in _MODELS.items():
         if isinstance(model, cls):
-            return {"type": kind, **{name: getattr(model, name).tolist() for name in names}}
+            return {"type": kind, **{f.name: getattr(model, f.name).tolist() for f in fields(cls)}}
     raise ValidationError(f"cannot serialize model type {type(model).__name__}")
 
 
@@ -449,9 +450,13 @@ def model_from_dict(spec: dict, base_dir: Path | None = None, where: str = "mode
         spec, where = read_json(path), str(path)
         if not isinstance(spec, dict) or spec.get("type") != ref["type"]:
             raise ValidationError(f"{path}: model type mismatch")
-    cls, names = _variant(spec, "type", _MODELS, where, "model type")
+    cls = _variant(spec, "type", _MODELS, where, "model type")
+    names = [f.name for f in fields(cls)]
     params = check_object(spec, {"type": _MODEL_TYPE, **dict.fromkeys(names, _PARAM)}, where)
-    return cls(**{name: params[name] for name in names})
+    try:
+        return cls(*(params[name] for name in names))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def save_model(path, model) -> None:
@@ -465,11 +470,8 @@ def load_model(path):
 def hierarchy_to_dict(h: Hierarchy) -> dict:
     def encode(node) -> dict:
         if isinstance(node, Leaf):
-            strategy, clf = "renormalize", node.classifier
-            if isinstance(clf, MaskedModel):
-                clf = clf.base
-            elif clf is not None:
-                strategy = "retrain"
+            clf, cols = _unmask(node.classifier)
+            strategy = "retrain" if cols is None and clf is not None else "renormalize"
             return {"kind": "leaf", "labels": list(node.label_subset), "strategy": strategy,
                     "classifier": None if clf is None else model_to_dict(clf)}
         return {"kind": "intermediate", "classifier": model_to_dict(node.classifier),

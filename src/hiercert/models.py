@@ -8,12 +8,18 @@ l-inf PGD attack.
 Models are immutable; training returns a new instance. All randomness
 (parameter init, training noise, attack restarts) flows through the
 counter-mode streams in `rng`, so results are pure functions of the seed.
+
+Both built-in models derive from `_DenseLayers`, which freezes and
+shape-checks their dense layers and gives `params()` (in the order of the
+model-file field names), `with_params`, `n_labels` and `input_dim`. Each
+keeps its own `logits` and `input_grad_from_dlogits`, because the
+benchmark's tracer wraps those two in each class's own `__dict__`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,26 +109,48 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class _DenseLayers:
+    """Base of the built-in models, whose dataclass fields are dense layers in
+    order: a weight matrix W (rows >= 1, cols), then its bias b (rows,), each
+    W's cols being the rows of the W before it. All are frozen before any
+    shape is checked, so an unconvertible parameter is reported first."""
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        for name in names:
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        cols = None
+        for w, b in zip(names[::2], names[1::2]):
+            W, bias = getattr(self, w), getattr(self, b)
+            if W.ndim != 2 or W.shape[0] < 1 or cols not in (None, W.shape[1]):
+                raise ValidationError(f"{w} must be a matrix of at least one row and "
+                                      f"{cols or 'any number of'} columns, not of shape {W.shape}")
+            if bias.shape != W.shape[:1]:
+                raise ValidationError(f"{b} must have shape ({W.shape[0]},) to match {w}, "
+                                      f"not {bias.shape}")
+            cols = W.shape[0]
+
+    @property
+    def n_labels(self) -> int:
+        return self.params()[-1].shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.params()[0].shape[1]
+
+    def params(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def with_params(self, params: Sequence[np.ndarray]):
+        return type(self)(*params)
+
+
 @dataclass(frozen=True)
-class LinearSoftmax:
+class LinearSoftmax(_DenseLayers):
     """Affine logits: W x + b."""
 
     W: np.ndarray  # (m, d)
     b: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "W", _freeze(self.W))
-        object.__setattr__(self, "b", _freeze(self.b))
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ValidationError("W must be (m, d) and b (m,)")
-
-    @property
-    def n_labels(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1]
 
     @staticmethod
     def init(n_labels: int, dim: int, seed: int, scale: float = 0.1) -> "LinearSoftmax":
@@ -145,43 +173,20 @@ class LinearSoftmax:
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
         return self._backward(None, G)
 
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.W, self.b)
-
     def _param_grads(self, X: np.ndarray, cache: None, G: np.ndarray) -> tuple[np.ndarray, ...]:
         """Parameter gradients from the logit gradients G at inputs X."""
         X = np.asarray(X, dtype=np.float64)
         return (G.T @ X, G.sum(axis=0))
 
-    def with_params(self, params: Sequence[np.ndarray]) -> "LinearSoftmax":
-        W, b = params
-        return LinearSoftmax(W=W, b=b)
-
 
 @dataclass(frozen=True)
-class SmallMlp:
+class SmallMlp(_DenseLayers):
     """One ReLU hidden layer: W2 relu(W1 x + b1) + b2."""
 
     W1: np.ndarray  # (h, d)
     b1: np.ndarray  # (h,)
     W2: np.ndarray  # (m, h)
     b2: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        for name in ("W1", "b1", "W2", "b2"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
-        if self.W1.shape[0] < 1:
-            raise ValidationError("hidden width must be >= 1")
-        if self.W2.shape[1] != self.W1.shape[0]:
-            raise ValidationError("W2 width must match hidden size")
-
-    @property
-    def n_labels(self) -> int:
-        return self.W2.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W1.shape[1]
 
     @staticmethod
     def init(n_labels: int, dim: int, hidden: int, seed: int, scale: float = 0.5) -> "SmallMlp":
@@ -223,9 +228,6 @@ class SmallMlp:
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
         return self._backward(self._pre_activation(X), G)
 
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.W1, self.b1, self.W2, self.b2)
-
     def _param_grads(self, X: np.ndarray, H: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
         """Parameter gradients from the logit gradients G at inputs X and
         hidden activation H (the cache of `_forward`)."""
@@ -235,10 +237,6 @@ class SmallMlp:
         dZ = G @ self.W2
         dZ *= H > 0.0
         return (dZ.T @ X, dZ.sum(axis=0), dW2, db2)
-
-    def with_params(self, params: Sequence[np.ndarray]) -> "SmallMlp":
-        W1, b1, W2, b2 = params
-        return SmallMlp(W1=W1, b1=b1, W2=W2, b2=b2)
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,9 @@ class TestValidation:
 
 
 _MODEL = {"type": "linear", "W": [[0.0, 0.0], [1.0, 0.0]], "b": [0.0, 0.0]}
+# four labels, three hidden units
+_MLP = {"type": "mlp", "W1": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "b1": [0.0] * 3,
+        "W2": [[1.0, 0.0, 0.0]] * 4, "b2": [0.0] * 4}
 _TREE = {"n_labels": 2, "root": {"kind": "intermediate", "classifier": _MODEL, "children": [
     {"kind": "leaf", "labels": [0]}, {"kind": "leaf", "labels": [1]}]}}
 _VALID = {
@@ -266,6 +269,7 @@ _VALID = {
 # The valid config of a command that reads the named file in place of its
 # usual input.
 _READING = {"cm.csv": {"k": 1, "confusion": "cm.csv"},
+            "m.json": dict(_VALID["certify"], model={"type": "mlp", "path": "m.json"}),
             "part.json": dict(_VALID["hierarchy"], partition="part.json")}
 # a leaf holding label 5 of a two-label hierarchy
 _LEAVES = [{"kind": "leaf", "labels": [0, 5], "classifier": _MODEL},
@@ -395,6 +399,18 @@ class TestMalformedInputs:
         "zero-n-bits": ("toy-prf", "n_bits", "0", "field 'n_bits'"),
         "even-repetition": ("toy-prf", "repetition", "2", "field 'repetition'"),
         "negative-flip-budget": ("toy-prf", "flip_budget", "-1", "field 'flip_budget'"),
+        # layer shapes, among them biases numpy would broadcast
+        "mlp-short-b2": ("certify", "model", json.dumps(dict(_MLP, b2=[0.0, 0.0])),
+                         "model: b2 must have shape (4,) to match W2, not (2,)"),
+        "mlp-scalar-biases": ("certify", "model", json.dumps(dict(_MLP, b1=[0.5], b2=[0.25])),
+                              "model: b1 must have shape (3,) to match W1, not (1,)"),
+        "mlp-file-short-b2": ("certify", "m.json", json.dumps(dict(_MLP, b2=[0.0, 0.0])),
+                              "m.json: b2 must have shape (4,)"),
+        "linear-short-b": ("certify", "model", json.dumps(dict(_MODEL, W=[[0.0, 0.0]] * 4)),
+                           "model: b must have shape (4,) to match W, not (2,)"),
+        "node-short-b": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
+            _TREE["root"], classifier=dict(_MODEL, b=[0.0])))),
+                         "root.classifier: b must have shape (2,)"),
         # feature width against the model's, or every node's, input width
         "model-input-width": ("certify", "data.csv", "sample_id,label,e0,e1,e2\na,0,0.5,0,0\n",
                               "data.csv: 3 feature columns, but the model takes 2 inputs"),

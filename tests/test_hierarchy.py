@@ -7,7 +7,7 @@ import pytest
 
 from hiercert import hierarchy, rng, split
 from hiercert.core import LabelPartition
-from hiercert.errors import RoutingMismatchError, ValidationError
+from hiercert.errors import CapabilityError, RoutingMismatchError, ValidationError
 from hiercert.hierarchy import (
     AttackScenario,
     Hierarchy,
@@ -615,6 +615,28 @@ class TestTwoProcessAttack:
         assert got == want and not forks
         # both halves here where only the fork is missing; no split without BLAS control
         assert here == (whole if host == "no-blas-control" else head + tail)
+
+    def test_leaf_model_without_the_fused_pass_is_rejected_before_any_fork(self, forks):
+        # Public logits and input gradients are not enough: the attack runs
+        # `_fused_step`, which needs a built-in model's `_backward`.
+        class PublicGradients:
+            def __init__(self, model):
+                self.model, self.n_labels = model, model.n_labels
+
+            def logits(self, X):
+                return self.model.logits(X)
+
+            def input_grad_from_dlogits(self, X, G):
+                return self.model.input_grad_from_dlogits(X, G)
+
+        _, X, y = two_process_case()
+        part = LabelPartition(((0, 1, 2), (3, 4), (5,), (6, 7), (8, 9)))
+        h = build_renormalize_hierarchy(part, SmallMlp.init(5, 4, 8, seed=61),
+                                        PublicGradients(SmallMlp.init(10, 4, 8, seed=62)))
+        scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
+        with pytest.raises(CapabilityError, match="node 'root.0': a PublicGradients cannot"):
+            evaluate_adversarial(h, X, y, scenario, seed=3)
+        assert not forks
 
 
 def test_attack_forks_only_where_two_cpus_are_usable(monkeypatch, forks):

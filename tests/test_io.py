@@ -487,19 +487,45 @@ class TestModelJson:
         model = LinearSoftmax.init(3, 4, seed=5)
         io.save_model(tmp_path / "m.json", model)
         got = io.load_model(tmp_path / "m.json")
-        assert np.array_equal(got.W, model.W)
-        assert np.array_equal(got.b, model.b)
+        assert sorted(io.read_json(tmp_path / "m.json")) == ["W", "b", "type"]
+        for a, b in zip(model.params(), got.params()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_mlp_round_trip(self, tmp_path):
+        # a -0.0 bias keeps its sign through the file
         model = SmallMlp.init(3, 4, 6, seed=6)
+        model = model.with_params([-p for p in model.params()])
         io.save_model(tmp_path / "m.json", model)
         got = io.load_model(tmp_path / "m.json")
+        assert sorted(io.read_json(tmp_path / "m.json")) == ["W1", "W2", "b1", "b2", "type"]
+        assert type(got) is SmallMlp
         for a, b in zip(model.params(), got.params()):
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
             io.model_from_dict({"type": "transformer"})
+
+    # Layer shapes: each W (rows >= 1, cols), its b (rows,), and each W's cols
+    # the rows of the W before it. b1 (1,) and a short b2 would broadcast.
+    MLP = {"type": "mlp", "W1": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "b1": [0.0] * 3,
+           "W2": [[1.0, 0.0, 0.0]] * 4, "b2": [0.0] * 4}
+    LINEAR = {"type": "linear", "W": [[1.0, 0.0]] * 4, "b": [0.0] * 4}
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(MLP, b1=[0.5]), r"b1 must have shape \(3,\) to match W1, not \(1,\)"),
+        (dict(MLP, b1=[0.5], b2=[0.25]), r"b1 must have shape \(3,\)"),
+        (dict(MLP, b2=[0.0, 0.0]), r"b2 must have shape \(4,\) to match W2, not \(2,\)"),
+        (dict(MLP, b2=[[0.0]] * 4), r"b2 must have shape \(4,\) to match W2, not \(4, 1\)"),
+        (dict(MLP, W1=[1.0, 0.0]), r"W1 must be a matrix .* not of shape \(2,\)"),
+        (dict(MLP, W2=[[1.0, 0.0]] * 4), r"W2 must be a matrix .* and 3 columns, not of shape"),
+        (dict(LINEAR, b=[0.0, 0.0]), r"b must have shape \(4,\) to match W, not \(2,\)"),
+        (dict(LINEAR, b=[0.5]), r"b must have shape \(4,\)"),
+        (dict(LINEAR, W=[1.0, 0.0]), r"W must be a matrix .* not of shape \(2,\)"),
+    ])
+    def test_malformed_layer_shapes_rejected(self, spec, message):
+        with pytest.raises(ValidationError, match="^node: " + message):
+            io.model_from_dict(spec, where="node")
 
 
 class TestHierarchyJson:

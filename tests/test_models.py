@@ -144,9 +144,7 @@ class TestTrain:
                 evaluations.append(len(X))
                 return super()._pre_activation(X)
 
-            def with_params(self, params):
-                return CountingMlp(*params)
-
+        # the base's with_params keeps the subclass, so every epoch is counted
         X, y = make_blobs(14, 20, [(-1.0, 0.0), (1.0, 0.0)])
         epochs = 10
         train(CountingMlp(*SmallMlp.init(2, 2, 4, seed=15).params()), X, y, epochs, 0.1)
@@ -230,6 +228,17 @@ class TestModelParameters:
     def test_unconvertible_parameters_rejected(self, W):
         with pytest.raises(ValidationError, match="model parameters must be numeric arrays"):
             LinearSoftmax(W=W, b=[0.0, 0.0])
+
+    def test_unconvertible_parameter_wins_over_an_earlier_shape_error(self):
+        with pytest.raises(ValidationError, match="model parameters must be numeric arrays"):
+            SmallMlp(W1=np.ones((3, 2)), b1=[0.5], W2=[["a", 0.0, 0.0]], b2=[0.0])
+
+    @pytest.mark.parametrize("make", [lambda: LinearSoftmax(W=np.ones((0, 2)), b=np.ones(0)),
+                                      lambda: SmallMlp(np.ones((0, 2)), np.ones(0),
+                                                       np.ones((2, 0)), np.ones(2))])
+    def test_zero_row_weights_rejected(self, make):
+        with pytest.raises(ValidationError, match=r"W1? must be a matrix of at least one row"):
+            make()
 
 
 class TestMaskedModel:
