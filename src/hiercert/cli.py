@@ -18,7 +18,6 @@ import json
 import sys
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -36,6 +35,7 @@ from .hierarchy import (
     renormalization_report,
     subset_radius_sweep,
 )
+from .io import _naming
 from .models import PgdParams, softmax
 # `certify` is not called here; it stays because the benchmark's tracer test
 # looks up `hiercert.cli.certify`.
@@ -163,15 +163,6 @@ def _per_sample_seeds(seed: int, block: int, count: int) -> np.ndarray:
     return rng.mix64(base + np.arange(count, dtype=np.uint64))
 
 
-@contextmanager
-def _naming(source):
-    """A ValidationError raised in the block, prefixed with its file or field."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"{source}: {exc}") from None
-
-
 def _check_width(path, X: np.ndarray, models) -> None:
     """Every (name, model) of `models` takes the feature rows of X, read from path."""
     for name, model in models:
@@ -199,12 +190,12 @@ def _load_prob_source(config: dict, base: Path):
 # ------------------------------------------------------------------ commands
 
 def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
+    sigmas = config["sigma"] if isinstance(config["sigma"], list) else [config["sigma"]]
+    sigmas = _named_apart("sigma", [float(s) for s in sigmas])
     model = io.model_from_dict(config["model"], base)
     path = base / config["dataset"]["features"]
     ids, labels, X = io.read_features(path)
     _check_width(path, X, [("the model", model)])
-    sigma = config["sigma"]
-    sigmas = [float(s) for s in (sigma if isinstance(sigma, list) else [sigma])]
     thresholds = [float(t) for t in config["radius_thresholds"]]
     n0, n, alpha = config["n0"], config["n"], float(config["alpha_conf"])
 
@@ -240,9 +231,22 @@ def format_sigma(sigma: float) -> str:
     return s.replace(".", "p")
 
 
+def _named_apart(field: str, values: list[float]) -> list[float]:
+    """values, each naming an output by its `format_sigma`; two that format
+    alike would write one name twice, a ConfigError."""
+    named = {}
+    for v in values:
+        if (name := format_sigma(v)) in named:
+            raise ConfigError(field, f"{named[name]!r} and {v!r} both name their output "
+                              f"{name!r}", hint="values that differ in 6 significant digits")
+        named[name] = v
+    return values
+
+
 def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     sigma = float(config["sigma"])
-    thresholds = [float(t) for t in config["radius_thresholds"]]
+    thresholds = _named_apart("radius_thresholds",
+                              [float(t) for t in config["radius_thresholds"]])
     path, ids, labels, probs = _load_prob_source(config, base)
     part, m = config["partition"], probs.shape[1]
     with _naming(path):

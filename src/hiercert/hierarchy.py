@@ -15,7 +15,8 @@ of the subset's own labels, such as one fit by `retrain_leaf`.
 Every node is a unit of work: `_label_index` maps each true label onto a
 node's local target (the child holding it, or its index in a leaf), and
 `evaluate_adversarial` attacks a node once, over every row whose true
-root-to-leaf path passes through it.
+root-to-leaf path passes through it; `split.parts` may attack the first
+half of each node's rows in a forked child (`_attacked_correct`).
 """
 
 from __future__ import annotations
@@ -403,11 +404,11 @@ def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
     """`_node_correct` under attack of each (node, rows, targets) of jobs,
     which take `steps` PGD row steps in all.
 
-    With at least `SPLIT_MIN_PGD_WORK` of work (steps·d) and where
-    `split.can_hold_blas`, one forked child attacks the first half of every
-    node's rows while this process attacks the second half (`split.both`);
-    only the booleans cross the pipe. Every row is attacked as in the whole
-    call, so the concatenated halves are the one-process result."""
+    `split.parts` weighs the work (steps·d) against `SPLIT_MIN_PGD_WORK`
+    and may have a forked child attack the first half of every node's rows
+    while this process attacks the second half; only the booleans cross the
+    pipe. Every row is attacked as in the whole call, so the concatenated
+    halves are the one-process result."""
     def part(a: int, b: int) -> list[np.ndarray]:
         """Rows n·a//2 to n·b//2 of each node's n rows."""
         out = []
@@ -417,10 +418,8 @@ def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
                                      lo, len(rows)))
         return out
 
-    if steps * X.shape[1] < SPLIT_MIN_PGD_WORK or not split.can_hold_blas():
-        return part(0, 2)
-    heads, tails = split.both(lambda: part(0, 1), lambda: part(1, 2))
-    return [np.concatenate(pair) for pair in zip(heads, tails)]
+    return [np.concatenate(pieces)
+            for pieces in zip(*split.parts(part, steps * X.shape[1], SPLIT_MIN_PGD_WORK))]
 
 
 def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
@@ -437,12 +436,11 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     passes through it. A node is checked clean at most once and attacked at
     most once, its rows attacked as by one `pgd_attack` call over all of
     them. The attack takes `pgd_steps` = Σ attacked rows·iters·restarts row
-    steps, each one forward and one backward pass. From `SPLIT_MIN_PGD_WORK` of work (pgd_steps·d)
-    on, where numpy's OpenBLAS can be held to one thread, one forked child
-    attacks the first half of every attacked node's rows while this process
-    attacks the second half; a child that fails costs time, never a result,
-    and the report is the one-process report bit for bit
-    (`_attacked_correct`).
+    steps, each one forward and one backward pass. From `SPLIT_MIN_PGD_WORK`
+    of work (pgd_steps·d) on, one forked child may attack the first half of
+    every attacked node's rows while this process attacks the second half
+    (`split.parts`); a child that fails costs time, never a result, and the
+    report is the one-process report bit for bit (`_attacked_correct`).
     """
     for nid, node in h.nodes():
         # The attack runs `_fused_step`, which needs a built-in model's `_backward`.

@@ -2,7 +2,8 @@
 
 All floats are serialized with 17 significant digits so that every emitted
 file re-ingests to bit-identical values. Readers are strict about shapes
-and headers; schema problems raise ValidationError so the CLI can exit 1.
+and headers; schema problems raise ValidationError so the CLI can exit 1,
+prefixed with the file they were found in (`_naming`).
 
 A hierarchy file's leaf names its `strategy`: "renormalize" masks a model
 of all the file's labels to the leaf's subset (a `MaskedModel`), and
@@ -10,11 +11,13 @@ of all the file's labels to the leaf's subset (a `MaskedModel`), and
 only in the file; a loaded `Leaf` holds the classifier alone.
 
 A wide CSV (features, logits, probabilities) is read by one `np.loadtxt`
-record pass per process; `_read_wide_csv` says when a second process helps.
+record pass per part of its body, a part that `split.parts` may hand to a
+second process; `_read_wide_csv` says when.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -56,6 +59,15 @@ def _format_cell(v) -> str:
     if v is None:
         return ""
     return str(v)
+
+
+@contextlib.contextmanager
+def _naming(source):
+    """A ValidationError raised in the block, prefixed with its file or field."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def _open(path):
@@ -130,47 +142,15 @@ def _cut(mm, start: int) -> Optional[int]:
     return None
 
 
-def _split_read(fh, path, width: int, start: int):
-    """The rows of fh from byte `start` on, read by a forked child up to the
-    `_cut` and by this process from there (`split.fork_pair`). None when the
-    body holds a quote or no cut, or when anything fails: mmap raises, no
-    child is forked, this process's part is bad, or the child's part does
-    not arrive."""
-    try:
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            cut = None if mm.find(b'"', start) >= 0 else _cut(mm, start)
-    except OSError:
-        return None
-    if cut is None:
-        return None
-    fd, encoding = fh.fileno(), fh.encoding
-
-    def read_head():
-        return _records(TextIOWrapper(BytesIO(os.pread(fd, cut - start, start)),
-                                      encoding=encoding, newline=""), path, width)
-
-    def read_tail():
-        fh.seek(cut)
-        return _records(fh, path, width)
-
-    try:
-        head, tail = split.fork_pair(read_head, read_tail)
-    except ValidationError:
-        return None  # the one-process read raises its own error
-    if head is None:
-        return None
-    return (head[0] + tail[0], np.concatenate([head[1], tail[1]]),
-            np.concatenate([head[2], tail[2]]))
-
-
 def _read_wide_csv(path, prefix: str):
     """Common reader for sample_id,label,<prefix>0..<prefix>{w-1} files: the
     csv module reads the header, the first non-blank line, and `_records`
-    the rest. Converting 17-digit decimals to floats holds the GIL, so a
-    file of at least SPLIT_MIN_BYTES with a value column goes to
-    `_split_read` where `split.can_fork`; the same record pass makes the
-    result bit-identical. If no split happens, the whole body is read here,
-    and that read raises its own error."""
+    the rest. Converting 17-digit decimals to floats holds the GIL, so the
+    body of a file of at least SPLIT_MIN_BYTES with a value column and no
+    quote (which could hold a line break) is cut at its `_cut` and goes to
+    `split.parts`: the rows up to the cut may be read by a forked child, the
+    rest here. The same record pass makes the result bit-identical, and any
+    error is the one-process read's error."""
     with _open(path) as fh:
         header: list[str] = []
         start = 0  # characters read; bytes too, as a header that passes is ASCII
@@ -187,13 +167,37 @@ def _read_wide_csv(path, prefix: str):
         expected = [f"{prefix}{i}" for i in range(width)]
         if header[2:] != expected:
             raise ValidationError(f"{path}: value columns must be {prefix}0..{prefix}{width - 1}")
-        if (width > 0 and os.fstat(fh.fileno()).st_size >= SPLIT_MIN_BYTES
-                and split.can_fork()):
-            result = _split_read(fh, path, width, start)
-            if result is not None:
-                return result
-            fh.seek(start)
-        return _records(fh, path, width)
+        size, cut = os.fstat(fh.fileno()).st_size, None
+        if width and size >= SPLIT_MIN_BYTES:
+            with contextlib.suppress(OSError), mmap.mmap(fh.fileno(), 0,
+                                                          access=mmap.ACCESS_READ) as mm:
+                cut = None if mm.find(b'"', start) >= 0 else _cut(mm, start)
+        if cut is None:
+            return _records(fh, path, width)
+
+        def part(a: int, b: int):
+            """The records of the body's halves a/2 to b/2, cut at `cut`."""
+            if b == 1:
+                head = BytesIO(os.pread(fh.fileno(), cut - start, start))
+                return _records(TextIOWrapper(head, encoding=fh.encoding, newline=""),
+                                path, width)
+            if a == 0:
+                return _records(fh, path, width)  # fh is still at start
+            fh.seek(cut)
+            try:
+                return _records(fh, path, width)
+            except ValidationError:
+                # Its rows are counted from the cut: the whole body's read
+                # raises the error that names the first bad row.
+                fh.seek(start)
+                _records(fh, path, width)
+                raise
+
+        got = split.parts(part, size, SPLIT_MIN_BYTES)
+        if len(got) == 1:
+            return got[0]
+        ids, labels, values = zip(*got)
+        return sum(ids, []), np.concatenate(labels), np.concatenate(values)
 
 
 def _write_wide(path, prefix: str, ids: Sequence, labels, values: np.ndarray) -> None:
@@ -417,12 +421,10 @@ def write_partition(path, partition: LabelPartition) -> None:
 
 def read_partition(path, n_labels: Optional[int] = None) -> LabelPartition:
     raw = read_json(path)
-    try:
+    with _naming(path):
         if not isinstance(raw, list) or not all(isinstance(c, list) for c in raw):
             raise ValidationError("partition must be a list of label lists")
         return LabelPartition(tuple(tuple(c) for c in raw), n_labels=n_labels or 0)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 #: Each model file type and its class, whose dataclass fields name the parameters.
@@ -453,10 +455,8 @@ def model_from_dict(spec: dict, base_dir: Path | None = None, where: str = "mode
     cls = _variant(spec, "type", _MODELS, where, "model type")
     names = [f.name for f in fields(cls)]
     params = check_object(spec, {"type": _MODEL_TYPE, **dict.fromkeys(names, _PARAM)}, where)
-    try:
+    with _naming(where):
         return cls(*(params[name] for name in names))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def save_model(path, model) -> None:
@@ -528,4 +528,7 @@ def save_hierarchy(path, h: Hierarchy) -> None:
 
 
 def load_hierarchy(path) -> Hierarchy:
-    return hierarchy_from_dict(read_json(path), base_dir=Path(path).parent)
+    """The hierarchy of a hierarchy file; a ValidationError names the file."""
+    spec = read_json(path)
+    with _naming(path):
+        return hierarchy_from_dict(spec, base_dir=Path(path).parent)

@@ -25,12 +25,10 @@ about one piece whatever n is, and whatever d is up to PIECE (beyond it,
 one row). Each unit's noise comes from one `rng.normals` call over the
 unit's seeds, then gets one `logits` call, one argmax, and one `bincount` over
 (input, label) pairs. A call of at least `split.SPLIT_MIN_DRAWS` draws
-counts the first half of its units in a forked child and the rest in this
-process, each with numpy's OpenBLAS held to one thread, and adds the
-integer counts, so the counts do not depend on the split either; where
-that OpenBLAS cannot be held to one thread, every call stays in one
-process. `certify_batch` runs the selection and estimation
-passes through it, bounds all top-label counts with one
+may count the first half of its units in a forked child and the rest in
+this process (`split.parts`), and adds the integer counts, so the counts do
+not depend on the split either. `certify_batch` runs the selection and
+estimation passes through it, bounds all top-label counts with one
 `clopper_pearson_lower_batch` call and takes all radii from one
 `margin_radius` call. `clopper_pearson_lower` and `certify` are the
 one-input wrappers of the batched calls, and agree with them bit for bit.
@@ -103,11 +101,11 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
     the noise for sample s, dimension j sits at counter s*d + j of that
     seed's substream, so the counts do not depend on how inputs and samples
     are grouped into units. A unit is about one `rng.PIECE` of draws:
-    max(1, PIECE // d) rows, and PIECE rows when d is 0. A call of at least
-    `split.SPLIT_MIN_DRAWS` draws (B·n·d) with two units or more, where
-    `split.can_hold_blas`, counts the first half of its units in a forked
-    child and the rest here, both with one OpenBLAS thread (`split.summed`);
-    the counts are integers, so their sum is the one-process count.
+    max(1, PIECE // d) rows, and PIECE rows when d is 0. A call with two
+    units or more passes `split.parts` its B·n·d draws against
+    `split.SPLIT_MIN_DRAWS`, which may count the first half of the units in
+    a forked child and the rest here; the counts are integers, so their sum
+    is the one-process count.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -122,9 +120,10 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
     units = [(b0, min(b0 + per_unit, B), start, min(start + rows, n))
              for b0 in range(0, B, per_unit) for start in range(0, n, rows)]
 
-    def count(part):
+    def count(a: int, b: int) -> np.ndarray:
+        """The counts of units len·a//2 to len·b//2."""
         counts = np.zeros((B, m), dtype=np.int64)
-        for b0, b1, start, stop in part:
+        for b0, b1, start, stop in units[len(units) * a // 2:len(units) * b // 2]:
             k, s = b1 - b0, stop - start
             batch = rng.normals(seeds[b0:b1], stream, start * d, s * d).reshape(k, s, d)
             batch *= sigma
@@ -134,10 +133,9 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
             counts[b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
         return counts
 
-    half = len(units) // 2
-    if half and B * n * d >= split.SPLIT_MIN_DRAWS and split.can_hold_blas():
-        return split.summed(lambda: count(units[:half]), lambda: count(units[half:]))
-    return count(units)
+    if len(units) < 2:  # one unit has no half
+        return count(0, 2)
+    return sum(split.parts(count, B * n * d, split.SPLIT_MIN_DRAWS))
 
 
 def margin_radius(sigma: float, p_top, p_runner):

@@ -1,18 +1,19 @@
-"""One job in two processes: a forked child computes one part while this
+"""One job in two processes: a forked child computes one half while this
 process computes the other.
 
 The program splits work that holds the GIL, where a second thread would
 wait for it while a forked child runs beside this process: the 17-digit
 float parsing of a wide CSV, the toy sample's normal quantile, the
 Monte-Carlo votes of `smoothing.vote_counts` and the PGD steps of
-`hierarchy.evaluate_adversarial`. The votes and the attack call BLAS
-through the models' products, and two processes each running numpy's
+`hierarchy.evaluate_adversarial`. Each caller states its job as
+`part(a, b)`, halves a/2 to b/2 of it, and `parts` decides, for all of
+them, whether it runs in one process or two. The votes and the attack call
+BLAS through the models' products, and two processes each running numpy's
 OpenBLAS with a thread per CPU contend for the CPUs: a `vote_counts` split
-like that was 1.8-2x slower than one process. So `fork_pair` holds numpy's
+like that was 1.8-2x slower than one process. So `_fork_pair` holds numpy's
 OpenBLAS to one thread from just before the fork until the child is
-reaped, and work that calls BLAS splits only where it can
-(`can_hold_blas`). A caller gets the child's part only when it arrived
-whole, and otherwise does the work in this process (`both`), so a failed
+reaped, and no job splits where that thread count cannot be held. A first
+half that does not arrive whole is computed in this process, so a failed
 split costs time, never a result.
 """
 
@@ -47,11 +48,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def can_fork() -> bool:
-    """Whether `fork_pair` may fork: `os.fork` exists and two CPUs are usable."""
-    return hasattr(os, "fork") and _usable_cpus() > 1
-
-
 @functools.cache
 def _openblas():
     """(get, set) thread-count functions of the OpenBLAS that numpy's matmul
@@ -72,21 +68,17 @@ def _openblas():
     return None
 
 
-def can_hold_blas() -> bool:
-    """Whether `fork_pair` can hold numpy's OpenBLAS to one thread, so that
-    work calling BLAS may split."""
-    return _openblas() is not None
+def _can_split() -> bool:
+    """Whether `parts` may fork: `os.fork` exists, two CPUs are usable and
+    numpy's OpenBLAS can be held to one thread."""
+    return hasattr(os, "fork") and _usable_cpus() > 1 and _openblas() is not None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS to one thread, then put back its count; a
     child forked inside inherits the one thread."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
+    get, put = _openblas()
     before = get()
     put(1)
     try:
@@ -110,29 +102,26 @@ def _send(child, out: int):
         os._exit(code)
 
 
-def fork_pair(child, here):
+def _fork_pair(child, here):
     """(child(), here()), child() called in a forked child while this
-    process calls here(), both with numpy's OpenBLAS held to one thread.
+    process calls here(), both with numpy's OpenBLAS held to one thread;
+    None, with neither called, when the pipe or the fork raises.
 
-    The child's item is None when `os.fork` is missing, fewer than two CPUs
-    are usable, the pipe or the fork raises, or the child exits non-zero,
-    is killed or sends a truncated pickle. here() is called only if the
-    child was forked; otherwise its item is None too. An exception from
-    here() propagates once the child has been reaped. The OpenBLAS thread
-    count is put back after the child is reaped, also when here() raises."""
-    if not can_fork():
-        return None, None
+    The child's item is None when the child exits non-zero, is killed or
+    sends a truncated pickle. An exception from here() propagates once the
+    child has been reaped. The OpenBLAS thread count is put back after the
+    child is reaped, also when here() raises."""
     try:
         r, w = os.pipe()
     except OSError:
-        return None, None
+        return None
     with _one_blas_thread():
         try:
             pid = os.fork()
         except OSError:
             os.close(r)
             os.close(w)
-            return None, None
+            return None
         if pid == 0:
             os.close(r)  # so that the write fails, not blocks, once this process closes r
             _send(child, w)
@@ -151,15 +140,20 @@ def fork_pair(child, here):
     return (theirs if status == 0 else None), mine
 
 
-def both(head, tail):
-    """(head(), tail()), head() called in a forked child while this process
-    calls tail() (`fork_pair`). A half that does not arrive is computed in
-    this process, so the pair is the same wherever each half was computed."""
-    theirs, mine = fork_pair(head, tail)
-    return (head() if theirs is None else theirs), (tail() if mine is None else mine)
+def parts(part, work: int, min_work: int) -> list:
+    """The job that `part(a, b)` computes halves a/2 to b/2 of, as a list:
+    [part(0, 1), part(1, 2)] from two processes, or else [part(0, 2)].
 
-
-def summed(head, tail):
-    """head() + tail(), the halves computed as `both` computes them."""
-    theirs, mine = both(head, tail)
-    return theirs + mine
+    The job splits when work >= min_work and `_can_split`: a forked child
+    computes part(0, 1) while this process computes part(1, 2). Where the
+    pipe or the fork raises, the whole job is computed here, in one call; a
+    first half that does not arrive (`_fork_pair`) is computed here too.
+    A caller whose halves do not depend on where they run therefore gets
+    the same result from every path."""
+    if work < min_work or not _can_split():
+        return [part(0, 2)]
+    pair = _fork_pair(lambda: part(0, 1), lambda: part(1, 2))
+    if pair is None:
+        return [part(0, 2)]
+    theirs, mine = pair
+    return [part(0, 1) if theirs is None else theirs, mine]

@@ -172,18 +172,19 @@ def _hits(samples, cells, start: int, stop: int) -> np.ndarray:
 
 
 def _count_hits(samples, cells, n: int, d: int) -> np.ndarray:
-    """`_hits` over all n rows of each sample of d features. With at least
-    `split.SPLIT_MIN_DRAWS` feature draws in all and two blocks or more, a
-    forked child counts the blocks before the middle one while this process
-    counts the rest (`split.summed`). The counts are integers, so their sum
-    is the same whichever process counted which rows."""
+    """`_hits` over all n rows of each sample of d features. With two blocks
+    or more, `split.parts` may count the blocks before the middle one in a
+    forked child, by the feature draws of all samples and SPLIT_MIN_DRAWS.
+    The counts are integers, so their sum is the same whichever process
+    counted which rows."""
     step = _block_rows(d)
     n_blocks = -(-n // step)
     mid = n_blocks // 2 * step
-    if mid == 0 or len(samples) * n * d < split.SPLIT_MIN_DRAWS:
+    if mid == 0:  # one block has no half
         return _hits(samples, cells, 0, n)
-    return split.summed(lambda: _hits(samples, cells, 0, mid),
-                        lambda: _hits(samples, cells, mid, n))
+    bounds = (0, mid, n)
+    return sum(split.parts(lambda a, b: _hits(samples, cells, bounds[a], bounds[b]),
+                           len(samples) * n * d, split.SPLIT_MIN_DRAWS))
 
 
 @dataclass(frozen=True)

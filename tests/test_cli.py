@@ -317,7 +317,9 @@ class TestMalformedInputs:
     def test_malformed_input_names_its_field(self, tmp_path, capsys, case, field):
         assert self._run(tmp_path, *case) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error[validation] field '{field}': ")
+        # a hierarchy file's field also names the file
+        source = f"{tmp_path.resolve() / 'h.json'}: " if field.startswith("root") else ""
+        assert err.startswith(f"error[validation] {source}field '{field}': ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -350,6 +352,14 @@ class TestMalformedInputs:
         "zero-n0": ("certify", "n0", "0", "field 'n0'"),
         "zero-n": ("certify", "n", "0", "field 'n'"),
         "zero-sigma-in-list": ("certify", "sigma", "[0.5, 0]", "field 'sigma'"),
+        # values that name an output file or column must name it apart
+        "colliding-sigmas": ("certify", "sigma", "[0.5, 0.5000001]",
+                             "field 'sigma': 0.5 and 0.5000001 both name their output '0p5'"),
+        "repeated-sigma": ("certify", "sigma", "[1, 0.25, 1]", "field 'sigma'"),
+        "colliding-hierarchy-thresholds": ("hierarchy", "radius_thresholds", "[0.5, 0.50000001]",
+                                           "field 'radius_thresholds'"),
+        "repeated-hierarchy-threshold": ("hierarchy", "radius_thresholds", "[0, 0.5, 0]",
+                                         "field 'radius_thresholds'"),
         "zero-iters": ("attack", "attack", '{"iters": 0}', "field 'attack.iters'"),
         "zero-restarts": ("attack", "attack", '{"restarts": 0}', "field 'attack.restarts'"),
         "zero-step": ("attack", "attack", '{"step": 0}', "field 'attack.step'"),
@@ -358,21 +368,21 @@ class TestMalformedInputs:
         "unknown-strategy": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=[{"kind": "leaf", "labels": [0], "strategy": "mask"},
                                      {"kind": "leaf", "labels": [1]}]))),
-                             "field 'root.children.0.strategy'"),
+                             "h.json: field 'root.children.0.strategy'"),
         # a 'renormalize' leaf [2, 3] holding a model of two labels, not of all four
         "renormalize-leaf-arity": ("attack", "h.json", json.dumps({"n_labels": 4, "root": dict(
             _TREE["root"], children=[
                 {"kind": "leaf", "labels": [0, 1], "classifier": {
                     "type": "linear", "W": [[0.0, 0.0]] * 4, "b": [0.0] * 4}},
                 {"kind": "leaf", "labels": [2, 3], "classifier": _MODEL}])}),
-                                   "field 'root.children.1.classifier'"),
+                                   "h.json: field 'root.children.1.classifier'"),
         # true labels outside the label space name their file
         "probs-label-out-of-range": ("hierarchy", "p.csv",
                                      "sample_id,label,p0,p1\na,2,0.75,0.25\n", "p.csv"),
         "features-label-out-of-range": ("attack", "data.csv",
                                         "sample_id,label,e0,e1\na,2,0.5,0\n", "data.csv"),
         "leaf-label-out-of-range": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
-            _TREE["root"], children=_LEAVES))), "field 'root.children.0.labels'"),
+            _TREE["root"], children=_LEAVES))), "h.json: field 'root.children.0.labels'"),
         # out_partition is a bare file name that is not one of discover's own outputs
         "out-partition-table": ("discover", "out_partition", '"discovered_partition.csv"',
                                 "field 'out_partition'"),
@@ -410,7 +420,7 @@ class TestMalformedInputs:
                            "model: b must have shape (4,) to match W, not (2,)"),
         "node-short-b": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], classifier=dict(_MODEL, b=[0.0])))),
-                         "root.classifier: b must have shape (2,)"),
+                         "h.json: root.classifier: b must have shape (2,)"),
         # feature width against the model's, or every node's, input width
         "model-input-width": ("certify", "data.csv", "sample_id,label,e0,e1,e2\na,0,0.5,0,0\n",
                               "data.csv: 3 feature columns, but the model takes 2 inputs"),

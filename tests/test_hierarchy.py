@@ -599,8 +599,7 @@ class TestTwoProcessAttack:
 
         monkeypatch.setattr(os, broken, fail)
         (got, here), (want, whole) = self.reports(monkeypatch)
-        head, tail = self.halves(whole)
-        assert got == want and not forks and here == head + tail
+        assert got == want and not forks and here == whole
 
     @pytest.mark.parametrize("host", ["one-cpu", "no-fork", "no-blas-control"])
     def test_attacks_in_one_process_where_it_cannot_split(self, monkeypatch, forks, host):
@@ -611,10 +610,7 @@ class TestTwoProcessAttack:
         else:
             monkeypatch.setattr(split, "_openblas", lambda: None)
         (got, here), (want, whole) = self.reports(monkeypatch)
-        head, tail = self.halves(whole)
-        assert got == want and not forks
-        # both halves here where only the fork is missing; no split without BLAS control
-        assert here == (whole if host == "no-blas-control" else head + tail)
+        assert got == want and not forks and here == whole
 
     def test_leaf_model_without_the_fused_pass_is_rejected_before_any_fork(self, forks):
         # Public logits and input gradients are not enough: the attack runs
@@ -645,7 +641,7 @@ def test_attack_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
     h, X, y = two_process_case()
     scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
     got = evaluate_adversarial(h, X, y, scenario, seed=3)
-    assert len(forks) == int(split.can_fork() and split.can_hold_blas())
+    assert len(forks) == int(split._can_split())
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)
     assert got == evaluate_adversarial(h, X, y, scenario, seed=3)
 

@@ -272,8 +272,9 @@ class TestWideCsvSplit(TestWideCsv):
         path.write_text("\n".join(lines) + "\n")
         split_error = read_error(path)
         assert len(forks) == 1
-        # rows 0-3 are the child's part and rows 4-6 this process's; either
-        # failure sends the whole file to the one-process read, which raises
+        # rows 0-3 are the child's part and rows 4-6 this process's: a bad
+        # row of the child's part is raised by its read here, and one of this
+        # process's part by the read of the whole body that follows it
         assert len(parses) == 2 and parses[1] is None
         assert (parses[0] is None) == (bad_row > 3)
         assert_no_child_left()
@@ -302,8 +303,10 @@ class TestWideCsvSplit(TestWideCsv):
         path.write_bytes(LAYOUTS["non-ascii-crlf"].encode())
         n = len(assert_matches_oracle(path))
         assert len(forks) == n_forks
-        # this process's part if the child was forked, then the whole file
-        assert parses[n_forks:] == [n] and all(0 < k < n for k in parses[:n_forks])
+        if n_forks:  # this process's part, then the child's part read here
+            assert len(parses) == 2 and sum(parses) == n and all(0 < k < n for k in parses)
+        else:  # the whole file in one read
+            assert parses == [n]
         parses.clear()
 
     @pytest.mark.parametrize("how", ["exit-3", "sigkill", "truncated"])
@@ -326,6 +329,11 @@ class TestWideCsvSplit(TestWideCsv):
         self.check_serial_fallback(tmp_path, forks, parses, 0)
         monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
+        self.check_serial_fallback(tmp_path, forks, parses, 0)
+
+    def test_no_blas_control_reads_in_one_process(self, tmp_path, monkeypatch, forks,
+                                                  parses):
+        monkeypatch.setattr(split, "_openblas", lambda: None)
         self.check_serial_fallback(tmp_path, forks, parses, 0)
 
 

@@ -465,7 +465,7 @@ def test_vote_counts_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
     unit_rows(monkeypatch, 613, 3)
     model, X, seeds = MODELS["mlp"](), batch_inputs(37), wrapping_seeds(37)
     got = vote_counts(model, X, 0.4, 100, seeds)
-    assert len(forks) == int(split.can_fork() and split.can_hold_blas())
+    assert len(forks) == int(split._can_split())
     monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
     assert np.array_equal(got, vote_counts(model, X, 0.4, 100, seeds))
 

@@ -306,7 +306,7 @@ class TestTwoProcessCounts:
 
         monkeypatch.setattr(os, broken, fail)
         assert self.results(301) == self.want
-        assert not forks and counted == [(0, 150), (150, 301)] * 2
+        assert not forks and counted == [(0, 301)] * 2
 
     def test_one_cpu_or_no_fork_counts_in_one_process(self, monkeypatch, forks, counted):
         monkeypatch.setattr(split, "_usable_cpus", lambda: 1)
@@ -314,7 +314,12 @@ class TestTwoProcessCounts:
         monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
         assert self.results(301) == self.want
-        assert not forks and counted == [(0, 150), (150, 301)] * 4
+        assert not forks and counted == [(0, 301)] * 4
+
+    def test_no_blas_control_counts_in_one_process(self, monkeypatch, forks, counted):
+        monkeypatch.setattr(split, "_openblas", lambda: None)
+        assert self.results(301) == self.want
+        assert not forks and counted == [(0, 301)] * 2
 
     def test_raise_here_with_a_full_pipe_does_not_hang(self, monkeypatch, forks):
         parent = os.getpid()
