@@ -192,11 +192,12 @@ def _load_prob_source(config: dict, base: Path):
 def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     sigmas = config["sigma"] if isinstance(config["sigma"], list) else [config["sigma"]]
     sigmas = _named_apart("sigma", [float(s) for s in sigmas])
+    thresholds = _named_apart("radius_thresholds",
+                              [float(t) for t in config["radius_thresholds"]])
     model = io.model_from_dict(config["model"], base)
     path = base / config["dataset"]["features"]
     ids, labels, X = io.read_features(path)
     _check_width(path, X, [("the model", model)])
-    thresholds = [float(t) for t in config["radius_thresholds"]]
     n0, n, alpha = config["n0"], config["n"], float(config["alpha_conf"])
 
     tables = []
@@ -232,8 +233,8 @@ def format_sigma(sigma: float) -> str:
 
 
 def _named_apart(field: str, values: list[float]) -> list[float]:
-    """values, each naming an output by its `format_sigma`; two that format
-    alike would write one name twice, a ConfigError."""
+    """values, each naming an output (a table, a column or a row); two that
+    `format_sigma` writes alike would name one output twice, a ConfigError."""
     named = {}
     for v in values:
         if (name := format_sigma(v)) in named:

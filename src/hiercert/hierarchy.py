@@ -14,9 +14,11 @@ of the subset's own labels, such as one fit by `retrain_leaf`.
 
 Every node is a unit of work: `_label_index` maps each true label onto a
 node's local target (the child holding it, or its index in a leaf), and
-`evaluate_adversarial` attacks a node once, over every row whose true
-root-to-leaf path passes through it; `split.parts` may attack the first
-half of each node's rows in a forked child (`_attacked_correct`).
+`evaluate_adversarial` checks a node clean exactly once and attacks it at
+most once, over every row whose true root-to-leaf path passes through it;
+natural accuracy is read from those same clean passes. `split.parts` may
+attack the first half of each node's rows in a forked child
+(`_attacked_correct`).
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],
     rescaled, which is what makes the bound valid). The global argmax must
     lie inside the subset; otherwise the sample was routed wrong and is a
     misclassification, not a certificate. With no competitor left the
-    runner-up is 0, for which `margin_radius` gives +inf.
+    runner-up is 0, for which `margin_radius` gives +inf. The returned
+    `p_a_lower` is the point estimate p_top, not a confidence bound.
     """
     probs = as_probability_vector(smoothed_probs)
     s = normalize_subset(subset, probs.size)
@@ -382,27 +385,18 @@ class AdversarialReport:
     pgd_steps: int = 0
 
 
-def _node_correct(node: Node, X: np.ndarray, targets: np.ndarray,
-                  attack: Optional[PgdParams] = None, seed: int = 0,
-                  start: int = 0, total: Optional[int] = None) -> np.ndarray:
-    """Per row: does the node still produce its local target, on the clean
-    input or, given `attack`, after PGD? X holds rows start.. of the node's
-    `total` rows (default: all of them), attacked as that one `pgd_attack`
-    call over all the node's rows would attack them (`_pgd_rows`).
-
-    Singleton leaves have no classifier and cannot be attacked."""
+def _node_correct(node: Node, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per row of X: does the node produce its local target? A singleton
+    leaf has no classifier and is always right."""
     if node.classifier is None:
         return np.ones(X.shape[0], dtype=bool)
-    if attack is not None:
-        X = _pgd_rows(node.classifier, X, targets, attack, seed, start,
-                      X.shape[0] if total is None else total)
     return np.argmax(node.classifier.logits(X), axis=1) == targets
 
 
 def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
                       steps: int) -> list[np.ndarray]:
-    """`_node_correct` under attack of each (node, rows, targets) of jobs,
-    which take `steps` PGD row steps in all.
+    """`_node_correct` after `_pgd_rows` of each (node, rows, targets) of
+    jobs, which take `steps` PGD row steps in all.
 
     `split.parts` weighs the work (steps·d) against `SPLIT_MIN_PGD_WORK`
     and may have a forked child attack the first half of every node's rows
@@ -414,8 +408,9 @@ def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
         out = []
         for node, rows, targets in jobs:
             lo, hi = len(rows) * a // 2, len(rows) * b // 2
-            out.append(_node_correct(node, X[rows[lo:hi]], targets[lo:hi], attack, seed,
-                                     lo, len(rows)))
+            adv = _pgd_rows(node.classifier, X[rows[lo:hi]], targets[lo:hi], attack, seed,
+                            lo, len(rows))
+            out.append(_node_correct(node, adv, targets[lo:hi]))
         return out
 
     return [np.concatenate(pieces)
@@ -426,21 +421,24 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
                          seed: int = 0) -> AdversarialReport:
     """Natural and adversarial accuracy of a hierarchy of built-in models.
 
-    Worst case: every classifier on a sample's true path is attacked
-    independently from the clean input; the sample counts as correct only
-    if all of them still decide correctly. Budgeted: only the designated
-    node is attacked, every other classifier sees the clean input; the
-    target 'worst' tries each node and reports the most damaging one.
+    Every figure reads one rule from one per-node table: a row is right when
+    every node on its true root-to-leaf path decides right. Natural accuracy
+    attacks no node; it equals `infer_batch`'s, since a predicted path leaves
+    the true path at the first node that decides wrong. Worst case attacks
+    every classifier on the path, each independently from the clean input.
+    Budgeted attacks only the designated node; the target 'worst' tries
+    each node and reports the most damaging one.
 
     X needs at least one row. Each node's rows are those whose true path
-    passes through it. A node is checked clean at most once and attacked at
-    most once, its rows attacked as by one `pgd_attack` call over all of
-    them. The attack takes `pgd_steps` = Σ attacked rows·iters·restarts row
-    steps, each one forward and one backward pass. From `SPLIT_MIN_PGD_WORK`
-    of work (pgd_steps·d) on, one forked child may attack the first half of
-    every attacked node's rows while this process attacks the second half
-    (`split.parts`); a child that fails costs time, never a result, and the
-    report is the one-process report bit for bit (`_attacked_correct`).
+    passes through it. A node is checked clean exactly once and attacked at
+    most once (a singleton leaf never), its rows attacked as by one
+    `pgd_attack` call over all of them. The attack takes `pgd_steps` =
+    Σ attacked rows·iters·restarts row steps, each one forward and one
+    backward pass. From `SPLIT_MIN_PGD_WORK` of work (pgd_steps·d) on, one
+    forked child may attack the first half of every attacked node's rows
+    while this process attacks the second half (`split.parts`); a child that
+    fails costs time, never a result, and the report is the one-process
+    report bit for bit (`_attacked_correct`).
     """
     for nid, node in h.nodes():
         # The attack runs `_fused_step`, which needs a built-in model's `_backward`.
@@ -457,7 +455,6 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     y = checked_labels(y, h.n_labels)
     if not X.shape[0]:
         raise ValidationError("no data rows; an attack needs at least one input")
-    natural = float(np.mean(infer_batch(h, X) == y))
 
     every_node = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
     jobs, clean = {}, {}
@@ -467,34 +464,34 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
                   else (child.label_subset for child in node.children))
         local = _label_index(groups, h.n_labels)[y]
         rows = np.flatnonzero(local >= 0)
-        if every_node or nid == scenario.budget_target:
+        clean[nid] = rows, _node_correct(node, X[rows], local[rows])
+        # Singleton leaves have no classifier to attack.
+        if node.classifier is not None and (every_node or nid == scenario.budget_target):
             jobs[nid] = node, rows, local[rows]
-        # A single budgeted target never needs its own clean correctness.
-        if scenario.mode == BUDGETED and nid != scenario.budget_target:
-            clean[nid] = rows, _node_correct(node, X[rows], local[rows])
     # One forward and backward pass per attacked row, step and restart.
-    steps = sum(len(rows) for node, rows, _ in jobs.values() if node.classifier is not None)
+    steps = sum(len(rows) for _, rows, _ in jobs.values())
     steps *= scenario.attack.iters * scenario.attack.restarts
-    goods = _attacked_correct(list(jobs.values()), X, scenario.attack, seed, steps)
-    attacked = {nid: (rows, good) for (nid, (_, rows, _)), good in zip(jobs.items(), goods)}
+    attacked = dict(zip(jobs, _attacked_correct(list(jobs.values()), X, scenario.attack,
+                                                seed, steps)))
 
-    def accuracy(target_id: Optional[str]) -> float:
-        """Share of rows correct at every node: attacked at every node when
-        target_id is None, else attacked at target_id and clean elsewhere."""
+    def accuracy(hit: Sequence[str]) -> float:
+        """Share of rows that every node on their true path decides right,
+        attacked at the node ids in hit and clean elsewhere."""
         ok = np.ones(X.shape[0], dtype=bool)
-        for nid in node_ids:
-            rows, good = attacked[nid] if target_id in (None, nid) else clean[nid]
-            ok[rows] &= good
+        for nid, (rows, good) in clean.items():
+            ok[rows] &= attacked.get(nid, good) if nid in hit else good
         return float(np.mean(ok))
 
+    natural = accuracy(())
     if scenario.mode == WORST_CASE:
-        return AdversarialReport(natural_acc=natural, adv_acc=accuracy(None), pgd_steps=steps)
+        return AdversarialReport(natural_acc=natural, adv_acc=accuracy(node_ids),
+                                 pgd_steps=steps)
     if scenario.budget_target == "worst":
-        per_node = {nid: accuracy(nid) for nid in node_ids}
+        per_node = {nid: accuracy((nid,)) for nid in node_ids}
         return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
                                  per_node=per_node, pgd_steps=steps)
-    return AdversarialReport(natural_acc=natural, budget_acc=accuracy(scenario.budget_target),
-                             pgd_steps=steps)
+    return AdversarialReport(natural_acc=natural,
+                             budget_acc=accuracy((scenario.budget_target,)), pgd_steps=steps)
 
 
 def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500,

@@ -352,13 +352,17 @@ class TestMalformedInputs:
         "zero-n0": ("certify", "n0", "0", "field 'n0'"),
         "zero-n": ("certify", "n", "0", "field 'n'"),
         "zero-sigma-in-list": ("certify", "sigma", "[0.5, 0]", "field 'sigma'"),
-        # values that name an output file or column must name it apart
+        # values that name an output file, column or row must name it apart
         "colliding-sigmas": ("certify", "sigma", "[0.5, 0.5000001]",
                              "field 'sigma': 0.5 and 0.5000001 both name their output '0p5'"),
         "repeated-sigma": ("certify", "sigma", "[1, 0.25, 1]", "field 'sigma'"),
         "colliding-hierarchy-thresholds": ("hierarchy", "radius_thresholds", "[0.5, 0.50000001]",
                                            "field 'radius_thresholds'"),
         "repeated-hierarchy-threshold": ("hierarchy", "radius_thresholds", "[0, 0.5, 0]",
+                                         "field 'radius_thresholds'"),
+        "repeated-certify-threshold": ("certify", "radius_thresholds", "[0.5, 0.5]",
+                                       "field 'radius_thresholds'"),
+        "colliding-certify-thresholds": ("certify", "radius_thresholds", "[0.5, 0.50000001]",
                                          "field 'radius_thresholds'"),
         "zero-iters": ("attack", "attack", '{"iters": 0}', "field 'attack.iters'"),
         "zero-restarts": ("attack", "attack", '{"restarts": 0}', "field 'attack.restarts'"),

@@ -655,6 +655,40 @@ def test_attack_below_the_cut_off_does_not_fork(monkeypatch, forks):
     assert report.pgd_steps == 565 * 4 * 2 and not forks
 
 
+@pytest.mark.parametrize("mode,target", [("worst_case", None), ("budgeted", "root.3"),
+                                         ("budgeted", "worst")])
+def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
+    # Natural accuracy is read from the per-node clean passes on each row's
+    # true path, which every mode makes exactly once per node, and not from
+    # a walk down the predicted paths.
+    h, X, y = two_process_case()
+    natural = float(np.mean(infer_batch(h, X) == y))
+    adversarial, clean = [], []
+    original_pgd, original_correct = hierarchy._pgd_rows, hierarchy._node_correct
+
+    def walk(*args):
+        raise AssertionError("evaluate_adversarial called infer_batch")
+
+    def attacked(*args):
+        adversarial.append(original_pgd(*args))
+        return adversarial[-1]
+
+    def checked(node, X, targets):
+        if not any(X is adv for adv in adversarial):
+            clean.append(node)
+        return original_correct(node, X, targets)
+
+    monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)  # no call in a child
+    monkeypatch.setattr(hierarchy, "infer_batch", walk)
+    monkeypatch.setattr(hierarchy, "_pgd_rows", attacked)
+    monkeypatch.setattr(hierarchy, "_node_correct", checked)
+    report = evaluate_adversarial(h, X, y, AttackScenario(
+        mode=mode, budget_target=target, attack=TWO_PROCESS_PGD), seed=3)
+    assert [id(node) for node in clean] == [id(node) for _, node in h.nodes()]
+    assert len(adversarial) == (1 if target == "root.3" else 5)
+    assert report.natural_acc == natural and 0.0 < natural < 1.0
+
+
 class TestRetrainLeaf:
     def test_singleton_directive(self):
         X, y = make_blobs(11, 20, [(-1.0, 0.0), (1.0, 0.0)])
