@@ -197,6 +197,8 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     model = io.model_from_dict(config["model"], base)
     path = base / config["dataset"]["features"]
     ids, labels, X = io.read_features(path)
+    with _naming(path):
+        checked_labels(labels, model.n_labels)
     _check_width(path, X, [("the model", model)])
     n0, n, alpha = config["n0"], config["n"], float(config["alpha_conf"])
 
@@ -232,12 +234,12 @@ def format_sigma(sigma: float) -> str:
     return s.replace(".", "p")
 
 
-def _named_apart(field: str, values: list[float]) -> list[float]:
-    """values, each naming an output (a table, a column or a row); two that
-    `format_sigma` writes alike would name one output twice, a ConfigError."""
+def _named_apart(field: str, values: list) -> list:
+    """values, each naming an output (a table, a column or a row); two equal
+    ints, or floats that `format_sigma` writes alike, name one output twice."""
     named = {}
     for v in values:
-        if (name := format_sigma(v)) in named:
+        if (name := str(v) if isinstance(v, int) else format_sigma(v)) in named:
             raise ConfigError(field, f"{named[name]!r} and {v!r} both name their output "
                               f"{name!r}", hint="values that differ in 6 significant digits")
         named[name] = v
@@ -272,6 +274,9 @@ def cmd_hierarchy(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 
 def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
+    a = config["attack"]
+    if a["budget_target"] is not None and a["mode"] != "budgeted":
+        raise ConfigError("attack.budget_target", f"is for mode 'budgeted', not {a['mode']!r}")
     h = io.load_hierarchy(base / config["hierarchy"])
     path = base / config["dataset"]["features"]
     ids, labels, X = io.read_features(path)
@@ -281,7 +286,6 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
             raise ValidationError("no data rows; an attack needs at least one input")
     _check_width(path, X, [(f"node {nid!r}", node.classifier) for nid, node in h.nodes()
                            if node.classifier is not None])
-    a = config["attack"]
     pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
                     iters=a["iters"], restarts=a["restarts"])
     scenario = AttackScenario(mode=a["mode"], attack=pgd, budget_target=a["budget_target"])
@@ -328,7 +332,8 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 
 def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     _, ids, labels, probs = _load_prob_source(config, base)
-    stats = subset_radius_sweep(probs, float(config["sigma"]), config["sizes"],
+    sizes = _named_apart("sizes", config["sizes"])
+    stats = subset_radius_sweep(probs, float(config["sigma"]), sizes,
                                 mode=config["mode"], sample_count=config["samples_per_size"],
                                 seed=config["seed"])
     rows = [[s.size, s.n_finite, s.n_infinite, s.mean, s.std, s.q25, s.median, s.q75]
@@ -342,8 +347,9 @@ def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     seed, d, n_samples = config["seed"], config["d"], config["n_samples"]
     p = float(config["p"])
-    eta_list = [float(e) for e in config["eta_list"]]
-    cells = gauss_experiment(eta_list, config["k_list"], d, p, n_samples, seed)
+    eta_list = _named_apart("eta_list", [float(e) for e in config["eta_list"]])
+    k_list = _named_apart("k_list", config["k_list"])
+    cells = gauss_experiment(eta_list, k_list, d, p, n_samples, seed)
     rows = []
     for c in cells:
         bound = adversarial_accuracy_bound(p, 1.0 - c.natural_acc) if c.k == 0 else ""

@@ -9,11 +9,11 @@ Models are immutable; training returns a new instance. All randomness
 (parameter init, training noise, attack restarts) flows through the
 counter-mode streams in `rng`, so results are pure functions of the seed.
 
-Both built-in models derive from `_DenseLayers`, which freezes and
-shape-checks their dense layers and gives `params()` (in the order of the
-model-file field names), `with_params`, `n_labels` and `input_dim`. Each
-keeps its own `logits` and `input_grad_from_dlogits`, because the
-benchmark's tracer wraps those two in each class's own `__dict__`.
+Both built-in models derive from `_DenseLayers`, which shape-checks their
+frozen dense layers, gives `params()` (in model-file field order),
+`with_params`, `n_labels` and `input_dim`, and runs one forward, backward
+and parameter-gradient pass for both. Each keeps a one-line `logits` and
+`input_grad_from_dlogits`, which the benchmark's tracer wraps per class.
 """
 
 from __future__ import annotations
@@ -113,15 +113,16 @@ class _DenseLayers:
     """Base of the built-in models, whose dataclass fields are dense layers in
     order: a weight matrix W (rows >= 1, cols), then its bias b (rows,), each
     W's cols being the rows of the W before it. All are frozen before any
-    shape is checked, so an unconvertible parameter is reported first."""
+    shape is checked, so an unconvertible parameter is reported first. The
+    passes put a ReLU after every layer but the last. Every read goes through
+    one parameter tuple built here: `dataclasses.fields` costs microseconds."""
 
     def __post_init__(self):
         names = [f.name for f in fields(self)]
-        for name in names:
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        params = tuple(_freeze(getattr(self, name)) for name in names)
+        vars(self).update(zip(names, params), _params=params)  # frozen: setattr raises
         cols = None
-        for w, b in zip(names[::2], names[1::2]):
-            W, bias = getattr(self, w), getattr(self, b)
+        for w, b, W, bias in zip(names[::2], names[1::2], params[::2], params[1::2]):
             if W.ndim != 2 or W.shape[0] < 1 or cols not in (None, W.shape[1]):
                 raise ValidationError(f"{w} must be a matrix of at least one row and "
                                       f"{cols or 'any number of'} columns, not of shape {W.shape}")
@@ -132,17 +133,61 @@ class _DenseLayers:
 
     @property
     def n_labels(self) -> int:
-        return self.params()[-1].shape[0]
+        return self._params[-1].shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.params()[0].shape[1]
+        return self._params[0].shape[1]
 
     def params(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return self._params
 
     def with_params(self, params: Sequence[np.ndarray]):
         return type(self)(*params)
+
+    def _pre_activation(self, X: np.ndarray) -> np.ndarray:
+        """The first layer's affine output."""
+        Z = np.asarray(X, dtype=np.float64) @ self._params[0].T
+        Z += self._params[1]
+        return Z
+
+    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Logits, and the hidden activations (none for a linear model) that
+        `_backward` and `_param_grads` take. Each ReLU runs in place on its
+        pre-activation, so a batch holds one array per hidden layer, not two."""
+        p = self._params
+        out = self._pre_activation(X)
+        hidden = []
+        for k in range(2, len(p), 2):
+            np.maximum(out, 0.0, out=out)
+            hidden.append(out)
+            out = out @ p[k].T
+            out += p[k + 1]
+        return out, hidden
+
+    def _backward(self, hidden, G: np.ndarray) -> np.ndarray:
+        """Input gradient from the logit gradients G at the hidden activations.
+        H > 0 exactly where the pre-activation is > 0 (NaN included), so a
+        pre-activation may be passed as H: the ReLU mask is the same."""
+        p = self._params
+        for k in range(len(hidden), 0, -1):
+            G = G @ p[2 * k]
+            G *= hidden[k - 1] > 0.0
+        return G @ p[0]
+
+    def _param_grads(self, X: np.ndarray, hidden, G: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Gradients in `params()` order from the logit gradients G at inputs
+        X and the hidden activations (the cache of `_forward`)."""
+        p = self._params
+        inputs = (np.asarray(X, dtype=np.float64), *hidden)
+        grads = [None] * len(p)
+        for k in range(len(hidden), -1, -1):
+            grads[2 * k] = G.T @ inputs[k]
+            grads[2 * k + 1] = G.sum(axis=0)
+            if k:
+                G = G @ p[2 * k]
+                G *= inputs[k] > 0.0
+        return tuple(grads)
 
 
 @dataclass(frozen=True)
@@ -157,26 +202,11 @@ class LinearSoftmax(_DenseLayers):
         w = rng.normals(seed, rng.STREAM_INIT, 0, n_labels * dim) * scale
         return LinearSoftmax(W=w.reshape(n_labels, dim), b=np.zeros(n_labels))
 
-    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, None]:
-        """Logits, and the (empty) cache `_backward` takes."""
-        out = np.asarray(X, dtype=np.float64) @ self.W.T
-        out += self.b
-        return out, None
-
-    def _backward(self, cache: None, G: np.ndarray) -> np.ndarray:
-        """Input gradient from the logit gradients G."""
-        return G @ self.W
-
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self._forward(X)[0]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return self._backward(None, G)
-
-    def _param_grads(self, X: np.ndarray, cache: None, G: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Parameter gradients from the logit gradients G at inputs X."""
-        X = np.asarray(X, dtype=np.float64)
-        return (G.T @ X, G.sum(axis=0))
+        return self._backward((), G)
 
 
 @dataclass(frozen=True)
@@ -195,48 +225,11 @@ class SmallMlp(_DenseLayers):
         w2 = w[hidden * dim:].reshape(n_labels, hidden) * scale
         return SmallMlp(W1=w1, b1=np.zeros(hidden), W2=w2, b2=np.zeros(n_labels))
 
-    def _pre_activation(self, X: np.ndarray) -> np.ndarray:
-        Z = np.asarray(X, dtype=np.float64) @ self.W1.T
-        Z += self.b1
-        return Z
-
-    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits, and the hidden activation H that `_backward` takes.
-
-        The ReLU runs in place on the pre-activation, so a batch holds one
-        hidden-width array instead of two.
-        """
-        H = self._pre_activation(X)
-        np.maximum(H, 0.0, out=H)
-        out = H @ self.W2.T
-        out += self.b2
-        return out, H
-
-    def _backward(self, H: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Input gradient from the logit gradients G at hidden activation H.
-
-        H > 0 exactly where the pre-activation is > 0 (NaN included), so the
-        pre-activation may be passed as H: the ReLU mask is the same.
-        """
-        dH = G @ self.W2
-        dH *= H > 0.0
-        return dH @ self.W1
-
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self._forward(X)[0]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return self._backward(self._pre_activation(X), G)
-
-    def _param_grads(self, X: np.ndarray, H: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Parameter gradients from the logit gradients G at inputs X and
-        hidden activation H (the cache of `_forward`)."""
-        X = np.asarray(X, dtype=np.float64)
-        dW2 = G.T @ H
-        db2 = G.sum(axis=0)
-        dZ = G @ self.W2
-        dZ *= H > 0.0
-        return (dZ.T @ X, dZ.sum(axis=0), dW2, db2)
+        return self._backward((self._pre_activation(X),), G)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,12 @@ from numpy's row max, and the adversarial evaluation with each row's path
 found by its own walk and every node's clean check redone per target. The
 training oracle is the two-pass epoch (`logits`, then the parameter
 gradients from a second first-layer evaluation) that `models.train`
-replaces. The margin radius oracle is the vector path of
-`smoothing.margin_radius` with a comparison pass per range bound and the
-degenerate masks applied unconditionally. `peak_traced_bytes` measures a
+replaces, and `per_class_passes` gives a built-in model the forward,
+backward and parameter-gradient passes that each class once wrote for
+itself, which the one pass of `models._DenseLayers` replaces. The margin
+radius oracle is the vector path of `smoothing.margin_radius` with a
+comparison pass per range bound and the degenerate masks applied
+unconditionally. `peak_traced_bytes` measures a
 call's working memory; tracemalloc also sees numpy's data buffers. The
 `forks` fixture, `failing_send` and `killed_after` check the two-process
 paths (`hiercert.split`): every fork is counted and reaped, a child can be
@@ -54,7 +57,7 @@ from hiercert.hierarchy import (
     SizeStats,
     infer_batch,
 )
-from hiercert.models import SmallMlp
+from hiercert.models import LinearSoftmax, SmallMlp
 from hiercert.numerics import normal_quantile
 from hiercert.smoothing import margin_radius
 
@@ -400,6 +403,69 @@ def _param_grads_oracle(model, X: np.ndarray, G: np.ndarray) -> tuple[np.ndarray
         dZ = (G @ model.W2) * (Z > 0.0)
         return (dZ.T @ X, dZ.sum(axis=0), G.T @ H, G.sum(axis=0))
     return (G.T @ X, G.sum(axis=0))
+
+
+class _LinearPasses(LinearSoftmax):
+    """A linear model with its own passes; its cache is None."""
+
+    def _forward(self, X):
+        out = np.asarray(X, dtype=np.float64) @ self.W.T
+        out += self.b
+        return out, None
+
+    def _backward(self, cache, G):
+        return G @ self.W
+
+    def logits(self, X):
+        return self._forward(X)[0]
+
+    def input_grad_from_dlogits(self, X, G):
+        return self._backward(None, G)
+
+    def _param_grads(self, X, cache, G):
+        X = np.asarray(X, dtype=np.float64)
+        return (G.T @ X, G.sum(axis=0))
+
+
+class _MlpPasses(SmallMlp):
+    """A one-hidden-layer model with its own passes; its cache is the hidden
+    activation H."""
+
+    def _pre_activation(self, X):
+        Z = np.asarray(X, dtype=np.float64) @ self.W1.T
+        Z += self.b1
+        return Z
+
+    def _forward(self, X):
+        H = self._pre_activation(X)
+        np.maximum(H, 0.0, out=H)
+        out = H @ self.W2.T
+        out += self.b2
+        return out, H
+
+    def _backward(self, H, G):
+        dH = G @ self.W2
+        dH *= H > 0.0
+        return dH @ self.W1
+
+    def logits(self, X):
+        return self._forward(X)[0]
+
+    def input_grad_from_dlogits(self, X, G):
+        return self._backward(self._pre_activation(X), G)
+
+    def _param_grads(self, X, H, G):
+        X = np.asarray(X, dtype=np.float64)
+        dW2 = G.T @ H
+        db2 = G.sum(axis=0)
+        dZ = G @ self.W2
+        dZ *= H > 0.0
+        return (dZ.T @ X, dZ.sum(axis=0), dW2, db2)
+
+
+def per_class_passes(model):
+    """A copy of a built-in model whose passes are its class's own."""
+    return (_MlpPasses if isinstance(model, SmallMlp) else _LinearPasses)(*model.params())
 
 
 def train_oracle(model, X, y, epochs: int, learning_rate: float,

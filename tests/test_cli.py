@@ -362,6 +362,11 @@ class TestMalformedInputs:
                                          "field 'radius_thresholds'"),
         "repeated-certify-threshold": ("certify", "radius_thresholds", "[0.5, 0.5]",
                                        "field 'radius_thresholds'"),
+        "repeated-size": ("sweep", "sizes", "[2, 2]",
+                          "field 'sizes': 2 and 2 both name their output '2'"),
+        "repeated-eta": ("toy-gauss", "eta_list", "[0.1, 0.3, 0.1]", "field 'eta_list'"),
+        "colliding-etas": ("toy-gauss", "eta_list", "[0.1, 0.10000001]", "field 'eta_list'"),
+        "repeated-k": ("toy-gauss", "k_list", "[0, 0]", "field 'k_list'"),
         "colliding-certify-thresholds": ("certify", "radius_thresholds", "[0.5, 0.50000001]",
                                          "field 'radius_thresholds'"),
         "zero-iters": ("attack", "attack", '{"iters": 0}', "field 'attack.iters'"),
@@ -369,6 +374,12 @@ class TestMalformedInputs:
         "zero-step": ("attack", "attack", '{"step": 0}', "field 'attack.step'"),
         "negative-epsilon": ("attack", "attack", '{"epsilon": -0.1}', "field 'attack.epsilon'"),
         "unknown-mode": ("attack", "attack", '{"mode": "worstcase"}', "field 'attack.mode'"),
+        # a budget target is read by budgeted attacks only
+        "budget-target-in-worst-case": ("attack", "attack",
+                                        '{"mode": "worst_case", "budget_target": "nonexistent"}',
+                                        "field 'attack.budget_target'"),
+        "budget-target-in-default-mode": ("attack", "attack", '{"budget_target": "worst"}',
+                                          "field 'attack.budget_target'"),
         "unknown-strategy": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=[{"kind": "leaf", "labels": [0], "strategy": "mask"},
                                      {"kind": "leaf", "labels": [1]}]))),
@@ -385,6 +396,10 @@ class TestMalformedInputs:
                                      "sample_id,label,p0,p1\na,2,0.75,0.25\n", "p.csv"),
         "features-label-out-of-range": ("attack", "data.csv",
                                         "sample_id,label,e0,e1\na,2,0.5,0\n", "data.csv"),
+        "certify-label-out-of-range": ("certify", "data.csv", "sample_id,label,e0,e1\na,2,0.5,0\n",
+                                       "data.csv: labels must lie in 0..1"),
+        "certify-negative-label": ("certify", "data.csv", "sample_id,label,e0,e1\na,-1,0.5,0\n",
+                                   "data.csv: labels must lie in 0..1"),
         "leaf-label-out-of-range": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=_LEAVES))), "h.json: field 'root.children.0.labels'"),
         # out_partition is a bare file name that is not one of discover's own outputs
@@ -453,6 +468,10 @@ class TestMalformedInputs:
         "confusion-short-row": ("discover", "cm.csv", "1,0\n\n\n0\n",
                                 "cm.csv: data row 2: expected 2 fields, found 1"),
     }
+
+    def test_distinct_integers_name_their_outputs_apart(self):
+        # `format_sigma` writes both as '1e+06', but an integer is named exactly
+        assert cli._named_apart("k_list", [1000000, 1000001]) == [1000000, 1000001]
 
     @pytest.mark.parametrize("command, key, text, name", list(REJECTED.values()),
                              ids=list(REJECTED))

@@ -26,6 +26,7 @@ from helpers import (
     cross_entropy_oracle,
     linearly_separable,
     make_blobs,
+    per_class_passes,
     pgd_attack_oracle,
     softmax_oracle,
     train_oracle,
@@ -550,3 +551,52 @@ class TestFusedPgd:
         with pytest.raises(CapabilityError, match="LogitsOnly cannot be attacked"):
             pgd_attack(MaskedModel(LogitsOnly(3), (0, 1)), np.zeros((1, 2)), [0],
                        PgdParams(epsilon=0.1, step=0.05), seed=0)
+
+
+def _pass_batch(kind: str, rows: int):
+    """A model of 5 labels on 6 inputs, rows inputs and logit gradients G."""
+    init = (LinearSoftmax.init(5, 6, seed=50) if kind == "linear"
+            else SmallMlp.init(5, 6, 9, seed=50))
+    # nonzero biases, so that every `+= b` shows
+    model = init.with_params([p + 0.1 for p in init.params()])
+    X = rng.normals(51, 330, 0, rows * 6).reshape(rows, 6)
+    G = rng.normals(51, 331, 0, rows * 5).reshape(rows, 5)
+    return model, X, G
+
+
+class TestDensePasses:
+    """The one pass of `_DenseLayers` equals each class's own passes bit for
+    bit, at one row (numpy's matrix-vector path), at 7 and at 500."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_passes_equal_the_per_class_oracle(self, kind, rows):
+        model, X, G = _pass_batch(kind, rows)
+        oracle = per_class_passes(model)
+        logits, hidden = model._forward(X)
+        want, cache = oracle._forward(X)
+        assert same_bits(logits, want)
+        want_hidden = [] if cache is None else [cache]
+        assert len(hidden) == len(want_hidden)
+        assert all(same_bits(a, b) for a, b in zip(hidden, want_hidden))
+        assert same_bits(model._backward(hidden, G), oracle._backward(cache, G))
+        grads = model._param_grads(X, hidden, G)
+        want_grads = oracle._param_grads(X, cache, G)
+        assert len(grads) == len(want_grads) == len(model.params())
+        assert all(same_bits(a, b) for a, b in zip(grads, want_grads))
+        assert same_bits(model.logits(X), oracle.logits(X))
+        assert same_bits(model.input_grad_from_dlogits(X, G),
+                         oracle.input_grad_from_dlogits(X, G))
+
+    @pytest.mark.parametrize("cols", [None, (0, 2, 3)])
+    @pytest.mark.parametrize("rows", [1, 7, 500])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_fused_step_equals_the_per_class_oracle(self, kind, rows, cols):
+        model, X, _ = _pass_batch(kind, rows)
+        m = model.n_labels if cols is None else len(cols)
+        y = rng.integers(51, 332, 0, rows, m)
+        cols = None if cols is None else np.asarray(cols, dtype=np.int64)
+        got, want = (_fused_step(base, cols, X, y, None if cols is None else
+                                 np.zeros((rows, model.n_labels)), rows + 3)
+                     for base in (model, per_class_passes(model)))
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
