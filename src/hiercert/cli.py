@@ -278,13 +278,18 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     if a["budget_target"] is not None and a["mode"] != "budgeted":
         raise ConfigError("attack.budget_target", f"is for mode 'budgeted', not {a['mode']!r}")
     h = io.load_hierarchy(base / config["hierarchy"])
+    nodes = dict(h.nodes())
+    if a["budget_target"] not in (None, "worst", *nodes):
+        raise ConfigError("attack.budget_target", f"no node named {a['budget_target']!r} in "
+                          f"{base / config['hierarchy']}; its node ids are {list(nodes)}",
+                          hint="a node id of the hierarchy, or 'worst'")
     path = base / config["dataset"]["features"]
     ids, labels, X = io.read_features(path)
     with _naming(path):
         checked_labels(labels, h.n_labels)
         if not len(ids):
             raise ValidationError("no data rows; an attack needs at least one input")
-    _check_width(path, X, [(f"node {nid!r}", node.classifier) for nid, node in h.nodes()
+    _check_width(path, X, [(f"node {nid!r}", node.classifier) for nid, node in nodes.items()
                            if node.classifier is not None])
     pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
                     iters=a["iters"], restarts=a["restarts"])
@@ -307,7 +312,12 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     k = config["k"]
 
     if config["embeddings"] is not None:
-        ids, labels, vectors = io.read_features(base / config["embeddings"])
+        path = base / config["embeddings"]
+        ids, labels, vectors = io.read_features(path)
+        if config["n_labels"] is not None and labels.size and labels.max() >= config["n_labels"]:
+            raise ConfigError("n_labels", f"{path} holds label {labels.max()}, beyond a "
+                              f"label space of {config['n_labels']}",
+                              hint="at least the largest label + 1")
         result = kmeans(vectors, k, seed=config["seed"], max_iter=config["max_iter"],
                         tol=float(config["tol"]))
         sep = cluster_separation_check(result.assignment, vectors) if k >= 2 else None

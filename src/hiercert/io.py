@@ -463,10 +463,6 @@ def save_model(path, model) -> None:
     write_json(path, model_to_dict(model))
 
 
-def load_model(path):
-    return model_from_dict(read_json(path))
-
-
 def hierarchy_to_dict(h: Hierarchy) -> dict:
     def encode(node) -> dict:
         if isinstance(node, Leaf):

@@ -5,9 +5,10 @@ a one-hidden-layer ReLU network with manual backpropagation, full-batch
 gradient-descent training (optionally under Gaussian input noise), and an
 l-inf PGD attack.
 
-Models are immutable; training returns a new instance. All randomness
-(parameter init, training noise, attack restarts) flows through the
-counter-mode streams in `rng`, so results are pure functions of the seed.
+Models are immutable and compare and hash by identity (their fields are
+arrays); training returns a new instance. All randomness (parameter init,
+training noise, attack restarts) flows through the counter-mode streams in
+`rng`, so results are pure functions of the seed.
 
 Both built-in models derive from `_DenseLayers`, which shape-checks their
 frozen dense layers, gives `params()` (in model-file field order),
@@ -190,7 +191,7 @@ class _DenseLayers:
         return tuple(grads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSoftmax(_DenseLayers):
     """Affine logits: W x + b."""
 
@@ -209,7 +210,7 @@ class LinearSoftmax(_DenseLayers):
         return self._backward((), G)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallMlp(_DenseLayers):
     """One ReLU hidden layer: W2 relu(W1 x + b1) + b2."""
 
@@ -232,7 +233,7 @@ class SmallMlp(_DenseLayers):
         return self._backward((self._pre_activation(X),), G)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskedModel:
     """A model restricted to a label subset; logits are selected columns.
 
@@ -353,11 +354,6 @@ def train(model, X: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float
     return current
 
 
-def accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
-    pred = np.argmax(model.logits(np.asarray(X, dtype=np.float64)), axis=1)
-    return float(np.mean(pred == np.asarray(y)))
-
-
 def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
     """Untargeted l-inf PGD: ascend cross-entropy, project after every step.
 
@@ -451,67 +447,3 @@ def _project(cur: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.minimum(cur, hi, out=cur)
     np.maximum(cur, lo, out=cur)
 
-
-def gradient_check(model, x, y: int) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Checks both the input gradient and every parameter gradient of the
-    cross-entropy loss at a single sample. The relative error divides by
-    max(1, |analytic|, |numeric|) so that near-zero gradients are compared
-    absolutely.
-    """
-    step = 1e-5
-    x = np.asarray(x, dtype=np.float64)
-    X = x[None, :]
-    ya = np.asarray([y], dtype=np.int64)
-    logits = model.logits(X)
-    G = _dlogits(logits, ya)
-    analytic_input = model.input_grad_from_dlogits(X, G)[0]
-    analytic_params = model._param_grads(X, model._forward(X)[1], G)
-
-    worst = 0.0
-
-    def rel(a: float, n: float) -> float:
-        return abs(a - n) / max(1.0, abs(a), abs(n))
-
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        num = (cross_entropy(model.logits(xp[None, :]), ya)
-               - cross_entropy(model.logits(xm[None, :]), ya)) / (2 * step)
-        worst = max(worst, rel(float(analytic_input[j]), num))
-
-    base_params = model.params()
-    for pi, p in enumerate(base_params):
-        flat = p.ravel()
-        for j in range(flat.size):
-            def loss_with(delta: float) -> float:
-                tweaked = [q.copy() for q in base_params]
-                tweaked[pi].ravel()[j] += delta
-                return cross_entropy(model.with_params(tweaked).logits(X), ya)
-
-            num = (loss_with(step) - loss_with(-step)) / (2 * step)
-            worst = max(worst, rel(float(analytic_params[pi].ravel()[j]), num))
-    return worst
-
-
-def gradient_check_random(make_model, n_configs: int, seed: int) -> float:
-    """Worst gradient-check error over random configurations.
-
-    `make_model(config_seed)` builds a fresh model. Test inputs near a ReLU
-    kink (any |pre-activation| < 1e-3) are redrawn so the finite-difference
-    oracle stays valid.
-    """
-    worst = 0.0
-    for c in range(n_configs):
-        model = make_model(seed + c)
-        d = model.input_dim
-        for attempt in range(64):
-            x = rng.normals(seed, 1000 + c, attempt * d, d)
-            z = model._pre_activation(x[None, :]) if isinstance(model, SmallMlp) else None
-            if z is None or np.min(np.abs(z)) >= 1e-3:
-                break
-        y = int(rng.integers(seed, 2000 + c, 0, 1, model.n_labels)[0])
-        worst = max(worst, gradient_check(model, x, y))
-    return worst

@@ -45,7 +45,7 @@ from scipy import special
 from . import rng, split
 from .core import ABSTAIN, CertifiedPrediction
 from .errors import ValidationError
-from .numerics import normal_cdf, normal_quantile
+from .numerics import normal_quantile
 
 
 @dataclass(frozen=True)
@@ -231,19 +231,3 @@ def certify(classifier, x, config: SmoothingConfig, seed: int) -> CertifiedPredi
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     return certify_batch(classifier, x, config, [seed & 0xFFFFFFFFFFFFFFFF]).prediction(0)
 
-
-def exact_smoothed_linear(w, b: float, x, sigma: float) -> float:
-    """Closed-form smoothed positive-class probability of a binary linear rule.
-
-    For sign(w.x + b) under N(0, sigma^2 I) noise the smoothed probability is
-    Phi((w.x + b) / (sigma * ||w||)). Used as the analytic oracle in the
-    calibration tests.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ValidationError("weight vector must be nonzero")
-    if not sigma > 0:
-        raise ValidationError("sigma must be positive")
-    return float(normal_cdf((float(w @ x) + b) / (sigma * norm)))

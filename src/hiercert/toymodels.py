@@ -63,7 +63,11 @@ def _block_rows(d: int) -> int:
 
 def _gauss_blocks(params: GaussModelParams, seed: int, start: int, stop: int):
     """(X, y) of each block of rows start..stop-1 of the sample, in order;
-    start is a multiple of `_block_rows`, so the blocks are the sample's own."""
+    start is a multiple of `_block_rows`, so the blocks are the sample's own.
+
+    y is uniform in {-1,+1}; column 0 equals y with probability p; columns
+    1..d are N(eta*y, 1). Row i's label and robust feature are draw i of
+    their substreams, and feature (i, j) is draw i*d + j of its own."""
     d = params.d
     step = _block_rows(d)
     for lo in range(start, stop, step):
@@ -76,24 +80,6 @@ def _gauss_blocks(params: GaussModelParams, seed: int, start: int, stop: int):
         feats = rng.normals(seed, _STREAM_FEAT, lo * d, count * d).reshape(count, d)
         np.add(feats, params.eta * y[:, None], out=X[:, 1:])
         yield X, y
-
-
-def sample_gauss_model(params: GaussModelParams, n_samples: int,
-                       seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (X, y): y uniform in {-1,+1}; column 0 equals y with probability p;
-    columns 1..d are N(eta*y, 1), one deterministic substream per quantity.
-
-    Row i's label and robust feature are draw i of their substreams, and
-    feature (i, j) is draw i*d + j of its own, so the rows are the
-    concatenation of the blocks the experiments consume, bit for bit."""
-    X = np.empty((n_samples, params.d + 1))
-    y = np.empty(n_samples)
-    start = 0
-    for X_block, y_block in _gauss_blocks(params, seed, 0, n_samples):
-        stop = start + len(y_block)
-        X[start:stop], y[start:stop] = X_block, y_block
-        start = stop
-    return X, y
 
 
 def meta_feature(X, k: int) -> np.ndarray:

@@ -20,7 +20,11 @@ training oracle is the two-pass epoch (`logits`, then the parameter
 gradients from a second first-layer evaluation) that `models.train`
 replaces, and `per_class_passes` gives a built-in model the forward,
 backward and parameter-gradient passes that each class once wrote for
-itself, which the one pass of `models._DenseLayers` replaces. The margin
+itself, which the one pass of `models._DenseLayers` replaces. The gradient
+check compares a model's analytic gradients with central differences of
+`cross_entropy_oracle`. `exact_smoothed_linear` is the closed-form smoothed
+probability of a binary linear rule, and `gauss_sample_oracle` draws the
+toy Gaussian sample whole, where `toymodels` draws it in blocks. The margin
 radius oracle is the vector path of `smoothing.margin_radius` with a
 comparison pass per range bound and the degenerate masks applied
 unconditionally. `peak_traced_bytes` measures a
@@ -360,6 +364,107 @@ def cross_entropy_oracle(logits, y) -> float:
     zmax = z.max(axis=1)
     lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
     return float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+
+
+def gradient_check(model, x, y: int) -> float:
+    """Max relative error of analytic against central-difference gradients.
+
+    Checks the input gradient (`input_grad_from_dlogits`) and every parameter
+    gradient (`_param_grads` at the `_forward` cache) of the cross-entropy
+    at a single sample. The logit gradient is `softmax_oracle` minus the
+    one-hot, and the differenced loss is `cross_entropy_oracle`. The
+    relative error divides by max(1, |analytic|, |numeric|) so that
+    near-zero gradients are compared absolutely.
+    """
+    step = 1e-5
+    x = np.asarray(x, dtype=np.float64)
+    X = x[None, :]
+    G = softmax_oracle(model.logits(X))
+    G[0, y] -= 1.0
+    analytic_input = model.input_grad_from_dlogits(X, G)[0]
+    analytic_params = model._param_grads(X, model._forward(X)[1], G)
+
+    def rel(a: float, n: float) -> float:
+        return abs(a - n) / max(1.0, abs(a), abs(n))
+
+    worst = 0.0
+    for j in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        num = (cross_entropy_oracle(model.logits(xp[None, :]), [y])
+               - cross_entropy_oracle(model.logits(xm[None, :]), [y])) / (2 * step)
+        worst = max(worst, rel(float(analytic_input[j]), num))
+
+    base_params = model.params()
+    for pi, p in enumerate(base_params):
+        for j in range(p.size):
+            def loss_with(delta: float) -> float:
+                tweaked = [q.copy() for q in base_params]
+                tweaked[pi].ravel()[j] += delta
+                return cross_entropy_oracle(model.with_params(tweaked).logits(X), [y])
+
+            num = (loss_with(step) - loss_with(-step)) / (2 * step)
+            worst = max(worst, rel(float(analytic_params[pi].ravel()[j]), num))
+    return worst
+
+
+def gradient_check_random(make_model, n_configs: int, seed: int) -> float:
+    """Worst `gradient_check` error over random configurations.
+
+    `make_model(config_seed)` builds a fresh model. Test inputs near a ReLU
+    kink (any |pre-activation| < 1e-3) are redrawn so the finite-difference
+    oracle stays valid.
+    """
+    worst = 0.0
+    for c in range(n_configs):
+        model = make_model(seed + c)
+        d = model.input_dim
+        for attempt in range(64):
+            x = rng.normals(seed, 1000 + c, attempt * d, d)
+            if not isinstance(model, SmallMlp) or np.abs(x @ model.W1.T + model.b1).min() >= 1e-3:
+                break
+        y = int(rng.integers(seed, 2000 + c, 0, 1, model.n_labels)[0])
+        worst = max(worst, gradient_check(model, x, y))
+    return worst
+
+
+def exact_smoothed_linear(w, b: float, x, sigma: float) -> float:
+    """Closed-form smoothed positive-class probability of a binary linear rule.
+
+    For sign(w.x + b) under N(0, sigma^2 I) noise the smoothed probability is
+    Phi((w.x + b) / (sigma * ||w||)), with Phi from the complementary error
+    function.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        raise ValidationError("weight vector must be nonzero")
+    if not sigma > 0:
+        raise ValidationError("sigma must be positive")
+    z = (float(w @ np.asarray(x, dtype=np.float64)) + b) / (sigma * norm)
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+#: The streams of the toy Gaussian sample's labels, robust-feature flips and
+#: features, as `toymodels` numbers them.
+GAUSS_STREAMS = (101, 102, 103)
+
+
+def gauss_sample_oracle(params, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The toy Gaussian sample (X, y) of n rows, each stream read as one array.
+
+    y is uniform in {-1,+1}; column 0 equals y with probability p; columns
+    1..d are N(eta*y, 1). Row i's label and flip are draw i of their
+    streams, and feature (i, j) is draw i*d + j of its own."""
+    label, robust, feat = GAUSS_STREAMS
+    y = np.where(rng.uniforms(seed, label, 0, n) < 0.5, -1.0, 1.0)
+    flip = np.where(rng.uniforms(seed, robust, 0, n) < params.p, 1.0, -1.0)
+    X = np.empty((n, params.d + 1))
+    X[:, 0] = y * flip
+    X[:, 1:] = rng.normals(seed, feat, 0, n * params.d).reshape(n, params.d)
+    X[:, 1:] += params.eta * y[:, None]
+    return X, y
 
 
 def pgd_attack_oracle(model, x, y, params, seed: int = 0) -> np.ndarray:

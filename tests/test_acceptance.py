@@ -26,10 +26,9 @@ from hiercert.models import (
     LinearSoftmax,
     PgdParams,
     SmallMlp,
-    gradient_check_random,
     pgd_attack,
 )
-from hiercert.smoothing import SmoothingConfig, certify, exact_smoothed_linear
+from hiercert.smoothing import SmoothingConfig, certify
 from hiercert.toymodels import (
     GaussModelParams,
     PrfModelParams,
@@ -37,11 +36,16 @@ from hiercert.toymodels import (
     meta_feature,
     meta_feature_accuracy,
     prf_experiment,
-    sample_gauss_model,
     tradeoff_experiment,
 )
 
-from helpers import quantile_oracle, synth_prob_dataset
+from helpers import (
+    exact_smoothed_linear,
+    gauss_sample_oracle,
+    gradient_check_random,
+    quantile_oracle,
+    synth_prob_dataset,
+)
 
 SEED = 2026
 
@@ -165,7 +169,7 @@ def test_06_meta_feature_reliability_threshold():
         analytic = meta_feature_accuracy(eta, k)
         ok &= analytic > 0.99
         params = GaussModelParams(d=k, p=0.95, eta=eta)
-        X, y = sample_gauss_model(params, n, seed=k)
+        X, y = gauss_sample_oracle(params, n, seed=k)
         mc = float(np.mean(meta_feature(X, k) == y))
         se = math.sqrt(analytic * (1 - analytic) / n)
         ok &= abs(mc - analytic) <= 3 * se

@@ -270,7 +270,8 @@ _VALID = {
 # usual input.
 _READING = {"cm.csv": {"k": 1, "confusion": "cm.csv"},
             "m.json": dict(_VALID["certify"], model={"type": "mlp", "path": "m.json"}),
-            "part.json": dict(_VALID["hierarchy"], partition="part.json")}
+            "part.json": dict(_VALID["hierarchy"], partition="part.json"),
+            "emb.csv": {"k": 1, "embeddings": "emb.csv", "n_labels": 2}}
 # a leaf holding label 5 of a two-label hierarchy
 _LEAVES = [{"kind": "leaf", "labels": [0, 5], "classifier": _MODEL},
            {"kind": "leaf", "labels": [1]}]
@@ -380,6 +381,18 @@ class TestMalformedInputs:
                                         "field 'attack.budget_target'"),
         "budget-target-in-default-mode": ("attack", "attack", '{"budget_target": "worst"}',
                                           "field 'attack.budget_target'"),
+        # a budget target that names no node, and a label-space size below a
+        # label, name the field and the file
+        "unknown-budget-target": ("attack", "attack",
+                                  '{"mode": "budgeted", "budget_target": "nonexistent"}',
+                                  "field 'attack.budget_target': no node named 'nonexistent'"),
+        "unknown-budget-target-file": ("attack", "attack",
+                                       '{"mode": "budgeted", "budget_target": "nonexistent"}',
+                                       "h.json; its node ids are ['root', 'root.0', 'root.1']"),
+        "n-labels-at-a-label": ("discover", "emb.csv", "sample_id,label,e0,e1\na,2,0.5,0\n",
+                                "field 'n_labels': "),
+        "n-labels-at-a-label-file": ("discover", "emb.csv", "sample_id,label,e0,e1\na,2,0.5,0\n",
+                                     "emb.csv holds label 2, beyond a label space of 2"),
         "unknown-strategy": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=[{"kind": "leaf", "labels": [0], "strategy": "mask"},
                                      {"kind": "leaf", "labels": [1]}]))),

@@ -494,7 +494,7 @@ class TestModelJson:
     def test_linear_round_trip(self, tmp_path):
         model = LinearSoftmax.init(3, 4, seed=5)
         io.save_model(tmp_path / "m.json", model)
-        got = io.load_model(tmp_path / "m.json")
+        got = io.model_from_dict(io.read_json(tmp_path / "m.json"))
         assert sorted(io.read_json(tmp_path / "m.json")) == ["W", "b", "type"]
         for a, b in zip(model.params(), got.params()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -504,7 +504,7 @@ class TestModelJson:
         model = SmallMlp.init(3, 4, 6, seed=6)
         model = model.with_params([-p for p in model.params()])
         io.save_model(tmp_path / "m.json", model)
-        got = io.load_model(tmp_path / "m.json")
+        got = io.model_from_dict(io.read_json(tmp_path / "m.json"))
         assert sorted(io.read_json(tmp_path / "m.json")) == ["W1", "W2", "b1", "b2", "type"]
         assert type(got) is SmallMlp
         for a, b in zip(model.params(), got.params()):

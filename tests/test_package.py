@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import hiercert
@@ -22,3 +23,54 @@ def test_helpers_import_no_private_library_names():
                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hiercert")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+#: Public names that nothing in src/hiercert calls, each with the reason it
+#: stays: the benchmark's tracer looks it up by name, the paper's analytic
+#: construction is tested through it, it is the console entry point, or a
+#: planned ROADMAP Direction will call it.
+_UNCALLED = {
+    "hierarchy.build_renormalize_hierarchy": "Direction 3 will call it",
+    "hierarchy.flat_hierarchy": "Direction 1 will call it",
+    "hierarchy.infer_batch": "Direction 1 will call it",
+    "hierarchy.leaf_certificate_renormalized": "tracer looks it up",
+    "hierarchy.hierarchy_certificate": "Direction 1 will call it",
+    "hierarchy.retrain_leaf": "Direction 3 will call it",
+    "hierarchy.renormalized_radii": "Direction 2 will call it",
+    "io.write_features": "Direction 3 will call it",
+    "io.write_logits": "Direction 5 will call it",
+    "io.write_probs": "Direction 5 will call it",
+    "io.write_confusion": "Direction 3 will call it",
+    "io.read_certificates": "Direction 3 will call it",
+    "io.write_partition": "Direction 3 will call it",
+    "io.save_model": "Direction 3 will call it",
+    "io.save_hierarchy": "Direction 3 will call it",
+    "models.pgd_attack": "tracer looks it up",
+    "smoothing.clopper_pearson_lower": "tracer looks it up",
+    "toymodels.meta_feature_accuracy": "paper construction tested through it",
+}
+_REASON = re.compile(r"tracer looks it up|paper construction tested through it"
+                     r"|console entry point|Direction \d+ will call it")
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # A public name is a top-level def or class of a module. It is called if
+    # some Name or Attribute outside its own body loads it.
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(Path(hiercert.__file__).parent.glob("*.py"))}
+    public = {f"{mod}.{node.name}": node for mod, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    inside = {id(n): key for key, node in public.items() for n in ast.walk(node)}
+    loaded = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                loaded.setdefault(name, set()).add(inside.get(id(node)))
+    uncalled = {key for key in public if key.split(".")[1] not in hiercert.__all__
+                and not loaded.get(key.split(".")[1], set()) - {key}}
+    assert sorted(uncalled - set(_UNCALLED)) == []
+    # an entry whose name has gone or found a caller is stale
+    assert sorted(set(_UNCALLED) - uncalled) == []
+    assert [key for key, why in _UNCALLED.items() if not _REASON.fullmatch(why)] == []

@@ -20,7 +20,6 @@ from hiercert.smoothing import (
     certify_batch,
     clopper_pearson_lower,
     clopper_pearson_lower_batch,
-    exact_smoothed_linear,
     margin_radius,
     vote_counts,
 )
@@ -28,6 +27,7 @@ from hiercert.smoothing import (
 from helpers import (
     certify_oracle,
     cp_lower_oracle,
+    exact_smoothed_linear,
     failing_send,
     forks,  # noqa: F401 (a fixture)
     killed_after,

@@ -21,15 +21,16 @@ from hiercert.toymodels import (
     meta_feature_accuracy,
     prf_encode,
     prf_experiment,
-    sample_gauss_model,
     tradeoff_experiment,
     tuned_feature_weight,
     weighted_predict,
 )
 
 from helpers import (
+    GAUSS_STREAMS,
     failing_send,
     forks,  # noqa: F401 (a fixture)
+    gauss_sample_oracle,
     killed_after,
     peak_traced_bytes,
 )
@@ -38,17 +39,17 @@ from helpers import (
 class TestGaussSampling:
     def test_p_one_means_robust_feature_always_right(self):
         params = GaussModelParams(d=5, p=1.0 - 1e-12, eta=0.5)
-        X, y = sample_gauss_model(params, 5000, seed=1)
+        X, y = gauss_sample_oracle(params, 5000, seed=1)
         assert np.array_equal(X[:, 0], y)
 
     def test_zero_eta_features_carry_no_signal(self):
         params = GaussModelParams(d=3, p=0.9, eta=0.0)
-        X, y = sample_gauss_model(params, 100_000, seed=2)
+        X, y = gauss_sample_oracle(params, 100_000, seed=2)
         assert abs(float((X[:, 1] * y).mean())) <= 3.0 / math.sqrt(X.shape[0])
 
     def test_robust_feature_reliability(self):
         params = GaussModelParams(d=2, p=0.95, eta=0.3)
-        X, y = sample_gauss_model(params, 100_000, seed=3)
+        X, y = gauss_sample_oracle(params, 100_000, seed=3)
         frac = float(np.mean(X[:, 0] == y))
         assert frac == pytest.approx(0.95, abs=0.007)
 
@@ -74,7 +75,7 @@ class TestMetaFeature:
 
     def test_monte_carlo_matches_analytic(self):
         params = GaussModelParams(d=9, p=0.9, eta=1.0)
-        X, y = sample_gauss_model(params, 100_000, seed=4)
+        X, y = gauss_sample_oracle(params, 100_000, seed=4)
         acc = float(np.mean(meta_feature(X, 9) == y))
         assert acc == pytest.approx(meta_feature_accuracy(1.0, 9), abs=0.002)
 
@@ -119,7 +120,7 @@ class TestBound:
 class TestFlipAttack:
     def test_fully_protected_is_identity(self):
         params = GaussModelParams(d=4, p=0.9, eta=0.7)
-        X, y = sample_gauss_model(params, 100, seed=5)
+        X, y = gauss_sample_oracle(params, 100, seed=5)
         assert np.array_equal(linf_flip_attack(X, y, 0.7, 4), X)
 
     def test_unprotected_shift(self):
@@ -129,7 +130,7 @@ class TestFlipAttack:
 
     def test_exact_norm_and_protected_zeros(self):
         params = GaussModelParams(d=6, p=0.9, eta=0.4)
-        X, y = sample_gauss_model(params, 500, seed=6)
+        X, y = gauss_sample_oracle(params, 500, seed=6)
         out = linf_flip_attack(X, y, 0.4, 2)
         delta = out - X
         assert np.max(np.abs(delta)) == pytest.approx(0.8, abs=1e-12)
@@ -138,7 +139,7 @@ class TestFlipAttack:
 
     def test_flipped_distribution_moments(self):
         params = GaussModelParams(d=2, p=0.9, eta=0.6)
-        X, y = sample_gauss_model(params, 100_000, seed=7)
+        X, y = gauss_sample_oracle(params, 100_000, seed=7)
         out = linf_flip_attack(X, y, 0.6, 0)
         mean_along_y = float((out[:, 1] * y).mean())
         assert mean_along_y == pytest.approx(-0.6, abs=3.0 / math.sqrt(X.shape[0]))
@@ -201,14 +202,9 @@ class TestGaussExperiment:
 class TestBlockedSampleAndAttack:
     """Row blocks must give exactly what one whole-array pass gives."""
 
-    @staticmethod
-    def full_sample(params, n, seed):
-        y = np.where(rng.uniforms(seed, toymodels._STREAM_LABEL, 0, n) < 0.5, -1.0, 1.0)
-        flip = np.where(rng.uniforms(seed, toymodels._STREAM_ROBUST, 0, n) < params.p,
-                        1.0, -1.0)
-        feats = rng.normals(seed, toymodels._STREAM_FEAT, 0, n * params.d).reshape(n, params.d)
-        feats += params.eta * y[:, None]
-        return np.hstack([(y * flip)[:, None], feats]), y
+    def test_oracle_reads_the_sample_streams(self):
+        assert GAUSS_STREAMS == (toymodels._STREAM_LABEL, toymodels._STREAM_ROBUST,
+                                 toymodels._STREAM_FEAT)
 
     # pieces of 1, 29 and 65536 draws: blocks of 1 row, 3 rows and the whole sample
     @pytest.mark.parametrize("piece", [1, 29, 1 << 16])
@@ -216,16 +212,17 @@ class TestBlockedSampleAndAttack:
         monkeypatch.setattr(rng, "PIECE", piece)
         d, n, p, seed = 9, 301, 0.8, 17
         params = GaussModelParams(d=d, p=p, eta=0.3)
-        X, y = sample_gauss_model(params, n, seed)
-        X_full, y_full = self.full_sample(params, n, seed)
+        blocks = list(toymodels._gauss_blocks(params, seed, 0, n))
+        X, y = np.vstack([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+        X_full, y_full = gauss_sample_oracle(params, n, seed)
         assert np.array_equal(X, X_full) and np.array_equal(y, y_full)
 
         etas, ks = [0.1, 0.4], [0, 1, 4, 9]
         cells = gauss_experiment(etas, ks, d, p, n, seed)
         want = []
         for ei, eta in enumerate(etas):
-            Xe, ye = self.full_sample(GaussModelParams(d=d, p=p, eta=eta), n,
-                                      rng.mix64(seed + ei))
+            Xe, ye = gauss_sample_oracle(GaussModelParams(d=d, p=p, eta=eta), n,
+                                     rng.mix64(seed + ei))
             for k in ks:
                 def predict(V):
                     return averaging_predict(V) if k == 0 else meta_feature(V, k)
