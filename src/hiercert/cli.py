@@ -277,6 +277,9 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     a = config["attack"]
     if a["budget_target"] is not None and a["mode"] != "budgeted":
         raise ConfigError("attack.budget_target", f"is for mode 'budgeted', not {a['mode']!r}")
+    if a["budget_target"] is None and a["mode"] == "budgeted":
+        raise ConfigError("attack.budget_target", "mode 'budgeted' needs a target",
+                          hint="a node id of the hierarchy, or 'worst'")
     h = io.load_hierarchy(base / config["hierarchy"])
     nodes = dict(h.nodes())
     if a["budget_target"] not in (None, "worst", *nodes):
@@ -329,6 +332,10 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     else:
         path = base / config["confusion"]
         counts = io.read_confusion(path)
+        if config["n_labels"] not in (None, len(counts)):
+            raise ConfigError("n_labels", f"{path} is a {len(counts)} x {len(counts)} matrix, "
+                              f"a label space of {len(counts)}, not {config['n_labels']}",
+                              hint="the confusion matrix's size, or no n_labels")
         with _naming(path):
             partition = partition_from_confusion(counts, k)
         row = [k, "", "", "", "", ""]
@@ -458,7 +465,7 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
     if command == "discover":
         classes = json.loads(tables[0].rows[0][-1])
         part_path = out / tables[0].metadata["partition_file"]
-        io.write_json(part_path, classes)
+        io.write_partition(part_path, LabelPartition(tuple(map(tuple, classes))))
         print(f"wrote {part_path}")
     return tables
 

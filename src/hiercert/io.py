@@ -248,68 +248,6 @@ def read_confusion(path) -> np.ndarray:
     return mat
 
 
-# What each certificates column must hold, and the numpy fields that the
-# columns after sample_id are parsed to.
-_CERTIFICATE_KINDS = ("text", "an integer", "an integer", "a number or empty",
-                      "true or false", "a number")
-_CERTIFICATE_DTYPE = [("label", np.int64), ("pred", np.int64), ("radius", np.float64),
-                      ("abstain", np.int64), ("p_a_lower", np.float64)]
-_FLAG_DIGITS = {"true": "1", "false": "0"}
-
-
-def _quote(cell: str) -> str:
-    return '"' + cell.replace('"', '""') + '"'
-
-
-def _certificate_values(path, rows: list[list[str]]) -> np.ndarray:
-    """The cells after sample_id of rows, parsed by numpy's text reader as
-    `_loadtxt` parses numbers: ASCII digits, surrounding whitespace allowed,
-    no digit-group underscores. Each cell is quoted, so a comma or quote
-    inside it stays in its field; an empty radius reads as NaN, true and
-    false as 1 and 0, and any other flag as an empty cell, which no number
-    parse accepts. The first bad cell raises ValidationError."""
-    if not rows:
-        return np.empty(0, dtype=_CERTIFICATE_DTYPE)
-    lines = [",".join(map(_quote, (label, pred, radius or "nan",
-                                   _FLAG_DIGITS.get(flag, ""), p_a_lower)))
-             for _, label, pred, radius, flag, p_a_lower in rows]
-    try:
-        return np.loadtxt(lines, dtype=_CERTIFICATE_DTYPE, delimiter=",",
-                          comments=None, quotechar='"', ndmin=1)
-    except ValueError as exc:
-        found = _BAD_CELL.fullmatch(str(exc))
-        if not found:
-            raise ValidationError(f"{path}: {exc}") from None
-        i, c = int(found[2]), int(found[3])
-        raise ValidationError(f"{path}: data row {i + 1}, column {c + 1}: "
-                              f"{CERTIFICATE_COLUMNS[c]} must be {_CERTIFICATE_KINDS[c]}, "
-                              f"got {rows[i][c]!r}") from None
-
-
-def read_certificates(path) -> list[dict]:
-    """Rows of a certificates table as the certify command writes them.
-
-    A row of the wrong width or a cell that does not parse raises
-    ValidationError naming path and its data row, counted from 1 over the
-    non-blank rows after the header, as `_loadtxt` counts them; the first
-    bad row or cell in reading order is named.
-    """
-    with _open(path) as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows or tuple(rows[0]) != CERTIFICATE_COLUMNS:
-        raise ValidationError(f"{path}: header must be {','.join(CERTIFICATE_COLUMNS)}")
-    body, width = rows[1:], len(CERTIFICATE_COLUMNS)
-    short = next((i for i, row in enumerate(body) if len(row) != width), len(body))
-    values = _certificate_values(path, body[:short])
-    if short < len(body):
-        raise ValidationError(f"{path}: data row {short + 1}: expected "
-                              f"{width} fields, found {len(body[short])}")
-    return [{"sample_id": row[0], "label": int(v["label"]), "pred": int(v["pred"]),
-             "radius": None if row[3] == "" else float(v["radius"]),
-             "abstain": bool(v["abstain"]), "p_a_lower": float(v["p_a_lower"])}
-            for row, v in zip(body, values)]
-
-
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -18,6 +19,12 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_table(path) -> list[dict]:
+    """The rows of a CSV table that a command wrote, as header-keyed strings."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def constant_model_spec(n_labels, dim, winner):
@@ -42,12 +49,13 @@ class TestCertifyCommand:
             "radius_thresholds": [0.25, 0.5],
         })
         assert cli.main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        rows = io.read_certificates(tmp_path / "out" / "certificates_sigma0p5.csv")
+        rows = read_table(tmp_path / "out" / "certificates_sigma0p5.csv")
         expected = alpha ** (1.0 / n)
+        assert len(rows) == 5 and tuple(rows[0]) == io.CERTIFICATE_COLUMNS
         for r in rows:
-            assert not r["abstain"]
-            assert r["pred"] == 2
-            assert r["p_a_lower"] == pytest.approx(expected, abs=1e-12)
+            assert r["abstain"] == "false"
+            assert int(r["pred"]) == 2
+            assert float(r["p_a_lower"]) == pytest.approx(expected, abs=1e-12)
         summary = (tmp_path / "out" / "certified_accuracy.csv").read_text().splitlines()
         assert summary[0] == "sigma,radius_threshold,certified_accuracy"
         assert len(summary) == 3
@@ -155,9 +163,10 @@ class TestCertifyCommand:
         for sigma in ("0p5", "1"):
             meta = json.loads((tmp_path / "out" / f"certificates_sigma{sigma}.meta.json")
                               .read_text())
-            rows = io.read_certificates(tmp_path / "out" / f"certificates_sigma{sigma}.csv")
-            assert meta["inputs"] == 4 and meta["noise_draws"] == 4 * (30 + 200) * 2
-            assert meta["abstained"] == sum(r["abstain"] for r in rows)
+            rows = read_table(tmp_path / "out" / f"certificates_sigma{sigma}.csv")
+            assert meta["inputs"] == len(rows) == 4
+            assert meta["noise_draws"] == 4 * (30 + 200) * 2
+            assert meta["abstained"] == sum(r["abstain"] == "true" for r in rows)
         summary = json.loads((tmp_path / "out" / "certified_accuracy.meta.json").read_text())
         assert "inputs" not in summary
         cfg = write_config(tmp_path, "p.json", {"seed": 1, "n_trials": 100})
@@ -233,6 +242,17 @@ class TestValidation:
         assert err.startswith(f"error[validation] {tmp_path / 'data.csv'}: no data rows")
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
+    def test_budgeted_attack_without_target_exits_before_reading_files(self, tmp_path,
+                                                                       capsys):
+        # neither the hierarchy nor the features file exists
+        cfg = write_config(tmp_path, "c.json", {
+            "hierarchy": "h.json", "dataset": {"features": "data.csv"},
+            "attack": {"mode": "budgeted"}})
+        assert cli.main(["attack", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation] field 'attack.budget_target': ")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("exc, traceback", [(RuntimeError("kaboom"), True),
                                                 (CapabilityError("kaboom"), False)])
     def test_only_unexpected_errors_print_a_traceback(self, tmp_path, monkeypatch,
@@ -271,7 +291,8 @@ _VALID = {
 _READING = {"cm.csv": {"k": 1, "confusion": "cm.csv"},
             "m.json": dict(_VALID["certify"], model={"type": "mlp", "path": "m.json"}),
             "part.json": dict(_VALID["hierarchy"], partition="part.json"),
-            "emb.csv": {"k": 1, "embeddings": "emb.csv", "n_labels": 2}}
+            "emb.csv": {"k": 1, "embeddings": "emb.csv", "n_labels": 2},
+            "cm3.csv": {"k": 1, "confusion": "cm3.csv", "n_labels": 3}}
 # a leaf holding label 5 of a two-label hierarchy
 _LEAVES = [{"kind": "leaf", "labels": [0, 5], "classifier": _MODEL},
            {"kind": "leaf", "labels": [1]}]
@@ -381,6 +402,10 @@ class TestMalformedInputs:
                                         "field 'attack.budget_target'"),
         "budget-target-in-default-mode": ("attack", "attack", '{"budget_target": "worst"}',
                                           "field 'attack.budget_target'"),
+        # and a budgeted attack needs one
+        "budgeted-without-target": ("attack", "attack", '{"mode": "budgeted"}',
+                                    "field 'attack.budget_target': mode 'budgeted' needs a "
+                                    "target"),
         # a budget target that names no node, and a label-space size below a
         # label, name the field and the file
         "unknown-budget-target": ("attack", "attack",
@@ -393,6 +418,12 @@ class TestMalformedInputs:
                                 "field 'n_labels': "),
         "n-labels-at-a-label-file": ("discover", "emb.csv", "sample_id,label,e0,e1\na,2,0.5,0\n",
                                      "emb.csv holds label 2, beyond a label space of 2"),
+        # with a confusion matrix, n_labels must be the matrix's size
+        "n-labels-off-the-matrix": ("discover", "cm3.csv", "1,0\n0,1\n", "field 'n_labels': "),
+        "n-labels-off-the-matrix-file": ("discover", "cm3.csv", "1,0\n0,1\n",
+                                         "cm3.csv is a 2 x 2 matrix, a label space of 2, not 3"),
+        "n-labels-under-the-matrix": ("discover", "cm3.csv", "1,0,0,0\n0,1,0,0\n0,0,1,0\n"
+                                      "0,0,0,1\n", "a label space of 4, not 3"),
         "unknown-strategy": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=[{"kind": "leaf", "labels": [0], "strategy": "mask"},
                                      {"kind": "leaf", "labels": [1]}]))),

@@ -402,42 +402,8 @@ class TestConfusion:
 
 
 class TestCertificates:
-    def test_round_trip_with_abstain_and_inf(self, tmp_path):
-        rows = [
-            {"sample_id": "a", "label": 3, "pred": 3, "radius": 0.75,
-             "abstain": False, "p_a_lower": 0.875},
-            {"sample_id": "b", "label": 1, "pred": -1, "radius": None,
-             "abstain": True, "p_a_lower": 0.5},
-            {"sample_id": "c", "label": 2, "pred": 2, "radius": math.inf,
-             "abstain": False, "p_a_lower": 1.0},
-        ]
-        io.write_csv(tmp_path / "cert.csv", io.CERTIFICATE_COLUMNS,
-                     [[r[c] for c in io.CERTIFICATE_COLUMNS] for r in rows])
-        got = io.read_certificates(tmp_path / "cert.csv")
-        assert got == rows
-
-    @pytest.mark.parametrize("body, message", [
-        ("a,0\n", "data row 1: expected 6 fields, found 2"),
-        ("a,0,0,0.5,false,0.9\n\nb,1,1,0.5,false,0.9,7\n",
-         "data row 2: expected 6 fields, found 7"),
-        ("a,x,0,0.5,false,0.9\n", "data row 1, column 2: label must be an integer, got 'x'"),
-        ("a,0,0,0.5,false,0.9\nb,1,1.5,0.5,false,0.9\n",
-         "data row 2, column 3: pred must be an integer, got '1.5'"),
-        ("a,0,0,wide,false,0.9\n",
-         "data row 1, column 4: radius must be a number or empty, got 'wide'"),
-        ("a,0,0,,yes,0.9\n", "data row 1, column 5: abstain must be true or false, got 'yes'"),
-        ("a,0,0,0.5,false,\n", "data row 1, column 6: p_a_lower must be a number, got ''"),
-    ], ids=["short-row", "long-row-after-blank-line", "label", "pred", "radius", "abstain",
-            "p_a_lower"])
-    def test_bad_rows_name_the_file_and_data_row(self, tmp_path, body, message):
-        path = tmp_path / "cert.csv"
-        path.write_text(",".join(io.CERTIFICATE_COLUMNS) + "\n" + body)
-        with pytest.raises(ValidationError) as exc:
-            io.read_certificates(path)
-        assert str(exc.value) == f"{path}: {message}"
-
-    # cell -> the value every numpy-parsed reader gives it, or None where all
-    # of them reject it
+    # cell -> the value that the confusion reader (integer cells) and the
+    # wide reader (number cells) give it, or None where the reader rejects it
     INT_CELLS = {"3": 3, "+3": 3, "-0": 0, " 3 ": 3, "\t3": 3, "1_000": None,
                  "\u0663": None, "3.0": None, "1e3": None, "0x10": None, "": None,
                  "9223372036854775807": 2**63 - 1, "9223372036854775808": None}
@@ -454,26 +420,17 @@ class TestCertificates:
 
     @pytest.mark.parametrize("cell", sorted(INT_CELLS))
     def test_integer_cells_get_the_confusion_readers_verdict(self, tmp_path, cell):
-        conf, cert = tmp_path / "c.csv", tmp_path / "cert.csv"
+        conf = tmp_path / "c.csv"
         conf.write_text(f"{cell},1\n0,1\n", encoding="utf-8")
-        cert.write_text(",".join(io.CERTIFICATE_COLUMNS) + f"\na,{cell},{cell},,true,0.5\n",
-                        encoding="utf-8")
         by_confusion = self.verdict(lambda p: int(io.read_confusion(p)[0, 0]), conf)
-        by_certificates = self.verdict(lambda p: io.read_certificates(p)[0]["label"], cert)
-        assert by_confusion == by_certificates == self.INT_CELLS[cell]
+        assert by_confusion == self.INT_CELLS[cell]
 
     @pytest.mark.parametrize("cell", sorted(FLOAT_CELLS))
     def test_number_cells_get_the_wide_readers_verdict(self, tmp_path, cell):
-        wide, cert = tmp_path / "l.csv", tmp_path / "cert.csv"
+        wide = tmp_path / "l.csv"
         wide.write_text(f"sample_id,label,l0\na,0,{cell}\n", encoding="utf-8")
-        cert.write_text(",".join(io.CERTIFICATE_COLUMNS) + f"\na,0,0,{cell or 1},false,{cell}\n",
-                        encoding="utf-8")
         by_logits = self.verdict(lambda p: float(io.read_logits(p)[2][0, 0]), wide)
-        by_certificates = self.verdict(lambda p: io.read_certificates(p)[0]["p_a_lower"], cert)
-        assert by_logits == by_certificates == self.FLOAT_CELLS[cell]
-        if cell:
-            radius = self.verdict(lambda p: io.read_certificates(p)[0]["radius"], cert)
-            assert radius == self.FLOAT_CELLS[cell]
+        assert by_logits == self.FLOAT_CELLS[cell]
 
 
 class TestPartitionJson:

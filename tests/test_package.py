@@ -41,8 +41,6 @@ _UNCALLED = {
     "io.write_logits": "Direction 5 will call it",
     "io.write_probs": "Direction 5 will call it",
     "io.write_confusion": "Direction 3 will call it",
-    "io.read_certificates": "Direction 3 will call it",
-    "io.write_partition": "Direction 3 will call it",
     "io.save_model": "Direction 3 will call it",
     "io.save_hierarchy": "Direction 3 will call it",
     "models.pgd_attack": "tracer looks it up",
