@@ -50,18 +50,23 @@ from .toymodels import (
 
 @dataclass
 class ReportTable:
-    """Rectangular named table plus run metadata."""
+    """Rectangular named table plus run metadata, and any partition to write
+    beside them, to the file that `metadata["partition_file"]` names."""
 
     name: str
     columns: list[str]
     rows: list[list]
     metadata: dict = field(default_factory=dict)
+    partition: Optional[LabelPartition] = None
 
-    def write(self, outdir: Path) -> Path:
-        path = outdir / f"{self.name}.csv"
-        io.write_csv(path, self.columns, self.rows)
+    def write(self, outdir: Path) -> list[Path]:
+        paths = [outdir / f"{self.name}.csv"]
+        io.write_csv(paths[0], self.columns, self.rows)
         io.write_json(outdir / f"{self.name}.meta.json", self.metadata)
-        return path
+        if self.partition is not None:
+            paths.append(outdir / self.metadata["partition_file"])
+            io.write_partition(paths[-1], self.partition)
+        return paths
 
 
 def config_hash(config: dict) -> str:
@@ -296,7 +301,7 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                            if node.classifier is not None])
     pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
                     iters=a["iters"], restarts=a["restarts"])
-    scenario = AttackScenario(mode=a["mode"], attack=pgd, budget_target=a["budget_target"])
+    scenario = AttackScenario(attack=pgd, budget_target=a["budget_target"])
     report = evaluate_adversarial(h, X, labels, scenario, seed=config["seed"])
     # write_csv writes None as an empty cell
     rows = [["all", report.natural_acc, report.adv_acc, report.budget_acc]]
@@ -321,6 +326,8 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
             raise ConfigError("n_labels", f"{path} holds label {labels.max()}, beyond a "
                               f"label space of {config['n_labels']}",
                               hint="at least the largest label + 1")
+        with _naming(path):
+            checked_labels(labels, config["n_labels"] or labels.max(initial=-1) + 1)
         result = kmeans(vectors, k, seed=config["seed"], max_iter=config["max_iter"],
                         tol=float(config["tol"]))
         sep = cluster_separation_check(result.assignment, vectors) if k >= 2 else None
@@ -344,7 +351,7 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                         metadata=dict(meta, partition_file=config["out_partition"]),
                         columns=["k", "inertia", "n_iter", "reseeds",
                                  "silhouette", "separation_pass", "classes"],
-                        rows=[row])]
+                        rows=[row], partition=partition)]
 
 
 def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
@@ -460,13 +467,8 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
     out.mkdir(parents=True, exist_ok=True)
     for t in tables:
         t.metadata["wall_time_s"] = wall
-        path = t.write(out)
-        print(f"wrote {path}")
-    if command == "discover":
-        classes = json.loads(tables[0].rows[0][-1])
-        part_path = out / tables[0].metadata["partition_file"]
-        io.write_partition(part_path, LabelPartition(tuple(map(tuple, classes))))
-        print(f"wrote {part_path}")
+        for path in t.write(out):
+            print(f"wrote {path}")
     return tables
 
 

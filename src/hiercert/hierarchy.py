@@ -51,9 +51,6 @@ from .smoothing import margin_radius
 #: and won from 4.1M on (109 against 129 ms; 312 against 561 ms at 20.5M).
 SPLIT_MIN_PGD_WORK = 1 << 21
 
-WORST_CASE = "worst_case"
-BUDGETED = "budgeted"
-
 #: Cap on (subsets x rows) of an all-subsets sweep; larger ones must sample.
 MAX_SWEEP_EVALUATIONS = 10_000_000
 
@@ -210,26 +207,23 @@ def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided radius of every row whose top label lies in `labels`, against
     its runner-up among `labels`.
 
-    `labels` is a nonempty list of labels, in any order and possibly
-    repeated, or a slice. Returns the rows, ascending, and their radii. The
-    runner-up is a running column-wise max over the label set's rows of the
-    table, made in place with no gather copy (one max over the view for a
-    slice); it is -inf where no competitor is left, as in a singleton set,
-    and is floored to 0. The radius takes the operations of the array path
-    of `margin_radius` in its order, so its bits are the same; the ranges
-    were checked when P was validated. Its +inf entries come from
-    Phi^-1(1) = +inf at p_top == 1 and Phi^-1(0) = -inf at a runner-up of 0.
+    `labels` is a nonempty sequence of labels, in any order and possibly
+    repeated. Returns the rows, ascending, and their radii. The runner-up is
+    a running column-wise max over the label set's rows of the table, made
+    in place with no gather copy; it is -inf where no competitor is left, as
+    in a singleton set, and is floored to 0. The radius takes the operations
+    of the array path of `margin_radius` in its order, so its bits are the
+    same; the ranges were checked when P was validated. Its +inf entries
+    come from Phi^-1(1) = +inf at p_top == 1 and Phi^-1(0) = -inf at a
+    runner-up of 0.
     """
     g, q_top, PT = table
     allowed = np.zeros(PT.shape[0], dtype=bool)
     allowed[labels] = True
     rows = np.flatnonzero(allowed[g])
-    if isinstance(labels, slice):
-        runner = PT[labels].max(axis=0)
-    else:
-        runner = PT[labels[0]].copy()
-        for label in labels[1:]:
-            np.maximum(runner, PT[label], out=runner)
+    runner = PT[labels[0]].copy()
+    for label in labels[1:]:
+        np.maximum(runner, PT[label], out=runner)
     q_runner = special.ndtri(np.maximum(runner[rows], 0.0))
     return rows, 0.5 * sigma * np.maximum(q_top[rows] - q_runner, 0.0)
 
@@ -336,13 +330,10 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
     table = _runner_table(P)
     out: dict[int, SizeStats] = {}
     for s in sizes:
-        if mode == "all":
-            subsets = [tuple(c) for c in itertools.combinations(range(m), s)]
-        else:
-            subsets = _sample_subsets(m, s, sample_count, seed + s)
+        count = math.comb(m, s) if mode == "all" else sample_count
         finite: list[np.ndarray] = []
         n_inf = 0
-        for subset in subsets:
+        for subset in _sample_subsets(m, s, count, seed + s):
             _, radii = _set_radii(table, list(subset), sigma)
             inf_mask = np.isinf(radii)
             n_inf += int(inf_mask.sum())
@@ -363,17 +354,12 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
 
 @dataclass(frozen=True)
 class AttackScenario:
-    """Which classifiers the adversary may perturb, and with what budget."""
+    """Which classifiers the adversary may perturb, and with what budget:
+    `budget_target` None attacks every one at once (the worst case), a node
+    id that node alone, and 'worst' each node alone in turn."""
 
-    mode: str
     attack: PgdParams
     budget_target: Optional[str] = None
-
-    def __post_init__(self):
-        if self.mode not in (WORST_CASE, BUDGETED):
-            raise ValidationError(f"unknown attack mode {self.mode!r}")
-        if self.mode == BUDGETED and not self.budget_target:
-            raise ValidationError("budgeted attacks need a target node id (or 'worst')")
 
 
 @dataclass(frozen=True)
@@ -425,9 +411,9 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     every node on its true root-to-leaf path decides right. Natural accuracy
     attacks no node; it equals `infer_batch`'s, since a predicted path leaves
     the true path at the first node that decides wrong. Worst case attacks
-    every classifier on the path, each independently from the clean input.
-    Budgeted attacks only the designated node; the target 'worst' tries
-    each node and reports the most damaging one.
+    every classifier on the path, each independently from the clean input
+    (`budget_target` None). A budgeted attack hits only the named node; the
+    target 'worst' tries each node and reports the most damaging one.
 
     X needs at least one row. Each node's rows are those whose true path
     passes through it. A node is checked clean exactly once and attacked at
@@ -448,7 +434,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
                 f"node {nid!r}: a {type(model).__name__} cannot be run or attacked on input "
                 "features; attacks need built-in linear or mlp classifiers at every node")
     node_ids = [nid for nid, _ in h.nodes()]
-    if scenario.mode == BUDGETED and scenario.budget_target not in node_ids + ["worst"]:
+    if scenario.budget_target not in (None, "worst", *node_ids):
         raise ValidationError(f"no node named {scenario.budget_target!r}; "
                               f"known ids: {node_ids}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -456,7 +442,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
     if not X.shape[0]:
         raise ValidationError("no data rows; an attack needs at least one input")
 
-    every_node = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
+    every_node = scenario.budget_target in (None, "worst")
     jobs, clean = {}, {}
     for nid, node in h.nodes():
         # The local target of each row: its label's child, or its index in a leaf.
@@ -483,7 +469,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
         return float(np.mean(ok))
 
     natural = accuracy(())
-    if scenario.mode == WORST_CASE:
+    if scenario.budget_target is None:
         return AdversarialReport(natural_acc=natural, adv_acc=accuracy(node_ids),
                                  pgd_steps=steps)
     if scenario.budget_target == "worst":
@@ -536,22 +522,12 @@ class ClassReport:
     hierarchy_ca: tuple[float, ...]
 
 
-def renormalized_radii(probs, partition: LabelPartition, sigma: float) -> np.ndarray:
-    """Radius of `leaf_certificate_renormalized` for every row, routed to the
-    class of the row's argmax.
-
-    The rows are validated once, by `as_probability_matrix`. One runner-up
-    table (`_runner_table`) serves every class: `_set_radii` takes the radii
-    of the rows routed to each class in turn. The radius is +inf for a row
-    of a one-label class or with no competitor left above 0 (its runner-up
-    is 0, and Phi^-1(0) = -inf), and for a row whose top probability is 1
-    (Phi^-1(1) = +inf).
-    """
-    return _class_radii(_runner_table(as_probability_matrix(probs)), partition, sigma)
-
-
 def _class_radii(table, partition: LabelPartition, sigma: float) -> np.ndarray:
-    """`renormalized_radii` from a runner-up table."""
+    """Radius of `leaf_certificate_renormalized` for every row of a runner-up
+    table (`_runner_table`), routed to the class of the row's argmax: +inf
+    for a row of a one-label class or with no competitor left above 0 (its
+    runner-up is 0, and Phi^-1(0) = -inf), and for a row whose top
+    probability is 1 (Phi^-1(1) = +inf)."""
     g, _, PT = table
     if partition.n_labels != PT.shape[0]:
         raise ValidationError("partition does not match probability width")
@@ -574,7 +550,7 @@ def renormalization_report(probs, labels, partition: LabelPartition, sigma: floa
     table = _runner_table(as_probability_matrix(probs))
     y = checked_labels(labels, partition.n_labels)
     hier_radius = _class_radii(table, partition, sigma)
-    _, base_radius = _set_radii(table, slice(None), sigma)
+    _, base_radius = _set_radii(table, range(partition.n_labels), sigma)
     g = table[0]
 
     class_of = _label_index(partition.classes, partition.n_labels)

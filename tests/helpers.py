@@ -55,7 +55,6 @@ from hiercert import rng
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
 from hiercert.hierarchy import (
-    WORST_CASE,
     AdversarialReport,
     Leaf,
     SizeStats,
@@ -643,11 +642,11 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
         return ok
 
     # Each attacked node's rows take iters x restarts steps, counted once per node.
-    every = scenario.mode == WORST_CASE or scenario.budget_target == "worst"
+    every = scenario.budget_target in (None, "worst")
     steps = sum(len(rows) for nid, (node, rows, _) in members.items()
                 if (every or nid == scenario.budget_target) and not unattackable(node))
     steps *= scenario.attack.iters * scenario.attack.restarts
-    if scenario.mode == WORST_CASE:
+    if scenario.budget_target is None:
         return AdversarialReport(natural_acc=natural,
                                  adv_acc=float(np.mean(correctness(None))), pgd_steps=steps)
     if scenario.budget_target == "worst":

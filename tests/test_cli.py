@@ -419,6 +419,10 @@ class TestMalformedInputs:
         "n-labels-at-a-label-file": ("discover", "emb.csv", "sample_id,label,e0,e1\na,2,0.5,0\n",
                                      "emb.csv holds label 2, beyond a label space of 2"),
         # with a confusion matrix, n_labels must be the matrix's size
+        # a negative label lies outside every label space
+        "negative-embedding-label": ("discover", "emb.csv",
+                                     "sample_id,label,e0,e1\na,0,0.5,0\nb,1,0,0.5\nc,-1,0,0\n",
+                                     "emb.csv: labels must lie in 0..1"),
         "n-labels-off-the-matrix": ("discover", "cm3.csv", "1,0\n0,1\n", "field 'n_labels': "),
         "n-labels-off-the-matrix-file": ("discover", "cm3.csv", "1,0\n0,1\n",
                                          "cm3.csv is a 2 x 2 matrix, a label space of 2, not 3"),
@@ -590,6 +594,33 @@ class TestDiscoverCommand:
         assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         classes = json.loads((tmp_path / "out" / "partition.json").read_text())
         assert {frozenset(c) for c in classes} == {frozenset(g) for g in groups}
+
+    def test_hierarchy_reads_the_partition_discover_wrote(self, tmp_path, capsys):
+        (tmp_path / "cm.csv").write_text("9,3,0,1\n3,9,1,0\n0,1,9,3\n1,0,3,9\n")
+        cfg = write_config(tmp_path, "d.json", {"k": 2, "confusion": "cm.csv"})
+        assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert capsys.readouterr().out == (f"wrote {out / 'discovered_partition.csv'}\n"
+                                           f"wrote {out / 'partition.json'}\n")
+        assert (out / "partition.json").read_text() == ("[\n  [\n    0,\n    1\n  ],\n"
+                                                         "  [\n    2,\n    3\n  ]\n]\n")
+        # Row d has no competitor left in its class (+inf), and row e is
+        # labelled 3 but predicted 2.
+        (out / "p.csv").write_text("sample_id,label,p0,p1,p2,p3\n"
+                                   "a,0,0.5,0.2,0.3,0\nb,1,0.1,0.6,0.3,0\n"
+                                   "c,2,0,0,0.75,0.25\nd,3,0.25,0,0,0.75\n"
+                                   "e,3,0,0,0.6,0.4\n")
+        cfg = write_config(out, "h.json", {"sigma": 1.0, "partition": "partition.json",
+                                           "probs": {"probs": "p.csv"},
+                                           "radius_thresholds": [0.5]})
+        assert cli.main(["hierarchy", "--config", cfg, "--out", str(out / "h")]) == 0
+        lines = (out / "h" / "hierarchy_certificates.csv").read_text().splitlines()
+        assert lines[1:] == [
+            "0,0|1,2,1,0.32553703213797036,0.063336775783949917,0.59412997556332858,"
+            "0.17331935877687146,0,0.5",
+            "1,2|3,3,1,0.67448975019608171,0,0.67448975019608171,0,0.66666666666666663,"
+            "0.66666666666666663",
+        ]
 
     def test_both_sources_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"k": 2, "embeddings": "a", "confusion": "b"})

@@ -115,6 +115,12 @@ class TestDerivePartition:
         assert 1 in first and 0 in first and 2 in first and 4 in first
         assert part.classes[1] == (3,)
 
+    @pytest.mark.parametrize("n_labels", [None, 3])
+    def test_negative_label_rejected(self, n_labels):
+        # np.add.at would count label -1 as the last label
+        with pytest.raises(ValidationError, match=r"labels must lie in 0\.\."):
+            derive_partition(np.array([0, 1, 1]), np.array([0, 1, -1]), 2, n_labels=n_labels)
+
     def test_fuzz_always_valid(self):
         for t in range(1000):
             u = rng.uniforms(61, 701, t * 3, 3)

@@ -20,9 +20,9 @@ from hiercert.hierarchy import (
     infer_batch,
     leaf_certificate_renormalized,
     renormalization_report,
-    renormalized_radii,
     retrain_leaf,
     subset_radius_sweep,
+    _class_radii,
     _runner_table,
     _sample_subsets,
     _set_radii,
@@ -307,7 +307,6 @@ class TestRunnerTable:
         m = P.shape[1]
         part = LabelPartition(((0, 2, 4), (1, 3, 5)) if m == 6 else ((0,),))
         subset_radius_sweep(P, 0.5, list(range(1, m + 1)), mode="all")
-        renormalized_radii(P, part, 0.5)
         renormalization_report(P, np.argmax(P, axis=1), part, 0.5, [0.25])
         assert P.flags.f_contiguous == before.flags.f_contiguous
         assert P.tobytes(order="A") == before.tobytes(order="A")
@@ -370,13 +369,13 @@ class TestSetRadii:
 
     def test_one_label_matrix(self):
         P = np.ones((4, 1))
-        for labels in ([0], [0, 0], slice(None)):
+        for labels in ([0], [0, 0], range(1)):
             rows, radii = _set_radii(_runner_table(P), labels, 0.5)
             assert rows.tolist() == [0, 1, 2, 3]
             assert radii.tobytes() == np.full(4, math.inf).tobytes()
 
-    def test_all_labels_slice_equals_baseline_oracle(self):
-        rows, radii = _set_radii(_runner_table(self.P), slice(None), 0.5)
+    def test_all_labels_range_equals_baseline_oracle(self):
+        rows, radii = _set_radii(_runner_table(self.P), range(self.P.shape[1]), 0.5)
         assert np.array_equal(rows, np.arange(self.P.shape[0]))
         assert radii.tobytes() == baseline_radii_oracle(self.P, 0.5).tobytes()
 
@@ -402,8 +401,7 @@ class TestAdversarial:
     def test_zero_epsilon_equals_natural(self):
         h, X, y = toy_three_label_hierarchy()
         rep = evaluate_adversarial(
-            h, X, y, AttackScenario(mode="worst_case",
-                                    attack=PgdParams(epsilon=0.0, step=0.01, iters=5)))
+            h, X, y, AttackScenario(attack=PgdParams(epsilon=0.0, step=0.01, iters=5)))
         assert rep.adv_acc == rep.natural_acc == 1.0
 
     def test_flat_hierarchy_equals_plain_pgd(self):
@@ -411,8 +409,7 @@ class TestAdversarial:
         base = train(LinearSoftmax.init(2, 2, seed=5), X, y, epochs=200, learning_rate=0.5)
         h = flat_hierarchy(base)
         params = PgdParams(epsilon=0.6, step=0.2, iters=10, restarts=1)
-        rep = evaluate_adversarial(h, X, y,
-                                   AttackScenario(mode="worst_case", attack=params), seed=9)
+        rep = evaluate_adversarial(h, X, y, AttackScenario(attack=params), seed=9)
         from hiercert.models import pgd_attack
         adv = pgd_attack(base, X, y, params, seed=9)
         plain = float(np.mean(np.argmax(base.logits(adv), axis=1) == y))
@@ -422,29 +419,26 @@ class TestAdversarial:
         h, X, y = toy_three_label_hierarchy()
         # closed-form minimal perturbations: root distance 4, leaf distance 1
         rep = evaluate_adversarial(
-            h, X, y, AttackScenario(mode="worst_case",
-                                    attack=PgdParams(epsilon=0.9, step=0.3, iters=20)))
+            h, X, y, AttackScenario(attack=PgdParams(epsilon=0.9, step=0.3, iters=20)))
         assert rep.adv_acc == 1.0
 
     def test_worst_case_breaks_weakest_classifier(self):
         h, X, y = toy_three_label_hierarchy()
         # epsilon 2: the 0|1 leaf (distance 1) falls, the root (distance 4) holds
         rep = evaluate_adversarial(
-            h, X, y, AttackScenario(mode="worst_case",
-                                    attack=PgdParams(epsilon=2.0, step=0.5, iters=20)))
+            h, X, y, AttackScenario(attack=PgdParams(epsilon=2.0, step=0.5, iters=20)))
         assert rep.adv_acc == pytest.approx(1.0 / 3.0)
 
     def test_budgeted_attack_per_node(self):
         h, X, y = toy_three_label_hierarchy()
         params = PgdParams(epsilon=2.0, step=0.5, iters=20)
-        rep = evaluate_adversarial(
-            h, X, y, AttackScenario(mode="budgeted", attack=params, budget_target="worst"))
+        rep = evaluate_adversarial(h, X, y, AttackScenario(attack=params, budget_target="worst"))
         assert rep.per_node["root"] == 1.0       # root survives epsilon 2
         assert rep.per_node["root.0"] == pytest.approx(1.0 / 3.0)
         assert rep.per_node["root.1"] == 1.0     # singleton leaf, unattackable
         assert rep.budget_acc == pytest.approx(1.0 / 3.0)
-        single = evaluate_adversarial(
-            h, X, y, AttackScenario(mode="budgeted", attack=params, budget_target="root.0"))
+        single = evaluate_adversarial(h, X, y,
+                                      AttackScenario(attack=params, budget_target="root.0"))
         assert single.budget_acc == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("mode,target", [("worst_case", None), ("budgeted", "root"),
@@ -457,7 +451,7 @@ class TestAdversarial:
         X = rng.normals(53, 330, 0, 900 * 4).reshape(900, 4)
         y = infer_batch(h, X)
         y[::7] = (y[::7] + 1) % 6
-        scenario = AttackScenario(mode=mode, budget_target=target,
+        scenario = AttackScenario(budget_target=target,
                                   attack=PgdParams(epsilon=0.3, step=0.1, iters=5, restarts=2))
         got = evaluate_adversarial(h, X, y, scenario, seed=3)
         assert got == evaluate_adversarial_oracle(h, X, y, scenario, seed=3)
@@ -482,13 +476,13 @@ class TestAdversarial:
         X = rng.normals(56, 331, 0, 180 * 3).reshape(180, 3)
         y = np.arange(180) % 9
         evaluate_adversarial(h, X, y, AttackScenario(
-            mode=mode, budget_target=target, attack=PgdParams(epsilon=0.1, step=0.05, iters=2)))
+            budget_target=target, attack=PgdParams(epsilon=0.1, step=0.05, iters=2)))
         # the root sees all 180 rows, each two-label leaf the 40 rows of its labels
         assert rows == ([180, 40, 40, 40, 40] if calls == 5 else [40])
 
     def test_labels_outside_the_hierarchy_rejected(self):
         h, X, y = toy_three_label_hierarchy()
-        scenario = AttackScenario(mode="worst_case", attack=PgdParams(epsilon=0.1, step=0.1))
+        scenario = AttackScenario(attack=PgdParams(epsilon=0.1, step=0.1))
         for bad in (3, -1):
             y[0] = bad
             with pytest.raises(ValidationError, match="labels must lie in 0..2"):
@@ -497,7 +491,7 @@ class TestAdversarial:
     @pytest.mark.parametrize("mode", ["worst_case", "budgeted"])
     def test_no_rows_rejected(self, mode):
         h = flat_hierarchy(linear([[1.0, 0.0], [0.0, 1.0]]))
-        scenario = AttackScenario(mode=mode, attack=PgdParams(epsilon=0.1, step=0.1),
+        scenario = AttackScenario(attack=PgdParams(epsilon=0.1, step=0.1),
                                   budget_target="root" if mode == "budgeted" else None)
         with pytest.raises(ValidationError, match="no data rows"):
             evaluate_adversarial(h, np.empty((0, 2)), np.empty(0, dtype=np.int64), scenario)
@@ -506,10 +500,7 @@ class TestAdversarial:
         h, X, y = toy_three_label_hierarchy()
         params = PgdParams(epsilon=0.5, step=0.2, iters=5)
         with pytest.raises(ValidationError):
-            evaluate_adversarial(h, X, y, AttackScenario(mode="budgeted", attack=params,
-                                                         budget_target="nope"))
-        with pytest.raises(ValidationError):
-            AttackScenario(mode="budgeted", attack=params)
+            evaluate_adversarial(h, X, y, AttackScenario(attack=params, budget_target="nope"))
 
 
 def two_process_case():
@@ -535,8 +526,8 @@ class TestTwoProcessAttack:
     every attacked node's rows and this process the rest: the report must be
     the one-process report, also when the child or the fork fails."""
 
-    SCENARIOS = {"worst_case": ("worst_case", None), "single": ("budgeted", "root.3"),
-                 "one-row": ("budgeted", "root.0"), "worst": ("budgeted", "worst")}
+    #: The budget target of each scenario; None attacks every node at once.
+    SCENARIOS = {"worst_case": None, "single": "root.3", "one-row": "root.0", "worst": "worst"}
     # The rows of each node attacked, in `Hierarchy.nodes()` order: root,
     # root.0, root.1, root.3 and root.4 (root.2 is a singleton).
     ROWS = {"worst_case": [301, 1, 0, 103, 160], "single": [103], "one-row": [1],
@@ -550,9 +541,8 @@ class TestTwoProcessAttack:
     def reports(self, monkeypatch, name="worst"):
         """(report, (start, rows, total) of each range attacked here) of the
         split call and of one process."""
-        mode, target = self.SCENARIOS[name]
         h, X, y = two_process_case()
-        scenario = AttackScenario(mode=mode, budget_target=target, attack=TWO_PROCESS_PGD)
+        scenario = AttackScenario(budget_target=self.SCENARIOS[name], attack=TWO_PROCESS_PGD)
         original, ranges = hierarchy._pgd_rows, []
 
         def recorded(model, X, y, params, seed, start, total):
@@ -577,10 +567,9 @@ class TestTwoProcessAttack:
     def test_split_report_equals_one_process_report(self, monkeypatch, forks, name):
         (got, here), (want, whole) = self.reports(monkeypatch, name)
         assert got == want
-        mode, target = self.SCENARIOS[name]
         h, X, y = two_process_case()
         assert want == evaluate_adversarial_oracle(h, X, y, AttackScenario(
-            mode=mode, budget_target=target, attack=TWO_PROCESS_PGD), seed=3)
+            budget_target=self.SCENARIOS[name], attack=TWO_PROCESS_PGD), seed=3)
         assert [n for _, n, _ in whole] == self.ROWS[name]
         assert len(forks) == 1 and here == self.halves(whole)[1]
 
@@ -629,7 +618,7 @@ class TestTwoProcessAttack:
         part = LabelPartition(((0, 1, 2), (3, 4), (5,), (6, 7), (8, 9)))
         h = build_renormalize_hierarchy(part, SmallMlp.init(5, 4, 8, seed=61),
                                         PublicGradients(SmallMlp.init(10, 4, 8, seed=62)))
-        scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
+        scenario = AttackScenario(attack=TWO_PROCESS_PGD)
         with pytest.raises(CapabilityError, match="node 'root.0': a PublicGradients cannot"):
             evaluate_adversarial(h, X, y, scenario, seed=3)
         assert not forks
@@ -639,7 +628,7 @@ def test_attack_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
     # The host's own CPU affinity decides; one CPU (taskset -c 0) never forks.
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 0)
     h, X, y = two_process_case()
-    scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
+    scenario = AttackScenario(attack=TWO_PROCESS_PGD)
     got = evaluate_adversarial(h, X, y, scenario, seed=3)
     assert len(forks) == int(split._can_split())
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)
@@ -649,7 +638,7 @@ def test_attack_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
 def test_attack_below_the_cut_off_does_not_fork(monkeypatch, forks):
     monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
     h, X, y = two_process_case()
-    scenario = AttackScenario(mode="worst_case", attack=TWO_PROCESS_PGD)
+    scenario = AttackScenario(attack=TWO_PROCESS_PGD)
     report = evaluate_adversarial(h, X, y, scenario, seed=3)
     # 565 attacked rows x 4 steps x 2 restarts x d = 4: far below the cut-off
     assert report.pgd_steps == 565 * 4 * 2 and not forks
@@ -683,7 +672,7 @@ def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
     monkeypatch.setattr(hierarchy, "_pgd_rows", attacked)
     monkeypatch.setattr(hierarchy, "_node_correct", checked)
     report = evaluate_adversarial(h, X, y, AttackScenario(
-        mode=mode, budget_target=target, attack=TWO_PROCESS_PGD), seed=3)
+        budget_target=target, attack=TWO_PROCESS_PGD), seed=3)
     assert [id(node) for node in clean] == [id(node) for _, node in h.nodes()]
     assert len(adversarial) == (1 if target == "root.3" else 5)
     assert report.natural_acc == natural and 0.0 < natural < 1.0
@@ -765,7 +754,7 @@ class TestRenormalizationReport:
             P[3:6] = 1.0 / m            # ties everywhere
             part = LabelPartition(((0, 2, 4), (1, 3), (5, 6)) if m == 7 else ((0,), (1,)))
         want = baseline_radii_oracle(P, 0.5)
-        rows, radii = _set_radii(_runner_table(P), slice(None), 0.5)
+        rows, radii = _set_radii(_runner_table(P), range(m), 0.5)
         assert np.array_equal(rows, np.arange(P.shape[0]))
         assert np.array_equal(radii, want)
 
@@ -791,7 +780,7 @@ class TestRenormalizedRadii:
         P[:5, 4] = 1.0                  # exact top probability: +inf radius
         P[5:10] = 1.0 / 12              # ties everywhere
         part = LabelPartition(((0, 3, 7), (1,), (2, 5, 6, 8, 9, 11), (4,), (10,)))
-        got = renormalized_radii(P, part, 0.75)
+        got = _class_radii(_runner_table(P), part, 0.75)
         leaf_of = {label: c for c in part.classes for label in c}
         want = np.array([leaf_certificate_renormalized(
             row, leaf_of[int(np.argmax(row))], 0.75).radius for row in P])
@@ -804,4 +793,4 @@ class TestRenormalizedRadii:
         P = synth_prob_dataset(44, 5, 3)
         P[2] = row
         with pytest.raises(ValidationError):
-            renormalized_radii(P, LabelPartition(((0, 1), (2,))), 0.5)
+            renormalization_report(P, [0] * 5, LabelPartition(((0, 1), (2,))), 0.5, [0.25])

@@ -36,7 +36,6 @@ _UNCALLED = {
     "hierarchy.leaf_certificate_renormalized": "tracer looks it up",
     "hierarchy.hierarchy_certificate": "Direction 1 will call it",
     "hierarchy.retrain_leaf": "Direction 3 will call it",
-    "hierarchy.renormalized_radii": "Direction 2 will call it",
     "io.write_features": "Direction 3 will call it",
     "io.write_logits": "Direction 5 will call it",
     "io.write_probs": "Direction 5 will call it",
