@@ -185,9 +185,12 @@ def _load_prob_source(config: dict, base: Path):
     if src["logits"] is not None:
         path = base / src["logits"]
         ids, labels, values = io.read_logits(path)
-        return path, ids, labels, softmax(values) if values.size else values
-    path = base / src["probs"]
-    ids, labels, values = io.read_probs(path)
+        # A NaN or infinite logit makes a NaN row: the check names it, unwarned.
+        with np.errstate(invalid="ignore"):
+            values = softmax(values) if values.size else values
+    else:
+        path = base / src["probs"]
+        ids, labels, values = io.read_probs(path)
     with _naming(path):
         return path, ids, labels, as_probability_matrix(values)
 
@@ -328,6 +331,9 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                               hint="at least the largest label + 1")
         with _naming(path):
             checked_labels(labels, config["n_labels"] or labels.max(initial=-1) + 1)
+        if k > len(ids):
+            raise ConfigError("k", f"{k} clusters need at least {k} data rows; {path} has "
+                              f"{len(ids)}", hint="at most the embeddings' row count")
         result = kmeans(vectors, k, seed=config["seed"], max_iter=config["max_iter"],
                         tol=float(config["tol"]))
         sep = cluster_separation_check(result.assignment, vectors) if k >= 2 else None

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from . import rng, split
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
 )
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
 from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _pgd_rows, _unmask, train
+from .numerics import special
 from .smoothing import margin_radius
 
 #: An attack of at least this much work (Σ rows·d·iters·restarts) runs in two
@@ -200,7 +200,7 @@ def _runner_table(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = np.arange(P.shape[0])
     PT = P.T.copy()
     PT[g, rows] = -np.inf
-    return g, special.ndtri(P[rows, g]), PT
+    return g, special().ndtri(P[rows, g]), PT
 
 
 def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +224,7 @@ def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     runner = PT[labels[0]].copy()
     for label in labels[1:]:
         np.maximum(runner, PT[label], out=runner)
-    q_runner = special.ndtri(np.maximum(runner[rows], 0.0))
+    q_runner = special().ndtri(np.maximum(runner[rows], 0.0))
     return rows, 0.5 * sigma * np.maximum(q_top[rows] - q_runner, 0.0)
 
 

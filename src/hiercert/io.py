@@ -214,7 +214,15 @@ def write_features(path, ids: Sequence, labels, values: np.ndarray) -> None:
 
 
 def read_features(path):
-    return _read_wide_csv(path, "e")
+    """(ids, labels, features) of a features file; a NaN or infinite
+    feature is a ValidationError naming its data row and column."""
+    ids, labels, values = _read_wide_csv(path, "e")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValidationError(f"{path}: data row {row + 1}, column {col + 3}: feature "
+                              f"{values[row, col]} is not finite")
+    return ids, labels, values
 
 
 def write_logits(path, ids: Sequence, labels, logits: np.ndarray) -> None:

@@ -1,9 +1,18 @@
-"""Standard-normal CDF and quantile.
+"""Standard-normal CDF and quantile, and the one import of scipy.special.
 
-Both are thin wrappers over scipy.special. The CDF goes through the
-complementary error function, which is free of the cancellation that makes
-0.5*(1 + erf(x/sqrt(2))) useless in the lower tail. The quantile is
-`scipy.special.ndtri` (Cephes), accurate to a few ulp across (0, 1): it
+`special()` imports scipy.special on its first call and returns the same
+module after that; every other module reaches Cephes through it. The import
+takes about 0.2 s and 19 MB (scipy's array-API layer loads numpy.f2py,
+numpy.testing and numpy.ma), so commands that draw no noise and compute no
+radius (`discover`, `attack`, `toy-prf`, and any config rejected before
+compute) never pay it. `smoothing.vote_counts` and `toymodels._count_hits`
+call `special()` before `split.parts`, so that a forked child inherits the
+module and never imports it by itself.
+
+`normal_cdf` and `normal_quantile` are thin wrappers over scipy.special.
+The CDF goes through the complementary error function, which is free of the
+cancellation that makes 0.5*(1 + erf(x/sqrt(2))) useless in the lower tail.
+The quantile is `ndtri` (Cephes), accurate to a few ulp across (0, 1): it
 evaluates the upper tail through 1 - q, so normal_quantile(1 - q) and
 -normal_quantile(q) agree to the precision with which 1 - q represents the
 complement. `normal_quantile` adds the (0, 1) domain check; the noise path,
@@ -13,14 +22,21 @@ directly.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
 _SQRT2 = math.sqrt(2.0)
+
+
+@functools.cache
+def special():
+    """The scipy.special module, imported on the first call."""
+    from scipy import special
+    return special
 
 
 def normal_cdf(x):
@@ -28,7 +44,7 @@ def normal_cdf(x):
     if np.isscalar(x):
         return 0.5 * math.erfc(-float(x) / _SQRT2)
     z = np.asarray(x, dtype=np.float64)
-    return 0.5 * special.erfc(-z / _SQRT2)
+    return 0.5 * special().erfc(-z / _SQRT2)
 
 
 def normal_quantile(q):
@@ -40,9 +56,9 @@ def normal_quantile(q):
         qf = float(q)
         if not 0.0 < qf < 1.0:
             raise ValidationError("normal_quantile requires 0 < q < 1")
-        return float(special.ndtri(qf))
+        return float(special().ndtri(qf))
 
     qa = np.asarray(q, dtype=np.float64)
     if qa.size and not (qa.min() > 0.0 and qa.max() < 1.0):
         raise ValidationError("normal_quantile requires 0 < q < 1")
-    return special.ndtri(qa)
+    return special().ndtri(qa)

@@ -10,7 +10,8 @@ parallel, and serial generation agree bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
+
+from .numerics import special
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -105,6 +106,7 @@ def normals(seed, stream: int, start: int, count: int) -> np.ndarray:
     called without the domain check of `numerics.normal_quantile`.
     """
     single = isinstance(seed, (int, np.integer))
+    ndtri = special().ndtri
     bases = np.array(stream_seed(seed, stream), dtype=np.uint64).reshape(-1, 1)
     out = np.empty((bases.shape[0], count))
     rows = max(1, PIECE // max(count, 1))
@@ -120,7 +122,7 @@ def normals(seed, stream: int, start: int, count: int) -> np.ndarray:
                 bits += bases[r]
             else:
                 bits = bits + bases[r:r + rows]
-            special.ndtri(_unit_interval(_mix(bits)), out=out[r:r + rows, off:off + block])
+            ndtri(_unit_interval(_mix(bits)), out=out[r:r + rows, off:off + block])
     return out[0] if single else out
 
 

@@ -40,12 +40,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import rng, split
 from .core import ABSTAIN, CertifiedPrediction
 from .errors import ValidationError
-from .numerics import normal_quantile
+from .numerics import normal_quantile, special
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ def clopper_pearson_lower_batch(successes, total: int, alpha_conf: float) -> np.
         raise ValidationError("alpha_conf must lie in (0, 1)")
     inner = (k > 0) & (k < total)
     out = np.where(k == 0, 0.0, float(alpha_conf ** (1.0 / total)))
-    out[inner] = special.betaincinv(k[inner], total - k[inner] + 1, alpha_conf)
+    out[inner] = special().betaincinv(k[inner], total - k[inner] + 1, alpha_conf)
     return out
 
 
@@ -135,6 +134,7 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
 
     if len(units) < 2:  # one unit has no half
         return count(0, 2)
+    special()  # imported here, not once in each process of a split
     return sum(split.parts(count, B * n * d, split.SPLIT_MIN_DRAWS))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng, split
 from .errors import ValidationError
-from .numerics import normal_cdf, normal_quantile
+from .numerics import normal_cdf, normal_quantile, special
 
 _STREAM_LABEL = 101
 _STREAM_ROBUST = 102
@@ -62,8 +62,9 @@ def _block_rows(d: int) -> int:
 
 
 def _gauss_blocks(params: GaussModelParams, seed: int, start: int, stop: int):
-    """(X, y) of each block of rows start..stop-1 of the sample, in order;
-    start is a multiple of `_block_rows`, so the blocks are the sample's own.
+    """Fresh arrays (X, y) of each block of rows start..stop-1 of the
+    sample, in order; start is a multiple of `_block_rows`, so the blocks
+    are the sample's own.
 
     y is uniform in {-1,+1}; column 0 equals y with probability p; columns
     1..d are N(eta*y, 1). Row i's label and robust feature are draw i of
@@ -143,17 +144,27 @@ def averaging_predict(X) -> np.ndarray:
 def _hits(samples, cells, start: int, stop: int) -> np.ndarray:
     """Natural and attacked hits of each cell on rows start..stop-1 of each
     sample, int64 of shape (samples, cells, 2). A sample is (params, seed),
-    a cell (predict, k): a classifier of X and the features the attack
-    leaves alone."""
+    a cell (predict, k): a classifier of X and the 0 <= k <= d informative
+    features the attack leaves alone.
+
+    Each block is attacked in place once its natural hits are counted. The
+    cells are taken in descending k, each shifting only the columns 1+k ..
+    that the cells before it left alone, by `linf_flip_attack`'s -2*eta*y:
+    every feature is shifted once, so each cell sees the bits that
+    `linf_flip_attack` would give it."""
     hits = np.zeros((len(samples), len(cells), 2), dtype=np.int64)
+    descending = sorted(range(len(cells)), key=lambda c: -cells[c][1])
     for s, (params, seed) in enumerate(samples):
         for X, y in _gauss_blocks(params, seed, start, stop):
-            for c, (predict, k) in enumerate(cells):
+            for c, (predict, _) in enumerate(cells):
                 hits[s, c, 0] += np.count_nonzero(predict(X) == y)
-                X_adv = linf_flip_attack(X, y, params.eta, k)
-                hits[s, c, 1] += np.count_nonzero(predict(X_adv) == y)
-                del X_adv
-            del X, y  # before the next block is drawn
+            shift, stop_col = 2.0 * params.eta * y[:, None], params.d + 1
+            for c in descending:
+                predict, k = cells[c]
+                X[:, 1 + k:stop_col] -= shift
+                stop_col = 1 + k
+                hits[s, c, 1] += np.count_nonzero(predict(X) == y)
+            del X, y, shift  # before the next block is drawn
     return hits
 
 
@@ -169,6 +180,7 @@ def _count_hits(samples, cells, n: int, d: int) -> np.ndarray:
     if mid == 0:  # one block has no half
         return _hits(samples, cells, 0, n)
     bounds = (0, mid, n)
+    special()  # imported here, not once in each process of a split
     return sum(split.parts(lambda a, b: _hits(samples, cells, bounds[a], bounds[b]),
                            len(samples) * n * d, split.SPLIT_MIN_DRAWS))
 
@@ -201,7 +213,7 @@ def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
     and attacked one block at a time (`_count_hits`).
     """
     for k in k_list:
-        if k > d:
+        if not 0 <= k <= d:
             raise ValidationError(f"k={k} inadmissible for d={d}")
     _check_sample_count(n_samples)
     cells = [(partial(_cell_predict, k=int(k)), int(k)) for k in k_list]

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,7 +293,9 @@ _READING = {"cm.csv": {"k": 1, "confusion": "cm.csv"},
             "m.json": dict(_VALID["certify"], model={"type": "mlp", "path": "m.json"}),
             "part.json": dict(_VALID["hierarchy"], partition="part.json"),
             "emb.csv": {"k": 1, "embeddings": "emb.csv", "n_labels": 2},
-            "cm3.csv": {"k": 1, "confusion": "cm3.csv", "n_labels": 3}}
+            "cm3.csv": {"k": 1, "confusion": "cm3.csv", "n_labels": 3},
+            "l.csv": dict(_VALID["hierarchy"], probs={"logits": "l.csv"}),
+            "sweep-l.csv": dict(_VALID["sweep"], probs={"logits": "sweep-l.csv"})}
 # a leaf holding label 5 of a two-label hierarchy
 _LEAVES = [{"kind": "leaf", "labels": [0, 5], "classifier": _MODEL},
            {"kind": "leaf", "labels": [1]}]
@@ -515,6 +518,27 @@ class TestMalformedInputs:
                                    "cm.csv: data row 2, column 2: could not convert"),
         "confusion-short-row": ("discover", "cm.csv", "1,0\n\n\n0\n",
                                 "cm.csv: data row 2: expected 2 fields, found 1"),
+        # a NaN or infinite feature names its file, data row and column
+        "certify-nan-feature": ("certify", "data.csv", "sample_id,label,e0,e1\na,0,nan,0.0\n",
+                                "data.csv: data row 1, column 3: feature nan is not finite"),
+        "certify-inf-feature": ("certify", "data.csv",
+                                "sample_id,label,e0,e1\na,0,0.5,0\n\nb,1,inf,1.0\n",
+                                "data.csv: data row 2, column 3: feature inf is not finite"),
+        "attack-nan-feature": ("attack", "data.csv", "sample_id,label,e0,e1\na,0,0.5,NaN\n",
+                               "data.csv: data row 1, column 4: feature nan is not finite"),
+        "discover-inf-embedding": ("discover", "emb.csv",
+                                   "sample_id,label,e0,e1\na,0,-inf,0\nb,1,0,0.5\n",
+                                   "emb.csv: data row 1, column 3: feature -inf is not finite"),
+        # and a NaN or infinite logit its file
+        "hierarchy-nan-logit": ("hierarchy", "l.csv", "sample_id,label,l0,l1\na,0,nan,0\n",
+                                "l.csv: probability row 0: entries must be finite"),
+        "sweep-inf-logit": ("sweep", "sweep-l.csv",
+                            "sample_id,label,l0,l1\na,0,1,0\nb,1,inf,0\n",
+                            "sweep-l.csv: probability row 1: entries must be finite"),
+        # more clusters than embeddings
+        "k-above-rows": ("discover", "k", "5", "field 'k': 5 clusters need at least 5 data rows"),
+        "k-above-rows-file": ("discover", "k", "5", "data.csv has 1 (hint: at most the "
+                              "embeddings' row count)"),
     }
 
     def test_distinct_integers_name_their_outputs_apart(self):
@@ -625,6 +649,20 @@ class TestDiscoverCommand:
     def test_both_sources_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"k": 2, "embeddings": "a", "confusion": "b"})
         assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "sweep"])
+@pytest.mark.parametrize("logit", ["nan", "inf"])
+def test_non_finite_logits_are_rejected_without_a_warning(tmp_path, capsys, command, logit):
+    (tmp_path / "l.csv").write_text(f"sample_id,label,l0,l1\na,0,1,0\nb,1,{logit},0\n")
+    config = {"hierarchy": {"partition": [[0], [1]]}, "sweep": {"sizes": [1, 2]}}[command]
+    cfg = write_config(tmp_path, "c.json", dict(config, probs={"logits": "l.csv"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[validation] {tmp_path.resolve() / 'l.csv'}: probability row 1")
+    assert err.count("\n") == 1
 
 
 class TestHierarchyCommand:

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import hiercert
-from hiercert import rng, smoothing, split
+from hiercert import io, rng, smoothing, split
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
 from hiercert.models import LinearSoftmax, SmallMlp
@@ -103,6 +103,16 @@ class TestSmoothingConfig:
             SmoothingConfig(sigma=0.5, alpha_conf=1.0)
 
 
+#: A two-label linear model of two features, as a model spec.
+_LINEAR = {"type": "linear", "W": [[0.0, 0.0], [1.0, 0.0]], "b": [0.0, 0.0]}
+
+
+def write_four_points(path) -> None:
+    """Two labels of two points each, far apart on the first feature."""
+    io.write_features(path, list("abcd"), np.array([0, 0, 1, 1]),
+                      np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]]))
+
+
 class TestClopperPearson:
     def test_zero_successes(self):
         assert clopper_pearson_lower(0, 100, 0.001) == 0.0
@@ -169,22 +179,79 @@ class TestClopperPearson:
         assert cases > 250
 
     @staticmethod
-    def modules_after_cli_import(condition: str) -> str:
-        """sorted(m for m in sys.modules if condition) after a cold `import hiercert.cli`."""
+    def run_fresh(code: str, *args: str) -> str:
+        """The stripped stdout of `code` run with `args` in a fresh interpreter."""
         src = str(Path(hiercert.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        code = f"import sys, hiercert.cli; print(sorted(m for m in sys.modules if {condition}))"
-        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                               capture_output=True, text=True, timeout=60).stdout.strip()
+
+    def modules_after_import(self, condition: str, module: str = "hiercert.cli") -> str:
+        """sorted(m for m in sys.modules if condition) after a cold `import module`."""
+        return self.run_fresh(
+            f"import sys, {module}; print(sorted(m for m in sys.modules if {condition}))")
 
     def test_cli_import_leaves_scipy_stats_out(self):
         # scipy.stats takes most of a cold `import hiercert.cli`.
-        assert self.modules_after_cli_import("m.startswith('scipy.stats')") == "[]"
+        assert self.modules_after_import("m.startswith('scipy.stats')") == "[]"
+
+    @pytest.mark.parametrize("module", ["hiercert", "hiercert.cli"])
+    def test_import_leaves_scipy_special_out(self, module):
+        # scipy.special takes about 0.2 s and 19 MB; `numerics.special` loads
+        # it on the first call that needs it.
+        assert self.modules_after_import("m == 'scipy.special'", module) == "[]"
+
+    def test_commands_that_draw_no_noise_never_load_scipy_special(self, tmp_path):
+        write_four_points(tmp_path / "e.csv")
+        (tmp_path / "cm.csv").write_text("9,3,0,1\n3,9,1,0\n0,1,9,3\n1,0,3,9\n")
+        io.write_json(tmp_path / "h.json", {"n_labels": 2, "root": {
+            "kind": "intermediate", "classifier": _LINEAR, "children": [
+                {"kind": "leaf", "labels": [0]}, {"kind": "leaf", "labels": [1]}]}})
+        configs = [("discover", {"k": 2, "embeddings": "e.csv"}),
+                   ("discover", {"k": 2, "confusion": "cm.csv"}),
+                   ("attack", {"hierarchy": "h.json", "dataset": {"features": "e.csv"},
+                               "attack": {"iters": 2}}),
+                   ("toy-prf", {"n_trials": 10})]
+        args = []
+        for i, (command, config) in enumerate(configs):
+            io.write_json(tmp_path / f"c{i}.json", config)
+            args += [command, str(tmp_path / f"c{i}.json"), str(tmp_path / f"out{i}")]
+        code = ("import sys\nfrom hiercert import cli\nargs = sys.argv[1:]\n"
+                "codes = [cli.main([args[i], '--config', args[i + 1], '--out', args[i + 2]])"
+                " for i in range(0, len(args), 3)]\n"
+                "print(codes, 'scipy.special' in sys.modules)")
+        assert self.run_fresh(code, *args).splitlines()[-1] == "[0, 0, 0, 0] False"
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or split._openblas() is None,
+                        reason="the split needs os.fork and numpy's OpenBLAS")
+    @pytest.mark.parametrize("command, config", [
+        ("certify", {"sigma": 0.5, "n0": 10, "n": 50, "dataset": {"features": "e.csv"},
+                     "model": _LINEAR}),
+        ("toy-gauss", {"d": 10, "eta_list": [0.3], "k_list": [0, 1], "n_samples": 100})])
+    def test_every_fork_inherits_scipy_special(self, tmp_path, command, config):
+        # A child that imported scipy.special by itself would pay the import
+        # twice over; the command starts without it and loads it before its
+        # first split.
+        write_four_points(tmp_path / "e.csv")
+        io.write_json(tmp_path / "c.json", config)
+        code = ("import os, sys\nfrom hiercert import cli, rng, split\n"
+                "before = 'scipy.special' in sys.modules\n"
+                "split._usable_cpus = lambda: 2\nsplit.SPLIT_MIN_DRAWS = 0\n"
+                "rng.PIECE = 64  # many units and blocks, so every pass splits\n"
+                "real, seen = os.fork, []\n"
+                "def fork():\n    seen.append('scipy.special' in sys.modules)\n"
+                "    return real()\n"
+                "os.fork = fork\ncode = cli.main(sys.argv[1:])\nprint(before, code, seen)")
+        out = self.run_fresh(code, command, "--config", str(tmp_path / "c.json"),
+                             "--out", str(tmp_path / "out")).splitlines()[-1]
+        before, exit_code, seen = out.split(" ", 2)
+        assert (before, exit_code) == ("False", "0")
+        assert seen.startswith("[True") and "False" not in seen, seen
 
     def test_cli_import_leaves_process_pools_out(self):
         # The two-process CSV read forks directly; a pool module on the import
         # path would cost every command's start-up.
-        assert self.modules_after_cli_import(
+        assert self.modules_after_import(
             "m in ('multiprocessing', 'concurrent.futures.process')") == "[]"
 
 

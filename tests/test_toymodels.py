@@ -236,6 +236,21 @@ class TestBlockedSampleAndAttack:
         assert res.adversarial_acc == float(np.mean(
             weighted_predict(linf_flip_attack(X_full, y_full, 0.3, 0), c) == y_full))
 
+    def test_cells_in_any_order_see_the_flip_attack(self):
+        # `_hits` attacks each block once, in place, in descending k; cells
+        # given in another order, with a repeat, see linf_flip_attack's bits.
+        d, n, p, seed, eta, ks = 9, 301, 0.8, 17, 0.4, [4, 0, 9, 1, 4]
+        cells = gauss_experiment([eta], ks, d, p, n, seed)
+        X, y = gauss_sample_oracle(GaussModelParams(d=d, p=p, eta=eta), n, rng.mix64(seed))
+        want = [float(np.mean(toymodels._cell_predict(linf_flip_attack(X, y, eta, k), k) == y))
+                for k in ks]
+        assert [c.adversarial_acc for c in cells] == want
+
+    @pytest.mark.parametrize("k", [-1, 10])
+    def test_k_outside_zero_to_d_rejected(self, k):
+        with pytest.raises(ValidationError, match=f"k={k} inadmissible for d=9"):
+            gauss_experiment([0.4], [0, k], 9, 0.8, 50, seed=1)
+
 
 @pytest.fixture
 def counted(monkeypatch):
