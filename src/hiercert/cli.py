@@ -214,9 +214,9 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     summary_rows = []
     if len(ids) == 0:
         print("warning: empty dataset, emitting empty tables", file=sys.stderr)
-    for si, sigma in enumerate(sigmas):
-        cfg = SmoothingConfig(sigma=sigma, n0=n0, n=n, alpha_conf=alpha)
-        batch = certify_batch(model, X, cfg, _per_sample_seeds(config["seed"], si, len(ids)))
+    configs = [SmoothingConfig(sigma=s, n0=n0, n=n, alpha_conf=alpha) for s in sigmas]
+    seeds = [_per_sample_seeds(config["seed"], si, len(ids)) for si in range(len(sigmas))]
+    for sigma, batch in zip(sigmas, certify_batch(model, X, configs, seeds)):
         abstained = batch.abstained
         radius_col = [None if a else r for a, r in zip(abstained.tolist(), batch.radii.tolist())]
         rows = [list(row) for row in zip(ids, labels.tolist(), batch.labels.tolist(), radius_col,
@@ -345,6 +345,10 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     else:
         path = base / config["confusion"]
         counts = io.read_confusion(path)
+        if k > len(counts):
+            raise ConfigError("k", f"{k} classes need a label space of at least {k}; {path} "
+                              f"is a {len(counts)} x {len(counts)} matrix",
+                              hint="at most the confusion matrix's size")
         if config["n_labels"] not in (None, len(counts)):
             raise ConfigError("n_labels", f"{path} is a {len(counts)} x {len(counts)} matrix, "
                               f"a label space of {len(counts)}, not {config['n_labels']}",
@@ -379,6 +383,14 @@ def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     p = float(config["p"])
     eta_list = _named_apart("eta_list", [float(e) for e in config["eta_list"]])
     k_list = _named_apart("k_list", config["k_list"])
+    tradeoff = config["tradeoff"]
+    if tradeoff is not None:
+        gamma, eta = (float(tradeoff[key]) for key in ("gamma", "eta"))
+        # `tuned_feature_weight`'s rule, checked before the grid is sampled
+        if not 0.0 < (1.0 - gamma - p) / (1.0 - p) < 1.0:
+            raise ConfigError("tradeoff.gamma", f"{gamma!r} is outside 0 < gamma < 1 - p "
+                              f"= {1.0 - p:g} at p = {p!r}",
+                              hint="an error rate below that of the robust feature")
     cells = gauss_experiment(eta_list, k_list, d, p, n_samples, seed)
     rows = []
     for c in cells:
@@ -389,8 +401,7 @@ def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                           columns=["eta", "k", "natural_acc", "adversarial_acc",
                                    "bound_if_unprotected"],
                           rows=rows)]
-    if config["tradeoff"] is not None:
-        gamma, eta = (float(config["tradeoff"][key]) for key in ("gamma", "eta"))
+    if tradeoff is not None:
         res = tradeoff_experiment(p, gamma, eta, d, n_samples, seed)
         tables.append(ReportTable(name="tradeoff", metadata=dict(meta, noise_draws=n_samples * d),
                                   columns=["p", "gamma", "eta", "natural_acc",

@@ -16,20 +16,25 @@ subset sweep) use `margin_radius` with a separate runner-up probability.
 Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs and chunk sizes.
 
-One kernel, `vote_counts`, does the Monte-Carlo work for a whole batch of
-inputs, each with its own seed. A unit holds about one `rng.PIECE` of
-draws: r = max(1, PIECE // d) perturbed rows of width d. When n < r a unit
-holds floor(r / n) inputs with all their samples, otherwise a unit is a
-range of at most r samples of one input. Working memory is therefore
-about one piece whatever n is, and whatever d is up to PIECE (beyond it,
-one row). Each unit's noise comes from one `rng.normals` call over the
-unit's seeds, then gets one `logits` call, one argmax, and one `bincount` over
-(input, label) pairs. A call of at least `split.SPLIT_MIN_DRAWS` draws
-may count the first half of its units in a forked child and the rest in
-this process (`split.parts`), and adds the integer counts, so the counts do
-not depend on the split either. `certify_batch` runs the selection and
-estimation passes through it, bounds all top-label counts with one
-`clopper_pearson_lower_batch` call and takes all radii from one
+One kernel, `_count_passes`, does the Monte-Carlo work for a list of vote
+passes over one batch of inputs, each pass a (sigma, n, seeds, stream)
+with a seed per input. A unit holds about one `rng.PIECE` of draws:
+r = max(1, PIECE // d) perturbed rows of width d. When n < r a unit holds
+floor(r / n) inputs with all their samples, otherwise a unit is a range of
+at most r samples of one input. Working memory is therefore about one
+piece whatever n is, and whatever d is up to PIECE (beyond it, one row),
+plus one (B, m) int64 table per pass. Each unit's noise comes from one
+`rng.normals` call over the unit's seeds, then gets one `logits` call, one
+argmax, and one `bincount` over (input, label) pairs. The units of all
+passes go through one `split.parts` call: a call of two units or more
+whose passes' summed B·n·d draws reach `split.SPLIT_MIN_DRAWS` may count
+the first half of its units in a forked child and the rest in this
+process, and adds the integer counts, so the counts do not depend on the
+split either. `vote_counts` is its one-pass call. `certify_batch` counts
+the selection and estimation passes of every config of a command in one
+kernel call, so a `certify` forks at most once however many sigmas it
+certifies; it then bounds each config's top-label counts with one
+`clopper_pearson_lower_batch` call and takes its radii from one
 `margin_radius` call. `clopper_pearson_lower` and `certify` are the
 one-input wrappers of the batched calls, and agree with them bit for bit.
 """
@@ -104,38 +109,54 @@ def vote_counts(classifier, X, sigma: float, n: int, seeds,
     units or more passes `split.parts` its B·n·d draws against
     `split.SPLIT_MIN_DRAWS`, which may count the first half of the units in
     a forked child and the rest here; the counts are integers, so their sum
-    is the one-process count.
+    is the one-process count. This is the one-pass call of `_count_passes`.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    return _count_passes(classifier, X, [(sigma, n, seeds, stream)])[0]
+
+
+def _count_passes(classifier, X, passes) -> np.ndarray:
+    """(len(passes), B, m) vote counts of the rows of X, one table per pass
+    (sigma, n, seeds, stream), each as `vote_counts` counts it.
+
+    Every pass is cut into units by `vote_counts`' rule, and all the units
+    go through one `split.parts` call, weighed by the passes' summed B·n·d
+    draws: a command's passes fork at most once between them.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    seeds = np.asarray(seeds, dtype=np.uint64)
     B, d = X.shape
-    if seeds.shape != (B,):
-        raise ValidationError(f"need one seed per input: {seeds.shape} seeds for {B} inputs")
     m = classifier.n_labels
     rows = max(1, rng.PIECE // max(d, 1))
-    per_unit = max(1, rows // n)
-    units = [(b0, min(b0 + per_unit, B), start, min(start + rows, n))
-             for b0 in range(0, B, per_unit) for start in range(0, n, rows)]
+    passes = [(sigma, n, np.asarray(seeds, dtype=np.uint64), stream)
+              for sigma, n, seeds, stream in passes]
+    units, draws = [], 0
+    for p, (_, n, seeds, _) in enumerate(passes):
+        if n < 1:
+            raise ValidationError("n must be >= 1")
+        if seeds.shape != (B,):
+            raise ValidationError(f"need one seed per input: {seeds.shape} seeds for {B} inputs")
+        per_unit = max(1, rows // n)
+        units += [(p, b0, min(b0 + per_unit, B), start, min(start + rows, n))
+                  for b0 in range(0, B, per_unit) for start in range(0, n, rows)]
+        draws += B * n * d
 
     def count(a: int, b: int) -> np.ndarray:
         """The counts of units len·a//2 to len·b//2."""
-        counts = np.zeros((B, m), dtype=np.int64)
-        for b0, b1, start, stop in units[len(units) * a // 2:len(units) * b // 2]:
+        counts = np.zeros((len(passes), B, m), dtype=np.int64)
+        for p, b0, b1, start, stop in units[len(units) * a // 2:len(units) * b // 2]:
+            sigma, _, seeds, stream = passes[p]
             k, s = b1 - b0, stop - start
             batch = rng.normals(seeds[b0:b1], stream, start * d, s * d).reshape(k, s, d)
             batch *= sigma
             batch += X[b0:b1, None, :]
             votes = np.argmax(classifier.logits(batch.reshape(k * s, d)), axis=1)
             votes += np.repeat(np.arange(0, k * m, m), s)
-            counts[b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
+            counts[p, b0:b1] += np.bincount(votes, minlength=k * m).reshape(k, m)
         return counts
 
     if len(units) < 2:  # one unit has no half
         return count(0, 2)
     special()  # imported here, not once in each process of a split
-    return sum(split.parts(count, B * n * d, split.SPLIT_MIN_DRAWS))
+    return sum(split.parts(count, draws, split.SPLIT_MIN_DRAWS))
 
 
 def margin_radius(sigma: float, p_top, p_runner):
@@ -201,26 +222,34 @@ class CertifiedBatch:
             p_a_lower=float(self.p_a_lower[i]), sigma=self.sigma, n_samples=self.n_samples)
 
 
-def certify_batch(classifier, X, config: SmoothingConfig, seeds) -> CertifiedBatch:
-    """Certify every row of X, input i under seed seeds[i].
+def certify_batch(classifier, X, configs: list[SmoothingConfig], seeds) -> list[CertifiedBatch]:
+    """Certify every row of X under each config, input i of configs[c] under
+    seed seeds[c][i]; one `CertifiedBatch` per config.
 
     Selects each top label with n0 samples, then bounds its probability
     with n samples. An input abstains when its lower bound does not exceed
-    1/2; the runner-up is bounded by 1 - p_a_lower.
+    1/2; the runner-up is bounded by 1 - p_a_lower. The selection and
+    estimation passes of every config are counted in one `_count_passes`
+    call, so they split between two processes at most once.
     """
-    selection = vote_counts(classifier, X, config.sigma, config.n0, seeds,
-                            stream=rng.STREAM_SELECT)
-    top = np.argmax(selection, axis=1)
-    estimation = vote_counts(classifier, X, config.sigma, config.n, seeds,
-                             stream=rng.STREAM_NOISE)
-    p_lower = clopper_pearson_lower_batch(
-        estimation[np.arange(top.size), top], config.n, config.alpha_conf)
-    certified = p_lower > 0.5
-    radii = np.full(p_lower.shape, np.nan)
-    radii[certified] = margin_radius(config.sigma, p_lower[certified],
-                                     1.0 - p_lower[certified])
-    return CertifiedBatch(labels=np.where(certified, top, ABSTAIN), radii=radii,
-                          p_a_lower=p_lower, sigma=config.sigma, n_samples=config.n)
+    if len(seeds) != len(configs):
+        raise ValidationError(f"need one seed array per config: {len(seeds)} for "
+                              f"{len(configs)} configs")
+    counts = _count_passes(classifier, X, [
+        (cfg.sigma, n, s, stream) for cfg, s in zip(configs, seeds)
+        for n, stream in ((cfg.n0, rng.STREAM_SELECT), (cfg.n, rng.STREAM_NOISE))])
+    batches = []
+    for cfg, selection, estimation in zip(configs, counts[0::2], counts[1::2]):
+        top = np.argmax(selection, axis=1)
+        p_lower = clopper_pearson_lower_batch(
+            estimation[np.arange(top.size), top], cfg.n, cfg.alpha_conf)
+        certified = p_lower > 0.5
+        radii = np.full(p_lower.shape, np.nan)
+        radii[certified] = margin_radius(cfg.sigma, p_lower[certified],
+                                         1.0 - p_lower[certified])
+        batches.append(CertifiedBatch(labels=np.where(certified, top, ABSTAIN), radii=radii,
+                                      p_a_lower=p_lower, sigma=cfg.sigma, n_samples=cfg.n))
+    return batches
 
 
 def certify(classifier, x, config: SmoothingConfig, seed: int) -> CertifiedPrediction:
@@ -229,5 +258,4 @@ def certify(classifier, x, config: SmoothingConfig, seed: int) -> CertifiedPredi
     Abstains when the estimated lower bound does not exceed 1/2.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return certify_batch(classifier, x, config, [seed & 0xFFFFFFFFFFFFFFFF]).prediction(0)
-
+    return certify_batch(classifier, x, [config], [[seed & 0xFFFFFFFFFFFFFFFF]])[0].prediction(0)

@@ -4,8 +4,9 @@ process computes the other.
 The program splits work that holds the GIL, where a second thread would
 wait for it while a forked child runs beside this process: the 17-digit
 float parsing of a wide CSV, the toy sample's normal quantile, the
-Monte-Carlo votes of `smoothing.vote_counts` and the PGD steps of
-`hierarchy.evaluate_adversarial`. Each caller states its job as
+Monte-Carlo votes of `smoothing._count_passes` (one job for every
+selection and estimation pass of a `certify` command, so the command forks
+at most once) and the PGD steps of `hierarchy.evaluate_adversarial`. Each caller states its job as
 `part(a, b)`, halves a/2 to b/2 of it, and `parts` decides, for all of
 them, whether it runs in one process or two. The votes and the attack call
 BLAS through the models' products, and two processes each running numpy's
@@ -33,7 +34,8 @@ import numpy as np
 #: on two cores from a 96 MB process, the toy split lost below 0.4M draws,
 #: varied either way up to 0.8M and won by 32-47 % from 1M on; the
 #: `vote_counts` split lost or varied either way below 0.6M and won by
-#: 28-50 % from 0.78M on (the BENCH_*.json records of the two splits).
+#: 28-50 % from 0.78M on (the BENCH_*.json records of the two splits). The
+#: vote counts weigh the summed draws of all the passes they count at once.
 SPLIT_MIN_DRAWS = 1 << 20
 
 # Thread-count symbols of OpenBLAS builds: scipy-openblas (numpy's wheels),

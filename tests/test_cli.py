@@ -294,6 +294,7 @@ _READING = {"cm.csv": {"k": 1, "confusion": "cm.csv"},
             "part.json": dict(_VALID["hierarchy"], partition="part.json"),
             "emb.csv": {"k": 1, "embeddings": "emb.csv", "n_labels": 2},
             "cm3.csv": {"k": 1, "confusion": "cm3.csv", "n_labels": 3},
+            "cm5.csv": {"k": 5, "confusion": "cm5.csv"},
             "l.csv": dict(_VALID["hierarchy"], probs={"logits": "l.csv"}),
             "sweep-l.csv": dict(_VALID["sweep"], probs={"logits": "sweep-l.csv"})}
 # a leaf holding label 5 of a two-label hierarchy
@@ -431,6 +432,12 @@ class TestMalformedInputs:
                                          "cm3.csv is a 2 x 2 matrix, a label space of 2, not 3"),
         "n-labels-under-the-matrix": ("discover", "cm3.csv", "1,0,0,0\n0,1,0,0\n0,0,1,0\n"
                                       "0,0,0,1\n", "a label space of 4, not 3"),
+        # as does k, which must not exceed the matrix's size
+        "k-above-the-matrix": ("discover", "cm5.csv", "1,0\n0,1\n", "field 'k': "),
+        "k-above-the-matrix-file": ("discover", "cm5.csv", "1,0\n0,1\n",
+                                    "5 classes need a label space of at least 5; "),
+        "k-above-the-matrix-size": ("discover", "cm5.csv", "1,0\n0,1\n",
+                                    "cm5.csv is a 2 x 2 matrix"),
         "unknown-strategy": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=[{"kind": "leaf", "labels": [0], "strategy": "mask"},
                                      {"kind": "leaf", "labels": [1]}]))),
@@ -476,6 +483,10 @@ class TestMalformedInputs:
         "negative-eta": ("toy-gauss", "eta_list", "[-1]", "field 'eta_list'"),
         "negative-k": ("toy-gauss", "k_list", "[-1]", "field 'k_list'"),
         "gamma-above-one": ("toy-gauss", "tradeoff", '{"gamma": 2}', "field 'tradeoff.gamma'"),
+        # gamma must lie below the robust feature's error rate 1 - p
+        "gamma-above-one-minus-p": ("toy-gauss", "tradeoff", '{"gamma": 0.5}',
+                                    "field 'tradeoff.gamma': 0.5 is outside 0 < gamma < 1 - p "
+                                    "= 0.05 at p = 0.95"),
         "zero-n-bits": ("toy-prf", "n_bits", "0", "field 'n_bits'"),
         "even-repetition": ("toy-prf", "repetition", "2", "field 'repetition'"),
         "negative-flip-budget": ("toy-prf", "flip_budget", "-1", "field 'flip_budget'"),
@@ -782,6 +793,17 @@ class TestToyCommands:
         se = math.sqrt(bound * (1 - bound) / 20000)
         assert natural == pytest.approx(0.99, abs=0.01)
         assert adv <= bound + 3 * se
+
+    def test_gauss_checks_gamma_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def sampled(*args):
+            raise AssertionError("gauss_experiment called")
+
+        monkeypatch.setattr(cli, "gauss_experiment", sampled)
+        cfg = write_config(tmp_path, "c.json", {"p": 0.9, "tradeoff": {"gamma": 0.1}})
+        assert cli.main(["toy-gauss", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error[validation] field 'tradeoff.gamma': 0.1 is outside 0 < gamma < 1 - p = 0.1 "
+            "at p = 0.9 (hint: ")
 
     def test_gauss_meta_records_noise_draws(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -44,6 +44,7 @@ _UNCALLED = {
     "io.save_hierarchy": "Direction 3 will call it",
     "models.pgd_attack": "tracer looks it up",
     "smoothing.clopper_pearson_lower": "tracer looks it up",
+    "smoothing.vote_counts": "tracer looks it up",
     "toymodels.linf_flip_attack": "paper construction tested through it",
     "toymodels.meta_feature_accuracy": "paper construction tested through it",
 }

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import hiercert
-from hiercert import io, rng, smoothing, split
+from hiercert import cli, io, rng, smoothing, split
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
 from hiercert.models import LinearSoftmax, SmallMlp
@@ -537,6 +537,68 @@ def test_vote_counts_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
     assert np.array_equal(got, vote_counts(model, X, 0.4, 100, seeds))
 
 
+class TestSelectionAndEstimationPasses:
+    """`_count_passes` over a selection and an estimation pass counts, in
+    one process or split, what two one-process `vote_counts` calls count."""
+
+    # (model, B, rows per unit, n0, n): units of several inputs in both
+    # passes, units of one input's sample range in both, one pass of each
+    # kind, and no inputs
+    CASES = {"inputs-per-unit": ("mlp", 37, 613, 20, 100),
+             "sample-ranges": ("linear", 2, 50, 120, 2001),
+             "inputs-then-sample-ranges": ("tied", 5, 613, 100, 1500),
+             "no-inputs": ("mlp", 0, 613, 20, 100)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("processes", ["one", "split"])
+    def test_equals_two_vote_counts_calls(self, monkeypatch, forks, case, processes):
+        model_name, B, rows, n0, n = self.CASES[case]
+        unit_rows(monkeypatch, rows, 3)
+        model, X = MODELS[model_name](), batch_inputs(B)
+        select, estimate = wrapping_seeds(B), wrapping_seeds(B)[::-1]
+        if processes == "split":
+            monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 0)
+        got = smoothing._count_passes(model, X, [(0.4, n0, select, rng.STREAM_SELECT),
+                                                 (0.7, n, estimate, rng.STREAM_NOISE)])
+        assert len(forks) == (processes == "split" and B > 0 and split._can_split())
+        monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
+        want = [vote_counts(model, X, 0.4, n0, select, stream=rng.STREAM_SELECT),
+                vote_counts(model, X, 0.7, n, estimate)]
+        assert got.shape == (2, B, model.n_labels) and got.dtype == np.int64
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_each_pass_checks_its_sample_count_and_seeds(self):
+        model, X = MODELS["linear"](), batch_inputs(3)
+        good = (0.5, 100, [1, 2, 3], rng.STREAM_SELECT)
+        with pytest.raises(ValidationError, match="n must be"):
+            smoothing._count_passes(model, X, [good, (0.5, 0, [1, 2, 3], rng.STREAM_NOISE)])
+        with pytest.raises(ValidationError, match="one seed per input"):
+            smoothing._count_passes(model, X, [good, (0.5, 100, [1, 2], rng.STREAM_NOISE)])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or split._openblas() is None,
+                    reason="the split needs os.fork and numpy's OpenBLAS")
+def test_certify_forks_once_for_all_its_sigmas(monkeypatch, forks, tmp_path):
+    # Units of 32 rows: every pass of each sigma spans two units or more, and
+    # counting each pass on its own would fork four times.
+    write_four_points(tmp_path / "e.csv")
+    io.write_json(tmp_path / "c.json", {"sigma": [0.5, 1.0], "n0": 10, "n": 50,
+                                        "dataset": {"features": "e.csv"}, "model": _LINEAR})
+    monkeypatch.setattr(rng, "PIECE", 64)
+    monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
+    outputs = []
+    for cut_off in (0, 1 << 62):
+        monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", cut_off)
+        out = tmp_path / f"out{cut_off}"
+        assert cli.main(["certify", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))})
+    assert len(forks) == 1
+    assert sorted(outputs[0]) == ["certificates_sigma0p5.csv", "certificates_sigma1.csv",
+                                  "certified_accuracy.csv"]
+    assert outputs[0] == outputs[1]
+
+
 def test_finds_numpys_openblas_where_numpy_is_built_on_scipy_openblas():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if blas["name"] == "scipy-openblas" and blas["found"]:
@@ -559,13 +621,40 @@ class TestCertifyBatch:
         model = MODELS[model_name]()
         X, seeds = batch_inputs(B), wrapping_seeds(B)
         cfg = SmoothingConfig(sigma=0.5, n0=50, n=n, alpha_conf=0.01)
-        got = certify_batch(model, X, cfg, seeds)
+        got, = certify_batch(model, X, [cfg], [seeds])
         for i in range(B):
             label, radius, p = certify_oracle(model, X[i], 0.5, 50, n, 0.01, int(seeds[i]))
             assert int(got.labels[i]) == label and got.p_a_lower[i] == p
             assert np.isnan(got.radii[i]) if radius is None else got.radii[i] == radius
             assert certify(model, X[i], cfg, int(seeds[i])) == got.prediction(i)
         assert np.array_equal(got.abstained, got.labels == ABSTAIN)
+
+    def test_two_configs_equal_each_config_alone_and_the_oracle(self, monkeypatch):
+        unit_rows(monkeypatch, 613, 3)
+        model, B = MODELS["mlp"](), 37
+        X = batch_inputs(B)
+        configs = [SmoothingConfig(sigma=0.5, n0=50, n=700, alpha_conf=0.01),
+                   SmoothingConfig(sigma=0.25, n0=30, n=400, alpha_conf=0.001)]
+        seeds = [wrapping_seeds(B), rng.mix64(np.arange(B, dtype=np.uint64))]
+        both = certify_batch(model, X, configs, seeds)
+        assert len(both) == 2
+        for cfg, s, got in zip(configs, seeds, both):
+            alone, = certify_batch(model, X, [cfg], [s])
+            assert (got.sigma, got.n_samples) == (alone.sigma, alone.n_samples) == (cfg.sigma,
+                                                                                    cfg.n)
+            for name in ("labels", "radii", "p_a_lower"):
+                assert np.array_equal(getattr(got, name), getattr(alone, name), equal_nan=True)
+            for i in range(B):
+                label, radius, p = certify_oracle(model, X[i], cfg.sigma, cfg.n0, cfg.n,
+                                                  cfg.alpha_conf, int(s[i]))
+                pred = got.prediction(i)
+                assert (pred.label, pred.radius, pred.p_a_lower) == (label, radius, p)
+
+    def test_one_seed_array_per_config(self):
+        model, X = MODELS["linear"](), batch_inputs(2)
+        assert certify_batch(model, X, [], []) == []
+        with pytest.raises(ValidationError, match="one seed array per config"):
+            certify_batch(model, X, [SmoothingConfig(sigma=0.5)] * 2, [[1, 2]])
 
     def test_abstentions_and_two_sided_runner_up(self):
         # inputs on the linear rule's boundary abstain, the others certify
@@ -574,7 +663,7 @@ class TestCertifyBatch:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, -1.0]])
         seeds = np.array([5, 6, 7, 8], dtype=np.uint64)
         cfg = SmoothingConfig(sigma=0.5, n0=50, n=2000, alpha_conf=0.001)
-        got = certify_batch(model, X, cfg, seeds)
+        got, = certify_batch(model, X, [cfg], [seeds])
         assert got.abstained.tolist() == [True, False, True, False]
         for i in range(4):
             label, radius, p = certify_oracle(model, X[i], 0.5, 50, 2000, 0.001,
