@@ -479,6 +479,10 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
                      "scipy": scipy.__version__,
                      "python": "%d.%d.%d" % sys.version_info[:3]},
     }
+    # A file where the output directory goes would fail only after the command ran.
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"--out {out}: {existing} is not a directory")
     tables = _COMMANDS[command](checked, base, meta)
     wall = time.perf_counter() - started
     out.mkdir(parents=True, exist_ok=True)

@@ -40,7 +40,7 @@ from .core import (
     normalize_subset,
 )
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
-from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _pgd_rows, _unmask, train
+from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _unmask, pgd_attack, train
 from .numerics import special
 from .smoothing import margin_radius
 
@@ -381,7 +381,7 @@ def _node_correct(node: Node, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
                       steps: int) -> list[np.ndarray]:
-    """`_node_correct` after `_pgd_rows` of each (node, rows, targets) of
+    """`_node_correct` after `pgd_attack` of each (node, rows, targets) of
     jobs, which take `steps` PGD row steps in all.
 
     `split.parts` weighs the work (steps·d) against `SPLIT_MIN_PGD_WORK`
@@ -394,8 +394,8 @@ def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
         out = []
         for node, rows, targets in jobs:
             lo, hi = len(rows) * a // 2, len(rows) * b // 2
-            adv = _pgd_rows(node.classifier, X[rows[lo:hi]], targets[lo:hi], attack, seed,
-                            lo, len(rows))
+            adv = pgd_attack(node.classifier, X[rows[lo:hi]], targets[lo:hi], attack, seed,
+                             lo, len(rows))
             out.append(_node_correct(node, adv, targets[lo:hi]))
         return out
 

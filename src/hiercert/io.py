@@ -70,12 +70,22 @@ def _naming(source):
         raise ValidationError(f"{source}: {exc}") from None
 
 
+@contextlib.contextmanager
 def _open(path):
-    """path opened for reading text with newlines untranslated; a missing
-    file is a ValidationError."""
+    """path opened for reading text with newlines untranslated. A missing
+    file, one that cannot be opened (a directory), and bytes that do not
+    decode while the block reads are a ValidationError naming path."""
     if not os.path.exists(path):
         raise ValidationError(f"file not found: {path}")
-    return open(path, newline="")
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -354,7 +354,8 @@ def train(model, X: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float
     return current
 
 
-def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
+def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
+               total: Optional[int] = None) -> np.ndarray:
     """Untargeted l-inf PGD: ascend cross-entropy, project after every step.
 
     Accepts a single (d,) input or a batch (n, d); the perturbed output never
@@ -367,23 +368,18 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0) -> np.ndarray:
     takes the gradient's sign without numpy's branching sign loop
     (`_signed_step`), and updates the iterate in place; the result equals the
     two-pass form (`logits`, then `input_grad_from_dlogits`, then
-    `np.sign(grad) * step`, then `np.clip`) bit for bit. Every row is
-    attacked on its own (`_pgd_rows`), so any cut of the batch into row
-    ranges gives the same rows.
+    `np.sign(grad) * step`, then `np.clip`) bit for bit.
+
+    Every row is attacked on its own, so a batch may be cut into row ranges:
+    x given as rows start..start+n of a batch of `total` rows (default: x is
+    the whole batch) gives those rows of the whole call bit for bit. Row i's
+    restart offsets are drawn at counter (r-1)*total*d + (start+i)*d, where
+    the whole call draws them, and its logit gradient is divided by `total`,
+    as the whole call's mean is.
     """
     single = np.asarray(x).ndim == 1
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    best = _pgd_rows(model, X, y, params, seed, 0, X.shape[0])
-    return best[0] if single else best
-
-
-def _pgd_rows(model, X: np.ndarray, y, params: PgdParams, seed: int, start: int,
-              total: int) -> np.ndarray:
-    """`pgd_attack` of rows start..start+n of a batch of `total` rows, given
-    as X (n, d) with their labels y: equal bit for bit to those rows of the
-    whole call. Row i's restart offsets are drawn at counter
-    (r-1)*total*d + (start+i)*d, where the whole call draws them, and its
-    logit gradient is divided by `total`, as the whole call's mean is."""
+    total = X.shape[0] if total is None else total
     y = np.atleast_1d(checked_labels(y, model.n_labels))
     base, cols = _unmask(model)
     if not hasattr(base, "_backward"):
@@ -415,7 +411,7 @@ def _pgd_rows(model, X: np.ndarray, y, params: PgdParams, seed: int, start: int,
         better = losses > best_loss
         best[better] = cur[better]
         best_loss[better] = losses[better]
-    return best
+    return best[0] if single else best
 
 
 def _signed_step(g: np.ndarray, step: float, pos: np.ndarray, neg: np.ndarray,

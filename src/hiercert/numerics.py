@@ -5,7 +5,7 @@ module after that; every other module reaches Cephes through it. The import
 takes about 0.2 s and 19 MB (scipy's array-API layer loads numpy.f2py,
 numpy.testing and numpy.ma), so commands that draw no noise and compute no
 radius (`discover`, `attack`, `toy-prf`, and any config rejected before
-compute) never pay it. `smoothing._count_passes` and `toymodels._count_hits`
+compute) never pay it. `smoothing.vote_counts` and `toymodels._count_hits`
 call `special()` before `split.parts`, so that a forked child inherits the
 module and never imports it by itself.
 

@@ -16,7 +16,7 @@ subset sweep) use `margin_radius` with a separate runner-up probability.
 Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs and chunk sizes.
 
-One kernel, `_count_passes`, does the Monte-Carlo work for a list of vote
+One kernel, `vote_counts`, does the Monte-Carlo work for a list of vote
 passes over one batch of inputs, each pass a (sigma, n, seeds, stream)
 with a seed per input. A unit holds about one `rng.PIECE` of draws:
 r = max(1, PIECE // d) perturbed rows of width d. When n < r a unit holds
@@ -30,13 +30,12 @@ passes go through one `split.parts` call: a call of two units or more
 whose passes' summed B·n·d draws reach `split.SPLIT_MIN_DRAWS` may count
 the first half of its units in a forked child and the rest in this
 process, and adds the integer counts, so the counts do not depend on the
-split either. `vote_counts` is its one-pass call. `certify_batch` counts
-the selection and estimation passes of every config of a command in one
-kernel call, so a `certify` forks at most once however many sigmas it
-certifies; it then bounds each config's top-label counts with one
-`clopper_pearson_lower_batch` call and takes its radii from one
-`margin_radius` call. `clopper_pearson_lower` and `certify` are the
-one-input wrappers of the batched calls, and agree with them bit for bit.
+split either. `certify_batch` counts the selection and estimation passes
+of every config of a command in one kernel call, so a `certify` forks at
+most once however many sigmas it certifies; it then bounds each config's
+top-label counts with one `clopper_pearson_lower_batch` call and takes its
+radii from one `margin_radius` call. `certify` is the one-input wrapper of
+`certify_batch`, and agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -92,35 +91,19 @@ def clopper_pearson_lower_batch(successes, total: int, alpha_conf: float) -> np.
     return out
 
 
-def clopper_pearson_lower(successes: int, total: int, alpha_conf: float) -> float:
-    """One-sided exact binomial lower confidence bound on a proportion."""
-    return float(clopper_pearson_lower_batch([successes], total, alpha_conf)[0])
+def vote_counts(classifier, X, passes) -> np.ndarray:
+    """(len(passes), B, m) vote counts of the base classifier on the rows of
+    X, one table per pass (sigma, n, seeds, stream).
 
-
-def vote_counts(classifier, X, sigma: float, n: int, seeds,
-                stream: int = rng.STREAM_NOISE) -> np.ndarray:
-    """(B, m) vote counts of the base classifier, n draws per input row of X.
-
-    Row i counts the labels of X[i] + N(0, sigma^2 I) under seed seeds[i]:
-    the noise for sample s, dimension j sits at counter s*d + j of that
-    seed's substream, so the counts do not depend on how inputs and samples
-    are grouped into units. A unit is about one `rng.PIECE` of draws:
-    max(1, PIECE // d) rows, and PIECE rows when d is 0. A call with two
-    units or more passes `split.parts` its B·n·d draws against
-    `split.SPLIT_MIN_DRAWS`, which may count the first half of the units in
-    a forked child and the rest here; the counts are integers, so their sum
-    is the one-process count. This is the one-pass call of `_count_passes`.
-    """
-    return _count_passes(classifier, X, [(sigma, n, seeds, stream)])[0]
-
-
-def _count_passes(classifier, X, passes) -> np.ndarray:
-    """(len(passes), B, m) vote counts of the rows of X, one table per pass
-    (sigma, n, seeds, stream), each as `vote_counts` counts it.
-
-    Every pass is cut into units by `vote_counts`' rule, and all the units
-    go through one `split.parts` call, weighed by the passes' summed B·n·d
-    draws: a command's passes fork at most once between them.
+    Row i of a pass counts the labels of n draws of X[i] + N(0, sigma^2 I)
+    under seed seeds[i] of the stream: the noise for sample s, dimension j
+    sits at counter s*d + j of that seed's substream, so the counts do not
+    depend on how inputs and samples are grouped into units (a unit is
+    max(1, PIECE // d) rows, PIECE rows when d is 0). A call of two units
+    or more passes `split.parts` its summed B·n·d draws, which may count
+    the first half of the units in a forked child and the rest here: a
+    command's passes fork at most once between them, and the integer
+    counts sum to the one-process count.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     B, d = X.shape
@@ -229,13 +212,13 @@ def certify_batch(classifier, X, configs: list[SmoothingConfig], seeds) -> list[
     Selects each top label with n0 samples, then bounds its probability
     with n samples. An input abstains when its lower bound does not exceed
     1/2; the runner-up is bounded by 1 - p_a_lower. The selection and
-    estimation passes of every config are counted in one `_count_passes`
+    estimation passes of every config are counted in one `vote_counts`
     call, so they split between two processes at most once.
     """
     if len(seeds) != len(configs):
         raise ValidationError(f"need one seed array per config: {len(seeds)} for "
                               f"{len(configs)} configs")
-    counts = _count_passes(classifier, X, [
+    counts = vote_counts(classifier, X, [
         (cfg.sigma, n, s, stream) for cfg, s in zip(configs, seeds)
         for n, stream in ((cfg.n0, rng.STREAM_SELECT), (cfg.n, rng.STREAM_NOISE))])
     batches = []

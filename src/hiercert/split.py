@@ -4,7 +4,7 @@ process computes the other.
 The program splits work that holds the GIL, where a second thread would
 wait for it while a forked child runs beside this process: the 17-digit
 float parsing of a wide CSV, the toy sample's normal quantile, the
-Monte-Carlo votes of `smoothing._count_passes` (one job for every
+Monte-Carlo votes of `smoothing.vote_counts` (one job for every
 selection and estimation pass of a `certify` command, so the command forks
 at most once) and the PGD steps of `hierarchy.evaluate_adversarial`. Each caller states its job as
 `part(a, b)`, halves a/2 to b/2 of it, and `parts` decides, for all of

@@ -9,8 +9,9 @@ per-pair loops that the library's kernels replace, the sweep and baseline
 radius oracles are the per-subset gather and the full row sort that the
 runner-up table replaces, the subset sampling oracle draws one candidate
 per `rng.uniforms` call, and the certification
-oracles are the per-input CERTIFY loop that `smoothing.vote_counts` and
-`smoothing.certify_batch` batch, with noise taken as the normal quantile of
+oracles are the per-input CERTIFY loop that `smoothing.vote_counts`
+(which counts a list of passes) and `smoothing.certify_batch` batch, with
+noise taken as the normal quantile of
 `rng.uniforms` and the bound from `scipy.stats.beta.ppf`. The attack
 oracles are the two-pass PGD step (`logits`, then `input_grad_from_dlogits`,
 then `np.clip`) that the fused step replaces, softmax and cross-entropy

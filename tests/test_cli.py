@@ -254,6 +254,21 @@ class TestValidation:
         assert err.startswith("error[validation] field 'attack.budget_target': ")
         assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_naming_a_file_exits_one_before_the_command_runs(self, tmp_path, monkeypatch,
+                                                                 capsys, out):
+        def ran(*args):
+            raise AssertionError("toy-prf ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "toy-prf", ran)
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_config(tmp_path, "c.json", {"n_trials": 10})
+        assert cli.main(["toy-prf", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error[validation] --out {tmp_path / out}: {tmp_path / 'afile'} "
+                       "is not a directory\n")
+        assert (tmp_path / "afile").read_text() == "kept"
+
     @pytest.mark.parametrize("exc, traceback", [(RuntimeError("kaboom"), True),
                                                 (CapabilityError("kaboom"), False)])
     def test_only_unexpected_errors_print_a_traceback(self, tmp_path, monkeypatch,
@@ -313,13 +328,23 @@ class TestMalformedInputs:
 
     @staticmethod
     def _run(tmp_path, command, config, tree, files=()):
+        """Run command on config in c.json. Each (name, text) of files is
+        then written as text, as bytes, or as a directory where text is
+        None; a file named c.json takes the config's place."""
         io.write_features(tmp_path / "data.csv", ["a"], np.array([0]), np.array([[0.5, 0.0]]))
         io.write_probs(tmp_path / "p.csv", ["a"], np.array([0]), np.array([[0.75, 0.25]]))
         io.write_json(tmp_path / "h.json", tree)
-        for name, text in files:
-            (tmp_path / name).write_text(text)
         cfg = tmp_path / "c.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        for name, text in files:
+            path = tmp_path / name
+            if text is None:
+                path.unlink(missing_ok=True)
+                path.mkdir()
+            elif isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
         return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("command", sorted(_VALID))
@@ -550,6 +575,14 @@ class TestMalformedInputs:
         "k-above-rows": ("discover", "k", "5", "field 'k': 5 clusters need at least 5 data rows"),
         "k-above-rows-file": ("discover", "k", "5", "data.csv has 1 (hint: at most the "
                               "embeddings' row count)"),
+        # an input path that is a directory, or whose bytes do not decode
+        "config-directory": ("toy-prf", "c.json", None, "c.json: cannot open: "),
+        "features-directory": ("certify", "data.csv", None, "data.csv: cannot open: "),
+        "partition-directory": ("hierarchy", "part.json", None, "part.json: cannot open: "),
+        "config-bad-byte": ("toy-prf", "c.json", b'{"n_trials": 10}\xe9',
+                            "c.json: 'utf-8' codec can't decode byte 0xe9"),
+        "csv-header-bad-byte": ("certify", "data.csv", b"sample_id,label,e0,\xff1\na,0,0.5,0\n",
+                                "data.csv: 'utf-8' codec can't decode byte 0xff"),
     }
 
     def test_distinct_integers_name_their_outputs_apart(self):

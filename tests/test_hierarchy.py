@@ -463,13 +463,13 @@ class TestAdversarial:
                                                    ("budgeted", "root.2", 1)])
     def test_one_pgd_call_per_attacked_multi_label_node(self, monkeypatch, mode, target,
                                                         calls):
-        rows, original = [], hierarchy._pgd_rows
+        rows, original = [], hierarchy.pgd_attack
 
         def counted(model, X, y, params, seed, start, total):
             rows.append(len(y))
             return original(model, X, y, params, seed, start, total)
 
-        monkeypatch.setattr(hierarchy, "_pgd_rows", counted)
+        monkeypatch.setattr(hierarchy, "pgd_attack", counted)
         part = LabelPartition(((0, 1), (2, 3), (4, 5), (6, 7), (8,)))
         h = build_renormalize_hierarchy(part, SmallMlp.init(5, 3, 4, seed=54),
                                         SmallMlp.init(9, 3, 4, seed=55))
@@ -543,13 +543,13 @@ class TestTwoProcessAttack:
         split call and of one process."""
         h, X, y = two_process_case()
         scenario = AttackScenario(budget_target=self.SCENARIOS[name], attack=TWO_PROCESS_PGD)
-        original, ranges = hierarchy._pgd_rows, []
+        original, ranges = hierarchy.pgd_attack, []
 
         def recorded(model, X, y, params, seed, start, total):
             ranges.append((start, len(X), total))
             return original(model, X, y, params, seed, start, total)
 
-        monkeypatch.setattr(hierarchy, "_pgd_rows", recorded)
+        monkeypatch.setattr(hierarchy, "pgd_attack", recorded)
         got = evaluate_adversarial(h, X, y, scenario, seed=3), ranges[:]
         ranges.clear()
         with monkeypatch.context() as m:
@@ -653,7 +653,7 @@ def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
     h, X, y = two_process_case()
     natural = float(np.mean(infer_batch(h, X) == y))
     adversarial, clean = [], []
-    original_pgd, original_correct = hierarchy._pgd_rows, hierarchy._node_correct
+    original_pgd, original_correct = hierarchy.pgd_attack, hierarchy._node_correct
 
     def walk(*args):
         raise AssertionError("evaluate_adversarial called infer_batch")
@@ -669,7 +669,7 @@ def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
 
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)  # no call in a child
     monkeypatch.setattr(hierarchy, "infer_batch", walk)
-    monkeypatch.setattr(hierarchy, "_pgd_rows", attacked)
+    monkeypatch.setattr(hierarchy, "pgd_attack", attacked)
     monkeypatch.setattr(hierarchy, "_node_correct", checked)
     report = evaluate_adversarial(h, X, y, AttackScenario(
         budget_target=target, attack=TWO_PROCESS_PGD), seed=3)

@@ -11,7 +11,6 @@ from hiercert.models import (
     SmallMlp,
     _dlogits,
     _fused_step,
-    _pgd_rows,
     _row_reduce,
     _signed_step,
     cross_entropy,
@@ -525,7 +524,7 @@ class TestFusedPgd:
             whole = pgd_attack(model, X, y, params, seed=6)
             for cuts in [(0, 41), (0, 0, 41), (0, 1, 41), (0, 19, 41), (0, 1, 19, 19, 41),
                          (0, 41, 41)]:
-                parts = [_pgd_rows(model, X[a:b], y[a:b], params, 6, a, 41)
+                parts = [pgd_attack(model, X[a:b], y[a:b], params, 6, a, 41)
                          for a, b in zip(cuts, cuts[1:])]
                 assert same_bits(np.concatenate(parts), whole), cuts
         assert np.isnan(whole[23, 2]) == nan
@@ -543,7 +542,7 @@ class TestFusedPgd:
         params = PgdParams(epsilon=0.4, step=0.1, iters=5)
         whole = pgd_attack(model, X, y, params, seed=6)
         assert same_bits(whole[7], X[7]) and not same_bits(whole, X)
-        parts = [_pgd_rows(model, X[a:b], y[a:b], params, 6, a, 41)
+        parts = [pgd_attack(model, X[a:b], y[a:b], params, 6, a, 41)
                  for a, b in [(0, 7), (7, 8), (8, 41)]]
         assert same_bits(np.concatenate(parts), whole)
 

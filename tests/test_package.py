@@ -26,14 +26,13 @@ def test_helpers_import_no_private_library_names():
 
 
 #: Public names that nothing in src/hiercert calls, each with the reason it
-#: stays: the benchmark's tracer looks it up by name, the paper's analytic
-#: construction is tested through it, it is the console entry point, or a
+#: stays: the paper's analytic construction is tested through it, or a
 #: planned ROADMAP Direction will call it.
 _UNCALLED = {
     "hierarchy.build_renormalize_hierarchy": "Direction 3 will call it",
     "hierarchy.flat_hierarchy": "Direction 1 will call it",
     "hierarchy.infer_batch": "Direction 1 will call it",
-    "hierarchy.leaf_certificate_renormalized": "tracer looks it up",
+    "hierarchy.leaf_certificate_renormalized": "paper construction tested through it",
     "hierarchy.hierarchy_certificate": "Direction 1 will call it",
     "hierarchy.retrain_leaf": "Direction 3 will call it",
     "io.write_features": "Direction 3 will call it",
@@ -42,14 +41,10 @@ _UNCALLED = {
     "io.write_confusion": "Direction 3 will call it",
     "io.save_model": "Direction 3 will call it",
     "io.save_hierarchy": "Direction 3 will call it",
-    "models.pgd_attack": "tracer looks it up",
-    "smoothing.clopper_pearson_lower": "tracer looks it up",
-    "smoothing.vote_counts": "tracer looks it up",
     "toymodels.linf_flip_attack": "paper construction tested through it",
     "toymodels.meta_feature_accuracy": "paper construction tested through it",
 }
-_REASON = re.compile(r"tracer looks it up|paper construction tested through it"
-                     r"|console entry point|Direction \d+ will call it")
+_REASON = re.compile(r"paper construction tested through it|Direction \d+ will call it")
 
 
 def test_every_public_name_has_a_caller_or_a_reason():

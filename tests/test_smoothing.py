@@ -18,7 +18,6 @@ from hiercert.smoothing import (
     SmoothingConfig,
     certify,
     certify_batch,
-    clopper_pearson_lower,
     clopper_pearson_lower_batch,
     margin_radius,
     vote_counts,
@@ -76,6 +75,11 @@ def batch_inputs(count: int) -> np.ndarray:
     return 0.5 * rng.normals(31, 960, 0, count * 3).reshape(count, 3)
 
 
+def one_pass(classifier, X, sigma, n, seeds, stream=rng.STREAM_NOISE):
+    """The (B, m) counts of one `vote_counts` pass (sigma, n, seeds, stream)."""
+    return vote_counts(classifier, X, [(sigma, n, seeds, stream)])[0]
+
+
 def unit_rows(monkeypatch, rows, d: int) -> None:
     """Make `vote_counts`' units `rows` perturbed rows of width d by setting
     the piece to rows * d draws; None keeps the default piece."""
@@ -115,37 +119,37 @@ def write_four_points(path) -> None:
 
 class TestClopperPearson:
     def test_zero_successes(self):
-        assert clopper_pearson_lower(0, 100, 0.001) == 0.0
+        assert clopper_pearson_lower_batch([0], 100, 0.001)[0] == 0.0
 
     def test_all_successes_closed_form(self):
         # alpha**(1/n), frozen against the binomial-tail oracle
-        got = clopper_pearson_lower(100, 100, 0.001)
+        got = clopper_pearson_lower_batch([100], 100, 0.001)[0]
         assert got == pytest.approx(0.001 ** 0.01, abs=1e-12)
         assert got == pytest.approx(0.93325, abs=1e-4)
         assert got == pytest.approx(cp_lower_oracle(100, 100, 0.001), abs=1e-10)
 
     def test_half_successes_one_sided(self):
         # one-sided bound at alpha; the oracle bisects the exact binomial tail
-        got = clopper_pearson_lower(50, 100, 0.05)
+        got = clopper_pearson_lower_batch([50], 100, 0.05)[0]
         assert got == pytest.approx(cp_lower_oracle(50, 100, 0.05), abs=1e-9)
         assert got == pytest.approx(0.41362, abs=1e-4)
         # the matching two-sided-convention endpoint sits at alpha/2
-        got2 = clopper_pearson_lower(50, 100, 0.025)
+        got2 = clopper_pearson_lower_batch([50], 100, 0.025)[0]
         assert got2 == pytest.approx(0.39832, abs=1e-4)
 
     def test_oracle_agreement_grid(self):
         for k, n, a in ((1, 50, 0.01), (17, 40, 0.05), (999, 1000, 0.001),
                         (500, 1000, 0.1), (84134, 100_000, 0.001)):
-            assert clopper_pearson_lower(k, n, a) == pytest.approx(
+            assert clopper_pearson_lower_batch([k], n, a)[0] == pytest.approx(
                 cp_lower_oracle(k, n, a), abs=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            clopper_pearson_lower(5, 4, 0.05)
+            clopper_pearson_lower_batch([5], 4, 0.05)[0]
         with pytest.raises(ValidationError):
-            clopper_pearson_lower(-1, 4, 0.05)
+            clopper_pearson_lower_batch([-1], 4, 0.05)[0]
         with pytest.raises(ValidationError):
-            clopper_pearson_lower(1, 0, 0.05)
+            clopper_pearson_lower_batch([1], 0, 0.05)[0]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 1000])
     @pytest.mark.parametrize("alpha", [1e-4, 0.001, 0.05])
@@ -153,7 +157,7 @@ class TestClopperPearson:
         k = np.arange(n + 1) if n <= 50 else np.array([0, 1, 2, 333, 500, 998, 999, 1000])
         got = clopper_pearson_lower_batch(k, n, alpha)
         assert got.dtype == np.float64 and got.shape == k.shape
-        assert got.tolist() == [clopper_pearson_lower(int(v), n, alpha) for v in k]
+        assert got.tolist() == [clopper_pearson_lower_batch([int(v)], n, alpha)[0] for v in k]
         assert got[0] == 0.0 and got[-1] == alpha ** (1.0 / n)
         inner = (k > 0) & (k < n)
         assert got[inner].tolist() == [float(stats.beta.ppf(alpha, v, n - v + 1))
@@ -166,14 +170,14 @@ class TestClopperPearson:
             with pytest.raises(ValidationError):
                 clopper_pearson_lower_batch(np.array(k), n, a)
         with pytest.raises(ValidationError):
-            clopper_pearson_lower(1, 4, 1.5)
+            clopper_pearson_lower_batch([1], 4, 1.5)[0]
 
     def test_equals_scipy_stats_beta_quantile_bit_for_bit(self):
         cases = 0
         for n in (2, 3, 7, 50, 500, 1000, 4321, 100_000):
             for k in sorted({1, 2, n // 3, n // 2, n - 2, n - 1} - {0, n}):
                 for a in (1e-6, 1e-4, 0.001, 0.01, 0.025, 0.05, 0.3):
-                    assert clopper_pearson_lower(k, n, a) == float(
+                    assert clopper_pearson_lower_batch([k], n, a)[0] == float(
                         stats.beta.ppf(a, k, n - k + 1)), (k, n, a)
                     cases += 1
         assert cases > 250
@@ -257,19 +261,19 @@ class TestClopperPearson:
 
 class TestOneRowVoteCounts:
     def test_constant_classifier(self):
-        counts = vote_counts(ConstantClassifier(2, 4), np.zeros((1, 2)), 1.0, 100, [1])[0]
+        counts = one_pass(ConstantClassifier(2, 4), np.zeros((1, 2)), 1.0, 100, [1])[0]
         assert counts[2] == 100 and counts.sum() == 100
 
     def test_tiny_sigma_concentrates_on_clean_argmax(self):
         model = binary_linear([1.0, 0.0])
-        counts = vote_counts(model, np.array([[1.0, 0.0]]), 1e-9, 1000, [2])[0]
+        counts = one_pass(model, np.array([[1.0, 0.0]]), 1e-9, 1000, [2])[0]
         assert counts[1] == 1000
 
     def test_linear_fraction_matches_analytic(self):
         model = binary_linear([1.0, 0.0])
         x = np.array([1.0, 0.0])
         n = 100_000
-        counts = vote_counts(model, x[None, :], 1.0, n, [3])[0]
+        counts = one_pass(model, x[None, :], 1.0, n, [3])[0]
         p_true = exact_smoothed_linear([1.0, 0.0], 0.0, x, 1.0)
         se = math.sqrt(p_true * (1 - p_true) / n)
         assert counts[1] / n == pytest.approx(p_true, abs=3 * se)
@@ -277,11 +281,11 @@ class TestOneRowVoteCounts:
     def test_deterministic_and_chunk_invariant(self, monkeypatch):
         model = binary_linear([0.7, -0.2])
         X = np.array([[0.3, 0.4]])
-        a = vote_counts(model, X, 0.5, 5000, [7])
-        b = vote_counts(model, X, 0.5, 5000, [7])
+        a = one_pass(model, X, 0.5, 5000, [7])
+        b = one_pass(model, X, 0.5, 5000, [7])
         assert np.array_equal(a, b)
         unit_rows(monkeypatch, 613, 2)
-        c = vote_counts(model, X, 0.5, 5000, [7])
+        c = one_pass(model, X, 0.5, 5000, [7])
         assert np.array_equal(a, c)
 
     @pytest.mark.parametrize("rows", [None, 1, 613])
@@ -297,7 +301,7 @@ class TestOneRowVoteCounts:
         x = np.array([0.3, -1.25, 7.0])
         x_before = x.copy()
         n = 1500 if rows != 1 else 40
-        vote_counts(Recorder(0, 2), x[None, :], 0.37, n, [9], stream=rng.STREAM_SELECT)
+        one_pass(Recorder(0, 2), x[None, :], 0.37, n, [9], stream=rng.STREAM_SELECT)
         noise = rng.normals(9, rng.STREAM_SELECT, 0, n * 3).reshape(n, 3)
         assert np.array_equal(np.concatenate(seen), x[None, :] + 0.37 * noise)
         assert np.array_equal(x, x_before)
@@ -317,7 +321,7 @@ class TestVoteCountKernel:
         unit_rows(monkeypatch, rows, 3)
         model = MODELS[model_name]()
         X, seeds = batch_inputs(B), wrapping_seeds(B)
-        got = vote_counts(model, X, 0.4, n, seeds, stream=rng.STREAM_SELECT)
+        got = one_pass(model, X, 0.4, n, seeds, stream=rng.STREAM_SELECT)
         assert got.shape == (B, model.n_labels) and got.dtype == np.int64
         for i in range(B):
             want = vote_counts_oracle(model, X[i], 0.4, n, int(seeds[i]), rng.STREAM_SELECT)
@@ -334,7 +338,7 @@ class TestVoteCountKernel:
                 sizes.append(X.shape[0])
                 return super().logits(X)
 
-        counts = vote_counts(Recorder(0, 3), np.zeros((B, d)), 0.5, n, np.arange(B))
+        counts = one_pass(Recorder(0, 3), np.zeros((B, d)), 0.5, n, np.arange(B))
         assert counts[:, 0].tolist() == [n] * B
         return sizes
 
@@ -366,18 +370,18 @@ class TestVoteCountKernel:
         # peak with the piece's temporaries inside `rng.normals`.
         model = LinearSoftmax.init(10, 64, seed=23, scale=1.0)
         X = np.ones((2, 64))
-        peaks = [peak_traced_bytes(lambda: vote_counts(model, X, 0.5, n, [1, 2]))
+        peaks = [peak_traced_bytes(lambda: one_pass(model, X, 0.5, n, [1, 2]))
                  for n in (100_000, 200_000)]
         assert peaks[0] < 4 << 20, peaks
         assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
     def test_empty_batch_and_validation(self):
         model = MODELS["linear"]()
-        assert vote_counts(model, np.empty((0, 3)), 0.5, 100, []).shape == (0, 5)
+        assert one_pass(model, np.empty((0, 3)), 0.5, 100, []).shape == (0, 5)
         with pytest.raises(ValidationError):
-            vote_counts(model, batch_inputs(3), 0.5, 100, [1, 2])
+            one_pass(model, batch_inputs(3), 0.5, 100, [1, 2])
         with pytest.raises(ValidationError):
-            vote_counts(model, batch_inputs(3), 0.5, 0, [1, 2, 3])
+            one_pass(model, batch_inputs(3), 0.5, 0, [1, 2, 3])
 
 
 class UnitRecorder:
@@ -457,11 +461,11 @@ class TestTwoProcessVoteCounts:
         X = batch_inputs(B) if d else np.zeros((B, 0))
         seeds = wrapping_seeds(B)
         model = UnitRecorder(MODELS[model_name]())
-        got = vote_counts(model, X, 0.4, n, seeds), model.rows
+        got = one_pass(model, X, 0.4, n, seeds), model.rows
         model = UnitRecorder(MODELS[model_name]())
         with monkeypatch.context() as m:
             m.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
-            want = vote_counts(model, X, 0.4, n, seeds), model.rows
+            want = one_pass(model, X, 0.4, n, seeds), model.rows
         return got, want
 
     @pytest.mark.parametrize("case, n_units", [("odd-unit-count", 3),
@@ -508,7 +512,7 @@ class TestTwoProcessVoteCounts:
         assert np.array_equal(got, want) and not forks and rows == units
 
     def test_both_processes_count_with_one_blas_thread(self, forks, blas_threads):
-        counts = vote_counts(ThreadVoter(blas_threads), np.zeros((2, 3)), 0.4, 70_000, [1, 2])
+        counts = one_pass(ThreadVoter(blas_threads), np.zeros((2, 3)), 0.4, 70_000, [1, 2])
         assert len(forks) == 1 and counts[:, 1].tolist() == [70_000] * 2
         assert blas_threads() == 2
 
@@ -522,7 +526,7 @@ class TestTwoProcessVoteCounts:
                 return super().logits(X)
 
         with killed_after(30, forks), pytest.raises(RuntimeError, match="half failed"):
-            vote_counts(FailsHere(0, 3), np.zeros((2, 3)), 0.4, 70_000, [1, 2])
+            one_pass(FailsHere(0, 3), np.zeros((2, 3)), 0.4, 70_000, [1, 2])
         assert len(forks) == 1 and blas_threads() == 2
 
 
@@ -531,15 +535,15 @@ def test_vote_counts_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
     monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 0)
     unit_rows(monkeypatch, 613, 3)
     model, X, seeds = MODELS["mlp"](), batch_inputs(37), wrapping_seeds(37)
-    got = vote_counts(model, X, 0.4, 100, seeds)
+    got = one_pass(model, X, 0.4, 100, seeds)
     assert len(forks) == int(split._can_split())
     monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
-    assert np.array_equal(got, vote_counts(model, X, 0.4, 100, seeds))
+    assert np.array_equal(got, one_pass(model, X, 0.4, 100, seeds))
 
 
 class TestSelectionAndEstimationPasses:
-    """`_count_passes` over a selection and an estimation pass counts, in
-    one process or split, what two one-process `vote_counts` calls count."""
+    """`vote_counts` over a selection and an estimation pass counts, in
+    one process or split, what two one-process one-pass calls count."""
 
     # (model, B, rows per unit, n0, n): units of several inputs in both
     # passes, units of one input's sample range in both, one pass of each
@@ -559,12 +563,12 @@ class TestSelectionAndEstimationPasses:
         if processes == "split":
             monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
             monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 0)
-        got = smoothing._count_passes(model, X, [(0.4, n0, select, rng.STREAM_SELECT),
-                                                 (0.7, n, estimate, rng.STREAM_NOISE)])
+        got = vote_counts(model, X, [(0.4, n0, select, rng.STREAM_SELECT),
+                                     (0.7, n, estimate, rng.STREAM_NOISE)])
         assert len(forks) == (processes == "split" and B > 0 and split._can_split())
         monkeypatch.setattr(split, "SPLIT_MIN_DRAWS", 1 << 62)
-        want = [vote_counts(model, X, 0.4, n0, select, stream=rng.STREAM_SELECT),
-                vote_counts(model, X, 0.7, n, estimate)]
+        want = [one_pass(model, X, 0.4, n0, select, stream=rng.STREAM_SELECT),
+                one_pass(model, X, 0.7, n, estimate)]
         assert got.shape == (2, B, model.n_labels) and got.dtype == np.int64
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -572,9 +576,9 @@ class TestSelectionAndEstimationPasses:
         model, X = MODELS["linear"](), batch_inputs(3)
         good = (0.5, 100, [1, 2, 3], rng.STREAM_SELECT)
         with pytest.raises(ValidationError, match="n must be"):
-            smoothing._count_passes(model, X, [good, (0.5, 0, [1, 2, 3], rng.STREAM_NOISE)])
+            vote_counts(model, X, [good, (0.5, 0, [1, 2, 3], rng.STREAM_NOISE)])
         with pytest.raises(ValidationError, match="one seed per input"):
-            smoothing._count_passes(model, X, [good, (0.5, 100, [1, 2], rng.STREAM_NOISE)])
+            vote_counts(model, X, [good, (0.5, 100, [1, 2], rng.STREAM_NOISE)])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork") or split._openblas() is None,
