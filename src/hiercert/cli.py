@@ -23,14 +23,12 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, io, rng
 from .core import LabelPartition, as_probability_matrix, checked_labels
 from .discovery import cluster_separation_check, derive_partition, kmeans, partition_from_confusion
 from .errors import ConfigError, HiercertError, ValidationError
 from .hierarchy import (
-    AttackScenario,
     evaluate_adversarial,
     renormalization_report,
     subset_radius_sweep,
@@ -304,8 +302,7 @@ def cmd_attack(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                            if node.classifier is not None])
     pgd = PgdParams(epsilon=float(a["epsilon"]), step=float(a["step"]),
                     iters=a["iters"], restarts=a["restarts"])
-    scenario = AttackScenario(attack=pgd, budget_target=a["budget_target"])
-    report = evaluate_adversarial(h, X, labels, scenario, seed=config["seed"])
+    report = evaluate_adversarial(h, X, labels, pgd, a["budget_target"], seed=config["seed"])
     # write_csv writes None as an empty cell
     rows = [["all", report.natural_acc, report.adv_acc, report.budget_acc]]
     rows += [[nid, report.natural_acc, "", report.per_node[nid]]
@@ -336,7 +333,9 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
                               f"{len(ids)}", hint="at most the embeddings' row count")
         result = kmeans(vectors, k, seed=config["seed"], max_iter=config["max_iter"],
                         tol=float(config["tol"]))
-        sep = cluster_separation_check(result.assignment, vectors) if k >= 2 else None
+        # Coincident points can leave fewer than k clusters, down to one.
+        sep = (cluster_separation_check(result.assignment, vectors)
+               if np.unique(result.assignment).size >= 2 else None)
         partition = derive_partition(result.assignment, labels, k,
                                      n_labels=config["n_labels"])
         row = [k, result.inertia, result.n_iter, result.reseeds,
@@ -475,9 +474,6 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
         "command": command,
         "seed": checked["seed"],
         "config_hash": config_hash(config),
-        "versions": {"hiercert": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
-                     "python": "%d.%d.%d" % sys.version_info[:3]},
     }
     # A file where the output directory goes would fail only after the command ran.
     existing = next(p for p in (out, *out.parents) if p.exists())
@@ -485,9 +481,13 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
         raise ValidationError(f"--out {out}: {existing} is not a directory")
     tables = _COMMANDS[command](checked, base, meta)
     wall = time.perf_counter() - started
+    scipy = sys.modules.get("scipy")  # loaded on first use: None if this run needed none
+    versions = {"hiercert": __version__, "numpy": np.__version__,
+                "scipy": None if scipy is None else scipy.__version__,
+                "python": "%d.%d.%d" % sys.version_info[:3]}
     out.mkdir(parents=True, exist_ok=True)
     for t in tables:
-        t.metadata["wall_time_s"] = wall
+        t.metadata.update(versions=versions, wall_time_s=wall)
         for path in t.write(out):
             print(f"wrote {path}")
     return tables

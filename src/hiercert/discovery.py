@@ -233,7 +233,7 @@ def partition_from_confusion(counts, k: int) -> LabelPartition:
         raise ValidationError(f"k must lie in 1..{m}")
     S = A + A.T
     np.fill_diagonal(S, 0.0)
-    if S.sum() == 0.0 and k < m:
+    if S.sum() == 0.0 and 1 < k < m:
         raise DegeneratePartitionError("no off-diagonal confusion mass to cluster on")
 
     # Groups stay ordered by smallest member: merging b into a < b keeps a's.

@@ -113,13 +113,6 @@ class Hierarchy:
                 f"0..{self.n_labels - 1}, got {self.root.label_subset}"
             )
 
-    def leaves(self) -> list[Leaf]:
-        return [node for _, node in self.nodes() if isinstance(node, Leaf)]
-
-    def partition(self) -> LabelPartition:
-        return LabelPartition(tuple(l.label_subset for l in self.leaves()),
-                             n_labels=self.n_labels)
-
     def nodes(self) -> list[tuple[str, Node]]:
         """(id, node) pairs; ids are 'root', 'root.0', 'root.0.1', ..."""
         out: list[tuple[str, Node]] = []
@@ -353,16 +346,6 @@ def subset_radius_sweep(probs_dataset, sigma: float, sizes: Sequence[int],
 
 
 @dataclass(frozen=True)
-class AttackScenario:
-    """Which classifiers the adversary may perturb, and with what budget:
-    `budget_target` None attacks every one at once (the worst case), a node
-    id that node alone, and 'worst' each node alone in turn."""
-
-    attack: PgdParams
-    budget_target: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class AdversarialReport:
     natural_acc: float
     adv_acc: Optional[float] = None
@@ -403,17 +386,19 @@ def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
             for pieces in zip(*split.parts(part, steps * X.shape[1], SPLIT_MIN_PGD_WORK))]
 
 
-def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
+def evaluate_adversarial(h: Hierarchy, X, y, attack: PgdParams,
+                         budget_target: Optional[str] = None,
                          seed: int = 0) -> AdversarialReport:
     """Natural and adversarial accuracy of a hierarchy of built-in models.
 
     Every figure reads one rule from one per-node table: a row is right when
     every node on its true root-to-leaf path decides right. Natural accuracy
     attacks no node; it equals `infer_batch`'s, since a predicted path leaves
-    the true path at the first node that decides wrong. Worst case attacks
-    every classifier on the path, each independently from the clean input
-    (`budget_target` None). A budgeted attack hits only the named node; the
-    target 'worst' tries each node and reports the most damaging one.
+    the true path at the first node that decides wrong. `budget_target` sets
+    the reach of `attack`: None attacks every classifier on the path, each
+    independently from the clean input (the worst case, `adv_acc`); a node id
+    attacks that node alone (`budget_acc`); 'worst' tries each node alone
+    (`per_node`) and reports the most damaging one as `budget_acc`.
 
     X needs at least one row. Each node's rows are those whose true path
     passes through it. A node is checked clean exactly once and attacked at
@@ -434,15 +419,14 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
                 f"node {nid!r}: a {type(model).__name__} cannot be run or attacked on input "
                 "features; attacks need built-in linear or mlp classifiers at every node")
     node_ids = [nid for nid, _ in h.nodes()]
-    if scenario.budget_target not in (None, "worst", *node_ids):
-        raise ValidationError(f"no node named {scenario.budget_target!r}; "
-                              f"known ids: {node_ids}")
+    if budget_target not in (None, "worst", *node_ids):
+        raise ValidationError(f"no node named {budget_target!r}; known ids: {node_ids}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = checked_labels(y, h.n_labels)
     if not X.shape[0]:
         raise ValidationError("no data rows; an attack needs at least one input")
 
-    every_node = scenario.budget_target in (None, "worst")
+    every_node = budget_target in (None, "worst")
     jobs, clean = {}, {}
     for nid, node in h.nodes():
         # The local target of each row: its label's child, or its index in a leaf.
@@ -452,13 +436,11 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
         rows = np.flatnonzero(local >= 0)
         clean[nid] = rows, _node_correct(node, X[rows], local[rows])
         # Singleton leaves have no classifier to attack.
-        if node.classifier is not None and (every_node or nid == scenario.budget_target):
+        if node.classifier is not None and (every_node or nid == budget_target):
             jobs[nid] = node, rows, local[rows]
     # One forward and backward pass per attacked row, step and restart.
-    steps = sum(len(rows) for _, rows, _ in jobs.values())
-    steps *= scenario.attack.iters * scenario.attack.restarts
-    attacked = dict(zip(jobs, _attacked_correct(list(jobs.values()), X, scenario.attack,
-                                                seed, steps)))
+    steps = sum(len(rows) for _, rows, _ in jobs.values()) * attack.iters * attack.restarts
+    attacked = dict(zip(jobs, _attacked_correct(list(jobs.values()), X, attack, seed, steps)))
 
     def accuracy(hit: Sequence[str]) -> float:
         """Share of rows that every node on their true path decides right,
@@ -469,15 +451,15 @@ def evaluate_adversarial(h: Hierarchy, X, y, scenario: AttackScenario,
         return float(np.mean(ok))
 
     natural = accuracy(())
-    if scenario.budget_target is None:
+    if budget_target is None:
         return AdversarialReport(natural_acc=natural, adv_acc=accuracy(node_ids),
                                  pgd_steps=steps)
-    if scenario.budget_target == "worst":
+    if budget_target == "worst":
         per_node = {nid: accuracy((nid,)) for nid in node_ids}
         return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
                                  per_node=per_node, pgd_steps=steps)
     return AdversarialReport(natural_acc=natural,
-                             budget_acc=accuracy((scenario.budget_target,)), pgd_steps=steps)
+                             budget_acc=accuracy((budget_target,)), pgd_steps=steps)
 
 
 def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500,

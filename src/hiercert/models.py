@@ -358,9 +358,9 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
                total: Optional[int] = None) -> np.ndarray:
     """Untargeted l-inf PGD: ascend cross-entropy, project after every step.
 
-    Accepts a single (d,) input or a batch (n, d); the perturbed output never
-    leaves the epsilon ball around the input. Restarts beyond the first begin
-    at a deterministic random offset inside the ball; the restart with the
+    Takes rows x of shape (n, d) and returns (n, d) rows that never leave
+    the epsilon ball around x. Restarts beyond the first begin at a
+    deterministic random offset inside the ball; the restart with the
     highest final loss wins per sample.
 
     Each step takes its logits and input gradient from one forward and one
@@ -377,10 +377,9 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
     the whole call draws them, and its logit gradient is divided by `total`,
     as the whole call's mean is.
     """
-    single = np.asarray(x).ndim == 1
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    X = np.asarray(x, dtype=np.float64)
     total = X.shape[0] if total is None else total
-    y = np.atleast_1d(checked_labels(y, model.n_labels))
+    y = checked_labels(y, model.n_labels)
     base, cols = _unmask(model)
     if not hasattr(base, "_backward"):
         raise CapabilityError(f"{type(base).__name__} cannot be attacked: no gradients")
@@ -411,7 +410,7 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
         better = losses > best_loss
         best[better] = cur[better]
         best_loss[better] = losses[better]
-    return best[0] if single else best
+    return best
 
 
 def _signed_step(g: np.ndarray, step: float, pos: np.ndarray, neg: np.ndarray,

@@ -9,15 +9,15 @@ compute) never pay it. `smoothing.vote_counts` and `toymodels._count_hits`
 call `special()` before `split.parts`, so that a forked child inherits the
 module and never imports it by itself.
 
-`normal_cdf` and `normal_quantile` are thin wrappers over scipy.special.
-The CDF goes through the complementary error function, which is free of the
+`normal_cdf` takes a scalar and needs no scipy: it goes through
+`math.erfc`, the complementary error function, which is free of the
 cancellation that makes 0.5*(1 + erf(x/sqrt(2))) useless in the lower tail.
-The quantile is `ndtri` (Cephes), accurate to a few ulp across (0, 1): it
-evaluates the upper tail through 1 - q, so normal_quantile(1 - q) and
--normal_quantile(q) agree to the precision with which 1 - q represents the
-complement. `normal_quantile` adds the (0, 1) domain check; the noise path,
-whose uniforms lie strictly inside (0, 1) by construction, calls ndtri
-directly.
+`normal_quantile` is a thin wrapper over scipy.special's `ndtri` (Cephes),
+accurate to a few ulp across (0, 1): it evaluates the upper tail through
+1 - q, so normal_quantile(1 - q) and -normal_quantile(q) agree to the
+precision with which 1 - q represents the complement. `normal_quantile`
+adds the (0, 1) domain check; the noise path, whose uniforms lie strictly
+inside (0, 1) by construction, calls ndtri directly.
 """
 
 from __future__ import annotations
@@ -39,12 +39,9 @@ def special():
     return special
 
 
-def normal_cdf(x):
-    """Phi(x) for a scalar or ndarray, via the complementary error function."""
-    if np.isscalar(x):
-        return 0.5 * math.erfc(-float(x) / _SQRT2)
-    z = np.asarray(x, dtype=np.float64)
-    return 0.5 * special().erfc(-z / _SQRT2)
+def normal_cdf(x: float) -> float:
+    """Phi(x) of a scalar, via the complementary error function."""
+    return 0.5 * math.erfc(-float(x) / _SQRT2)
 
 
 def normal_quantile(q):

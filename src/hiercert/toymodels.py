@@ -84,15 +84,13 @@ def _gauss_blocks(params: GaussModelParams, seed: int, start: int, stop: int):
 
 
 def meta_feature(X, k: int) -> np.ndarray:
-    """Sign of the mean of the k protected informative features; sign(0) = +1."""
+    """Sign of the mean of the k protected informative features of each row; sign(0) = +1."""
     if k < 1:
         raise ValidationError("the meta-feature needs k >= 1 protected features")
-    V = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    V = np.asarray(X, dtype=np.float64)
     if k > V.shape[1] - 1:
         raise ValidationError(f"k={k} exceeds the {V.shape[1] - 1} informative features")
-    mean = V[:, 1:k + 1].mean(axis=1)
-    out = np.where(mean >= 0.0, 1.0, -1.0)
-    return out if np.asarray(X).ndim > 1 else float(out[0])
+    return np.where(V[:, 1:k + 1].mean(axis=1) >= 0.0, 1.0, -1.0)
 
 
 def meta_feature_accuracy(eta: float, k: int) -> float:
@@ -119,20 +117,19 @@ def adversarial_accuracy_bound(p: float, gamma: float) -> float:
 
 
 def linf_flip_attack(X, y, eta: float, k_protected: int) -> np.ndarray:
-    """Shift every unprotected informative feature by -2*eta*y.
+    """Shift every unprotected informative feature of the rows X by -2*eta*y.
 
     This moves their distribution from N(eta*y, 1) to N(-eta*y, 1). The
     robust feature (column 0) and the first k_protected informative
     features are untouched; the perturbation has l-inf norm exactly 2*eta
     whenever any feature is unprotected.
     """
-    V = np.atleast_2d(np.asarray(X, dtype=np.float64)).copy()
-    yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    V = np.array(X, dtype=np.float64)
     d = V.shape[1] - 1
     if not 0 <= k_protected <= d:
         raise ValidationError("k_protected must lie in 0..d")
-    V[:, 1 + k_protected:] -= 2.0 * eta * yv[:, None]
-    return V if np.asarray(X).ndim > 1 else V[0]
+    V[:, 1 + k_protected:] -= 2.0 * eta * np.asarray(y, dtype=np.float64)[:, None]
+    return V
 
 
 def averaging_predict(X) -> np.ndarray:
@@ -292,11 +289,6 @@ def keyed_bit(key: int, messages: np.ndarray) -> np.ndarray:
     return (rng.mix64(mixed) & np.uint64(1)).astype(np.int64)
 
 
-def repeat_encode(bits: np.ndarray, repetition: int) -> np.ndarray:
-    """Repeat each bit `repetition` times along the last axis."""
-    return np.repeat(np.asarray(bits, dtype=np.int64), repetition, axis=-1)
-
-
 def majority_decode(bits: np.ndarray, repetition: int) -> np.ndarray:
     """Per-group majority vote; tolerates (repetition-1)//2 flips per group."""
     arr = np.asarray(bits, dtype=np.int64)
@@ -320,7 +312,7 @@ def prf_encode(x_bits: np.ndarray, bit, repetition: int) -> np.ndarray:
         raise ValidationError("repetition must be a positive odd integer")
     x = np.asarray(x_bits, dtype=np.int64)
     payload = np.concatenate([x, np.atleast_1d(np.asarray(bit, dtype=np.int64))], axis=-1)
-    return repeat_encode(payload, repetition)
+    return np.repeat(payload, repetition, axis=-1)
 
 
 @dataclass(frozen=True)

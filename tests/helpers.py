@@ -593,7 +593,7 @@ def train_oracle(model, X, y, epochs: int, learning_rate: float,
     return model
 
 
-def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
+def evaluate_adversarial_oracle(h, X, y, attack, budget_target=None, seed: int = 0):
     """`evaluate_adversarial` with every row's root-to-leaf path found by its
     own walk down the tree, then grouped per node: clean correctness is
     recomputed for every target node, and each attacked node gets one
@@ -631,7 +631,7 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
             return np.ones(Xs.shape[0], dtype=bool)
         model = node.classifier
         if attacked:
-            Xs = pgd_attack_oracle(model, Xs, targets, scenario.attack, seed=seed)
+            Xs = pgd_attack_oracle(model, Xs, targets, attack, seed=seed)
         return np.argmax(model.logits(Xs), axis=1) == targets
 
     def correctness(attacked_id):
@@ -643,19 +643,19 @@ def evaluate_adversarial_oracle(h, X, y, scenario, seed: int = 0):
         return ok
 
     # Each attacked node's rows take iters x restarts steps, counted once per node.
-    every = scenario.budget_target in (None, "worst")
+    every = budget_target in (None, "worst")
     steps = sum(len(rows) for nid, (node, rows, _) in members.items()
-                if (every or nid == scenario.budget_target) and not unattackable(node))
-    steps *= scenario.attack.iters * scenario.attack.restarts
-    if scenario.budget_target is None:
+                if (every or nid == budget_target) and not unattackable(node))
+    steps *= attack.iters * attack.restarts
+    if budget_target is None:
         return AdversarialReport(natural_acc=natural,
                                  adv_acc=float(np.mean(correctness(None))), pgd_steps=steps)
-    if scenario.budget_target == "worst":
+    if budget_target == "worst":
         per_node = {nid: float(np.mean(correctness(nid))) for nid, _ in h.nodes()}
         return AdversarialReport(natural_acc=natural, budget_acc=min(per_node.values()),
                                  per_node=per_node, pgd_steps=steps)
     return AdversarialReport(natural_acc=natural, pgd_steps=steps,
-                             budget_acc=float(np.mean(correctness(scenario.budget_target))))
+                             budget_acc=float(np.mean(correctness(budget_target))))
 
 
 def peak_traced_bytes(fn) -> int:

@@ -694,6 +694,24 @@ class TestDiscoverCommand:
         cfg = write_config(tmp_path, "c.json", {"k": 2, "embeddings": "a", "confusion": "b"})
         assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("k, header, values", [(2, ",e0,e1", ",0,0"), (3, ",e0,e1", ",0,0"),
+                                                   (2, "", "")])
+    def test_coincident_embeddings_make_one_class(self, tmp_path, k, header, values):
+        # k-means leaves one cluster, whose separation is undefined: the
+        # silhouette and its pass are left empty, as for k = 1.
+        (tmp_path / "e.csv").write_text(
+            f"sample_id,label{header}\na,0{values}\nb,1{values}\nc,2{values}\n")
+        cfg = write_config(tmp_path, "c.json", {"k": k, "embeddings": "e.csv"})
+        assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "discovered_partition.csv").read_text().splitlines()
+        assert lines[1] == f'{k},0,1,0,,,"[[0, 1, 2]]"'
+
+    def test_one_class_from_a_matrix_without_off_diagonal_mass(self, tmp_path):
+        (tmp_path / "cm.csv").write_text("0,0\n0,0\n")
+        cfg = write_config(tmp_path, "c.json", {"k": 1, "confusion": "cm.csv"})
+        assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "partition.json").read_text()) == [[0, 1]]
+
 
 @pytest.mark.parametrize("command", ["hierarchy", "sweep"])
 @pytest.mark.parametrize("logit", ["nan", "inf"])

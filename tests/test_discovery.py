@@ -225,6 +225,10 @@ class TestConfusionPartition:
         with pytest.raises(DegeneratePartitionError):
             partition_from_confusion(np.diag([5, 5, 5]), 2)
 
+    def test_zero_off_diagonal_one_class(self):
+        # Every merge order ends in the same single class.
+        assert partition_from_confusion(np.diag([5, 5, 5]), 1).classes == ((0, 1, 2),)
+
     def test_matches_pairwise_rescan_oracle(self):
         # Entries in 0..3 plant many tied masses; every k of every m is checked
         # against the groups the old rescan-every-pair loop gives.

@@ -9,7 +9,6 @@ from hiercert import hierarchy, rng, split
 from hiercert.core import LabelPartition
 from hiercert.errors import CapabilityError, RoutingMismatchError, ValidationError
 from hiercert.hierarchy import (
-    AttackScenario,
     Hierarchy,
     Intermediate,
     Leaf,
@@ -400,8 +399,7 @@ def toy_three_label_hierarchy():
 class TestAdversarial:
     def test_zero_epsilon_equals_natural(self):
         h, X, y = toy_three_label_hierarchy()
-        rep = evaluate_adversarial(
-            h, X, y, AttackScenario(attack=PgdParams(epsilon=0.0, step=0.01, iters=5)))
+        rep = evaluate_adversarial(h, X, y, PgdParams(epsilon=0.0, step=0.01, iters=5))
         assert rep.adv_acc == rep.natural_acc == 1.0
 
     def test_flat_hierarchy_equals_plain_pgd(self):
@@ -409,7 +407,7 @@ class TestAdversarial:
         base = train(LinearSoftmax.init(2, 2, seed=5), X, y, epochs=200, learning_rate=0.5)
         h = flat_hierarchy(base)
         params = PgdParams(epsilon=0.6, step=0.2, iters=10, restarts=1)
-        rep = evaluate_adversarial(h, X, y, AttackScenario(attack=params), seed=9)
+        rep = evaluate_adversarial(h, X, y, params, seed=9)
         from hiercert.models import pgd_attack
         adv = pgd_attack(base, X, y, params, seed=9)
         plain = float(np.mean(np.argmax(base.logits(adv), axis=1) == y))
@@ -418,27 +416,24 @@ class TestAdversarial:
     def test_small_epsilon_below_margins_cannot_attack(self):
         h, X, y = toy_three_label_hierarchy()
         # closed-form minimal perturbations: root distance 4, leaf distance 1
-        rep = evaluate_adversarial(
-            h, X, y, AttackScenario(attack=PgdParams(epsilon=0.9, step=0.3, iters=20)))
+        rep = evaluate_adversarial(h, X, y, PgdParams(epsilon=0.9, step=0.3, iters=20))
         assert rep.adv_acc == 1.0
 
     def test_worst_case_breaks_weakest_classifier(self):
         h, X, y = toy_three_label_hierarchy()
         # epsilon 2: the 0|1 leaf (distance 1) falls, the root (distance 4) holds
-        rep = evaluate_adversarial(
-            h, X, y, AttackScenario(attack=PgdParams(epsilon=2.0, step=0.5, iters=20)))
+        rep = evaluate_adversarial(h, X, y, PgdParams(epsilon=2.0, step=0.5, iters=20))
         assert rep.adv_acc == pytest.approx(1.0 / 3.0)
 
     def test_budgeted_attack_per_node(self):
         h, X, y = toy_three_label_hierarchy()
         params = PgdParams(epsilon=2.0, step=0.5, iters=20)
-        rep = evaluate_adversarial(h, X, y, AttackScenario(attack=params, budget_target="worst"))
+        rep = evaluate_adversarial(h, X, y, params, "worst")
         assert rep.per_node["root"] == 1.0       # root survives epsilon 2
         assert rep.per_node["root.0"] == pytest.approx(1.0 / 3.0)
         assert rep.per_node["root.1"] == 1.0     # singleton leaf, unattackable
         assert rep.budget_acc == pytest.approx(1.0 / 3.0)
-        single = evaluate_adversarial(h, X, y,
-                                      AttackScenario(attack=params, budget_target="root.0"))
+        single = evaluate_adversarial(h, X, y, params, "root.0")
         assert single.budget_acc == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("mode,target", [("worst_case", None), ("budgeted", "root"),
@@ -451,10 +446,9 @@ class TestAdversarial:
         X = rng.normals(53, 330, 0, 900 * 4).reshape(900, 4)
         y = infer_batch(h, X)
         y[::7] = (y[::7] + 1) % 6
-        scenario = AttackScenario(budget_target=target,
-                                  attack=PgdParams(epsilon=0.3, step=0.1, iters=5, restarts=2))
-        got = evaluate_adversarial(h, X, y, scenario, seed=3)
-        assert got == evaluate_adversarial_oracle(h, X, y, scenario, seed=3)
+        attack = PgdParams(epsilon=0.3, step=0.1, iters=5, restarts=2)
+        got = evaluate_adversarial(h, X, y, attack, target, seed=3)
+        assert got == evaluate_adversarial_oracle(h, X, y, attack, target, seed=3)
         attacked = got.adv_acc if mode == "worst_case" else got.budget_acc
         assert 0.0 < attacked < got.natural_acc < 1.0 or target == "root.2"
 
@@ -475,32 +469,31 @@ class TestAdversarial:
                                         SmallMlp.init(9, 3, 4, seed=55))
         X = rng.normals(56, 331, 0, 180 * 3).reshape(180, 3)
         y = np.arange(180) % 9
-        evaluate_adversarial(h, X, y, AttackScenario(
-            budget_target=target, attack=PgdParams(epsilon=0.1, step=0.05, iters=2)))
+        evaluate_adversarial(h, X, y, PgdParams(epsilon=0.1, step=0.05, iters=2), target)
         # the root sees all 180 rows, each two-label leaf the 40 rows of its labels
         assert rows == ([180, 40, 40, 40, 40] if calls == 5 else [40])
 
     def test_labels_outside_the_hierarchy_rejected(self):
         h, X, y = toy_three_label_hierarchy()
-        scenario = AttackScenario(attack=PgdParams(epsilon=0.1, step=0.1))
+        attack = PgdParams(epsilon=0.1, step=0.1)
         for bad in (3, -1):
             y[0] = bad
             with pytest.raises(ValidationError, match="labels must lie in 0..2"):
-                evaluate_adversarial(h, X, y, scenario)
+                evaluate_adversarial(h, X, y, attack)
 
     @pytest.mark.parametrize("mode", ["worst_case", "budgeted"])
     def test_no_rows_rejected(self, mode):
         h = flat_hierarchy(linear([[1.0, 0.0], [0.0, 1.0]]))
-        scenario = AttackScenario(attack=PgdParams(epsilon=0.1, step=0.1),
-                                  budget_target="root" if mode == "budgeted" else None)
+        target = "root" if mode == "budgeted" else None
         with pytest.raises(ValidationError, match="no data rows"):
-            evaluate_adversarial(h, np.empty((0, 2)), np.empty(0, dtype=np.int64), scenario)
+            evaluate_adversarial(h, np.empty((0, 2)), np.empty(0, dtype=np.int64),
+                                 PgdParams(epsilon=0.1, step=0.1), target)
 
     def test_budgeted_needs_valid_target(self):
         h, X, y = toy_three_label_hierarchy()
         params = PgdParams(epsilon=0.5, step=0.2, iters=5)
         with pytest.raises(ValidationError):
-            evaluate_adversarial(h, X, y, AttackScenario(attack=params, budget_target="nope"))
+            evaluate_adversarial(h, X, y, params, "nope")
 
 
 def two_process_case():
@@ -542,7 +535,7 @@ class TestTwoProcessAttack:
         """(report, (start, rows, total) of each range attacked here) of the
         split call and of one process."""
         h, X, y = two_process_case()
-        scenario = AttackScenario(budget_target=self.SCENARIOS[name], attack=TWO_PROCESS_PGD)
+        target = self.SCENARIOS[name]
         original, ranges = hierarchy.pgd_attack, []
 
         def recorded(model, X, y, params, seed, start, total):
@@ -550,11 +543,11 @@ class TestTwoProcessAttack:
             return original(model, X, y, params, seed, start, total)
 
         monkeypatch.setattr(hierarchy, "pgd_attack", recorded)
-        got = evaluate_adversarial(h, X, y, scenario, seed=3), ranges[:]
+        got = evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, target, seed=3), ranges[:]
         ranges.clear()
         with monkeypatch.context() as m:
             m.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)
-            want = evaluate_adversarial(h, X, y, scenario, seed=3), ranges[:]
+            want = evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, target, seed=3), ranges[:]
         return got, want
 
     @staticmethod
@@ -568,8 +561,8 @@ class TestTwoProcessAttack:
         (got, here), (want, whole) = self.reports(monkeypatch, name)
         assert got == want
         h, X, y = two_process_case()
-        assert want == evaluate_adversarial_oracle(h, X, y, AttackScenario(
-            budget_target=self.SCENARIOS[name], attack=TWO_PROCESS_PGD), seed=3)
+        assert want == evaluate_adversarial_oracle(h, X, y, TWO_PROCESS_PGD,
+                                                   self.SCENARIOS[name], seed=3)
         assert [n for _, n, _ in whole] == self.ROWS[name]
         assert len(forks) == 1 and here == self.halves(whole)[1]
 
@@ -618,9 +611,8 @@ class TestTwoProcessAttack:
         part = LabelPartition(((0, 1, 2), (3, 4), (5,), (6, 7), (8, 9)))
         h = build_renormalize_hierarchy(part, SmallMlp.init(5, 4, 8, seed=61),
                                         PublicGradients(SmallMlp.init(10, 4, 8, seed=62)))
-        scenario = AttackScenario(attack=TWO_PROCESS_PGD)
         with pytest.raises(CapabilityError, match="node 'root.0': a PublicGradients cannot"):
-            evaluate_adversarial(h, X, y, scenario, seed=3)
+            evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, seed=3)
         assert not forks
 
 
@@ -628,18 +620,16 @@ def test_attack_forks_only_where_two_cpus_are_usable(monkeypatch, forks):
     # The host's own CPU affinity decides; one CPU (taskset -c 0) never forks.
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 0)
     h, X, y = two_process_case()
-    scenario = AttackScenario(attack=TWO_PROCESS_PGD)
-    got = evaluate_adversarial(h, X, y, scenario, seed=3)
+    got = evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, seed=3)
     assert len(forks) == int(split._can_split())
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)
-    assert got == evaluate_adversarial(h, X, y, scenario, seed=3)
+    assert got == evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, seed=3)
 
 
 def test_attack_below_the_cut_off_does_not_fork(monkeypatch, forks):
     monkeypatch.setattr(split, "_usable_cpus", lambda: 2)
     h, X, y = two_process_case()
-    scenario = AttackScenario(attack=TWO_PROCESS_PGD)
-    report = evaluate_adversarial(h, X, y, scenario, seed=3)
+    report = evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, seed=3)
     # 565 attacked rows x 4 steps x 2 restarts x d = 4: far below the cut-off
     assert report.pgd_steps == 565 * 4 * 2 and not forks
 
@@ -671,8 +661,7 @@ def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
     monkeypatch.setattr(hierarchy, "infer_batch", walk)
     monkeypatch.setattr(hierarchy, "pgd_attack", attacked)
     monkeypatch.setattr(hierarchy, "_node_correct", checked)
-    report = evaluate_adversarial(h, X, y, AttackScenario(
-        budget_target=target, attack=TWO_PROCESS_PGD), seed=3)
+    report = evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, target, seed=3)
     assert [id(node) for node in clean] == [id(node) for _, node in h.nodes()]
     assert len(adversarial) == (1 if target == "root.3" else 5)
     assert report.natural_acc == natural and 0.0 < natural < 1.0

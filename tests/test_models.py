@@ -170,8 +170,8 @@ class TestPgd:
     def test_zero_epsilon_is_identity(self):
         model = binary_linear([1.0, -0.5])
         x = np.array([0.4, 0.2])
-        adv = pgd_attack(model, x, 1, PgdParams(epsilon=0.0, step=0.1, iters=5), seed=1)
-        assert np.array_equal(adv, x)
+        adv = pgd_attack(model, x[None], [1], PgdParams(epsilon=0.0, step=0.1, iters=5), seed=1)
+        assert np.array_equal(adv, x[None])
 
     def test_matches_closed_form_on_binary_linear(self):
         # the optimal l-inf attack on a linear rule lands on the corner
@@ -484,9 +484,9 @@ class TestFusedPgd:
         model = ATTACK_MODELS["masked_two"]
         X, y = _attack_batch(model, 1, seed=8)
         params = PgdParams(epsilon=0.3, step=0.1, iters=5, restarts=3)
-        got = pgd_attack(model, X[0], int(y[0]), params, seed=2)
-        assert got.shape == X[0].shape
-        assert same_bits(got, pgd_attack_oracle(model, X[0], int(y[0]), params, seed=2))
+        got = pgd_attack(model, X[:1], y[:1], params, seed=2)
+        assert got.shape == X[:1].shape
+        assert same_bits(got, pgd_attack_oracle(model, X[:1], y[:1], params, seed=2))
 
     def test_one_first_layer_evaluation_per_step(self):
         evaluations = []

@@ -70,5 +70,5 @@ def test_cdf_quantile_roundtrip():
     # so the deep-negative roundtrip is tight; above +5 the CDF value's
     # distance to 1 is no longer representable to the same precision
     xs = np.linspace(-8.0, 5.0, 1001)
-    back = numerics.normal_quantile(numerics.normal_cdf(xs))
+    back = numerics.normal_quantile(np.array([numerics.normal_cdf(x) for x in xs]))
     assert np.max(np.abs(back - xs)) < 1e-9

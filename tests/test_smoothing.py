@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import stats
 
 import hiercert
@@ -204,6 +205,26 @@ class TestClopperPearson:
         # scipy.special takes about 0.2 s and 19 MB; `numerics.special` loads
         # it on the first call that needs it.
         assert self.modules_after_import("m == 'scipy.special'", module) == "[]"
+
+    def test_cli_import_leaves_scipy_out(self):
+        # The top-level package is loaded only through `numerics.special`.
+        assert self.modules_after_import("m == 'scipy'") == "[]"
+
+    def test_meta_records_the_scipy_version_only_where_the_run_loaded_it(self, tmp_path):
+        write_four_points(tmp_path / "e.csv")
+        io.write_json(tmp_path / "toy-prf.json", {"n_trials": 10})
+        io.write_json(tmp_path / "certify.json", {"sigma": 0.5, "n0": 10, "n": 50,
+                                                  "model": _LINEAR,
+                                                  "dataset": {"features": "e.csv"}})
+        # toy-prf draws no noise and runs first, before anything loads scipy.
+        code = ("import sys\nfrom hiercert import cli\nd = sys.argv[1]\n"
+                "print([cli.main([c, '--config', f'{d}/{c}.json', '--out', f'{d}/{c}'])"
+                " for c in ('toy-prf', 'certify')])")
+        assert self.run_fresh(code, str(tmp_path)).splitlines()[-1] == "[0, 0]"
+        prf = io.read_json(tmp_path / "toy-prf" / "prf_scenarios.meta.json")
+        summary = io.read_json(tmp_path / "certify" / "certified_accuracy.meta.json")
+        assert prf["versions"]["scipy"] is None
+        assert summary["versions"]["scipy"] == scipy.__version__
 
     def test_commands_that_draw_no_noise_never_load_scipy_special(self, tmp_path):
         write_four_points(tmp_path / "e.csv")

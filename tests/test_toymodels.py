@@ -62,16 +62,16 @@ class TestGaussSampling:
 
 class TestMetaFeature:
     def test_all_positive_gives_plus_one(self):
-        x = np.array([-1.0, 2.0, 2.0, -5.0])
-        assert meta_feature(x, 2) == 1.0
+        x = np.array([[-1.0, 2.0, 2.0, -5.0]])
+        assert meta_feature(x, 2).tolist() == [1.0]
 
     def test_zero_mean_convention_is_plus_one(self):
-        x = np.array([1.0, 1.0, -1.0, 9.9])
-        assert meta_feature(x, 2) == 1.0
+        x = np.array([[1.0, 1.0, -1.0, 9.9]])
+        assert meta_feature(x, 2).tolist() == [1.0]
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):
-            meta_feature(np.array([1.0, 2.0]), 0)
+            meta_feature(np.array([[1.0, 2.0]]), 0)
 
     def test_monte_carlo_matches_analytic(self):
         params = GaussModelParams(d=9, p=0.9, eta=1.0)
@@ -124,9 +124,9 @@ class TestFlipAttack:
         assert np.array_equal(linf_flip_attack(X, y, 0.7, 4), X)
 
     def test_unprotected_shift(self):
-        x = np.array([1.0, 0.5, -0.2, 0.3])
-        out = linf_flip_attack(x, 1.0, 1.0, 0)
-        assert np.allclose(out, [1.0, -1.5, -2.2, -1.7])
+        x = np.array([[1.0, 0.5, -0.2, 0.3]])
+        out = linf_flip_attack(x, [1.0], 1.0, 0)
+        assert np.allclose(out, [[1.0, -1.5, -2.2, -1.7]])
 
     def test_exact_norm_and_protected_zeros(self):
         params = GaussModelParams(d=6, p=0.9, eta=0.4)
