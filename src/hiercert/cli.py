@@ -366,9 +366,9 @@ def cmd_discover(config: dict, base: Path, meta: dict) -> list[ReportTable]:
 def cmd_sweep(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     _, ids, labels, probs = _load_prob_source(config, base)
     sizes = _named_apart("sizes", config["sizes"])
-    stats = subset_radius_sweep(probs, float(config["sigma"]), sizes,
-                                mode=config["mode"], sample_count=config["samples_per_size"],
-                                seed=config["seed"])
+    with _naming("field 'sizes'"):
+        stats = subset_radius_sweep(probs, float(config["sigma"]), sizes, mode=config["mode"],
+                                    sample_count=config["samples_per_size"], seed=config["seed"])
     rows = [[s.size, s.n_finite, s.n_infinite, s.mean, s.std, s.q25, s.median, s.q75]
             for s in (stats[k] for k in sorted(stats))]
     return [ReportTable(name="subset_radius_sweep", metadata=dict(meta),
@@ -390,7 +390,8 @@ def cmd_toy_gauss(config: dict, base: Path, meta: dict) -> list[ReportTable]:
             raise ConfigError("tradeoff.gamma", f"{gamma!r} is outside 0 < gamma < 1 - p "
                               f"= {1.0 - p:g} at p = {p!r}",
                               hint="an error rate below that of the robust feature")
-    cells = gauss_experiment(eta_list, k_list, d, p, n_samples, seed)
+    with _naming("field 'k_list'"):
+        cells = gauss_experiment(eta_list, k_list, d, p, n_samples, seed)
     rows = []
     for c in cells:
         bound = adversarial_accuracy_bound(p, 1.0 - c.natural_acc) if c.k == 0 else ""
@@ -421,7 +422,8 @@ def cmd_toy_prf(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     ]
     rows = []
     for name, b, first in scenarios:
-        res = prf_experiment(params, b, first, n_trials, seed)
+        with _naming("field 'flip_budget'"):
+            res = prf_experiment(params, b, first, n_trials, seed)
         rows.append([name, b, first, res.keyed_accuracy, res.keyless_accuracy,
                      res.within_tolerance])
     return [ReportTable(name="prf_scenarios", metadata=dict(meta),

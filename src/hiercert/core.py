@@ -112,13 +112,13 @@ def as_probability_vector(p) -> np.ndarray:
 
 
 def as_probability_matrix(p) -> np.ndarray:
-    """Coerce to a 2-D float64 array whose rows are probability vectors.
+    """p as a float64 array; it must be 2-D, and its rows probability vectors.
 
     One min, one max and one row-sum pass; the message of a failure names
     the first bad row. A row must lie in [0, 1] (so NaN and +-inf are
     rejected) and sum to 1 within PROB_SUM_TOL, as in `as_probability_vector`.
     """
-    P = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    P = np.asarray(p, dtype=np.float64)
     if P.ndim != 2:
         raise ValidationError("probability matrix must be 2-D")
     # NaN propagates through min and max and fails both comparisons.

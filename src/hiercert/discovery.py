@@ -77,7 +77,7 @@ def kmeans(embeddings, k: int, seed: int = 0,
     (coincident points). The returned assignment is a fixed point of the
     assignment step for the returned centroids.
     """
-    X = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    X = np.asarray(embeddings, dtype=np.float64)
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValidationError(f"k must lie in 1..{n}, got {k}")
@@ -164,7 +164,7 @@ def cluster_separation_check(assignment, embeddings) -> SeparationReport:
     Points in singleton clusters score 0 by convention and trigger a
     warning; a single-cluster assignment has no defined separation.
     """
-    X = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    X = np.asarray(embeddings, dtype=np.float64)
     assign = np.asarray(assignment, dtype=np.int64)
     ids, cluster, sizes = np.unique(assign, return_inverse=True, return_counts=True)
     if ids.size < 2:

@@ -12,13 +12,15 @@ label_subset[i]). A leaf whose classifier is a `MaskedModel` renormalizes
 the base classifier over its subset; any other leaf classifier is a model
 of the subset's own labels, such as one fit by `retrain_leaf`.
 
-Every node is a unit of work: `_label_index` maps each true label onto a
-node's local target (the child holding it, or its index in a leaf), and
-`evaluate_adversarial` checks a node clean exactly once and attacks it at
-most once, over every row whose true root-to-leaf path passes through it;
-natural accuracy is read from those same clean passes. `split.parts` may
-attack the first half of each node's rows in a forked child
-(`_attacked_correct`).
+Every node is a unit of work: `_decide` is the one place a node turns rows
+into decisions (the child or leaf label each row goes to), which
+`infer_batch` follows down the tree. `_label_index` maps each true label
+onto a node's local target (the child holding it, or its index in a leaf),
+and `evaluate_adversarial` checks a node clean exactly once and attacks it
+at most once, over every row whose true root-to-leaf path passes through
+it, comparing `_decide` with the targets; natural accuracy is read from
+those same clean passes. `split.parts` may attack the first half of each
+node's rows in a forked child (`_attacked_correct`).
 """
 
 from __future__ import annotations
@@ -158,22 +160,18 @@ def _label_index(groups: Iterable[Iterable[int]], n_labels: int) -> np.ndarray:
 
 def infer_batch(h: Hierarchy, X: np.ndarray) -> np.ndarray:
     """Root-to-leaf inference for a batch; returns global label indices."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0], dtype=np.int64)
 
     def walk(node: Node, idx: np.ndarray):
         if idx.size == 0:
             return
+        local = _decide(node, X[idx])
         if isinstance(node, Leaf):
-            if len(node.label_subset) == 1:
-                out[idx] = node.label_subset[0]
-            else:
-                local = np.argmax(node.classifier.logits(X[idx]), axis=1)
-                out[idx] = np.asarray(node.label_subset)[local]
+            out[idx] = np.asarray(node.label_subset)[local]
             return
-        branch = np.argmax(node.classifier.logits(X[idx]), axis=1)
         for i, child in enumerate(node.children):
-            walk(child, idx[branch == i])
+            walk(child, idx[local == i])
 
     walk(h.root, np.arange(X.shape[0]))
     return out
@@ -354,18 +352,19 @@ class AdversarialReport:
     pgd_steps: int = 0
 
 
-def _node_correct(node: Node, X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per row of X: does the node produce its local target? A singleton
-    leaf has no classifier and is always right."""
+def _decide(node: Node, X: np.ndarray) -> np.ndarray:
+    """The local index each row of X goes to: a child of an intermediate
+    node, or a label of a leaf. A singleton leaf has no classifier and
+    sends every row to its one label, 0."""
     if node.classifier is None:
-        return np.ones(X.shape[0], dtype=bool)
-    return np.argmax(node.classifier.logits(X), axis=1) == targets
+        return np.zeros(X.shape[0], dtype=np.int64)
+    return np.argmax(node.classifier.logits(X), axis=1)
 
 
 def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
                       steps: int) -> list[np.ndarray]:
-    """`_node_correct` after `pgd_attack` of each (node, rows, targets) of
-    jobs, which take `steps` PGD row steps in all.
+    """Whether `_decide` gives each (node, rows, targets) of jobs its
+    targets after `pgd_attack`; the jobs take `steps` PGD row steps in all.
 
     `split.parts` weighs the work (steps·d) against `SPLIT_MIN_PGD_WORK`
     and may have a forked child attack the first half of every node's rows
@@ -379,7 +378,7 @@ def _attacked_correct(jobs, X: np.ndarray, attack: PgdParams, seed: int,
             lo, hi = len(rows) * a // 2, len(rows) * b // 2
             adv = pgd_attack(node.classifier, X[rows[lo:hi]], targets[lo:hi], attack, seed,
                              lo, len(rows))
-            out.append(_node_correct(node, adv, targets[lo:hi]))
+            out.append(_decide(node, adv) == targets[lo:hi])
         return out
 
     return [np.concatenate(pieces)
@@ -421,7 +420,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, attack: PgdParams,
     node_ids = [nid for nid, _ in h.nodes()]
     if budget_target not in (None, "worst", *node_ids):
         raise ValidationError(f"no node named {budget_target!r}; known ids: {node_ids}")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     y = checked_labels(y, h.n_labels)
     if not X.shape[0]:
         raise ValidationError("no data rows; an attack needs at least one input")
@@ -434,7 +433,7 @@ def evaluate_adversarial(h: Hierarchy, X, y, attack: PgdParams,
                   else (child.label_subset for child in node.children))
         local = _label_index(groups, h.n_labels)[y]
         rows = np.flatnonzero(local >= 0)
-        clean[nid] = rows, _node_correct(node, X[rows], local[rows])
+        clean[nid] = rows, _decide(node, X[rows]) == local[rows]
         # Singleton leaves have no classifier to attack.
         if node.classifier is not None and (every_node or nid == budget_target):
             jobs[nid] = node, rows, local[rows]
@@ -471,7 +470,7 @@ def retrain_leaf(X, y, subset: Iterable[int], hidden: int = 0, epochs: int = 500
     local label space. Returns None when fewer than two distinct labels
     are present (the singleton-leaf directive: no classifier is needed).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_labels = int(y.max()) + 1 if y.size else 1
     s = normalize_subset(subset, n_labels)

@@ -212,7 +212,7 @@ def _read_wide_csv(path, prefix: str):
 
 def _write_wide(path, prefix: str, ids: Sequence, labels, values: np.ndarray) -> None:
     """Common writer for sample_id,label,<prefix>0..<prefix>{w-1} files."""
-    values = np.atleast_2d(np.asarray(values))
+    values = np.asarray(values)
     header = ["sample_id", "label"] + [f"{prefix}{i}" for i in range(values.shape[1])]
     rows = [[sid, int(lab)] + [float(v) for v in row]
             for sid, lab, row in zip(ids, labels, values)]
@@ -455,7 +455,8 @@ def hierarchy_from_dict(spec: dict, base_dir: Path | None = None) -> Hierarchy:
             children = tuple(decode(c, f"{where}.children.{i}")
                              for i, c in enumerate(node["children"]))
             model = model_from_dict(node["classifier"], base_dir, f"{where}.classifier")
-            return Intermediate(classifier=model, children=children)
+            with _naming(where):
+                return Intermediate(classifier=model, children=children)
         labels, model, n_labels = tuple(node["labels"]), None, spec["n_labels"]
         if not all(0 <= label < n_labels for label in labels):
             raise ConfigError(f"{where}.labels", f"labels must lie in 0..{n_labels - 1}",
@@ -470,9 +471,12 @@ def hierarchy_from_dict(spec: dict, base_dir: Path | None = None) -> Hierarchy:
                                       hint="'strategy': 'retrain' for a model of the "
                                            "leaf's own labels")
                 model = MaskedModel(model, labels)
-        return Leaf(labels, model)
+        with _naming(where):
+            return Leaf(labels, model)
 
-    return Hierarchy(root=decode(spec["root"], "root"), n_labels=spec["n_labels"])
+    root = decode(spec["root"], "root")
+    with _naming("root"):
+        return Hierarchy(root=root, n_labels=spec["n_labels"])
 
 
 def save_hierarchy(path, h: Hierarchy) -> None:

@@ -105,7 +105,7 @@ def vote_counts(classifier, X, passes) -> np.ndarray:
     command's passes fork at most once between them, and the integer
     counts sum to the one-process count.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     B, d = X.shape
     m = classifier.n_labels
     rows = max(1, rng.PIECE // max(d, 1))

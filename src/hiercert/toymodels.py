@@ -132,12 +132,6 @@ def linf_flip_attack(X, y, eta: float, k_protected: int) -> np.ndarray:
     return V
 
 
-def averaging_predict(X) -> np.ndarray:
-    """Sign of the mean of the informative features (the k = 0 classifier)."""
-    V = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return np.where(V[:, 1:].mean(axis=1) >= 0.0, 1.0, -1.0)
-
-
 def _hits(samples, cells, start: int, stop: int) -> np.ndarray:
     """Natural and attacked hits of each cell on rows start..stop-1 of each
     sample, int64 of shape (samples, cells, 2). A sample is (params, seed),
@@ -190,11 +184,6 @@ class GaussCell:
     adversarial_acc: float
 
 
-def _cell_predict(X, k: int) -> np.ndarray:
-    """The k = 0 averaging classifier or the k-feature meta-feature."""
-    return averaging_predict(X) if k == 0 else meta_feature(X, k)
-
-
 def _check_sample_count(n_samples: int) -> None:
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
@@ -204,16 +193,17 @@ def gauss_experiment(eta_list: Sequence[float], k_list: Sequence[int], d: int,
                      p: float, n_samples: int, seed: int) -> list[GaussCell]:
     """Natural and adversarial accuracy over an (eta, k) grid.
 
-    k = 0 evaluates the plain averaging classifier; k >= 1 evaluates the
-    meta-feature over the k protected features. The attack flips every
-    unprotected informative feature. Each eta's sample is drawn, predicted
-    and attacked one block at a time (`_count_hits`).
+    k = 0 evaluates the plain averaging classifier, which is `meta_feature`
+    over all d informative features; k >= 1 evaluates the meta-feature over
+    the k protected features. The attack flips every unprotected
+    informative feature. Each eta's sample is drawn, predicted and attacked
+    one block at a time (`_count_hits`).
     """
     for k in k_list:
         if not 0 <= k <= d:
             raise ValidationError(f"k={k} inadmissible for d={d}")
     _check_sample_count(n_samples)
-    cells = [(partial(_cell_predict, k=int(k)), int(k)) for k in k_list]
+    cells = [(partial(meta_feature, k=int(k) or d), int(k)) for k in k_list]
     samples = [(GaussModelParams(d=d, p=p, eta=float(eta)), rng.mix64(seed + ei))
                for ei, eta in enumerate(eta_list)]
     hits = _count_hits(samples, cells, n_samples, d)
@@ -241,7 +231,7 @@ def tuned_feature_weight(p: float, gamma: float, eta: float, d: int) -> float:
 
 def weighted_predict(X, weight: float) -> np.ndarray:
     """Sign of weight*x0 + mean of the informative features; sign(0) = +1."""
-    V = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    V = np.asarray(X, dtype=np.float64)
     score = weight * V[:, 0] + V[:, 1:].mean(axis=1)
     return np.where(score >= 0.0, 1.0, -1.0)
 
@@ -307,11 +297,12 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def prf_encode(x_bits: np.ndarray, bit, repetition: int) -> np.ndarray:
-    """Concatenate the message bits and the check bit, then repetition-encode."""
+    """Concatenate the message bits and the check bits (an array of the
+    messages' rank whose last axis holds one bit), then repetition-encode."""
     if repetition % 2 == 0 or repetition < 1:
         raise ValidationError("repetition must be a positive odd integer")
     x = np.asarray(x_bits, dtype=np.int64)
-    payload = np.concatenate([x, np.atleast_1d(np.asarray(bit, dtype=np.int64))], axis=-1)
+    payload = np.concatenate([x, np.asarray(bit, dtype=np.int64)], axis=-1)
     return np.repeat(payload, repetition, axis=-1)
 
 

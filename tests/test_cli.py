@@ -418,6 +418,14 @@ class TestMalformedInputs:
         "repeated-eta": ("toy-gauss", "eta_list", "[0.1, 0.3, 0.1]", "field 'eta_list'"),
         "colliding-etas": ("toy-gauss", "eta_list", "[0.1, 0.10000001]", "field 'eta_list'"),
         "repeated-k": ("toy-gauss", "k_list", "[0, 0]", "field 'k_list'"),
+        # bounds the library checks against another value name the field
+        "k-above-d": ("toy-gauss", "k_list", "[0, 11]",
+                      "field 'k_list': k=11 inadmissible for d=10"),
+        "flip-budget-above-repetition": ("toy-prf", "flip_budget", "5",
+                                         "field 'flip_budget': flip_budget must lie in "
+                                         "0..repetition"),
+        "size-above-labels": ("sweep", "sizes", "[1, 3]",
+                              "field 'sizes': subset size 3 outside 1..2"),
         "colliding-certify-thresholds": ("certify", "radius_thresholds", "[0.5, 0.50000001]",
                                          "field 'radius_thresholds'"),
         "zero-iters": ("attack", "attack", '{"iters": 0}', "field 'attack.iters'"),
@@ -485,6 +493,29 @@ class TestMalformedInputs:
                                    "data.csv: labels must lie in 0..1"),
         "leaf-label-out-of-range": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
             _TREE["root"], children=_LEAVES))), "h.json: field 'root.children.0.labels'"),
+        # a node that does not fit the tree names the node
+        "retrain-leaf-arity": ("attack", "h.json", json.dumps({"n_labels": 3, "root": dict(
+            _TREE["root"], children=[
+                {"kind": "leaf", "labels": [0, 1], "strategy": "retrain", "classifier": {
+                    "type": "linear", "W": [[0.0, 0.0]] * 3, "b": [0.0] * 3}},
+                {"kind": "leaf", "labels": [2]}])}),
+                               "h.json: root.children.0: leaf classifier arity must match"),
+        "routing-arity": ("attack", "h.json", json.dumps(dict(_TREE, root=dict(
+            _TREE["root"], classifier={"type": "linear", "W": [[0.0, 0.0]] * 3,
+                                       "b": [0.0] * 3}))),
+                          "h.json: root: routing arity must equal the child count"),
+        "leaf-without-classifier": ("attack", "h.json", json.dumps({"n_labels": 3, "root": dict(
+            _TREE["root"], children=[{"kind": "leaf", "labels": [0, 1]},
+                                     {"kind": "leaf", "labels": [2]}])}),
+                                    "h.json: root.children.0: multi-label leaves need a "
+                                    "classifier"),
+        "overlapping-leaves": ("attack", "h.json", json.dumps({"n_labels": 4, "root": dict(
+            _TREE["root"], children=[
+                {"kind": "leaf", "labels": labels, "classifier": {
+                    "type": "linear", "W": [[0.0, 0.0]] * 4, "b": [0.0] * 4}}
+                for labels in ([0, 1], [1, 3])])}),
+                               "h.json: root: leaf subsets must partition the label space "
+                               "0..3, got (0, 1, 1, 3)"),
         # out_partition is a bare file name that is not one of discover's own outputs
         "out-partition-table": ("discover", "out_partition", '"discovered_partition.csv"',
                                 "field 'out_partition'"),

@@ -118,7 +118,8 @@ class TestProbabilityMatrix:
         P = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
         assert np.array_equal(as_probability_matrix(P), P)
         assert as_probability_matrix(P.tolist()).dtype == np.float64
-        assert as_probability_matrix([0.5, 0.5]).shape == (1, 2)
+        with pytest.raises(ValidationError, match="must be 2-D"):
+            as_probability_matrix([0.5, 0.5])
         assert as_probability_matrix(np.empty((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("row, message", [

@@ -643,7 +643,7 @@ def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
     h, X, y = two_process_case()
     natural = float(np.mean(infer_batch(h, X) == y))
     adversarial, clean = [], []
-    original_pgd, original_correct = hierarchy.pgd_attack, hierarchy._node_correct
+    original_pgd, original_decide = hierarchy.pgd_attack, hierarchy._decide
 
     def walk(*args):
         raise AssertionError("evaluate_adversarial called infer_batch")
@@ -652,15 +652,15 @@ def test_every_figure_reads_one_clean_pass_per_node(monkeypatch, mode, target):
         adversarial.append(original_pgd(*args))
         return adversarial[-1]
 
-    def checked(node, X, targets):
+    def checked(node, X):
         if not any(X is adv for adv in adversarial):
             clean.append(node)
-        return original_correct(node, X, targets)
+        return original_decide(node, X)
 
     monkeypatch.setattr(hierarchy, "SPLIT_MIN_PGD_WORK", 1 << 62)  # no call in a child
     monkeypatch.setattr(hierarchy, "infer_batch", walk)
     monkeypatch.setattr(hierarchy, "pgd_attack", attacked)
-    monkeypatch.setattr(hierarchy, "_node_correct", checked)
+    monkeypatch.setattr(hierarchy, "_decide", checked)
     report = evaluate_adversarial(h, X, y, TWO_PROCESS_PGD, target, seed=3)
     assert [id(node) for node in clean] == [id(node) for _, node in h.nodes()]
     assert len(adversarial) == (1 if target == "root.3" else 5)

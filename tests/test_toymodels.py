@@ -10,7 +10,6 @@ from hiercert.errors import ValidationError
 from hiercert.numerics import normal_cdf
 from hiercert.toymodels import (
     GaussModelParams,
-    averaging_predict,
     PrfModelParams,
     adversarial_accuracy_bound,
     gauss_experiment,
@@ -225,7 +224,7 @@ class TestBlockedSampleAndAttack:
                                      rng.mix64(seed + ei))
             for k in ks:
                 def predict(V):
-                    return averaging_predict(V) if k == 0 else meta_feature(V, k)
+                    return meta_feature(V, k or d)
                 want.append((float(np.mean(predict(Xe) == ye)), float(np.mean(
                     predict(linf_flip_attack(Xe, ye, eta, k)) == ye))))
         assert [(c.natural_acc, c.adversarial_acc) for c in cells] == want
@@ -242,7 +241,7 @@ class TestBlockedSampleAndAttack:
         d, n, p, seed, eta, ks = 9, 301, 0.8, 17, 0.4, [4, 0, 9, 1, 4]
         cells = gauss_experiment([eta], ks, d, p, n, seed)
         X, y = gauss_sample_oracle(GaussModelParams(d=d, p=p, eta=eta), n, rng.mix64(seed))
-        want = [float(np.mean(toymodels._cell_predict(linf_flip_attack(X, y, eta, k), k) == y))
+        want = [float(np.mean(meta_feature(linf_flip_attack(X, y, eta, k), k or d) == y))
                 for k in ks]
         assert [c.adversarial_acc for c in cells] == want
 
@@ -367,18 +366,18 @@ class TestTunedClassifier:
 class TestRepetitionCode:
     def test_identity_at_r_one(self):
         x = np.array([1, 0, 1, 1])
-        enc = prf_encode(x, 0, 1)
+        enc = prf_encode(x, [0], 1)
         assert np.array_equal(majority_decode(enc, 1), np.array([1, 0, 1, 1, 0]))
 
     def test_single_flip_recovered(self):
-        enc = prf_encode(np.array([1, 0]), 1, 3)
+        enc = prf_encode(np.array([1, 0]), [1], 3)
         for pos in range(enc.size):
             corrupted = enc.copy()
             corrupted[pos] ^= 1
             assert np.array_equal(majority_decode(corrupted, 3), [1, 0, 1])
 
     def test_double_flip_breaks_majority(self):
-        enc = prf_encode(np.array([1, 0]), 1, 3)
+        enc = prf_encode(np.array([1, 0]), [1], 3)
         corrupted = enc.copy()
         corrupted[0] ^= 1
         corrupted[1] ^= 1
