@@ -7,6 +7,9 @@ config hash, wall time and the library versions (certificate tables add
 their input, noise-draw and abstention counts). Identical configs produce
 byte-identical CSVs; wall time lives only in the sidecar.
 
+A warning a run raises is printed as one line, `warning: <message>`, on
+stderr.
+
 Exit codes: 0 success, 1 validation error, 2 runtime/numeric error.
 """
 
@@ -18,6 +21,7 @@ import json
 import sys
 import time
 import traceback
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -495,25 +499,32 @@ def run(command: str, config: dict, out: Path, base: Path) -> list[ReportTable]:
     return tables
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning the run raises, as one line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = io.read_json(args.config)
-        if args.seed is not None and isinstance(config, dict):
-            config["seed"] = int(args.seed)
-        run(args.command, config, Path(args.out), Path(args.config).resolve().parent)
-        return 0
-    except ValidationError as exc:
-        print(f"error[validation] {exc}", file=sys.stderr)
-        return 1
-    except HiercertError as exc:
-        print(f"error[runtime] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numeric/unexpected failures
-        print(f"error[runtime] {type(exc).__name__}: {exc}", file=sys.stderr)
-        # Not one of the package's own errors: the traceback shows where it arose.
-        print(traceback.format_exc(), end="", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            config = io.read_json(args.config)
+            if args.seed is not None and isinstance(config, dict):
+                config["seed"] = int(args.seed)
+            run(args.command, config, Path(args.out), Path(args.config).resolve().parent)
+            return 0
+        except ValidationError as exc:
+            print(f"error[validation] {exc}", file=sys.stderr)
+            return 1
+        except HiercertError as exc:
+            print(f"error[runtime] {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # numeric/unexpected failures
+            print(f"error[runtime] {type(exc).__name__}: {exc}", file=sys.stderr)
+            # Not one of the package's own errors: the traceback shows where it arose.
+            print(traceback.format_exc(), end="", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from .core import (
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
 from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _unmask, pgd_attack, train
 from .numerics import special
-from .smoothing import margin_radius
+from .smoothing import _radii, margin_radius
 
 #: An attack of at least this much work (Σ rows·d·iters·restarts) runs in two
 #: processes. Measured on two cores from a 96 MB process with a many-inputs
@@ -202,11 +202,10 @@ def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     repeated. Returns the rows, ascending, and their radii. The runner-up is
     a running column-wise max over the label set's rows of the table, made
     in place with no gather copy; it is -inf where no competitor is left, as
-    in a singleton set, and is floored to 0. The radius takes the operations
-    of the array path of `margin_radius` in its order, so its bits are the
-    same; the ranges were checked when P was validated. Its +inf entries
-    come from Phi^-1(1) = +inf at p_top == 1 and Phi^-1(0) = -inf at a
-    runner-up of 0.
+    in a singleton set, and is floored to 0. The radius is `_radii` of the
+    two quantiles; the ranges were checked when P was validated. Its +inf
+    entries come from Phi^-1(1) = +inf at p_top == 1 and Phi^-1(0) = -inf at
+    a runner-up of 0.
     """
     g, q_top, PT = table
     allowed = np.zeros(PT.shape[0], dtype=bool)
@@ -215,8 +214,7 @@ def _set_radii(table, labels, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     runner = PT[labels[0]].copy()
     for label in labels[1:]:
         np.maximum(runner, PT[label], out=runner)
-    q_runner = special().ndtri(np.maximum(runner[rows], 0.0))
-    return rows, 0.5 * sigma * np.maximum(q_top[rows] - q_runner, 0.0)
+    return rows, _radii(sigma, q_top[rows], special().ndtri(np.maximum(runner[rows], 0.0)))
 
 
 def leaf_certificate_renormalized(smoothed_probs, subset: Iterable[int],

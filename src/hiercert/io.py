@@ -272,12 +272,23 @@ def write_json(path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is a ValidationError."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValidationError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def read_json(path):
-    with _open(path) as fh:
+    """The JSON value in path; a key repeated in one object is rejected."""
+    with _open(path) as fh, _naming(path):
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid json ({exc})")
+            raise ValidationError(f"invalid json ({exc})")
 
 
 #: The default of a schema key that the object must carry.
@@ -432,7 +443,7 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
     return {"n_labels": h.n_labels, "root": encode(h.root)}
 
 
-_HIERARCHY = {"n_labels": (REQUIRED, is_int, "label-space size"),
+_HIERARCHY = {"n_labels": (REQUIRED, is_pos_int, "label-space size"),
               "root": (REQUIRED, is_dict, "the root node")}
 _NODE_KIND = (REQUIRED, is_str, "'leaf' or 'intermediate'")
 _NODES = {

@@ -8,10 +8,13 @@ l2 radius:
     one-sided:  R = sigma * Phi^-1(p_a_lower)
     two-sided:  R = sigma / 2 * (Phi^-1(p_top) - Phi^-1(p_runner))
 
-Certificates always take the one-sided form, computed as the two-sided
-form `margin_radius` with p_top = p_a_lower and p_runner = 1 - p_a_lower.
-The hierarchy module's margin estimates (the renormalized leaves and the
-subset sweep) use `margin_radius` with a separate runner-up probability.
+Both forms are computed by one array kernel, `_radii`, on the quantiles
+Phi^-1(p_top) and Phi^-1(p_runner). Certificates always take the one-sided
+form, as the two-sided form with p_top = p_a_lower and p_runner =
+1 - p_a_lower; the hierarchy module's margin estimates over rows (the
+renormalization report and the subset sweep) pass a separate runner-up
+probability. `margin_radius` is the same formula for one pair of
+probabilities, with its range checks and the +inf of a degenerate pair.
 
 Noise is generated counter-mode per (sample index, dimension), so counts
 and certificates are bit-identical across runs and chunk sizes.
@@ -34,7 +37,7 @@ split either. `certify_batch` counts the selection and estimation passes
 of every config of a command in one kernel call, so a `certify` forks at
 most once however many sigmas it certifies; it then bounds each config's
 top-label counts with one `clopper_pearson_lower_batch` call and takes its
-radii from one `margin_radius` call. `certify` is the one-input wrapper of
+radii from one `_radii` call. `certify` is the one-input wrapper of
 `certify_batch`, and agrees with it bit for bit.
 """
 
@@ -142,43 +145,24 @@ def vote_counts(classifier, X, passes) -> np.ndarray:
     return sum(split.parts(count, draws, split.SPLIT_MIN_DRAWS))
 
 
-def margin_radius(sigma: float, p_top, p_runner):
-    """sigma/2 * (Phi^-1(p_top) - Phi^-1(p_runner)), scalar or vectorized.
+def margin_radius(sigma: float, p_top: float, p_runner: float) -> float:
+    """sigma/2 * (Phi^-1(p_top) - Phi^-1(p_runner)) of two probabilities.
 
     Degenerate exact probabilities (p_top == 1 or p_runner == 0) yield +inf;
-    the margin is floored at zero. The scalar fork stays: with scalars sent
-    through the array paths here and in `normal_quantile`, acceptance test 2
-    took 10.5 s in place of 5.9 s on a 2-vCPU Xeon, past its 10 s gate.
+    the margin is floored at zero.
     """
-    if np.isscalar(p_top) and np.isscalar(p_runner):
-        pt, pr = float(p_top), float(p_runner)
-        if not (0.0 <= pt <= 1.0 and 0.0 <= pr <= 1.0):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        if pt >= 1.0 or pr <= 0.0:
-            return math.inf
-        return 0.5 * sigma * max(normal_quantile(pt) - normal_quantile(pr), 0.0)
-
-    pt = np.atleast_1d(np.asarray(p_top, dtype=np.float64))
-    pr = np.atleast_1d(np.asarray(p_runner, dtype=np.float64))
-    if pt.shape != pr.shape:
-        pt, pr = np.broadcast_arrays(pt, pr)
-    # NaN-ignoring bounds: NaN passes the range check, as it does elementwise.
-    t_lo = np.fmin.reduce(pt, None, initial=math.inf)
-    t_hi = np.fmax.reduce(pt, None, initial=-math.inf)
-    r_lo = np.fmin.reduce(pr, None, initial=math.inf)
-    r_hi = np.fmax.reduce(pr, None, initial=-math.inf)
-    if t_lo < 0 or t_hi > 1 or r_lo < 0 or r_hi > 1:
+    pt, pr = float(p_top), float(p_runner)
+    if not (0.0 <= pt <= 1.0 and 0.0 <= pr <= 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
-    degenerate = None
-    if t_hi >= 1.0 or r_lo <= 0.0:
-        degenerate = (pt >= 1.0) | (pr <= 0.0)
-        pt = np.where(degenerate, 0.5, pt)
-        pr = np.where(degenerate, 0.5, pr)
-    gap = normal_quantile(pt) - normal_quantile(pr)
-    radius = 0.5 * sigma * np.maximum(gap, 0.0, out=gap)
-    if degenerate is not None:
-        radius[degenerate] = math.inf
-    return radius
+    if pt >= 1.0 or pr <= 0.0:
+        return math.inf
+    return 0.5 * sigma * max(normal_quantile(pt) - normal_quantile(pr), 0.0)
+
+
+def _radii(sigma: float, q_top: np.ndarray, q_runner: np.ndarray) -> np.ndarray:
+    """sigma/2 * (q_top - q_runner) floored at zero, elementwise, where the
+    q are standard-normal quantiles Phi^-1(p) the caller has checked."""
+    return 0.5 * sigma * np.maximum(q_top - q_runner, 0.0)
 
 
 @dataclass(frozen=True)
@@ -221,6 +205,7 @@ def certify_batch(classifier, X, configs: list[SmoothingConfig], seeds) -> list[
     counts = vote_counts(classifier, X, [
         (cfg.sigma, n, s, stream) for cfg, s in zip(configs, seeds)
         for n, stream in ((cfg.n0, rng.STREAM_SELECT), (cfg.n, rng.STREAM_NOISE))])
+    ndtri = special().ndtri
     batches = []
     for cfg, selection, estimation in zip(configs, counts[0::2], counts[1::2]):
         top = np.argmax(selection, axis=1)
@@ -228,8 +213,8 @@ def certify_batch(classifier, X, configs: list[SmoothingConfig], seeds) -> list[
             estimation[np.arange(top.size), top], cfg.n, cfg.alpha_conf)
         certified = p_lower > 0.5
         radii = np.full(p_lower.shape, np.nan)
-        radii[certified] = margin_radius(cfg.sigma, p_lower[certified],
-                                         1.0 - p_lower[certified])
+        p = p_lower[certified]
+        radii[certified] = _radii(cfg.sigma, ndtri(p), ndtri(1.0 - p))
         batches.append(CertifiedBatch(labels=np.where(certified, top, ABSTAIN), radii=radii,
                                       p_a_lower=p_lower, sigma=cfg.sigma, n_samples=cfg.n))
     return batches

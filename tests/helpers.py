@@ -26,9 +26,12 @@ check compares a model's analytic gradients with central differences of
 `cross_entropy_oracle`. `exact_smoothed_linear` is the closed-form smoothed
 probability of a binary linear rule, and `gauss_sample_oracle` draws the
 toy Gaussian sample whole, where `toymodels` draws it in blocks. The margin
-radius oracle is the vector path of `smoothing.margin_radius` with a
-comparison pass per range bound and the degenerate masks applied
-unconditionally. `peak_traced_bytes` measures a
+radius oracle is the array form of the two-sided radius, on scipy's ndtri:
+the range and (0, 1) domain checks of `smoothing.margin_radius` applied
+elementwise, and the degenerate masks applied unconditionally; it is the
+reference for the scalar `margin_radius` and for `smoothing._radii` as
+`certify_batch` and the hierarchy's margin estimates call it.
+`peak_traced_bytes` measures a
 call's working memory; tracemalloc also sees numpy's data buffers. The
 `forks` fixture, `failing_send` and `killed_after` check the two-process
 paths (`hiercert.split`): every fork is counted and reaped, a child can be
@@ -62,20 +65,22 @@ from hiercert.hierarchy import (
     infer_batch,
 )
 from hiercert.models import LinearSoftmax, SmallMlp
-from hiercert.numerics import normal_quantile
-from hiercert.smoothing import margin_radius
 
 
 def margin_radius_oracle(sigma: float, p_top, p_runner) -> np.ndarray:
-    """Vector two-sided radius: broadcast, four range passes, masks always."""
-    pt = np.atleast_1d(np.asarray(p_top, dtype=np.float64))
-    pr = np.atleast_1d(np.asarray(p_runner, dtype=np.float64))
-    pt, pr = np.broadcast_arrays(pt, pr)
-    if np.any(pt < 0) or np.any(pt > 1) or np.any(pr < 0) or np.any(pr > 1):
+    """Array two-sided radius: broadcast, a range check that rejects NaN, the
+    degenerate masks always, and the (0, 1) domain check on every entry that
+    is not degenerate."""
+    pt, pr = np.broadcast_arrays(np.atleast_1d(np.asarray(p_top, dtype=np.float64)),
+                                 np.atleast_1d(np.asarray(p_runner, dtype=np.float64)))
+    if not (np.all((pt >= 0) & (pt <= 1)) and np.all((pr >= 0) & (pr <= 1))):
         raise ValidationError("probabilities must lie in [0, 1]")
     degenerate = (pt >= 1.0) | (pr <= 0.0)
-    gap = (normal_quantile(np.where(degenerate, 0.5, pt))
-           - normal_quantile(np.where(degenerate, 0.5, pr)))
+    q = np.concatenate([pt[~degenerate], pr[~degenerate]])
+    if not np.all((q > 0) & (q < 1)):
+        raise ValidationError("normal_quantile requires 0 < q < 1")
+    gap = (special.ndtri(np.where(degenerate, 0.5, pt))
+           - special.ndtri(np.where(degenerate, 0.5, pr)))
     return np.where(degenerate, math.inf, 0.5 * sigma * np.maximum(gap, 0.0))
 
 
@@ -285,7 +290,7 @@ def sweep_oracle(P, sigma: float, sizes, mode: str = "all", sample_count: int = 
                 runner = sub.min(axis=1)
             else:
                 runner = np.partition(sub, -2, axis=1)[:, -2]
-            radii = margin_radius(sigma, p_top[member], runner)
+            radii = margin_radius_oracle(sigma, p_top[member], runner)
             inf_mask = np.isinf(radii)
             n_inf += int(inf_mask.sum())
             finite.append(radii[~inf_mask])
@@ -309,7 +314,7 @@ def baseline_radii_oracle(P, sigma: float) -> np.ndarray:
     order = np.argsort(P, axis=1)
     p_top = P[np.arange(n), np.argmax(P, axis=1)]
     p_second = P[np.arange(n), order[:, -2]] if m > 1 else np.zeros(n)
-    return margin_radius(sigma, p_top, p_second)
+    return margin_radius_oracle(sigma, p_top, p_second)
 
 
 def vote_counts_oracle(classifier, x, sigma: float, n: int, seed: int,

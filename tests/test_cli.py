@@ -614,6 +614,15 @@ class TestMalformedInputs:
                             "c.json: 'utf-8' codec can't decode byte 0xe9"),
         "csv-header-bad-byte": ("certify", "data.csv", b"sample_id,label,e0,\xff1\na,0,0.5,0\n",
                                 "data.csv: 'utf-8' codec can't decode byte 0xff"),
+        # a key repeated in one JSON object, in a config or a hierarchy file
+        "repeated-config-key": ("toy-prf", "c.json", '{"n_trials": 100, "n_trials": 50}',
+                                "c.json: duplicate key 'n_trials'"),
+        "repeated-n-labels": ("attack", "h.json",
+                              '{"n_labels": 2, "n_labels": 2, "root": %s}'
+                              % json.dumps(_TREE["root"]), "h.json: duplicate key 'n_labels'"),
+        # a leaf holds at least one label, so a label space holds one too
+        "hierarchy-zero-n-labels": ("attack", "h.json", json.dumps(dict(_TREE, n_labels=0)),
+                                    "h.json: field 'n_labels'"),
     }
 
     def test_distinct_integers_name_their_outputs_apart(self):
@@ -693,6 +702,14 @@ class TestDiscoverCommand:
         assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         classes = json.loads((tmp_path / "out" / "partition.json").read_text())
         assert {frozenset(c) for c in classes} == {frozenset(g) for g in groups}
+
+    def test_library_warning_is_one_stderr_line(self, tmp_path, capsys):
+        (tmp_path / "e.csv").write_text(
+            "sample_id,label,e0,e1\na,0,0,0\nb,0,0.1,0\nc,1,5,5\nd,2,50,50\n")
+        cfg = write_config(tmp_path, "c.json", {"k": 3, "embeddings": "e.csv"})
+        assert cli.main(["discover", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 singleton cluster(s); scoring their points 0\n")
 
     def test_hierarchy_reads_the_partition_discover_wrote(self, tmp_path, capsys):
         (tmp_path / "cm.csv").write_text("9,3,0,1\n3,9,1,0\n0,1,9,3\n1,0,3,9\n")

@@ -27,7 +27,6 @@ from hiercert.hierarchy import (
     _set_radii,
 )
 from hiercert.models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, softmax, train
-from hiercert.smoothing import margin_radius
 
 from helpers import (
     baseline_radii_oracle,
@@ -35,6 +34,7 @@ from helpers import (
     failing_send,
     forks,  # noqa: F401 (a fixture)
     make_blobs,
+    margin_radius_oracle,
     quantile_oracle,
     sample_subsets_oracle,
     sweep_oracle,
@@ -312,15 +312,16 @@ class TestRunnerTable:
 
 
 def set_radii_by_rows(P, labels, sigma):
-    """Rows whose argmax lies in `labels` and their `margin_radius` against
-    the largest other entry among `labels`, one row at a time (0 if none)."""
+    """Rows whose argmax lies in `labels` and their `margin_radius_oracle`
+    against the largest other entry among `labels`, one row at a time (0 if
+    none)."""
     labels = sorted(set(labels))
     g = np.argmax(P, axis=1)
     rows = np.flatnonzero(np.isin(g, labels))
     p_top = P[rows, g[rows]]
     runner = np.array([max((P[r, j] for j in labels if j != g[r]), default=0.0)
                        for r in rows])
-    return rows, margin_radius(sigma, p_top, runner)
+    return rows, margin_radius_oracle(sigma, p_top, runner)
 
 
 class TestSetRadii:
@@ -695,9 +696,9 @@ class TestRetrainLeaf:
         g = np.argmax(Pb, axis=1)
         keep = np.isin(g, [0, 1])
         idx = np.arange(int(keep.sum()))
-        base_r = margin_radius(0.5, Pb[keep][idx, g[keep]], Pb[keep][idx, 1 - g[keep]])
+        base_r = margin_radius_oracle(0.5, Pb[keep][idx, g[keep]], Pb[keep][idx, 1 - g[keep]])
         gl = np.argmax(Pl[keep], axis=1)
-        leaf_r = margin_radius(0.5, Pl[keep][idx, gl], Pl[keep][idx, 1 - gl])
+        leaf_r = margin_radius_oracle(0.5, Pl[keep][idx, gl], Pl[keep][idx, 1 - gl])
         assert int(np.sum(leaf_r < base_r)) >= 1
         assert int(np.sum(leaf_r > base_r)) >= 1
 

@@ -23,21 +23,13 @@ def test_quantile_matches_oracle_across_domain():
         1.0 - np.geomspace(1e-12, 0.4999, 500),
         np.linspace(1e-6, 1.0 - 1e-6, 500),
     ])
-    vals = numerics.normal_quantile(qs)
-    worst = max(abs(v - quantile_oracle(float(q))) for q, v in zip(qs, vals))
+    worst = max(abs(numerics.normal_quantile(q) - quantile_oracle(float(q))) for q in qs)
     assert worst <= 1e-9
-
-
-def test_quantile_scalar_and_vector_paths_agree():
-    qs = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    vec = numerics.normal_quantile(qs)
-    sc = np.array([numerics.normal_quantile(float(q)) for q in qs])
-    assert np.max(np.abs(vec - sc)) < 1e-14
 
 
 def test_quantile_monotone():
     qs = np.linspace(1e-9, 1.0 - 1e-9, 200001)
-    vals = numerics.normal_quantile(qs)
+    vals = np.array([numerics.normal_quantile(q) for q in qs])
     assert np.all(np.diff(vals) >= 0.0)
 
 
@@ -45,8 +37,6 @@ def test_quantile_domain_errors():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValidationError):
             numerics.normal_quantile(bad)
-    with pytest.raises(ValidationError):
-        numerics.normal_quantile(np.array([0.5, 1.0]))
 
 
 def test_quantile_symmetry_within_precision():
@@ -70,5 +60,5 @@ def test_cdf_quantile_roundtrip():
     # so the deep-negative roundtrip is tight; above +5 the CDF value's
     # distance to 1 is no longer representable to the same precision
     xs = np.linspace(-8.0, 5.0, 1001)
-    back = numerics.normal_quantile(np.array([numerics.normal_cdf(x) for x in xs]))
+    back = np.array([numerics.normal_quantile(numerics.normal_cdf(x)) for x in xs])
     assert np.max(np.abs(back - xs)) < 1e-9

@@ -49,6 +49,7 @@ _UNCALLED = {
     "models.cross_entropy": "Direction 3 will call it",
     "models.train": "Direction 3 will call it",
     "numerics.normal_cdf": "paper construction tested through it",
+    "smoothing.margin_radius": "paper construction tested through it",
     "toymodels.linf_flip_attack": "paper construction tested through it",
     "toymodels.meta_feature_accuracy": "paper construction tested through it",
 }

@@ -10,7 +10,7 @@ import scipy
 from scipy import stats
 
 import hiercert
-from hiercert import cli, io, rng, smoothing, split
+from hiercert import cli, io, rng, split
 from hiercert.core import ABSTAIN
 from hiercert.errors import ValidationError
 from hiercert.models import LinearSoftmax, SmallMlp
@@ -742,7 +742,7 @@ class TestRadii:
 
     def test_monotone_in_p(self):
         ps = np.linspace(0.5 + 1e-9, 1 - 1e-9, 10_000)
-        radii = smoothing.margin_radius(0.5, ps, 1.0 - ps)
+        radii = np.array([margin_radius(0.5, p, 1.0 - p) for p in ps])
         assert np.all(np.diff(radii) >= 0.0)
 
     @staticmethod
@@ -757,56 +757,23 @@ class TestRadii:
 
     GRID = [0.0, -0.0, 1.0, math.nan, -0.25, 1.25, 5e-324, 1e-300, 0.3, 0.5, 0.7, 1.0 - 2**-53]
 
-    def test_vector_path_pinned_elementwise_to_scalar_path_and_oracle(self):
+    def test_scalar_pinned_to_oracle_on_every_pair(self):
+        # every pair of GRID, those that raise included: NaN and out-of-range
+        # probabilities fail the range check, a non-degenerate 0 or 1 the
+        # quantile's domain check, and p_top == 1 or p_runner == 0 give +inf
+        outcomes = {}
         for a in self.GRID:
             for b in self.GRID:
-                vector = self.outcome(margin_radius, 0.5, np.array([a]), np.array([b]))
-                assert vector == self.outcome(margin_radius_oracle, 0.5, [a], [b]), (a, b)
-                if not (math.isnan(a) or math.isnan(b)):
-                    # the scalar path rejects NaN in its range check; the
-                    # vector path only where the quantile meets it
-                    scalar = self.outcome(margin_radius, 0.5, a, b)
-                    assert vector == scalar, (a, b)
+                scalar = self.outcome(margin_radius, 0.5, a, b)
+                assert scalar == self.outcome(margin_radius_oracle, 0.5, [a], [b]), (a, b)
+                outcomes[a, b] = scalar
         inf = ((1,), np.array([math.inf]).tobytes())
-        assert self.outcome(margin_radius, 0.5, [math.nan], [0.0]) == inf
-        assert self.outcome(margin_radius, 0.5, [1.0], [math.nan]) == inf
-        for pt, pr in (([math.nan], [0.3]), ([0.0], [0.3]), ([0.7], [math.nan])):
-            assert self.outcome(margin_radius, 0.5, pt, pr) == (
-                ValidationError, "normal_quantile requires 0 < q < 1")
-        assert self.outcome(margin_radius, 0.5, [math.nan, -0.25], [0.3, 0.3]) == (
+        assert outcomes[math.nan, 0.0] == outcomes[-0.25, 0.3] == (
             ValidationError, "probabilities must lie in [0, 1]")
-
-    def test_vector_path_pinned_on_whole_arrays(self):
-        pairs = np.array([(a, b) for a in self.GRID for b in self.GRID])
-        inside = [(a, b) for a, b in pairs
-                  if self.outcome(margin_radius, 0.5, float(a), float(b))[0] == (1,)]
-        pt, pr = np.array(inside).T
-        cases = [
-            (pairs[:, 0], pairs[:, 1]),  # out of range somewhere
-            (pt, pr),
-            (pt[pt < 1], pr[pt < 1]),  # no entry of p_top at 1
-            (pt[(pt < 1) & (pr > 0)], pr[(pt < 1) & (pr > 0)]),  # nothing degenerate
-            (np.array([0.9, 0.6, 1.0, 0.8]).reshape(4, 1), np.array([0.1, 0.0, 0.3])),
-            (np.array([0.9, 0.6]).reshape(2, 1), np.array([[0.1, 0.2, 0.3]])),
-            (0.8, np.array([0.1, 0.0, 0.3])),
-            (np.array([[0.8, 0.9], [1.0, 0.7]]), np.array([[0.1, 0.2], [0.3, 0.0]])),
-            (np.array(0.8), np.array(0.2)),
-            (np.array(0.8), 0.2),
-            (np.empty(0), np.empty(0)),
-            (np.empty(0), np.array([2.0])),  # broadcast to empty: nothing to reject
-            (np.empty((0, 3)), np.array([0.1, 0.2, 0.3])),
-            (np.empty(0), np.array([0.1, 0.2, 0.3])),  # shapes that do not broadcast
-            (np.array([0.9, math.nan]), np.array([0.0, 0.0])),
-        ]
-        rows = rng.uniforms(41, 906, 0, 4000).reshape(2, 2000)
-        rows[0, ::37], rows[1, ::41] = 1.0, 0.0
-        cases.append((rows[0], rows[1]))
-        for pt, pr in cases:
-            assert self.outcome(margin_radius, 0.5, pt, pr) == self.outcome(
-                margin_radius_oracle, 0.5, pt, pr), (pt, pr)
-        scalar = np.array([margin_radius(0.5, float(a), float(b)) for a, b in inside])
-        assert margin_radius(0.5, np.array(inside)[:, 0], np.array(inside)[:, 1]).tobytes() == (
-            scalar.tobytes())
+        assert outcomes[0.0, 0.3] == outcomes[0.7, 1.0] == (
+            ValidationError, "normal_quantile requires 0 < q < 1")
+        assert outcomes[1.0, 0.3] == outcomes[0.0, 0.0] == outcomes[0.7, -0.0] == inf
+        assert outcomes[0.3, 0.7] == ((1,), np.zeros(1).tobytes())
 
 
 class TestCertify:
