@@ -215,7 +215,7 @@ def cmd_certify(config: dict, base: Path, meta: dict) -> list[ReportTable]:
     tables = []
     summary_rows = []
     if len(ids) == 0:
-        print("warning: empty dataset, emitting empty tables", file=sys.stderr)
+        warnings.warn("empty dataset, emitting empty tables")
     configs = [SmoothingConfig(sigma=s, n0=n0, n=n, alpha_conf=alpha) for s in sigmas]
     seeds = [_per_sample_seeds(config["seed"], si, len(ids)) for si in range(len(sigmas))]
     for sigma, batch in zip(sigmas, certify_batch(model, X, configs, seeds)):

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .core import LabelPartition
+from .core import LabelPartition, checked_labels
 from .errors import (
     DegeneratePartitionError,
     UndefinedSeparationError,
@@ -132,8 +132,7 @@ def derive_partition(assignment, labels, k: int,
     if assign.min() < 0 or assign.max() >= k:
         raise ValidationError(f"cluster ids must lie in 0..{k - 1}")
     m = int(n_labels) if n_labels is not None else int(y.max()) + 1
-    if y.min() < 0 or y.max() >= m:
-        raise ValidationError(f"labels must lie in 0..{m - 1}")
+    checked_labels(y, m)
 
     counts = np.zeros((m, k), dtype=np.int64)
     np.add.at(counts, (y, assign), 1)

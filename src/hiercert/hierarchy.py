@@ -42,7 +42,7 @@ from .core import (
     normalize_subset,
 )
 from .errors import CapabilityError, RoutingMismatchError, ValidationError
-from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, _unmask, pgd_attack, train
+from .models import LinearSoftmax, MaskedModel, PgdParams, SmallMlp, pgd_attack, train
 from .numerics import special
 from .smoothing import _radii, margin_radius
 
@@ -409,8 +409,9 @@ def evaluate_adversarial(h: Hierarchy, X, y, attack: PgdParams,
     report bit for bit (`_attacked_correct`).
     """
     for nid, node in h.nodes():
-        # The attack runs `_fused_step`, which needs a built-in model's `_backward`.
-        model = _unmask(node.classifier)[0]
+        # The attack runs `_forward`/`_backward`, which a built-in model has.
+        model = node.classifier
+        model = model.base if isinstance(model, MaskedModel) else model
         if model is not None and not hasattr(model, "_backward"):
             raise CapabilityError(
                 f"node {nid!r}: a {type(model).__name__} cannot be run or attacked on input "

@@ -37,7 +37,7 @@ from . import split
 from .core import LabelPartition
 from .errors import ConfigError, ValidationError
 from .hierarchy import Hierarchy, Intermediate, Leaf
-from .models import LinearSoftmax, MaskedModel, SmallMlp, _unmask
+from .models import LinearSoftmax, MaskedModel, SmallMlp
 
 
 #: Columns of a certificates table; an abstained row has an empty radius.
@@ -433,8 +433,9 @@ def save_model(path, model) -> None:
 def hierarchy_to_dict(h: Hierarchy) -> dict:
     def encode(node) -> dict:
         if isinstance(node, Leaf):
-            clf, cols = _unmask(node.classifier)
-            strategy = "retrain" if cols is None and clf is not None else "renormalize"
+            clf, masked = node.classifier, isinstance(node.classifier, MaskedModel)
+            strategy = "retrain" if clf is not None and not masked else "renormalize"
+            clf = clf.base if masked else clf
             return {"kind": "leaf", "labels": list(node.label_subset), "strategy": strategy,
                     "classifier": None if clf is None else model_to_dict(clf)}
         return {"kind": "intermediate", "classifier": model_to_dict(node.classifier),

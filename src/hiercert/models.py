@@ -239,7 +239,9 @@ class MaskedModel:
 
     Local label i is label subset[i] of `base`. A mask of a mask is composed
     when built, so `base` is never a MaskedModel. Gradients pass through to
-    the base model, so the restriction stays attackable.
+    the base model, so the restriction stays attackable: its `_forward` and
+    `_backward` wrap the base model's, and `pgd_attack` drives them as it
+    drives a built-in model's.
     """
 
     base: object
@@ -267,37 +269,24 @@ class MaskedModel:
         return np.asarray(self.base.logits(X))[:, list(self.subset)]
 
     def input_grad_from_dlogits(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return self.base.input_grad_from_dlogits(X, self._scatter(G))
+
+    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, object]:
+        """The base model's forward pass at full width, its columns selected
+        after it, and the base model's cache."""
+        logits, cache = self.base._forward(X)
+        return logits[:, list(self.subset)], cache
+
+    def _backward(self, cache, G: np.ndarray) -> np.ndarray:
+        return self.base._backward(cache, self._scatter(G))
+
+    def _scatter(self, G: np.ndarray) -> np.ndarray:
+        """Logit gradients G written into the subset's columns of a zeroed
+        (rows x base labels) array, so the base model's backward pass keeps
+        the matmuls of the unmasked model."""
         full = np.zeros((G.shape[0], self.base.n_labels))
         full[:, list(self.subset)] = G
-        return self.base.input_grad_from_dlogits(X, full)
-
-
-def _unmask(model) -> tuple[object, Optional[np.ndarray]]:
-    """The model under a MaskedModel and the logit columns it selects (None if unmasked)."""
-    if isinstance(model, MaskedModel):
-        return model.base, np.asarray(model.subset, dtype=np.int64)
-    return model, None
-
-
-def _fused_step(base, cols: Optional[np.ndarray], X: np.ndarray, y: np.ndarray,
-                pad: Optional[np.ndarray], total: Optional[int] = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Logits over `cols` of a built-in model and the input gradient of their
-    mean cross-entropy at labels y (over `total` rows, as in `_dlogits`),
-    from one forward and one backward pass.
-
-    The forward pass stays full width and the columns are selected after it;
-    the logit gradient is written into `pad`, a zeroed (rows x base labels)
-    buffer whose other columns stay zero, before the backward pass. Both
-    keep the matmuls of the unmasked model, so the bits match the two-pass
-    `logits` then `input_grad_from_dlogits` of a MaskedModel.
-    """
-    logits, cache = base._forward(X)
-    if cols is None:
-        return logits, base._backward(cache, _dlogits(logits, y, total))
-    logits = logits[:, cols]
-    pad[:, cols] = _dlogits(logits, y, total)
-    return logits, base._backward(cache, pad)
+        return full
 
 
 @dataclass(frozen=True)
@@ -364,11 +353,12 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
     highest final loss wins per sample.
 
     Each step takes its logits and input gradient from one forward and one
-    backward pass of the model under its MaskedModel, if any (`_fused_step`),
-    takes the gradient's sign without numpy's branching sign loop
-    (`_signed_step`), and updates the iterate in place; the result equals the
-    two-pass form (`logits`, then `input_grad_from_dlogits`, then
-    `np.sign(grad) * step`, then `np.clip`) bit for bit.
+    backward pass (`_forward`, then `_backward` on its cache; the built-in
+    models and MaskedModel have both), takes the gradient's sign without
+    numpy's branching sign loop (`_signed_step`), and updates the iterate in
+    place; the result equals the two-pass form (`logits`, then
+    `input_grad_from_dlogits`, then `np.sign(grad) * step`, then `np.clip`)
+    bit for bit.
 
     Every row is attacked on its own, so a batch may be cut into row ranges:
     x given as rows start..start+n of a batch of `total` rows (default: x is
@@ -380,12 +370,11 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
     X = np.asarray(x, dtype=np.float64)
     total = X.shape[0] if total is None else total
     y = checked_labels(y, model.n_labels)
-    base, cols = _unmask(model)
-    if not hasattr(base, "_backward"):
-        raise CapabilityError(f"{type(base).__name__} cannot be attacked: no gradients")
+    inner = model.base if isinstance(model, MaskedModel) else model
+    if not hasattr(inner, "_backward"):
+        raise CapabilityError(f"{type(inner).__name__} cannot be attacked: no gradients")
     n, d = X.shape
     lo, hi = X - params.epsilon, X + params.epsilon
-    pad = None if cols is None else np.zeros((n, base.n_labels))
     signs = (np.empty((n, d), dtype=bool), np.empty((n, d), dtype=bool),
              np.empty((n, d), dtype=np.int8))
 
@@ -403,7 +392,8 @@ def pgd_attack(model, x, y, params: PgdParams, seed: int = 0, start: int = 0,
             cur += X
             _project(cur, lo, hi)
         for _ in range(params.iters):
-            grad = _fused_step(base, cols, cur, y, pad, total)[1]
+            logits, cache = model._forward(cur)
+            grad = model._backward(cache, _dlogits(logits, y, total))
             cur += _signed_step(grad, params.step, *signs)
             _project(cur, lo, hi)
         losses = _row_losses(model.logits(cur), y)

@@ -597,7 +597,7 @@ class TestTwoProcessAttack:
 
     def test_leaf_model_without_the_fused_pass_is_rejected_before_any_fork(self, forks):
         # Public logits and input gradients are not enough: the attack runs
-        # `_fused_step`, which needs a built-in model's `_backward`.
+        # `_forward`/`_backward`, which a built-in model has.
         class PublicGradients:
             def __init__(self, model):
                 self.model, self.n_labels = model, model.n_labels

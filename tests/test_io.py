@@ -516,6 +516,23 @@ class TestHierarchyJson:
             assert np.array_equal(infer_batch(got, X), infer_batch(h, X))
             assert tuple(leaf.label_subset for leaf in leaves(got)) == part.classes
 
+    def test_each_leaf_writes_its_strategy_and_model(self):
+        # a masked leaf writes its base model, a leaf of its own labels that
+        # model, and a one-label leaf no model at all
+        base = SmallMlp.init(5, 2, 3, seed=15)
+        own = LinearSoftmax.init(2, 2, seed=16)
+        router = LinearSoftmax.init(3, 2, seed=17)
+        h = Hierarchy(root=Intermediate(router, (Leaf((0, 1), MaskedModel(base, (0, 1))),
+                                                 Leaf((2, 3), own), Leaf((4,)))),
+                      n_labels=5)
+        masked, retrained, single = io.hierarchy_to_dict(h)["root"]["children"]
+        assert masked == {"kind": "leaf", "labels": [0, 1], "strategy": "renormalize",
+                          "classifier": io.model_to_dict(base)}
+        assert retrained == {"kind": "leaf", "labels": [2, 3], "strategy": "retrain",
+                             "classifier": io.model_to_dict(own)}
+        assert single == {"kind": "leaf", "labels": [4], "strategy": "renormalize",
+                          "classifier": None}
+
     def test_renormalize_leaf_needs_a_model_of_every_label(self):
         spec = {"n_labels": 4, "root": {
             "kind": "intermediate", "classifier": io.model_to_dict(LinearSoftmax.init(2, 2, 12)),

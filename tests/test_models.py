@@ -10,7 +10,6 @@ from hiercert.models import (
     PgdParams,
     SmallMlp,
     _dlogits,
-    _fused_step,
     _row_reduce,
     _signed_step,
     cross_entropy,
@@ -400,11 +399,9 @@ class TestNonContiguousLogits:
                                       "masked_nested"])
     def test_fused_step(self, name):
         model = ATTACK_MODELS[name]
-        base = getattr(model, "base", model)
-        cols = np.asarray(model.subset) if hasattr(model, "subset") else None
         X, y = _attack_batch(model, 333, seed=5)
-        pad = None if cols is None else np.zeros((333, base.n_labels))
-        logits, grad = _fused_step(base, cols, X, y, pad)
+        logits, cache = model._forward(X)
+        grad = model._backward(cache, _dlogits(logits, y))
         assert same_bits(logits, model.logits(X))
         G = softmax_oracle(model.logits(X))
         G[np.arange(333), y] -= 1.0
@@ -605,8 +602,11 @@ class TestDensePasses:
         model, X, _ = _pass_batch(kind, rows)
         m = model.n_labels if cols is None else len(cols)
         y = rng.integers(51, 332, 0, rows, m)
-        cols = None if cols is None else np.asarray(cols, dtype=np.int64)
-        got, want = (_fused_step(base, cols, X, y, None if cols is None else
-                                 np.zeros((rows, model.n_labels)), rows + 3)
-                     for base in (model, per_class_passes(model)))
+
+        def step(base):
+            attacked = base if cols is None else MaskedModel(base, cols)
+            logits, cache = attacked._forward(X)
+            return logits, attacked._backward(cache, _dlogits(logits, y, rows + 3))
+
+        got, want = step(model), step(per_class_passes(model))
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
